@@ -510,6 +510,17 @@ let addr_conv =
   in
   Arg.conv (parse, Format.pp_print_string)
 
+(* Run a serving command until it shuts down.  A startup failure ends
+   it with one line and a non-zero exit: a bind failure names the
+   address ("ssg: unix:/tmp/ssgd.sock: Address already in use"), a bad
+   parameter says which, instead of an uncaught-exception dump. *)
+let serving addr serve =
+  match serve () with
+  | () -> `Ok ()
+  | exception Unix.Unix_error (e, ("bind" | "listen" | "socket"), _) ->
+      `Error (false, Printf.sprintf "%s: %s" addr (Unix.error_message e))
+  | exception Invalid_argument msg -> `Error (false, msg)
+
 let socket_arg =
   let doc =
     "Address of the ssgd service: $(b,unix:PATH), $(b,tcp:HOST:PORT), or a      bare Unix-socket path."
@@ -553,7 +564,7 @@ let serve_cmd =
   in
   let drain_timeout_arg =
     let doc =
-      "On shutdown, wait this long for live connections to finish before        abandoning them."
+      "On shutdown, idle connections close at once; wait at most this        long for requests already read to be answered before abandoning        their connections."
     in
     Arg.(value & opt float 5. & info [ "drain-timeout" ] ~docv:"SECONDS" ~doc)
   in
@@ -608,12 +619,12 @@ let serve_cmd =
         match Ssg_store.Store.sync_of_string fsync with
         | Error msg -> `Error (false, "--fsync: " ^ msg)
         | Ok persist_sync ->
-            Ssg_engine.Server.serve ?workers ~queue_capacity:queue_cap
-              ~cache_capacity:cache_cap ~max_connections ~max_inflight
-              ~read_timeout_s:read_timeout ~drain_timeout_s:drain_timeout
-              ~faults ~trace ?persist ~persist_sync
-              ~persist_compact_bytes:compact_bytes ?announce ~socket ();
-            `Ok ())
+            serving socket (fun () ->
+                Ssg_engine.Server.serve ?workers ~queue_capacity:queue_cap
+                  ~cache_capacity:cache_cap ~max_connections ~max_inflight
+                  ~read_timeout_s:read_timeout ~drain_timeout_s:drain_timeout
+                  ~faults ~trace ?persist ~persist_sync
+                  ~persist_compact_bytes:compact_bytes ?announce ~socket ()))
   in
   let doc =
     "Run the ssgd simulation service: a persistent engine with a domain      worker pool, job dedup and an LRU result cache, served over a      Unix-domain or TCP socket.  Blocks until a client sends shutdown.      With $(b,--persist) the cache survives restarts (journal +      snapshot, crash-safe); with $(b,--announce) the worker joins a      router's hash ring at boot instead of being pre-listed."
@@ -677,7 +688,7 @@ let route_cmd =
   in
   let drain_timeout_arg =
     let doc =
-      "On shutdown, wait this long for live connections to finish before        abandoning them."
+      "On shutdown, idle connections close at once; wait at most this        long for requests already read to be answered before abandoning        their connections."
     in
     Arg.(value & opt float 5. & info [ "drain-timeout" ] ~docv:"SECONDS" ~doc)
   in
@@ -692,15 +703,12 @@ let route_cmd =
       drain_timeout trace =
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs.set_level (Some (if verbose then Logs.Debug else Logs.App));
-    match
-      Ssg_cluster.Router.serve ~vnodes ~down_after
-        ~probe_interval_s:probe_interval ~probe_timeout_s:probe_timeout
-        ~request_timeout_s:request_timeout ~max_connections ~max_inflight
-        ~read_timeout_s:read_timeout ~drain_timeout_s:drain_timeout ~trace
-        ~backends ~socket ()
-    with
-    | () -> `Ok ()
-    | exception Invalid_argument msg -> `Error (false, msg)
+    serving socket (fun () ->
+        Ssg_cluster.Router.serve ~vnodes ~down_after
+          ~probe_interval_s:probe_interval ~probe_timeout_s:probe_timeout
+          ~request_timeout_s:request_timeout ~max_connections ~max_inflight
+          ~read_timeout_s:read_timeout ~drain_timeout_s:drain_timeout ~trace
+          ~backends ~socket ())
   in
   let doc =
     "Front N independent ssgd workers with one routing socket: clients      speak the ordinary ssgd protocol to it, jobs are sharded over the      workers by consistent hashing of their cache keys, a health-probed      registry takes dead workers out of the ring, and failed forwards      retry on the successor shard.  Stats and metrics are merged across      the fleet."
@@ -1196,7 +1204,7 @@ let gateway_cmd =
   in
   let drain_timeout_arg =
     let doc =
-      "On shutdown, wait this long for live connections to finish before        abandoning them."
+      "On shutdown, idle connections close at once; wait at most this        long for requests already read to be answered before abandoning        their connections."
     in
     Arg.(value & opt float 5. & info [ "drain-timeout" ] ~docv:"SECONDS" ~doc)
   in
@@ -1210,13 +1218,10 @@ let gateway_cmd =
       read_timeout drain_timeout trace =
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs.set_level (Some (if verbose then Logs.Debug else Logs.App));
-    match
-      Ssg_gateway.Gateway.serve ~backend_deadline_s:backend_deadline
-        ~max_connections ~read_timeout_s:read_timeout
-        ~drain_timeout_s:drain_timeout ~trace ~listen ~backend ()
-    with
-    | () -> `Ok ()
-    | exception Invalid_argument msg -> `Error (false, msg)
+    serving listen (fun () ->
+        Ssg_gateway.Gateway.serve ~backend_deadline_s:backend_deadline
+          ~max_connections ~read_timeout_s:read_timeout
+          ~drain_timeout_s:drain_timeout ~trace ~listen ~backend ())
   in
   let doc =
     "Serve an HTTP/JSON front door over a native ssgd or router backend:      POST /submit (run text body, k/algorithm/rounds/monitor query      parameters), GET /stats, GET /metrics (Prometheus), GET /trace,      GET /healthz, POST /shutdown.  All backend traffic shares one      pipelined connection."

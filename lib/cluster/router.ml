@@ -4,7 +4,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 module Metrics = Ssg_obs.Metrics
 module Tracer = Ssg_obs.Tracer
 module Transport = Ssg_net.Transport
-module Frame = Ssg_net.Frame
+module Listener = Ssg_net.Listener
 open Ssg_engine
 
 (* Per-shard metric slot.  Members come and go at runtime (Join/Leave),
@@ -489,161 +489,46 @@ let fan_compact t =
 
 (* ---------------- the front-end socket server ---------------- *)
 
-(* The front end speaks the same two dialects as [Server]: plain frames
-   answered strictly in order, id-framed requests dispatched to their
-   own thread (bounded per connection by [max_inflight]) so one slow
-   shard does not head-of-line-block an entire client connection. *)
-let handle_connection t ~stop ~wake ~active ~max_inflight fd =
-  let wlock = Mutex.create () in
-  let inflight = Atomic.make 0 in
-  let broken = Atomic.make false in
-  let send ?id reply =
-    let payload = Protocol.reply_to_bytes (reply : Protocol.reply) in
-    let payload =
-      match id with Some id -> Frame.with_id ~id payload | None -> payload
-    in
-    Mutex.lock wlock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock wlock)
-      (fun () -> Protocol.write_frame_fd fd payload)
-  in
-  let reject ?id msg =
-    Log.warn (fun m -> m "dropping connection: %s" msg);
-    try send ?id (Protocol.Error msg) with _ -> ()
-  in
-  let serve_request ?ctx ?id request =
-    try
-      match request with
-      | Protocol.Submit job ->
-          send ?id (route_job ?ctx t job);
-          true
-      | Protocol.Batch jobs ->
-          send ?id (route_batch ?ctx t jobs);
-          true
-      | Protocol.Stats ->
-          send ?id (merged_stats t);
-          true
-      | Protocol.Metrics ->
-          send ?id (Protocol.Metrics_text (metrics_text t));
-          true
-      | Protocol.Trace ->
-          send ?id (Protocol.Trace_events (Tracer.events ()));
-          true
-      | Protocol.Trace_pull ->
-          send ?id (Protocol.Trace_reports (fleet_reports t));
-          true
-      | Protocol.Join addr -> (
-          match Transport.of_string_exn addr with
-          | exception (Invalid_argument msg | Failure msg) ->
-              send ?id (Protocol.Error ("join: bad address: " ^ msg));
-              true
-          | a ->
-              let canonical = Transport.to_string a in
-              if t.self_addr = Some canonical then begin
-                send ?id (Protocol.Error "join: the router cannot be its own backend");
-                true
-              end
-              else begin
-                (* The Ack is sent only after any warm handoff ran, so a
-                   joiner knows its cache is seeded once admitted. *)
-                admit t canonical;
-                send ?id Protocol.Ack;
-                true
-              end)
-      | Protocol.Leave addr -> (
-          match Transport.of_string_exn addr with
-          | exception (Invalid_argument msg | Failure msg) ->
-              send ?id (Protocol.Error ("leave: bad address: " ^ msg));
-              true
-          | a ->
-              retire t (Transport.to_string a);
-              send ?id Protocol.Ack;
-              true)
-      | Protocol.Compact ->
-          send ?id (Protocol.Compacted (fan_compact t));
-          true
-      | Protocol.Export _ | Protocol.Transfer _ ->
-          (* Handoff ops terminate at workers; the router only issues
-             them. *)
-          send ?id (Protocol.Error "handoff ops are worker-facing");
-          true
-      | Protocol.Shutdown ->
-          Log.info (fun m -> m "router shutdown requested");
-          Atomic.set stop true;
-          wake ();
-          send ?id Protocol.Shutting_down;
-          false
-    with
-    | Sys_error _ | Unix.Unix_error _ -> false
-    | e ->
-        let msg = Printexc.to_string e in
-        Log.warn (fun m -> m "router handler error: %s" msg);
-        (try send ?id (Protocol.Error msg) with _ -> ());
-        false
-  in
-  let rec loop () =
-    if Atomic.get broken then ()
-    else
-      match Protocol.read_frame_fd fd with
-      | exception End_of_file -> ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          Log.info (fun m -> m "reaping stalled connection")
-      | exception Unix.Unix_error _ -> ()
-      | exception Failure msg -> reject msg
-      | frame -> (
-          match Frame.classify frame with
-          | exception Failure msg -> reject msg
-          | Frame.Plain frame -> (
-              match Frame.split_ctx frame with
-              | exception Failure msg -> reject msg
-              | ctx_wire, frame -> (
-                  let ctx = Option.bind ctx_wire Ssg_obs.Context.of_wire in
-                  match Protocol.request_of_bytes frame with
-                  | exception Failure msg -> reject msg
-                  | request -> if serve_request ?ctx request then loop ()))
-          | Frame.Id (id, inner) -> (
-              match Frame.split_ctx inner with
-              | exception Failure msg -> reject ~id msg
-              | ctx_wire, inner -> (
-                  let ctx = Option.bind ctx_wire Ssg_obs.Context.of_wire in
-                  match Protocol.request_of_bytes inner with
-                  | exception Failure msg -> reject ~id msg
-                  | Protocol.Shutdown ->
-                      ignore (serve_request ~id Protocol.Shutdown)
-                  | request ->
-                      if Atomic.get inflight >= max_inflight then begin
-                        if serve_request ?ctx ~id request then loop ()
-                      end
-                      else begin
-                        Atomic.incr inflight;
-                        ignore
-                          (Thread.create
-                             (fun () ->
-                               Fun.protect
-                                 ~finally:(fun () -> Atomic.decr inflight)
-                                 (fun () ->
-                                   if not (serve_request ?ctx ~id request)
-                                   then begin
-                                     Atomic.set broken true;
-                                     try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-                                     with Unix.Unix_error _ -> ()
-                                   end))
-                             ())
-                      end;
-                      loop ())))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      while Atomic.get inflight > 0 do
-        Thread.delay 0.002
-      done;
-      Atomic.decr active;
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      try loop ()
-      with e ->
-        Log.err (fun m ->
-            m "router connection thread escaped: %s" (Printexc.to_string e)))
+(* The router's answer to one request; the connection loop around it
+   is the worker's ({!Conn}), so both front ends speak the same two
+   dialects and one slow shard does not head-of-line-block a
+   pipelining client. *)
+let handle t listener ?ctx = function
+  | Protocol.Submit job -> route_job ?ctx t job
+  | Protocol.Batch jobs -> route_batch ?ctx t jobs
+  | Protocol.Stats -> merged_stats t
+  | Protocol.Metrics -> Protocol.Metrics_text (metrics_text t)
+  | Protocol.Trace -> Protocol.Trace_events (Tracer.events ())
+  | Protocol.Trace_pull -> Protocol.Trace_reports (fleet_reports t)
+  | Protocol.Join addr -> (
+      match Transport.of_string_exn addr with
+      | exception (Invalid_argument msg | Failure msg) ->
+          Protocol.Error ("join: bad address: " ^ msg)
+      | a ->
+          let canonical = Transport.to_string a in
+          if t.self_addr = Some canonical then
+            Protocol.Error "join: the router cannot be its own backend"
+          else begin
+            (* The Ack goes out only after any warm handoff ran, so a
+               joiner knows its cache is seeded once admitted. *)
+            admit t canonical;
+            Protocol.Ack
+          end)
+  | Protocol.Leave addr -> (
+      match Transport.of_string_exn addr with
+      | exception (Invalid_argument msg | Failure msg) ->
+          Protocol.Error ("leave: bad address: " ^ msg)
+      | a ->
+          retire t (Transport.to_string a);
+          Protocol.Ack)
+  | Protocol.Compact -> Protocol.Compacted (fan_compact t)
+  | Protocol.Export _ | Protocol.Transfer _ ->
+      (* Handoff ops terminate at workers; the router only issues them. *)
+      Protocol.Error "handoff ops are worker-facing"
+  | Protocol.Shutdown ->
+      Log.info (fun m -> m "router shutdown requested");
+      Listener.stop listener;
+      Protocol.Shutting_down
 
 let serve ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
     ?request_timeout_s ?(max_connections = 256) ?(max_inflight = 32)
@@ -663,64 +548,23 @@ let serve ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
     Tracer.reset ();
     Tracer.set_enabled true
   end;
-  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-   with Invalid_argument _ | Sys_error _ -> ());
   let t =
     create ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
       ?request_timeout_s backends
   in
-  let listen_fd = Transport.listen addr in
-  let addr = Transport.bound_addr listen_fd addr in
+  let listener = Listener.bind addr in
+  let addr = Listener.addr listener in
   t.self_addr <- Some (Transport.to_string addr);
   Registry.start t.registry;
-  let stop = Atomic.make false in
-  let active = Atomic.make 0 in
-  let wake () = Transport.poke addr in
   let members = Registry.backends t.registry in
   Log.app (fun m ->
       m "ssg router listening on %s, fronting %d backend(s)%s"
         (Transport.to_string addr) (List.length members)
         (if members = [] then " (waiting for Join announcements)" else ""));
-  let rec accept_loop () =
-    if not (Atomic.get stop) then begin
-      (match Unix.accept listen_fd with
-      | client_fd, _ ->
-          if Atomic.get stop then (try Unix.close client_fd with _ -> ())
-          else if Atomic.get active >= max_connections then begin
-            (try
-               Protocol.write_reply_fd client_fd
-                 (Protocol.Error "router at connection limit")
-             with _ -> ());
-            try Unix.close client_fd with _ -> ()
-          end
-          else begin
-            Atomic.incr active;
-            (try Unix.setsockopt client_fd Unix.TCP_NODELAY true
-             with Unix.Unix_error _ -> ());
-            if read_timeout_s > 0. then
-              (try
-                 Unix.setsockopt_float client_fd Unix.SO_RCVTIMEO
-                   read_timeout_s
-               with Unix.Unix_error _ -> ());
-            ignore
-              (Thread.create
-                 (handle_connection t ~stop ~wake ~active ~max_inflight)
-                 client_fd)
-          end
-      | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-          ());
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  let deadline = Unix.gettimeofday () +. drain_timeout_s in
-  while Atomic.get active > 0 && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  if Atomic.get active > 0 then
-    Log.warn (fun m ->
-        m "drain timeout: abandoning %d connection(s)" (Atomic.get active));
+  Listener.run ~max_connections ~read_timeout_s ~drain_timeout_s listener
+    ~refuse:(fun fd ->
+      Protocol.write_reply_fd fd (Protocol.Error "router at connection limit"))
+    (Conn.serve ~max_inflight ~handle:(handle t listener));
   Registry.stop t.registry;
-  Transport.cleanup addr;
+  Listener.close listener;
   Log.app (fun m -> m "ssg router stopped")

@@ -58,9 +58,11 @@
 
     [socket] and every backend are {!Ssg_net.Transport} address strings
     ([unix:PATH], [tcp:HOST:PORT], or a bare path); the front socket
-    speaks both frame dialects — plain request/reply and id-framed
-    pipelining (up to [max_inflight] concurrent per connection) —
-    exactly like {!Ssg_engine.Server.serve}.
+    runs the worker's connection layer ({!Ssg_net.Listener} and
+    {!Ssg_engine.Conn}), so it speaks both frame dialects — plain
+    request/reply and id-framed pipelining (up to [max_inflight]
+    concurrent per connection) — exactly like
+    {!Ssg_engine.Server.serve}.
 
     - [vnodes], [down_after], [probe_interval_s], [probe_timeout_s]
       are handed to {!Registry.create};

@@ -24,55 +24,25 @@ let jittered rng backoff =
   in
   Float.max 1e-4 (Random.State.float rng backoff)
 
-(* [Transport.connect] already closes its descriptor on failure; an
-   unresolvable TCP host raises [Failure] and is not retriable. *)
-let attempt_connect addr = Transport.connect addr
-
-let arm_deadline fd deadline_s =
-  match deadline_s with
-  | Some d -> (
-      try Unix.setsockopt_float fd Unix.SO_RCVTIMEO d
-      with Unix.Unix_error _ -> ())
-  | None -> ()
-
-let check_params ~who retries deadline_s =
-  if retries < 0 then invalid_arg ("Client." ^ who ^ ": retries must be >= 0");
-  match deadline_s with
-  | Some d when d <= 0. ->
-      invalid_arg ("Client." ^ who ^ ": deadline_s must be > 0")
-  | _ -> ()
-
-let connect ?(retries = 3) ?(retry_backoff_s = 0.05) ?deadline_s ~socket () =
-  check_params ~who:"connect" retries deadline_s;
-  let addr = Transport.of_string_exn socket in
-  (* Bounded exponential backoff: a daemon that is still binding (or
-     briefly over its connection limit) costs a few retries, not a
-     client-side crash. *)
-  let rng = ref None in
-  let rec go left backoff =
-    match attempt_connect addr with
-    | fd -> fd
-    | exception Unix.Unix_error (err, _, _) when left > 0 && retriable err ->
-        Thread.delay (jittered rng backoff);
-        go (left - 1) (backoff *. 2.)
-  in
-  let fd = go retries retry_backoff_s in
-  arm_deadline fd deadline_s;
-  { fd; deadline_s }
-
-let connect_any ?(retries = 3) ?(retry_backoff_s = 0.05) ?deadline_s ~sockets
-    () =
-  if sockets = [] then invalid_arg "Client.connect_any: no sockets";
-  check_params ~who:"connect_any" retries deadline_s;
+let dial ~who ?(retries = 3) ?(retry_backoff_s = 0.05) ?deadline_s sockets =
+  if sockets = [] then invalid_arg (who ^ ": no sockets");
+  if retries < 0 then invalid_arg (who ^ ": retries must be >= 0");
+  (match deadline_s with
+  | Some d when d <= 0. -> invalid_arg (who ^ ": deadline_s must be > 0")
+  | _ -> ());
   let addrs = List.map Transport.of_string_exn sockets in
   let rng = ref None in
   (* Each pass tries every address once, in the order given; passes are
-     separated by the same jittered exponential backoff as [connect]. *)
+     separated by the jittered exponential backoff, so a daemon that is
+     still binding (or briefly over its connection limit) costs a few
+     retries, not a client-side crash.  [Transport.connect] closes its
+     descriptor on failure; an unresolvable TCP host raises [Failure]
+     and is not retriable. *)
   let rec pass left backoff =
     let rec try_addrs last = function
       | [] -> Error last
       | addr :: rest -> (
-          match attempt_connect addr with
+          match Transport.connect addr with
           | fd -> Ok fd
           | exception (Unix.Unix_error (err, _, _) as e) when retriable err ->
               try_addrs e rest)
@@ -87,7 +57,25 @@ let connect_any ?(retries = 3) ?(retry_backoff_s = 0.05) ?deadline_s ~sockets
         end
   in
   let fd = pass retries retry_backoff_s in
-  arm_deadline fd deadline_s;
+  (match deadline_s with
+  | Some d -> (
+      try Unix.setsockopt_float fd Unix.SO_RCVTIMEO d
+      with Unix.Unix_error _ -> ())
+  | None -> ());
+  fd
+
+let connect ?retries ?retry_backoff_s ?deadline_s ~socket () =
+  let fd =
+    dial ~who:"Client.connect" ?retries ?retry_backoff_s ?deadline_s
+      [ socket ]
+  in
+  { fd; deadline_s }
+
+let connect_any ?retries ?retry_backoff_s ?deadline_s ~sockets () =
+  let fd =
+    dial ~who:"Client.connect_any" ?retries ?retry_backoff_s ?deadline_s
+      sockets
+  in
   { fd; deadline_s }
 
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
@@ -99,7 +87,7 @@ let rpc ?ctx c request =
       (* The context envelope rides outside the plain request payload —
          a pre-context server never receives one because pre-context
          callers never pass [ctx]. *)
-      Protocol.write_frame_fd c.fd
+      Ssg_net.Frame.write_fd c.fd
         (Ssg_net.Frame.with_ctx
            ~ctx:(Ssg_obs.Context.to_wire context)
            (Protocol.request_to_bytes request)));

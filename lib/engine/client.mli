@@ -50,6 +50,19 @@ val connect_any :
   unit ->
   t
 
+(** [dial ~who sockets] — the connect-with-backoff behind {!connect},
+    {!connect_any} and {!Pclient.connect}: the same passes, jitter and
+    transient-error set, returning the bare descriptor with
+    [deadline_s] armed.  [who] prefixes the [Invalid_argument]
+    messages. *)
+val dial :
+  who:string ->
+  ?retries:int ->
+  ?retry_backoff_s:float ->
+  ?deadline_s:float ->
+  string list ->
+  Unix.file_descr
+
 val close : t -> unit
 
 (** [rpc ?ctx c request] — one raw request/reply exchange, no

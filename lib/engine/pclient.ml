@@ -1,42 +1,16 @@
-module Transport = Ssg_net.Transport
 module Mux = Ssg_net.Mux
 
 type t = { mux : Mux.t }
 
 type 'a ticket = { cell : Mux.ticket; decode : Protocol.reply -> ('a, string) result }
 
-let retriable = function
-  | Unix.ECONNREFUSED | Unix.ENOENT | Unix.EAGAIN | Unix.EINTR -> true
-  | _ -> false
-
-let jittered rng backoff =
-  let rng =
-    match !rng with
-    | Some r -> r
-    | None ->
-        let r = Random.State.make_self_init () in
-        rng := Some r;
-        r
-  in
-  Float.max 1e-4 (Random.State.float rng backoff)
-
-let connect ?(retries = 3) ?(retry_backoff_s = 0.05) ?deadline_s ~socket () =
-  if retries < 0 then invalid_arg "Pclient.connect: retries must be >= 0";
-  (match deadline_s with
-  | Some d when d <= 0. ->
-      invalid_arg "Pclient.connect: deadline_s must be > 0"
-  | _ -> ());
-  let addr = Transport.of_string_exn socket in
-  let rng = ref None in
-  let rec go left backoff =
-    match Transport.connect addr with
-    | fd -> fd
-    | exception Unix.Unix_error (err, _, _) when left > 0 && retriable err ->
-        Thread.delay (jittered rng backoff);
-        go (left - 1) (backoff *. 2.)
-  in
-  let fd = go retries retry_backoff_s in
-  { mux = Mux.create ?deadline_s fd }
+let connect ?retries ?retry_backoff_s ?deadline_s ~socket () =
+  {
+    mux =
+      Mux.create
+        (Client.dial ~who:"Pclient.connect" ?retries ?retry_backoff_s
+           ?deadline_s [ socket ]);
+  }
 
 let request ?ctx t request decode =
   let payload = Protocol.request_to_bytes request in

@@ -28,7 +28,7 @@ type reply =
   | Compacted of int
   | Error of string
 
-let max_frame_bytes = 16 * 1024 * 1024
+let max_frame_bytes = Ssg_net.Frame.max_frame_bytes
 
 (* ---------------- primitive writers ---------------- *)
 
@@ -534,28 +534,6 @@ let reply_of_bytes bytes =
   | 'E' -> Error (get_string r)
   | c -> failwith (Printf.sprintf "Protocol: unknown reply tag %C" c)
 
-(* ---------------- channel framing ---------------- *)
-
-let write_frame oc payload =
-  let len = Bytes.length payload in
-  if len > max_frame_bytes then failwith "Protocol: frame too large";
-  let header = Bytes.create 4 in
-  Bytes.set_int32_be header 0 (Int32.of_int len);
-  output_bytes oc header;
-  output_bytes oc payload;
-  flush oc
-
-let read_frame ic =
-  let header = Bytes.create 4 in
-  really_input ic header 0 4;
-  let len = Int32.to_int (Bytes.get_int32_be header 0) in
-  if len < 0 || len > max_frame_bytes then
-    failwith (Printf.sprintf "Protocol: refused frame of %d bytes" len);
-  let payload = Bytes.create len in
-  (try really_input ic payload 0 len
-   with End_of_file -> failwith "Protocol: connection died mid-frame");
-  payload
-
 (* ---------------- standalone outcome codec ---------------- *)
 
 (* The store journals outcomes as opaque strings; this is the same
@@ -575,68 +553,9 @@ let outcome_of_string s =
     failwith "Protocol: trailing bytes after outcome";
   o
 
-let write_request oc req = write_frame oc (request_to_bytes req)
-let read_request ic = request_of_bytes (read_frame ic)
-let write_reply oc reply = write_frame oc (reply_to_bytes reply)
-let read_reply ic = reply_of_bytes (read_frame ic)
-
 (* ---------------- descriptor framing ---------------- *)
 
-(* The server and client frame directly over the descriptor instead of
-   buffered channels: a read timeout (SO_RCVTIMEO) then surfaces as
-   [Unix_error (EAGAIN | EWOULDBLOCK)] exactly at the syscall that
-   stalled, which the supervision layer classifies as a reap — a
-   buffered channel would fold it into an unclassifiable [Sys_error]. *)
-
-let rec read_some fd buf off len =
-  try Unix.read fd buf off len
-  with Unix.Unix_error (Unix.EINTR, _, _) -> read_some fd buf off len
-
-let really_read_fd fd buf off len =
-  let rec go off len =
-    if len > 0 then begin
-      let n = read_some fd buf off len in
-      if n = 0 then raise End_of_file;
-      go (off + n) (len - n)
-    end
-  in
-  go off len
-
-let really_write_fd fd buf off len =
-  let rec go off len =
-    if len > 0 then begin
-      let n =
-        try Unix.write fd buf off len
-        with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-      in
-      go (off + n) (len - n)
-    end
-  in
-  go off len
-
-let read_frame_fd fd =
-  let header = Bytes.create 4 in
-  let first = read_some fd header 0 4 in
-  if first = 0 then raise End_of_file;
-  (try really_read_fd fd header first (4 - first)
-   with End_of_file -> failwith "Protocol: connection died mid-frame");
-  let len = Int32.to_int (Bytes.get_int32_be header 0) in
-  if len < 0 || len > max_frame_bytes then
-    failwith (Printf.sprintf "Protocol: refused frame of %d bytes" len);
-  let payload = Bytes.create len in
-  (try really_read_fd fd payload 0 len
-   with End_of_file -> failwith "Protocol: connection died mid-frame");
-  payload
-
-let write_frame_fd fd payload =
-  let len = Bytes.length payload in
-  if len > max_frame_bytes then failwith "Protocol: frame too large";
-  let header = Bytes.create 4 in
-  Bytes.set_int32_be header 0 (Int32.of_int len);
-  really_write_fd fd header 0 4;
-  really_write_fd fd payload 0 len
-
-let write_request_fd fd req = write_frame_fd fd (request_to_bytes req)
-let read_request_fd fd = request_of_bytes (read_frame_fd fd)
-let write_reply_fd fd reply = write_frame_fd fd (reply_to_bytes reply)
-let read_reply_fd fd = reply_of_bytes (read_frame_fd fd)
+let write_request_fd fd req = Ssg_net.Frame.write_fd fd (request_to_bytes req)
+let read_request_fd fd = request_of_bytes (Ssg_net.Frame.read_fd fd)
+let write_reply_fd fd reply = Ssg_net.Frame.write_fd fd (reply_to_bytes reply)
+let read_reply_fd fd = reply_of_bytes (Ssg_net.Frame.read_fd fd)

@@ -113,29 +113,14 @@ val outcome_to_string : Job.outcome -> string
 
 val outcome_of_string : string -> Job.outcome
 
-(** Channel framing.  Writers flush.  Readers
-    @raise End_of_file on a cleanly closed peer,
-    @raise Failure on oversized or malformed frames. *)
-
-val write_frame : out_channel -> Bytes.t -> unit
-
-val read_frame : in_channel -> Bytes.t
-val write_request : out_channel -> request -> unit
-val read_request : in_channel -> request
-val write_reply : out_channel -> reply -> unit
-val read_reply : in_channel -> reply
-
-(** Descriptor framing — same frames, no channel buffering.  The server
-    and client use these so a socket read timeout ([SO_RCVTIMEO])
+(** Descriptor framing: one codec call around {!Ssg_net.Frame.read_fd} /
+    {!Ssg_net.Frame.write_fd}, so a socket read timeout ([SO_RCVTIMEO])
     surfaces as [Unix_error (EAGAIN | EWOULDBLOCK)] at the stalled
-    syscall, which supervision classifies as a reaped connection.
-    Readers additionally
+    syscall.  Readers
     @raise End_of_file on a peer closed at a frame boundary,
-    @raise Failure on oversized frames or a peer dying mid-frame. *)
+    @raise Failure on oversized frames, a peer dying mid-frame, or an
+    undecodable payload. *)
 
-val read_frame_fd : Unix.file_descr -> Bytes.t
-
-val write_frame_fd : Unix.file_descr -> Bytes.t -> unit
 val write_request_fd : Unix.file_descr -> request -> unit
 val read_request_fd : Unix.file_descr -> request
 val write_reply_fd : Unix.file_descr -> reply -> unit

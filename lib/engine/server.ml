@@ -4,33 +4,23 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 module Transport = Ssg_net.Transport
 module Frame = Ssg_net.Frame
+module Listener = Ssg_net.Listener
 
 (* Raised by the reply path when the fault plan truncated the frame:
    the connection is unusable and must be dropped. *)
 exception Drop_connection
 
-(* Write one reply, letting the fault plan mangle it first.  [id]
-   present means the request arrived in the pipelined id envelope and
-   the reply must carry the same id back; [wlock] serializes reply
-   frames from concurrent in-flight handlers on one connection. *)
-let send ?id faults telemetry ~wlock fd reply =
-  let payload = Protocol.reply_to_bytes reply in
-  let payload =
-    match id with Some id -> Frame.with_id ~id payload | None -> payload
-  in
-  let under_wlock f =
-    Mutex.lock wlock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock wlock) f
-  in
+(* Write one reply frame, letting the fault plan mangle it first. *)
+let faulty_write faults telemetry fd payload =
   match Faults.on_reply faults with
-  | Faults.Deliver -> under_wlock (fun () -> Protocol.write_frame_fd fd payload)
+  | Faults.Deliver -> Frame.write_fd fd payload
   | Faults.Corrupt ->
       Telemetry.record_injected telemetry;
       let mangled = Bytes.copy payload in
       if Bytes.length mangled > 0 then
         Bytes.set mangled 0
           (Char.chr (Char.code (Bytes.get mangled 0) lxor 0xFF));
-      under_wlock (fun () -> Protocol.write_frame_fd fd mangled)
+      Frame.write_fd fd mangled
   | Faults.Blackhole ->
       (* The partition plan: swallow the reply, keep the connection.
          The peer sees a live socket that never answers — exactly what
@@ -42,206 +32,53 @@ let send ?id faults telemetry ~wlock fd reply =
       (* Header promises the full frame; deliver only half of it. *)
       let header = Bytes.create 4 in
       Bytes.set_int32_be header 0 (Int32.of_int (Bytes.length payload));
-      under_wlock (fun () ->
-          try
-            ignore (Unix.write fd header 0 4);
-            ignore (Unix.write fd payload 0 (Bytes.length payload / 2))
-          with Unix.Unix_error _ -> ());
+      (try
+         ignore (Unix.write fd header 0 4);
+         ignore (Unix.write fd payload 0 (Bytes.length payload / 2))
+       with Unix.Unix_error _ -> ());
       raise Drop_connection
 
-(* One thread per connection.  Everything that can go wrong — a hostile
-   frame, a malformed job, a stalled peer, an exception anywhere in
-   dispatch — must end here with an [Error] reply where the wire still
-   allows one and with the fd closed; nothing may escape and leak the
-   descriptor while the client waits forever.
+let write_reply faults telemetry fd payload =
+  (* [with_span] ends the span even when the fault plan raises
+     [Drop_connection] mid-write, keeping the track B/E-balanced. *)
+  if Ssg_obs.Tracer.enabled () then
+    Ssg_obs.Tracer.with_span "server.reply_write" (fun () ->
+        faulty_write faults telemetry fd payload)
+  else faulty_write faults telemetry fd payload
 
-   Two dialects share the connection, classified frame by frame:
-   {ul
-   {- {e plain} frames (the historical format) are answered strictly
-      in order, one request at a time;}
-   {- {e id-framed} requests ({!Ssg_net.Frame.with_id}) are dispatched
-      to their own thread so many may be in flight at once, each reply
-      carrying its request's id back — out of order is fine.  At most
-      [max_inflight] run concurrently; past the cap the reader handles
-      the request inline, which stops it pulling further frames off the
-      socket: back-pressure, not queueing.}} *)
-let handle_connection engine faults ~stop ~wake ~active ~max_inflight fd =
-  let telemetry = Engine.telemetry engine in
-  let wlock = Mutex.create () in
-  let inflight = Atomic.make 0 in
-  (* Set by an in-flight handler that hit a connection-fatal condition
-     (truncated reply, peer gone): the reader must stop pipelining. *)
-  let broken = Atomic.make false in
-  let send ?id reply =
-    (* [with_span] ends the span even when the fault plan raises
-       [Drop_connection] mid-write, keeping the track B/E-balanced. *)
-    if Ssg_obs.Tracer.enabled () then
-      Ssg_obs.Tracer.with_span "server.reply_write" (fun () ->
-          send ?id faults telemetry ~wlock fd reply)
-    else send ?id faults telemetry ~wlock fd reply
-  in
-  let reject ?id msg =
-    Telemetry.record_rejected_frame telemetry;
-    Log.warn (fun m -> m "dropping connection: %s" msg);
-    try send ?id (Protocol.Error msg) with _ -> ()
-  in
-  (* Compute and send the reply for one decoded request; false means
-     the connection must carry no further requests.  [ctx] is the trace
-     context stripped from the request's envelope, if any — it parents
-     the engine spans this request produces. *)
-  let serve_request ?ctx ?id request =
-    try
-      match request with
-      | Protocol.Submit job -> (
-          let ticket = Engine.submit ?ctx engine job in
-          match Engine.rejection ticket with
-          | Some diags ->
-              (* A lint rejection is the job's fault, not the
-                 connection's: answer with a protocol Error carrying
-                 the diagnostics and keep serving. *)
-              send ?id (Protocol.Error diags);
-              true
-          | None ->
-              send ?id (Protocol.Completed (Engine.await engine ticket));
-              true)
-      | Protocol.Batch jobs ->
-          send ?id (Protocol.Batch_completed (Engine.run_batch ?ctx engine jobs));
-          true
-      | Protocol.Stats ->
-          send ?id (Protocol.Stats_snapshot (Engine.stats engine));
-          true
-      | Protocol.Trace ->
-          send ?id (Protocol.Trace_events (Ssg_obs.Tracer.events ()));
-          true
-      | Protocol.Trace_pull ->
-          send ?id
-            (Protocol.Trace_reports
-               [ Ssg_obs.Tracer.report_here ~role:"worker" () ]);
-          true
-      | Protocol.Metrics ->
-          send ?id (Protocol.Metrics_text (Engine.prometheus engine));
-          true
-      | Protocol.Join _ | Protocol.Leave _ ->
-          (* Membership ops terminate at the router; a worker receiving
-             one answers with an Error but keeps the connection — it is
-             a misdirected request, not a hostile frame. *)
-          send ?id (Protocol.Error "not a router: membership ops go to ssg route");
-          true
-      | Protocol.Export n ->
-          send ?id (Protocol.Entries (Engine.export engine n));
-          true
-      | Protocol.Transfer entries ->
-          send ?id (Protocol.Transferred (Engine.import engine entries));
-          true
-      | Protocol.Compact ->
-          send ?id (Protocol.Compacted (Engine.compact engine));
-          true
-      | Protocol.Shutdown ->
-          Log.info (fun m -> m "shutdown requested");
-          (* Arm the stop flag before acknowledging: if the reply send
-             fails (dead peer, injected fault) the shutdown must still
-             happen. *)
-          Atomic.set stop true;
-          wake ();
-          send ?id Protocol.Shutting_down;
-          false
-    with
-    | Drop_connection -> false
-    | Sys_error _ | Unix.Unix_error _ -> false
-    (* EPIPE / ECONNRESET on the reply write: the peer vanished between
-       request and reply; the supervised-close path below reclaims the
-       descriptor without touching the daemon. *)
-    | e ->
-        (* Catch-all supervision boundary: reply if possible, then
-           close. *)
-        let msg = Printexc.to_string e in
-        Log.warn (fun m -> m "connection handler error: %s" msg);
-        (try send ?id (Protocol.Error msg) with _ -> ());
-        false
-  in
-  let rec loop () =
-    if Atomic.get broken then ()
-    else
-      match Protocol.read_frame_fd fd with
-      | exception End_of_file -> ()  (* clean hangup between frames *)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          (* SO_RCVTIMEO fired: a half-open or stalled client is reaped. *)
-          Telemetry.record_connection_timeout telemetry;
-          Log.info (fun m -> m "reaping stalled connection")
-      | exception Unix.Unix_error _ -> ()
-      | exception Failure msg -> reject msg  (* oversized / died mid-frame *)
-      | frame -> (
-          match Frame.classify frame with
-          | exception Failure msg -> reject msg
-          | Frame.Plain frame -> (
-              (* The context envelope (if any) sits where the plain
-                 payload would start; pre-context clients simply never
-                 send it and take the [(None, frame)] path. *)
-              match Frame.split_ctx frame with
-              | exception Failure msg -> reject msg
-              | ctx_wire, frame -> (
-                  let ctx = Option.bind ctx_wire Ssg_obs.Context.of_wire in
-                  match Protocol.request_of_bytes frame with
-                  | exception Failure msg ->
-                      (* The frame was well-delimited but its payload is
-                         garbage (unknown tag, truncated fields, malformed
-                         job, k < 1 …): answer, then drop the connection — a
-                         peer speaking a broken dialect gets no further
-                         pipeline. *)
-                      reject msg
-                  | request -> if serve_request ?ctx request then loop ()))
-          | Frame.Id (id, inner) -> (
-              match Frame.split_ctx inner with
-              | exception Failure msg -> reject ~id msg
-              | ctx_wire, inner -> (
-                  let ctx = Option.bind ctx_wire Ssg_obs.Context.of_wire in
-                  match Protocol.request_of_bytes inner with
-                  | exception Failure msg -> reject ~id msg
-                  | Protocol.Shutdown ->
-                      (* Shutdown is never pipelined past: handle inline so
-                         the loop stops pulling frames. *)
-                      ignore (serve_request ~id Protocol.Shutdown)
-                  | request ->
-                      if Atomic.get inflight >= max_inflight then begin
-                        (* At the cap the reader does the work itself: the
-                           socket is not read again until this request
-                           completes, so a flooding client is throttled by
-                           its own pipe. *)
-                        if serve_request ?ctx ~id request then loop ()
-                      end
-                      else begin
-                        Atomic.incr inflight;
-                        ignore
-                          (Thread.create
-                             (fun () ->
-                               Fun.protect
-                                 ~finally:(fun () -> Atomic.decr inflight)
-                                 (fun () ->
-                                   if not (serve_request ?ctx ~id request)
-                                   then begin
-                                     Atomic.set broken true;
-                                     (* Unstick the reader blocked in
-                                        read. *)
-                                     try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-                                     with Unix.Unix_error _ -> ()
-                                   end))
-                             ())
-                      end;
-                      loop ())))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (* In-flight pipelined handlers still hold the fd: closing it now
-         would race their reply writes onto a reused descriptor.  Wait
-         them out — a dead peer fails their writes promptly. *)
-      while Atomic.get inflight > 0 do
-        Thread.delay 0.002
-      done;
-      Atomic.decr active;
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () -> try loop () with e ->
-       Log.err (fun m ->
-           m "connection thread escaped: %s" (Printexc.to_string e)))
+(* The worker's answer to one request. *)
+let handle engine listener ?ctx = function
+  | Protocol.Submit job -> (
+      let ticket = Engine.submit ?ctx engine job in
+      match Engine.rejection ticket with
+      | Some diags ->
+          (* A lint rejection is the job's fault, not the connection's:
+             answer with a protocol Error carrying the diagnostics and
+             keep serving. *)
+          Protocol.Error diags
+      | None -> Protocol.Completed (Engine.await engine ticket))
+  | Protocol.Batch jobs ->
+      Protocol.Batch_completed (Engine.run_batch ?ctx engine jobs)
+  | Protocol.Stats -> Protocol.Stats_snapshot (Engine.stats engine)
+  | Protocol.Trace -> Protocol.Trace_events (Ssg_obs.Tracer.events ())
+  | Protocol.Trace_pull ->
+      Protocol.Trace_reports [ Ssg_obs.Tracer.report_here ~role:"worker" () ]
+  | Protocol.Metrics -> Protocol.Metrics_text (Engine.prometheus engine)
+  | Protocol.Join _ | Protocol.Leave _ ->
+      (* Membership ops terminate at the router; a worker receiving one
+         answers with an Error but keeps the connection — it is a
+         misdirected request, not a hostile frame. *)
+      Protocol.Error "not a router: membership ops go to ssg route"
+  | Protocol.Export n -> Protocol.Entries (Engine.export engine n)
+  | Protocol.Transfer entries ->
+      Protocol.Transferred (Engine.import engine entries)
+  | Protocol.Compact -> Protocol.Compacted (Engine.compact engine)
+  | Protocol.Shutdown ->
+      Log.info (fun m -> m "shutdown requested");
+      (* Stop before acknowledging: if the reply send fails (dead peer,
+         injected fault) the shutdown must still happen. *)
+      Listener.stop listener;
+      Protocol.Shutting_down
 
 let serve ?workers ?queue_capacity ?cache_capacity ?(max_connections = 256)
     ?(max_inflight = 32) ?(read_timeout_s = 30.) ?(drain_timeout_s = 5.)
@@ -256,30 +93,31 @@ let serve ?workers ?queue_capacity ?cache_capacity ?(max_connections = 256)
     Ssg_obs.Tracer.reset ();
     Ssg_obs.Tracer.set_enabled true
   end;
-  (* A peer closing mid-write must surface as EPIPE, not kill the
-     daemon. *)
-  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-   with Invalid_argument _ | Sys_error _ -> ());
-  (* The store opens after the tracer is armed so the boot replay's
-     [store.replay] span lands in the trace. *)
-  let store =
-    Option.map
-      (fun dir ->
-        Ssg_store.Store.open_ ?sync:persist_sync
-          ?compact_bytes:persist_compact_bytes ~dir ())
-      persist
-  in
-  let listen_fd = Transport.listen addr in
-  let addr = Transport.bound_addr listen_fd addr in
+  (* Bind before the store opens: a second server on a live socket must
+     fail here, before its recovery could truncate the journal the live
+     one is appending to.  Accepting starts only after the replay, so
+     no request meets a cold cache. *)
+  let listener = Listener.bind addr in
+  let addr = Listener.addr listener in
   let engine =
-    Engine.create ?workers ?queue_capacity ?cache_capacity ~faults ?store ()
+    try
+      (* The store opens after the tracer is armed so the boot replay's
+         [store.replay] span lands in the trace. *)
+      let store =
+        Option.map
+          (fun dir ->
+            Ssg_store.Store.open_ ?sync:persist_sync
+              ?compact_bytes:persist_compact_bytes ~dir ())
+          persist
+      in
+      Engine.create ?workers ?queue_capacity ?cache_capacity ~faults ?store ()
+    with e ->
+      Listener.close listener;
+      raise e
   in
   let telemetry = Engine.telemetry engine in
-  let stop = Atomic.make false in
-  let active = Atomic.make 0 in
-  let wake () = Transport.poke addr in
   Log.app (fun m -> m "ssgd listening on %s" (Transport.to_string addr));
-  (match store with
+  (match Engine.store engine with
   | Some s ->
       Log.app (fun m ->
           m "persisting to %s (generation %d, %d record(s) replayed)"
@@ -324,53 +162,13 @@ let serve ?workers ?queue_capacity ?cache_capacity ?(max_connections = 256)
             (fun () -> Client.leave c self_addr)
         with _ -> ())
   in
-  let rec accept_loop () =
-    if not (Atomic.get stop) then begin
-      (match Unix.accept listen_fd with
-      | client_fd, _ ->
-          if Atomic.get stop then (try Unix.close client_fd with _ -> ())
-          else if Atomic.get active >= max_connections then begin
-            (* Over the limit: tell the client why instead of letting it
-               queue behind a connection that will never be served. *)
-            Telemetry.record_connection_rejected telemetry;
-            (try
-               Protocol.write_reply_fd client_fd
-                 (Protocol.Error "server at connection limit")
-             with _ -> ());
-            try Unix.close client_fd with _ -> ()
-          end
-          else begin
-            Atomic.incr active;
-            (try Unix.setsockopt client_fd Unix.TCP_NODELAY true
-             with Unix.Unix_error _ -> ());
-            if read_timeout_s > 0. then
-              (try
-                 Unix.setsockopt_float client_fd Unix.SO_RCVTIMEO
-                   read_timeout_s
-               with Unix.Unix_error _ -> ());
-            ignore
-              (Thread.create
-                 (handle_connection engine faults ~stop ~wake ~active
-                    ~max_inflight)
-                 client_fd)
-          end
-      | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-          ());
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  (* Drain: let live connections finish their request/reply exchanges
-     instead of abandoning them, bounded by [drain_timeout_s]. *)
-  let deadline = Unix.gettimeofday () +. drain_timeout_s in
-  while Atomic.get active > 0 && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  if Atomic.get active > 0 then
-    Log.warn (fun m ->
-        m "drain timeout: abandoning %d connection(s)" (Atomic.get active));
+  Listener.run ~max_connections ~read_timeout_s ~drain_timeout_s listener
+    ~refuse:(fun fd ->
+      Telemetry.record_connection_rejected telemetry;
+      Protocol.write_reply_fd fd (Protocol.Error "server at connection limit"))
+    (Conn.serve ~telemetry ~write:(write_reply faults telemetry) ~max_inflight
+       ~handle:(handle engine listener));
   retire ();
   Engine.shutdown engine;
-  Transport.cleanup addr;
+  Listener.close listener;
   Log.app (fun m -> m "ssgd stopped")

@@ -2,36 +2,34 @@
     socket ({!Ssg_net.Transport} addresses — [unix:PATH], [tcp:HOST:PORT],
     or a bare path).
 
-    One listener, one lightweight [Thread] per client connection (the
-    handlers only do blocking I/O and waiting — the actual simulation
-    work runs on the engine's worker {e domains}).  Each connection
-    carries one of two frame dialects, classified frame by frame:
+    The connection layer is shared with the cluster router:
+    {!Ssg_net.Listener} accepts (one lightweight [Thread] per client
+    connection — the handlers only do blocking I/O and waiting, the
+    simulation work runs on the engine's worker {e domains}) and
+    {!Conn} runs the framed-request loop on each connection, in both
+    frame dialects — plain in-order request/reply, and id-framed
+    pipelining with up to [max_inflight] requests in flight per
+    connection.  The worker adds its own answers to each request, the
+    fault plan on reply writes, the [server.reply_write] span, and the
+    {!Telemetry} counters for rejected frames, reaped connections and
+    refusals at the connection cap.
 
-    - {e plain} {!Protocol} frames — the historical strict
-      request/reply pipeline, answered in order;
-    - {e id-framed} requests ({!Ssg_net.Frame}) — pipelined: up to
-      [max_inflight] requests per connection run concurrently and
-      replies return {e in completion order}, each carrying its
-      request's id.  Past the cap the reader serves requests inline,
-      so a flooding client is throttled by its own socket rather than
-      queueing unboundedly.
-
-    {b Supervision.}  Every connection runs inside a catch-all boundary:
-    a malformed frame or job, an oversized header, a peer dying
-    mid-frame, a reply write failing with [EPIPE]/[ECONNRESET] because
-    the client vanished between request and reply, or any exception
-    escaping dispatch is answered with an [Error] reply where the wire
-    still allows one, counted in {!Telemetry}, and the descriptor is
-    {e always} closed — a hostile client can cost the server one thread
-    for one exchange, never a leaked fd or a hung peer.  Half-open
-    clients are reaped by a per-connection read timeout ([SO_RCVTIMEO]);
-    connections beyond [max_connections] are refused with an
-    explanatory [Error].
+    {b Supervision.}  A malformed frame or job, an oversized header, a
+    peer dying mid-frame, a reply write failing with
+    [EPIPE]/[ECONNRESET] because the client vanished between request
+    and reply, or any exception escaping dispatch is answered with an
+    [Error] reply where the wire still allows one, counted in
+    {!Telemetry}, and the descriptor is {e always} closed — a hostile
+    client can cost the server one thread for one exchange, never a
+    leaked fd or a hung peer.  Half-open clients are reaped by a
+    per-connection read timeout ([SO_RCVTIMEO]); connections beyond
+    [max_connections] are refused with an explanatory [Error].
 
     Shutdown is cooperative: a [Shutdown] request answers
-    [Shutting_down], stops the accept loop, {e drains} live connections
-    (bounded by [drain_timeout_s]) and the engine's queue, and removes
-    the socket file.  A stale Unix socket file from a dead server is
+    [Shutting_down] and stops the accept loop; idle connections are
+    closed at once, requests already read finish (bounded by
+    [drain_timeout_s]), the engine's queue drains, and the socket file
+    is removed.  A stale Unix socket file from a dead server is
     replaced on startup. *)
 
 (** [serve ~socket ()] binds, prints nothing, logs on [ssg.server], and
@@ -46,8 +44,9 @@
       back-pressure.
     - [read_timeout_s] (default 30., [<= 0.] disables): a connection
       idle or stalled mid-frame for this long is reaped.
-    - [drain_timeout_s] (default 5.): how long shutdown waits for live
-      connections to finish before abandoning them.
+    - [drain_timeout_s] (default 5.): how long shutdown waits for
+      requests already read to be answered before abandoning their
+      connections; idle connections close at once.
     - [faults] (default {!Faults.off}): chaos mode — the plan is
       consulted before each job execution and each reply frame.
     - [trace] (default [false]): resets and enables the process-wide
@@ -55,8 +54,10 @@
       writes are recorded; clients pull the buffers with the [Trace]
       request ([ssg trace --remote]).
     - [persist]: a directory for the durable result store
-      ({!Ssg_store.Store}) — the cache is pre-warmed from it at boot
-      (warm boot) and every fresh outcome is journaled; [persist_sync]
+      ({!Ssg_store.Store}) — opened only once the socket is bound (a
+      server that cannot bind never touches it), the cache is
+      pre-warmed from it before the first connection is accepted (warm
+      boot), and every fresh outcome is journaled; [persist_sync]
       (default group commit of 8) and [persist_compact_bytes] (default
       4 MiB) are the store's policy knobs.  Without [persist] the
       server is exactly as before: in-memory only.

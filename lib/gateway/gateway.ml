@@ -3,6 +3,7 @@ let log_src = Logs.Src.create "ssg.gateway" ~doc:"HTTP/JSON gateway"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 module Transport = Ssg_net.Transport
 module Http = Ssg_net.Http
+module Listener = Ssg_net.Listener
 module Metrics = Ssg_obs.Metrics
 module Tracer = Ssg_obs.Tracer
 module Context = Ssg_obs.Context
@@ -193,7 +194,7 @@ let handle_trace () =
     "application/json",
     Ssg_obs.Export.json_to_string (Ssg_obs.Stitch.report_to_json report) )
 
-let dispatch ?ctx t ~stop ~wake req =
+let dispatch ?ctx t listener req =
   match (req.Http.meth, req.Http.path) with
   | "POST", "/submit" -> handle_submit ?ctx t req
   | "GET", "/stats" -> handle_stats t
@@ -202,8 +203,7 @@ let dispatch ?ctx t ~stop ~wake req =
   | "GET", "/healthz" -> (200, "application/json", "{\"status\":\"ok\"}")
   | "POST", "/shutdown" ->
       Log.info (fun m -> m "gateway shutdown requested");
-      Atomic.set stop true;
-      wake ();
+      Listener.stop listener;
       (200, "application/json", "{\"status\":\"shutting down\"}")
   | ( meth,
       (( "/submit" | "/stats" | "/metrics" | "/trace" | "/healthz"
@@ -216,7 +216,7 @@ let dispatch ?ctx t ~stop ~wake req =
   | meth, _ ->
       (405, "application/json", json_error ("method not allowed: " ^ meth))
 
-let handle_connection t ~stop ~wake ~active fd =
+let handle_connection t listener fd =
   let conn = Http.conn_of_fd fd in
   let rec loop () =
     match Http.read_request conn with
@@ -237,7 +237,7 @@ let handle_connection t ~stop ~wake ~active fd =
         let span_ctx = ref None in
         let status, content_type, body =
           let run ctx () =
-            try dispatch ?ctx t ~stop ~wake req
+            try dispatch ?ctx t listener req
             with e ->
               (500, "application/json", json_error (Printexc.to_string e))
           in
@@ -266,7 +266,7 @@ let handle_connection t ~stop ~wake ~active fd =
         in
         if status >= 400 && status < 500 then Metrics.incr t.client_errors;
         if status = 502 then Metrics.incr t.backend_errors;
-        let keep = Http.keep_alive req && not (Atomic.get stop) in
+        let keep = Http.keep_alive req && not (Listener.stopping listener) in
         let extra_headers =
           (* Echo the request span's context so HTTP callers can
              correlate their side with the fleet trace. *)
@@ -284,15 +284,7 @@ let handle_connection t ~stop ~wake ~active fd =
                and reply; reclaim the connection quietly. *)
             ())
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.decr active;
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      try loop ()
-      with e ->
-        Log.err (fun m ->
-            m "gateway connection thread escaped: %s" (Printexc.to_string e)))
+  loop ()
 
 let serve ?(backend_deadline_s = 30.) ?(max_connections = 1024)
     ?(read_timeout_s = 30.) ?(drain_timeout_s = 5.) ?(trace = false) ~listen
@@ -303,8 +295,6 @@ let serve ?(backend_deadline_s = 30.) ?(max_connections = 1024)
     invalid_arg "Gateway.serve: backend_deadline_s must be > 0";
   let addr = Transport.of_string_exn listen in
   ignore (Transport.of_string_exn backend);
-  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-   with Invalid_argument _ | Sys_error _ -> ());
   if trace then begin
     Tracer.reset ();
     Tracer.set_enabled true
@@ -328,54 +318,16 @@ let serve ?(backend_deadline_s = 30.) ?(max_connections = 1024)
       hop_router = Telemetry.hop_gateway_router metrics;
     }
   in
-  let listen_fd = Transport.listen addr in
-  let addr = Transport.bound_addr listen_fd addr in
-  let stop = Atomic.make false in
-  let active = Atomic.make 0 in
-  let wake () = Transport.poke addr in
+  let listener = Listener.bind addr in
   Log.app (fun m ->
-      m "ssg gateway listening on %s, backend %s" (Transport.to_string addr)
+      m "ssg gateway listening on %s, backend %s"
+        (Transport.to_string (Listener.addr listener))
         backend);
-  let rec accept_loop () =
-    if not (Atomic.get stop) then begin
-      (match Unix.accept listen_fd with
-      | client_fd, _ ->
-          if Atomic.get stop then (try Unix.close client_fd with _ -> ())
-          else if Atomic.get active >= max_connections then begin
-            (try
-               Http.write_response ~status:503 ~keep_alive:false client_fd
-                 (json_error "gateway at connection limit")
-             with _ -> ());
-            try Unix.close client_fd with _ -> ()
-          end
-          else begin
-            Atomic.incr active;
-            (try Unix.setsockopt client_fd Unix.TCP_NODELAY true
-             with Unix.Unix_error _ -> ());
-            if read_timeout_s > 0. then
-              (try
-                 Unix.setsockopt_float client_fd Unix.SO_RCVTIMEO
-                   read_timeout_s
-               with Unix.Unix_error _ -> ());
-            ignore
-              (Thread.create
-                 (handle_connection t ~stop ~wake ~active)
-                 client_fd)
-          end
-      | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-          ());
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  let deadline = Unix.gettimeofday () +. drain_timeout_s in
-  while Atomic.get active > 0 && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  if Atomic.get active > 0 then
-    Log.warn (fun m ->
-        m "drain timeout: abandoning %d connection(s)" (Atomic.get active));
+  Listener.run ~max_connections ~read_timeout_s ~drain_timeout_s listener
+    ~refuse:(fun fd ->
+      Http.write_response ~status:503 ~keep_alive:false fd
+        (json_error "gateway at connection limit"))
+    (handle_connection t listener);
   (match t.pc with Some pc -> Pclient.close pc | None -> ());
-  Transport.cleanup addr;
+  Listener.close listener;
   Log.app (fun m -> m "ssg gateway stopped")

@@ -33,11 +33,13 @@
     nest under it) and echoed back in a [traceparent] response
     header.
 
-    Supervision mirrors {!Ssg_engine.Server}: SIGPIPE is ignored, a
+    Connections are accepted and supervised by the same
+    {!Ssg_net.Listener} as {!Ssg_engine.Server}: SIGPIPE is ignored, a
     client vanishing between request and reply ([EPIPE]/[ECONNRESET])
     or sending garbage costs that connection only, stalled connections
-    are reaped by [read_timeout_s], and shutdown drains live
-    connections bounded by [drain_timeout_s]. *)
+    are reaped by [read_timeout_s], and on shutdown idle keep-alive
+    connections close at once while requests already read finish,
+    bounded by [drain_timeout_s]. *)
 
 (** [serve ~listen ~backend ()] binds the HTTP socket at [listen] (a
     {!Ssg_net.Transport} address string) fronting the native-protocol

@@ -72,12 +72,7 @@ let reader_loop t =
   in
   loop ()
 
-let create ?deadline_s fd =
-  (match deadline_s with
-  | Some d when d > 0. -> (
-      try Unix.setsockopt_float fd Unix.SO_RCVTIMEO d
-      with Unix.Unix_error _ -> ())
-  | _ -> ());
+let create fd =
   let t =
     {
       fd;

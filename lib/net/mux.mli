@@ -12,19 +12,20 @@
     mutex, the correlation table by another).
 
     Failure semantics: when the connection dies — peer closed, frame
-    error, or the liveness deadline ([deadline_s]) elapsing with no
-    reply arriving at all — every outstanding and future ticket resolves
-    to [Error reason] rather than blocking forever. *)
+    error, or the descriptor's receive timeout ([SO_RCVTIMEO]) elapsing
+    with no reply arriving at all — every outstanding and future ticket
+    resolves to [Error reason] rather than blocking forever. *)
 
 type t
 
 type ticket
 
-(** [create ?deadline_s fd] takes ownership of [fd] and starts the
-    reader.  [deadline_s] arms [SO_RCVTIMEO]: it bounds the silence on
-    the {e connection} (no frame at all for that long fails everything
+(** [create fd] takes ownership of [fd] and starts the reader.  A
+    receive timeout armed on [fd] beforehand ([SO_RCVTIMEO], as the
+    engine's client dialer does) bounds the silence on the
+    {e connection} (no frame at all for that long fails everything
     outstanding), not each request individually. *)
-val create : ?deadline_s:float -> Unix.file_descr -> t
+val create : Unix.file_descr -> t
 
 (** [send ?ctx t payload] — write one id-framed request.  [ctx], when
     given, is a {!Frame.ctx_len}-byte trace context carried in the

@@ -400,6 +400,38 @@ let test_blackhole_swallows_reply () =
 
 (* ---------------- router: end to end ---------------- *)
 
+(* An idle front connection (say, a gateway's persistent backend link)
+   must not hold the router's shutdown for the whole drain budget. *)
+let test_router_shutdown_closes_idle_connections () =
+  let socket = fresh_socket () in
+  if Sys.file_exists socket then Sys.remove socket;
+  let thread =
+    Thread.create
+      (fun () -> Router.serve ~drain_timeout_s:10. ~backends:[] ~socket ())
+      ()
+  in
+  let control = wait_connect socket in
+  let idle = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect idle (Unix.ADDR_UNIX socket);
+  Unix.setsockopt_float idle Unix.SO_RCVTIMEO 5.;
+  (* One exchange proves the connection was accepted; then it idles. *)
+  Protocol.write_request_fd idle Protocol.Metrics;
+  (match Protocol.read_reply_fd idle with
+  | Protocol.Metrics_text _ -> ()
+  | _ -> Alcotest.fail "idle peer's first exchange failed");
+  let t0 = Unix.gettimeofday () in
+  Client.shutdown control;
+  Client.close control;
+  Thread.join thread;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check (Printf.sprintf "serve returned in %.2f s, under 2 s" elapsed) true
+    (elapsed < 2.);
+  check "idle peer reads EOF" true
+    (match Protocol.read_reply_fd idle with
+    | _ -> false
+    | exception End_of_file -> true);
+  Unix.close idle
+
 let test_router_routes_and_merges () =
   let w1, t1 = start_worker () in
   let w2, t2 = start_worker () in
@@ -693,6 +725,8 @@ let tests =
       test_blackhole_spec_roundtrip;
     Alcotest.test_case "faults: blackhole swallows replies" `Quick
       test_blackhole_swallows_reply;
+    Alcotest.test_case "router: shutdown closes idle connections at once"
+      `Quick test_router_shutdown_closes_idle_connections;
     Alcotest.test_case "router: routes and merges" `Quick
       test_router_routes_and_merges;
     Alcotest.test_case "router: dedups duplicate backends" `Quick

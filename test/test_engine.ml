@@ -367,18 +367,16 @@ let prop_read_frame_fuzz =
     QCheck2.Gen.(string_size (int_bound 32))
     (fun garbage ->
       let read_fd, write_fd = Unix.pipe () in
-      let oc = Unix.out_channel_of_descr write_fd in
-      let ic = Unix.in_channel_of_descr read_fd in
-      output_string oc garbage;
-      close_out oc;
+      ignore (Unix.write_substring write_fd garbage 0 (String.length garbage));
+      Unix.close write_fd;
       let ok =
-        match Protocol.read_frame ic with
+        match Ssg_net.Frame.read_fd read_fd with
         | (_ : Bytes.t) -> true
         | exception Failure _ -> true
         | exception End_of_file -> true
         | exception _ -> false
       in
-      close_in ic;
+      Unix.close read_fd;
       ok)
 
 (* Lru against a naive most-recent-first association-list model: random
@@ -426,18 +424,18 @@ let prop_lru_model =
 
 let test_protocol_framing_over_pipe () =
   let read_fd, write_fd = Unix.pipe () in
-  let ic = Unix.in_channel_of_descr read_fd in
-  let oc = Unix.out_channel_of_descr write_fd in
   let rng = Rng.of_int 77 in
   let reqs = List.init 5 (fun _ -> gen_request rng) in
-  List.iter (Protocol.write_request oc) reqs;
+  List.iter (Protocol.write_request_fd write_fd) reqs;
   List.iter
-    (fun req -> check "framed request" true (Protocol.read_request ic = req))
+    (fun req ->
+      check "framed request" true (Protocol.read_request_fd read_fd = req))
     reqs;
-  close_out oc;
+  Unix.close write_fd;
   check "clean EOF at frame boundary" true
-    (try ignore (Protocol.read_request ic); false with End_of_file -> true);
-  close_in ic
+    (try ignore (Protocol.read_request_fd read_fd); false
+     with End_of_file -> true);
+  Unix.close read_fd
 
 let test_protocol_rejects_garbage () =
   check "unknown tag" true

@@ -122,7 +122,7 @@ let k0_submit_payload () =
 let test_k0_submit_gets_error_and_close () =
   let socket, thread, control = start_server () in
   let fd = raw_connect socket in
-  Protocol.write_frame_fd fd (k0_submit_payload ());
+  Ssg_net.Frame.write_fd fd (k0_submit_payload ());
   (match try_read_reply fd with
   | Ok (Protocol.Error msg) ->
       check "error names the bad parameter" true
@@ -150,7 +150,7 @@ let test_garbage_and_midframe_disconnects () =
   (* Garbage payload in a well-delimited frame: Error reply, then the
      connection is dropped. *)
   let fd = raw_connect socket in
-  Protocol.write_frame_fd fd (Bytes.of_string "ZZZZ-not-a-request");
+  Ssg_net.Frame.write_fd fd (Bytes.of_string "ZZZZ-not-a-request");
   (match try_read_reply fd with
   | Ok (Protocol.Error _) -> ()
   | _ -> Alcotest.fail "garbage frame must be answered with Error");
@@ -357,6 +357,24 @@ let test_shutdown_drains_inflight_request () =
   check "in-flight request was answered during shutdown drain" true
     (!inflight_result = Some true)
 
+(* An idle peer must not hold shutdown for the whole drain budget: its
+   reader is handed an EOF at once, and it sees the close. *)
+let test_shutdown_closes_idle_connections () =
+  let socket, thread, control = start_server ~drain_timeout_s:10. () in
+  let idle = raw_connect socket in
+  (* One exchange proves the connection was accepted; then it idles. *)
+  Protocol.write_request_fd idle Protocol.Stats;
+  (match try_read_reply idle with
+  | Ok (Protocol.Stats_snapshot _) -> ()
+  | _ -> Alcotest.fail "idle peer's first exchange failed");
+  let t0 = Unix.gettimeofday () in
+  stop_server control thread;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check (Printf.sprintf "serve returned in %.2f s, under 2 s" elapsed) true
+    (elapsed < 2.);
+  check "idle peer reads EOF" true (try_read_reply idle = Error `Eof);
+  raw_close idle
+
 (* ---------------- no fd leak under a hostile barrage -------------- *)
 
 let test_no_fd_leak_under_barrage () =
@@ -366,7 +384,7 @@ let test_no_fd_leak_under_barrage () =
   (* Hostile traffic of every flavour. *)
   for i = 0 to 4 do
     let fd = raw_connect socket in
-    Protocol.write_frame_fd fd (Bytes.of_string "garbage!");
+    Ssg_net.Frame.write_fd fd (Bytes.of_string "garbage!");
     ignore (try_read_reply fd);
     raw_close fd;
     ignore i
@@ -380,7 +398,7 @@ let test_no_fd_leak_under_barrage () =
   done;
   for _ = 0 to 1 do
     let fd = raw_connect socket in
-    Protocol.write_frame_fd fd (k0_submit_payload ());
+    Ssg_net.Frame.write_fd fd (k0_submit_payload ());
     ignore (try_read_reply fd);
     ignore (try_read_reply fd);
     raw_close fd
@@ -420,6 +438,8 @@ let tests =
       test_saturation_burst_every_request_answered;
     Alcotest.test_case "shutdown drains in-flight requests" `Quick
       test_shutdown_drains_inflight_request;
+    Alcotest.test_case "shutdown closes idle connections at once" `Quick
+      test_shutdown_closes_idle_connections;
     Alcotest.test_case "no fd leak under hostile barrage" `Quick
       test_no_fd_leak_under_barrage;
   ]

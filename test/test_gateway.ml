@@ -200,6 +200,40 @@ let test_gateway_end_to_end () =
   Client.close c;
   stop_worker backend wt
 
+(* An idle keep-alive client must not hold the gateway's shutdown for
+   the whole drain budget. *)
+let test_gateway_shutdown_closes_idle_connections () =
+  let listen = fresh_tcp () in
+  let gt =
+    Thread.create
+      (fun () ->
+        Gateway.serve ~drain_timeout_s:10. ~listen ~backend:(fresh_tcp ()) ())
+      ()
+  in
+  let status, _ = get listen "/healthz" in
+  check_int "gateway up" 200 status;
+  let idle = Transport.connect (Transport.of_string_exn listen) in
+  Unix.setsockopt_float idle Unix.SO_RCVTIMEO 5.;
+  (* One keep-alive exchange proves the connection was accepted; then
+     it idles. *)
+  let req = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n" in
+  ignore (Unix.write_substring idle req 0 (String.length req));
+  let buf = Buffer.create 256 and chunk = Bytes.create 256 in
+  while not (contains (Buffer.contents buf) "{\"status\":\"ok\"}") do
+    match Unix.read idle chunk 0 256 with
+    | 0 -> Alcotest.fail "idle peer's first exchange failed"
+    | n -> Buffer.add_subbytes buf chunk 0 n
+  done;
+  let t0 = Unix.gettimeofday () in
+  let status, _ = post listen "/shutdown" "" in
+  check_int "shutdown acknowledged" 200 status;
+  Thread.join gt;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check (Printf.sprintf "serve returned in %.2f s, under 2 s" elapsed) true
+    (elapsed < 2.);
+  check_int "idle peer reads EOF" 0 (Unix.read idle chunk 0 256);
+  Unix.close idle
+
 let test_gateway_backend_down_is_502 () =
   let dead = fresh_tcp () in
   let listen = fresh_tcp () in
@@ -420,6 +454,8 @@ let tests =
     Alcotest.test_case "loadgen: slo specs" `Quick test_slo_of_string;
     Alcotest.test_case "loadgen: percentile math" `Quick test_percentile;
     Alcotest.test_case "gateway: end to end" `Quick test_gateway_end_to_end;
+    Alcotest.test_case "gateway: shutdown closes idle connections at once"
+      `Quick test_gateway_shutdown_closes_idle_connections;
     Alcotest.test_case "gateway: backend down" `Quick
       test_gateway_backend_down_is_502;
     Alcotest.test_case "gateway: trace propagation end to end" `Quick

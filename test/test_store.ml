@@ -449,6 +449,61 @@ let test_server_crash_recovery () =
   Client.close c;
   Thread.join server3
 
+(* --- A second server on a live socket leaves the store alone ---
+
+   A second [serve --persist] aimed at a live server's socket must fail
+   at bind, before its store recovery could truncate the torn tail of
+   the journal the live server is appending to: every store file stays
+   byte-identical. *)
+
+let dir_image dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun name ->
+         let path = Filename.concat dir name in
+         (name, In_channel.with_open_bin path In_channel.input_all))
+
+let test_second_server_leaves_store_alone () =
+  let dir = fresh_dir () in
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ssgd-store-twin-%d.sock" (Unix.getpid ()))
+  in
+  if Sys.file_exists socket then Sys.remove socket;
+  let faults = Faults.create ~torn_write_every:2 () in
+  let live =
+    Thread.create
+      (fun () ->
+        Server.serve ~workers:1 ~queue_capacity:16 ~cache_capacity:64 ~faults
+          ~persist:dir ~persist_sync:Store.Always ~socket ())
+      ()
+  in
+  let rec wait_up tries =
+    if tries = 0 then Alcotest.fail "server did not come up";
+    match Client.connect ~socket () with
+    | c -> c
+    | exception Unix.Unix_error _ ->
+        Thread.delay 0.05;
+        wait_up (tries - 1)
+  in
+  let c = wait_up 100 in
+  List.iter
+    (fun seed -> ignore (Client.submit c (Job.make ~k:2 (sample_adv ~seed ()))))
+    [ 200; 201 ];
+  let before = dir_image dir in
+  (match Server.serve ~workers:1 ~persist:dir ~socket () with
+  | () -> Alcotest.fail "a second server must not bind a live socket"
+  | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ());
+  check "store directory byte-identical" true (dir_image dir = before);
+  Client.shutdown c;
+  Client.close c;
+  Thread.join live;
+  (* The torn tail is still there for the live server's successor to
+     recover. *)
+  let s = Store.open_ ~dir () in
+  check_int "torn tail recovered by the next owner" 1 (Store.torn_recoveries s);
+  check_int "first record survives" 1 (Store.replayed_records s);
+  Store.close s
+
 let tests =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
@@ -472,5 +527,7 @@ let tests =
     Alcotest.test_case "engine warm boot" `Quick test_engine_warm_boot;
     Alcotest.test_case "server crash recovery end-to-end" `Quick
       test_server_crash_recovery;
+    Alcotest.test_case "second server on a live socket leaves the store alone"
+      `Quick test_second_server_leaves_store_alone;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_record_mutation_fuzz ]
