@@ -2,12 +2,12 @@
 
    Two parts, both printed by `dune exec bench/main.exe`:
 
-   1. Bechamel micro-benchmarks (B1..B8, B10, B11) — one Test.make per
-      core operation, timing the building blocks whose complexity the
+   1. Bechamel micro-benchmarks (B1..B8, B11) — one Test.make per core
+      operation, timing the building blocks whose complexity the
       paper's Section V argument relies on (SCC, skeleton intersection,
       graph merging, a full Algorithm 1 round, the Psrcs decision
       procedure, a full run end to end, the wire codec, a timing-layer
-      run, a sequential-vs-parallel round, the lint analyzer).
+      run, the lint analyzer).
 
    2. B9 — service-engine batch throughput: a >= 100-job batch pushed
       through the persistent ssgd engine (worker pool + dedup + LRU
@@ -40,8 +40,8 @@
       stores).
 
    7. B16 — fleet-scale lint: a generated run-description corpus linted
-      file-by-file on one domain versus fanned across the engine pool
-      with Pool.map (gated >= 2x on >= 4 cores when SSG_LINT_GATE=1).
+      file-by-file on one domain versus fanned out with Pool.run, as
+      `ssg lint` does (gated >= 2x on >= 4 cores when SSG_LINT_GATE=1).
       Prints a JSON summary line (what bench/baselines/BENCH_B16.json
       stores).
 
@@ -179,24 +179,6 @@ let bench_timing n =
               ~latency:(Ssg_timing.Latency.uniform ~seed:n ~lo:0.1 ~hi:1.5)
               ~max_rounds:(2 * n) ())))
 
-(* B10: intra-round parallelism — one big Algorithm 1 round, sequential vs
-   all cores (transitions are independent per process). *)
-let bench_parallel_round ~domains n =
-  let module E = Executor.Make (Kset_agreement.Alg) in
-  let adv =
-    Build.block_sources (Rng.of_int (900 + n)) ~n ~k:(max 1 (n / 4)) ~intra:0.3 ()
-  in
-  let label = if domains = 0 then "seq" else Printf.sprintf "%dd" domains in
-  Test.make
-    ~name:(Printf.sprintf "B10-par-round/%s/n=%d" label n)
-    (Staged.stage (fun () ->
-         let cfg =
-           E.config ~domains ~stop_when_all_decided:false
-             ~inputs:(Array.init n (fun i -> i))
-             ~graphs:(Adversary.graph adv) ~max_rounds:3 ()
-         in
-         ignore (E.run cfg)))
-
 (* B11: lint static-analysis throughput — what the ssgd front door and
    the CI `ssg lint examples/*.run` step pay per run description (span
    parse + skeleton + SCC + α(H) + all passes). *)
@@ -230,14 +212,6 @@ let micro_tests scale =
       List.map bench_codec sizes_mid;
       List.map bench_timing (List.filter (fun n -> n <= 16) sizes_mid);
       List.map bench_lint sizes_mid;
-      (let biggest = List.fold_left max 0 sizes_mid in
-       (* On a 1-core host the parallel row honestly reports the domain
-          overhead; with more cores it reports the speedup. *)
-       let workers = max 2 (Parallel.default_domains ()) in
-       [
-         bench_parallel_round ~domains:0 (4 * biggest);
-         bench_parallel_round ~domains:workers (4 * biggest);
-       ]);
     ]
 
 let human_ns ns =
@@ -272,7 +246,7 @@ let run_micro scale =
           Table.add_row table [ name; human_ns ns ])
         results)
     tests;
-  print_endline "== B1..B8, B10, B11: micro-benchmarks (Bechamel, monotonic clock) ==";
+  print_endline "== B1..B8, B11: micro-benchmarks (Bechamel, monotonic clock) ==";
   print_newline ();
   Table.print table;
   print_newline ()
@@ -311,7 +285,7 @@ let run_engine_bench scale =
     time (fun () ->
         List.iter (fun j -> ignore (Ssg_engine.Job.execute j)) batch)
   in
-  let workers = max 2 (Parallel.default_domains ()) in
+  let workers = max 2 (Pool.default_workers ()) in
   let engine =
     Ssg_engine.Engine.create ~workers ~queue_capacity:32 ~cache_capacity:1024
       ()
@@ -396,7 +370,7 @@ let run_tracing_bench scale =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let workers = max 2 (Parallel.default_domains ()) in
+  let workers = max 2 (Pool.default_workers ()) in
   let push () =
     (* cache off: every phase must execute all [total] jobs *)
     let engine =
@@ -640,7 +614,7 @@ let run_net_bench scale =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let workers = max 2 (Parallel.default_domains ()) in
+  let workers = max 2 (Pool.default_workers ()) in
   let unix_sock =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "ssg-bench-net-%d.sock" (Unix.getpid ()))
@@ -868,7 +842,7 @@ let run_sweep_bench scale =
     s
   in
   let sweep_single_s = run_sweep 1 in
-  let sweep_workers = Stdlib.max 1 (Parallel.default_domains ()) in
+  let sweep_workers = Pool.default_workers () in
   Ssg_obs.Tracer.reset ();
   Ssg_obs.Tracer.set_enabled true;
   let sweep_multi_s = run_sweep sweep_workers in
@@ -981,7 +955,7 @@ let run_ctx_bench scale =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let workers = max 2 (Parallel.default_domains ()) in
+  let workers = max 2 (Pool.default_workers ()) in
   Ssg_obs.Tracer.set_enabled false;
   Ssg_obs.Tracer.reset ();
   let fresh_tcp () =
@@ -1121,7 +1095,8 @@ let run_ctx_bench scale =
    FILE...`, the engine's batch pre-gate) is embarrassingly parallel
    across files.  B16 measures exactly the CLI's fan-out: the same
    generated corpus linted by a single-domain List.map versus
-   Pool.map on the default pool, asserting identical summaries.
+   Pool.run (the caller plus all cores but one), asserting identical
+   summaries.
 
    Gate (SSG_LINT_GATE=1): pool lint >= 2x single-domain — armed only on
    >= 4 worker domains (with fewer cores there is no 2x to claim). *)
@@ -1155,10 +1130,8 @@ let run_lint_bench scale =
     (r, Unix.gettimeofday () -. t0)
   in
   let single, single_s = time (fun () -> List.map lint texts) in
-  let workers = Stdlib.max 1 (Parallel.default_domains ()) in
-  let pool = Ssg_engine.Pool.create ~workers () in
-  let fleet, fleet_s = time (fun () -> Ssg_engine.Pool.map pool lint texts) in
-  Ssg_engine.Pool.shutdown pool;
+  let workers = Pool.default_workers () in
+  let fleet, fleet_s = time (fun () -> Pool.run lint texts) in
   (* Same corpus, same diagnostics — the fleet is a scheduler, not an
      approximation. *)
   assert (single = fleet);
@@ -1230,7 +1203,7 @@ let run_store_bench scale =
       (Build.block_sources (Rng.of_int (18000 + i)) ~n ~k:2 ~prefix_len:2 ())
   in
   let batch = List.init total job in
-  let workers = max 2 (Parallel.default_domains ()) in
+  let workers = max 2 (Pool.default_workers ()) in
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())

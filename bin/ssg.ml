@@ -1411,20 +1411,7 @@ let lint_cmd =
       in
       (file, text, Ssg_lint.Lint.lint_text ?k text, plan)
     in
-    let jobs =
-      match jobs with
-      | Some j -> max 1 j
-      | None -> max 1 (min (Parallel.default_domains ()) (List.length files))
-    in
-    let results =
-      if jobs = 1 || List.length files < 2 then List.map lint_file files
-      else begin
-        let pool = Ssg_engine.Pool.create ~workers:jobs () in
-        Fun.protect
-          ~finally:(fun () -> Ssg_engine.Pool.shutdown pool)
-          (fun () -> Ssg_engine.Pool.map pool lint_file files)
-      end
-    in
+    let results = Pool.run ?jobs lint_file files in
     (* Notices go to stderr so --json / piped stdout stays machine-clean. *)
     if fix then
       List.iter
@@ -1517,7 +1504,10 @@ let sweep_cmd =
       & info [ "families" ] ~docv:"FAM,..." ~doc)
   in
   let workers_arg =
-    let doc = "Worker domains in the engine pool (default: all cores)." in
+    let doc =
+      "Worker domains in the engine pool (default: all cores but one, at \
+       least 1)."
+    in
     Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"W" ~doc)
   in
   let rounds_arg =
@@ -1629,9 +1619,7 @@ let sweep_cmd =
                   Sweep.domains_used (Ssg_obs.Tracer.events ())
                 in
                 let workers =
-                  match workers with
-                  | Some w -> w
-                  | None -> max 1 (Parallel.default_domains ())
+                  Option.value workers ~default:(Pool.default_workers ())
                 in
                 let json =
                   Sweep.to_json ~elapsed_ms ~workers ~domains_used grid results

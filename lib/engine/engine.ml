@@ -6,7 +6,7 @@ module Tracer = Ssg_obs.Tracer
 type done_r = (Job.outcome, string) Stdlib.result
 
 type t = {
-  pool : Pool.t;
+  pool : Ssg_util.Pool.t;
   cache : Job.outcome Lru.t;
   pending : (string, done_r Ivar.t) Hashtbl.t;
       (* key → in-flight result cell, for dedup of identical jobs *)
@@ -20,7 +20,7 @@ let create ?workers ?(queue_capacity = 64) ?(cache_capacity = 1024)
     ?(faults = Faults.off) ?store () =
   let t =
     {
-      pool = Pool.create ?workers ~queue_capacity ();
+      pool = Ssg_util.Pool.create ?workers ~queue_capacity ();
       cache = Lru.create ~capacity:cache_capacity;
       pending = Hashtbl.create 64;
       lock = Mutex.create ();
@@ -250,7 +250,7 @@ and fresh_execute ?ctx t job ~key ~cell ~now =
       (* Pool.submit blocks on a full queue — backpressure on purpose.
          The engine lock is NOT held here, so workers finishing jobs
          can still take it. *)
-      if not (Pool.submit t.pool task) then begin
+      if not (Ssg_util.Pool.submit t.pool task) then begin
         locked t (fun () -> Hashtbl.remove t.pending key);
         Ivar.fill cell (Stdlib.Error "engine is shut down")
       end;
@@ -306,7 +306,7 @@ let pregate t jobs =
   (match fresh with
   | [] | [ _ ] -> () (* nothing worth fanning out; inline gating wins *)
   | fresh ->
-      Pool.map t.pool (fun (key, job) -> (key, run_gate job)) fresh
+      Ssg_util.Pool.map t.pool (fun (key, job) -> (key, run_gate job)) fresh
       |> List.iter (fun (key, gate) -> Hashtbl.add gates key gate));
   gates
 
@@ -319,9 +319,9 @@ let run_batch ?ctx t jobs = List.map (await t) (submit_batch ?ctx t jobs)
 
 let stats t =
   let cache_entries = locked t (fun () -> Lru.length t.cache) in
-  Telemetry.snapshot t.telemetry ~workers:(Pool.workers t.pool)
-    ~queue_depth:(Pool.queue_depth t.pool)
-    ~queue_capacity:(Pool.queue_capacity t.pool)
+  Telemetry.snapshot t.telemetry ~workers:(Ssg_util.Pool.workers t.pool)
+    ~queue_depth:(Ssg_util.Pool.queue_depth t.pool)
+    ~queue_capacity:(Ssg_util.Pool.queue_capacity t.pool)
     ~cache_entries
 
 (* ---------------- warm handoff ---------------- *)
@@ -370,5 +370,5 @@ let prometheus t =
   | Some s -> text ^ Ssg_obs.Metrics.to_prometheus (Ssg_store.Store.metrics s)
 
 let shutdown t =
-  Pool.shutdown t.pool;
+  Ssg_util.Pool.shutdown t.pool;
   match t.store with None -> () | Some s -> Ssg_store.Store.close s

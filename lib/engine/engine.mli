@@ -19,9 +19,9 @@
 
 type t
 
-(** [create ()] — defaults: workers as {!Pool.create}, queue capacity 64,
-    cache capacity 1024 (0 disables caching {e and} dedup accounting
-    still works for in-flight twins), fault plan {!Faults.off}.  A
+(** [create ()] — defaults: workers as {!Ssg_util.Pool.create}, queue
+    capacity 64, cache capacity 1024 (0 disables caching {e and} dedup
+    accounting still works for in-flight twins), fault plan {!Faults.off}.  A
     non-[off] [faults] plan is consulted before every job execution
     (chaos mode); injected crashes surface as [Error] completions and
     are counted in telemetry.

@@ -8,9 +8,9 @@
     instants become thread-scoped ["i"] events; timestamps are the
     tracer's microseconds.
 
-    The JSON layer is deliberately tiny (build + escape + a
-    well-formedness checker) — enough for the exporters and for tests
-    and CI to validate emitted documents without a JSON dependency. *)
+    The JSON layer is deliberately tiny (build + escape + one parser) —
+    enough for the exporters and for tests and CI to validate emitted
+    documents without a JSON dependency. *)
 
 type json =
   | Null
@@ -26,13 +26,14 @@ type json =
 val json_to_string : json -> string
 
 (** [json_wellformed s] — [s] parses as a single JSON value (with
-    trailing whitespace allowed).  A full structural check: balanced
-    containers, legal literals, string escapes, number syntax. *)
+    trailing whitespace allowed): [json_of_string s <> None].  A full
+    structural check: balanced containers, legal literals, string
+    escapes, number syntax. *)
 val json_wellformed : string -> bool
 
-(** [json_of_string s] — the parsed value, or [None] on input
-    {!json_wellformed} would reject.  Same grammar as the checker;
-    string escapes are decoded ([\uXXXX] as the UTF-8 encoding of the
+(** [json_of_string s] — the parsed value, or [None] on malformed
+    input (RFC 8259, leading and trailing whitespace allowed); string
+    escapes are decoded ([\uXXXX] as the UTF-8 encoding of the
     code unit, surrogate pairs not combined), numbers become [Int] when
     they are integral and fit, [Float] otherwise.  This is what lets
     tests and tools {e navigate} emitted documents (the SARIF exporter's

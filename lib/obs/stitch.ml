@@ -237,10 +237,9 @@ type audit = {
   open_spans : int;
 }
 
-(* Validate a stitched document: well-formed JSON (the independent
-   checker), B/E balance per (pid, tid, name) track, and extraction of
-   cross-process parent links from the identity args — what the CI
-   fleet step asserts on.
+(* Validate a stitched document: well-formed JSON, B/E balance per
+   (pid, tid, name) track, and extraction of cross-process parent links
+   from the identity args — what the CI fleet step asserts on.
 
    Balance is counted per name, not by one LIFO stack per track: on a
    live fleet, concurrent request threads share a track (they run on
@@ -250,92 +249,90 @@ type audit = {
    buffer ([truncated_ends]) and a span still open at pull time
    ([open_spans]). *)
 let audit_string s =
-  if not (json_wellformed s) then Error "malformed JSON"
-  else
-    match json_of_string s with
-    | None -> Error "unparseable JSON"
-    | Some (Arr items) -> (
-        let jstr j key = str (field j key) in
-        let jnum j key = num (field j key) in
-        let jarg j key =
-          match field j "args" with Some a -> str (field a key) | None -> None
-        in
-        let opens : (int * int * string, int ref) Hashtbl.t =
-          Hashtbl.create 16
-        in
-        let pids = Hashtbl.create 8 in
-        let index = Hashtbl.create 64 in
-        let begins = ref [] in
-        let events = ref 0 in
-        let truncated = ref 0 in
-        let err = ref None in
-        let fail msg = if !err = None then err := Some msg in
-        List.iter
-          (fun item ->
-            match (jstr item "ph", jstr item "name") with
-            | Some ph, Some name -> (
-                let pid =
-                  match jnum item "pid" with Some p -> int_of_float p | None -> -1
-                in
-                let tid =
-                  match jnum item "tid" with Some t -> int_of_float t | None -> -1
-                in
-                if ph <> "M" then Hashtbl.replace pids pid ();
-                let counter () =
-                  match Hashtbl.find_opt opens (pid, tid, name) with
-                  | Some c -> c
-                  | None ->
-                      let c = ref 0 in
-                      Hashtbl.replace opens (pid, tid, name) c;
-                      c
-                in
-                match ph with
-                | "B" ->
-                    incr events;
-                    incr (counter ());
-                    (match jarg item "span_id" with
-                    | Some sid -> Hashtbl.replace index sid (pid, name)
-                    | None -> ());
-                    begins := (pid, name, jarg item "parent_span_id") :: !begins
-                | "E" ->
-                    incr events;
-                    let c = counter () in
-                    if !c > 0 then decr c else incr truncated
-                | "i" | "s" | "f" -> incr events
-                | "M" -> ()  (* metadata labels, not trace events *)
-                | _ -> fail (Printf.sprintf "unknown phase %S" ph))
-            | _ -> fail "event missing ph/name")
-          items;
-        let open_spans =
-          Hashtbl.fold (fun _ c acc -> acc + !c) opens 0
-        in
-        match !err with
-        | Some msg -> Error msg
-        | None ->
-            let links =
-              List.filter_map
-                (fun (pid, name, parent) ->
-                  match parent with
-                  | Some psid when psid <> no_parent -> (
-                      match Hashtbl.find_opt index psid with
-                      | Some (ppid, pname) when ppid <> pid ->
-                          Some
-                            {
-                              parent_pid = ppid;
-                              parent_name = pname;
-                              child_pid = pid;
-                              child_name = name;
-                            }
-                      | _ -> None)
-                  | _ -> None)
-                (List.rev !begins)
-            in
-            Ok
-              {
-                events = !events;
-                processes = Hashtbl.length pids;
-                links;
-                truncated_ends = !truncated;
-                open_spans;
-              })
-    | Some _ -> Error "top level is not an array"
+  match json_of_string s with
+  | None -> Error "malformed JSON"
+  | Some (Arr items) -> (
+      let jstr j key = str (field j key) in
+      let jnum j key = num (field j key) in
+      let jarg j key =
+        match field j "args" with Some a -> str (field a key) | None -> None
+      in
+      let opens : (int * int * string, int ref) Hashtbl.t =
+        Hashtbl.create 16
+      in
+      let pids = Hashtbl.create 8 in
+      let index = Hashtbl.create 64 in
+      let begins = ref [] in
+      let events = ref 0 in
+      let truncated = ref 0 in
+      let err = ref None in
+      let fail msg = if !err = None then err := Some msg in
+      List.iter
+        (fun item ->
+          match (jstr item "ph", jstr item "name") with
+          | Some ph, Some name -> (
+              let pid =
+                match jnum item "pid" with Some p -> int_of_float p | None -> -1
+              in
+              let tid =
+                match jnum item "tid" with Some t -> int_of_float t | None -> -1
+              in
+              if ph <> "M" then Hashtbl.replace pids pid ();
+              let counter () =
+                match Hashtbl.find_opt opens (pid, tid, name) with
+                | Some c -> c
+                | None ->
+                    let c = ref 0 in
+                    Hashtbl.replace opens (pid, tid, name) c;
+                    c
+              in
+              match ph with
+              | "B" ->
+                  incr events;
+                  incr (counter ());
+                  (match jarg item "span_id" with
+                  | Some sid -> Hashtbl.replace index sid (pid, name)
+                  | None -> ());
+                  begins := (pid, name, jarg item "parent_span_id") :: !begins
+              | "E" ->
+                  incr events;
+                  let c = counter () in
+                  if !c > 0 then decr c else incr truncated
+              | "i" | "s" | "f" -> incr events
+              | "M" -> ()  (* metadata labels, not trace events *)
+              | _ -> fail (Printf.sprintf "unknown phase %S" ph))
+          | _ -> fail "event missing ph/name")
+        items;
+      let open_spans =
+        Hashtbl.fold (fun _ c acc -> acc + !c) opens 0
+      in
+      match !err with
+      | Some msg -> Error msg
+      | None ->
+          let links =
+            List.filter_map
+              (fun (pid, name, parent) ->
+                match parent with
+                | Some psid when psid <> no_parent -> (
+                    match Hashtbl.find_opt index psid with
+                    | Some (ppid, pname) when ppid <> pid ->
+                        Some
+                          {
+                            parent_pid = ppid;
+                            parent_name = pname;
+                            child_pid = pid;
+                            child_name = name;
+                          }
+                    | _ -> None)
+                | _ -> None)
+              (List.rev !begins)
+          in
+          Ok
+            {
+              events = !events;
+              processes = Hashtbl.length pids;
+              links;
+              truncated_ends = !truncated;
+              open_spans;
+            })
+  | Some _ -> Error "top level is not an array"

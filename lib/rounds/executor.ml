@@ -40,12 +40,11 @@ module Make (A : Round_model.ALGORITHM) = struct
     max_rounds : int;
     stop_when_all_decided : bool;
     on_round : (round:int -> graph:Digraph.t -> A.state array -> unit) option;
-    domains : int;
   }
 
-  let config ?(stop_when_all_decided = true) ?on_round ?(domains = 0) ~inputs
-      ~graphs ~max_rounds () =
-    { inputs; graphs; max_rounds; stop_when_all_decided; on_round; domains }
+  let config ?(stop_when_all_decided = true) ?on_round ~inputs ~graphs
+      ~max_rounds () =
+    { inputs; graphs; max_rounds; stop_when_all_decided; on_round }
 
   let run cfg =
     let n = Array.length cfg.inputs in
@@ -122,15 +121,7 @@ module Make (A : Round_model.ALGORITHM) = struct
         in
         A.transition ~round:r states.(q) inbox
       in
-      (* Per-process transitions are independent: q's transition touches
-         only states.(q) and reads the immutable payloads, so the round
-         parallelizes over processes. *)
-      let next =
-        if cfg.domains > 0 then
-          Ssg_util.Parallel.init ~domains:cfg.domains n transition_one
-        else Array.init n transition_one
-      in
-      Array.blit next 0 states 0 n;
+      Array.blit (Array.init n transition_one) 0 states 0 n;
       record_decisions r;
       Log.debug (fun m ->
           let decided =

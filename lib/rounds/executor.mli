@@ -49,18 +49,11 @@ module Make (A : Round_model.ALGORITHM) : sig
     on_round : (round:int -> graph:Digraph.t -> A.state array -> unit) option;
         (** called after each round's transitions with the new states; the
             graph is the round's communication graph (do not mutate) *)
-    domains : int;
-        (** worker domains for intra-round parallelism (default 0 =
-            sequential).  Per-process transitions are independent — each
-            touches only its own state and reads the shared immutable
-            payloads — so they parallelize safely.  Worth it from roughly
-            [n >= 64], where a round costs ~1 ms. *)
   }
 
   val config :
     ?stop_when_all_decided:bool ->
     ?on_round:(round:int -> graph:Digraph.t -> A.state array -> unit) ->
-    ?domains:int ->
     inputs:int array ->
     graphs:(int -> Digraph.t) ->
     max_rounds:int ->

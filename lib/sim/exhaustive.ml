@@ -101,18 +101,17 @@ let check_one ~n ~prefix stable =
   }
 
 let check ~n ~prefixes =
-  let stables = Array.of_list (all_stable_graphs ~n) in
   let prefixes = match prefixes with [] -> [ [] ] | ps -> ps in
   (* Parallelize over stable graphs; each worker folds its prefixes. *)
   let per_stable =
-    Parallel.map
+    Pool.run
       (fun stable ->
         List.fold_left
           (fun acc prefix -> merge acc (check_one ~n ~prefix stable))
           empty_verdict prefixes)
-      stables
+      (all_stable_graphs ~n)
   in
-  Array.fold_left merge empty_verdict per_stable
+  List.fold_left merge empty_verdict per_stable
 
 let check_prefix_free ~n = check ~n ~prefixes:[ [] ]
 

@@ -178,7 +178,7 @@ let run_e1 scale =
   List.iter
     (fun (n, k) ->
       let roots =
-        Parallel.init runs (fun i ->
+        List.init runs Fun.id |> Pool.run (fun i ->
             let rng = rng_for (Printf.sprintf "E1-%d-%d" n k) i in
             let adv =
               Build.block_sources rng ~n ~k
@@ -190,9 +190,9 @@ let run_e1 scale =
             assert (Adversary.psrcs adv ~k);
             Analysis.root_count (Analysis.analyze (Adversary.stable_skeleton adv)))
       in
-      let max_roots = Array.fold_left max 0 roots in
+      let max_roots = List.fold_left max 0 roots in
       let mean =
-        float_of_int (Array.fold_left ( + ) 0 roots) /. float_of_int runs
+        float_of_int (List.fold_left ( + ) 0 roots) /. float_of_int runs
       in
       Table.add_row table
         [
@@ -290,13 +290,13 @@ let run_e3 scale =
     (fun n ->
       let monitored = n <= 12 in
       let verdicts =
-        Parallel.init runs (fun i ->
+        List.init runs Fun.id |> Pool.run (fun i ->
             let rng = rng_for (Printf.sprintf "E3-%d" n) i in
             let adv = zoo rng n in
             let r = Runner.run_kset ~monitor:monitored adv in
             Metrics.verdict ~k:r.Runner.min_k r)
       in
-      let count f = Array.fold_left (fun a v -> if f v then a + 1 else a) 0 verdicts in
+      let count f = List.fold_left (fun a v -> if f v then a + 1 else a) 0 verdicts in
       Table.add_row table
         [
           string_of_int n;
@@ -340,7 +340,7 @@ let run_e4 scale =
   List.iter
     (fun (n, rst) ->
       let lasts =
-        Parallel.init runs (fun i ->
+        List.init runs Fun.id |> Pool.run (fun i ->
             let rng = rng_for (Printf.sprintf "E4-%d-%d" n rst) i in
             let adv =
               Build.delayed_stability rng ~n ~k:(1 + Rng.int rng 3) ~rst
@@ -351,9 +351,9 @@ let run_e4 scale =
             | None -> max_int)
       in
       let bound = rst + (2 * n) - 1 in
-      let max_last = Array.fold_left max 0 lasts in
+      let max_last = List.fold_left max 0 lasts in
       let mean =
-        float_of_int (Array.fold_left ( + ) 0 lasts) /. float_of_int runs
+        float_of_int (List.fold_left ( + ) 0 lasts) /. float_of_int runs
       in
       Table.add_row table
         [
@@ -609,7 +609,7 @@ let run_e8 scale =
   List.iter
     (fun n ->
       let results =
-        Parallel.init runs (fun i ->
+        List.init runs Fun.id |> Pool.run (fun i ->
             let rng = rng_for (Printf.sprintf "E8-%d" n) i in
             let adv = Build.single_root rng ~n () in
             let r = Runner.run_kset adv in
@@ -617,10 +617,10 @@ let run_e8 scale =
               Option.value ~default:999 (Metrics.last_decision_round r.Runner.outcome) ))
       in
       let consensus =
-        Array.fold_left (fun a (d, _) -> if d = 1 then a + 1 else a) 0 results
+        List.fold_left (fun a (d, _) -> if d = 1 then a + 1 else a) 0 results
       in
       let mean_last =
-        float_of_int (Array.fold_left (fun a (_, l) -> a + l) 0 results)
+        float_of_int (List.fold_left (fun a (_, l) -> a + l) 0 results)
         /. float_of_int runs
       in
       Table.add_row table
@@ -719,7 +719,7 @@ let run_e11 scale =
   List.iter
     (fun tau ->
       let results =
-        Parallel.init runs (fun i ->
+        List.init runs Fun.id |> Pool.run (fun i ->
             (* intra-cluster links ~ U[0.1, 0.5); cross ~ U[0.5, 3.0) *)
             let seed = (i * 7919) + int_of_float (tau *. 1000.0) in
             let latency =
@@ -752,7 +752,7 @@ let run_e11 scale =
             (mink, roots, distinct, r.Ssg_timing.Round_sync.messages_late))
       in
       let meanf f =
-        float_of_int (Array.fold_left (fun a x -> a + f x) 0 results)
+        float_of_int (List.fold_left (fun a x -> a + f x) 0 results)
         /. float_of_int runs
       in
       Table.add_row table
@@ -972,7 +972,7 @@ let run_e9 scale =
   List.iter
     (fun n ->
       let results =
-        Parallel.init runs (fun i ->
+        List.init runs Fun.id |> Pool.run (fun i ->
             let rng = rng_for (Printf.sprintf "E9-%d" n) i in
             let adv = zoo rng n in
             let mk = Adversary.min_k adv in
@@ -991,9 +991,9 @@ let run_e9 scale =
               last paper,
               last repaired ))
       in
-      let count f = Array.fold_left (fun a x -> if f x then a + 1 else a) 0 results in
+      let count f = List.fold_left (fun a x -> if f x then a + 1 else a) 0 results in
       let mean f =
-        float_of_int (Array.fold_left (fun a x -> a + f x) 0 results)
+        float_of_int (List.fold_left (fun a x -> a + f x) 0 results)
         /. float_of_int runs
       in
       Table.add_row table

@@ -1,6 +1,6 @@
 (** Bounded blocking FIFO queues with backpressure and close semantics.
 
-    The engine's job queue: producers ([Engine.submit], connection
+    The {!Pool}'s task queue: producers ([Engine.submit], connection
     handlers) block in [push] while the queue is full — backpressure
     propagates all the way to the wire instead of letting an unbounded
     backlog accumulate — and consumers (pool workers) block in [pop]

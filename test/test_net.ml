@@ -46,13 +46,13 @@ let wait_connect ?(deadline_s = 10.) socket =
   in
   go 100
 
-let start_server ?(workers = 2) ?max_inflight ?socket () =
+let start_server ?(workers = 2) ?max_inflight ?faults ?socket () =
   let socket = match socket with Some s -> s | None -> fresh_tcp () in
   let thread =
     Thread.create
       (fun () ->
         Server.serve ~workers ~queue_capacity:64 ~cache_capacity:64
-          ?max_inflight ~drain_timeout_s:5. ~socket ())
+          ?max_inflight ?faults ~drain_timeout_s:5. ~socket ())
       ()
   in
   let c = wait_connect socket in
@@ -262,10 +262,11 @@ let test_frame_ctx_envelope () =
 
 (* ---------------- mux: scripted peer ---------------- *)
 
-(* A peer that reads [n] id-framed requests, then answers them in the
-   order [reply_order] (indices into arrival order), echoing each inner
-   payload with an "ack:" prefix. *)
-let scripted_peer fd n reply_order =
+(* A peer that reads [n] id-framed requests, then (once [hold] is
+   released, if given) answers them in the order [reply_order] (indices
+   into arrival order), echoing each inner payload with an "ack:"
+   prefix. *)
+let scripted_peer ?hold fd n reply_order =
   Thread.create
     (fun () ->
       let arrived = Array.make n (0, Bytes.empty) in
@@ -274,6 +275,7 @@ let scripted_peer fd n reply_order =
         | Frame.Id (id, inner) -> arrived.(i) <- (id, inner)
         | Frame.Plain _ -> failwith "peer expected id-framed requests"
       done;
+      Option.iter Semaphore.Binary.acquire hold;
       List.iter
         (fun i ->
           let id, inner = arrived.(i) in
@@ -285,12 +287,14 @@ let scripted_peer fd n reply_order =
 
 let test_mux_out_of_order () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let peer = scripted_peer b 3 [ 2; 0; 1 ] in
+  let hold = Semaphore.Binary.make false in
+  let peer = scripted_peer ~hold b 3 [ 2; 0; 1 ] in
   let m = Mux.create a in
   let t1 = Mux.send m (Bytes.of_string "one") in
   let t2 = Mux.send m (Bytes.of_string "two") in
   let t3 = Mux.send m (Bytes.of_string "three") in
   check_int "three in flight" 3 (Mux.inflight m);
+  Semaphore.Binary.release hold;
   (* Replies arrive 3,1,2 — each ticket still gets its own. *)
   check "t2 correlates" true (Mux.await t2 = Ok (Bytes.of_string "ack:two"));
   check "t1 correlates" true (Mux.await t1 = Ok (Bytes.of_string "ack:one"));
@@ -500,8 +504,11 @@ let test_pclient_correlation_under_load () =
 let test_pclient_no_head_of_line_blocking () =
   (* One worker, several slow jobs ahead of one cache hit: on a strict
      in-order connection the hit would wait behind the queue; on the
-     pipelined connection it overtakes. *)
-  let socket, thread = start_server ~workers:1 () in
+     pipelined connection it overtakes.  The fault plan makes every
+     execution sleep, so the worker holds no core while the hit is
+     answered. *)
+  let faults = Faults.create ~slow_every:1 ~slow_s:0.2 () in
+  let socket, thread = start_server ~workers:1 ~faults () in
   let pc = Pclient.connect ~socket ~deadline_s:60. () in
   let warm = good_job () in
   (match Pclient.await (Pclient.submit pc warm) with
@@ -510,7 +517,7 @@ let test_pclient_no_head_of_line_blocking () =
   let slow =
     List.init 8 (fun i ->
         Pclient.submit pc
-          (good_job ~inputs:(Array.init 6 (fun j -> (1000 * (i + 1)) + j)) ~rounds:4000 ()))
+          (good_job ~inputs:(Array.init 6 (fun j -> (1000 * (i + 1)) + j)) ()))
   in
   let fast = Pclient.submit pc warm in
   (match Pclient.await fast with

@@ -182,32 +182,6 @@ let test_revoked_decision_detected () =
        false
      with Failure _ -> true)
 
-let test_parallel_domains_equivalent () =
-  (* With domains > 0 the transitions run on worker domains; results must
-     be identical to the sequential path. *)
-  let adv_graph r =
-    let g = Gen.self_loops_only 6 in
-    for p = 0 to 5 do
-      Digraph.add_edge g p ((p + r) mod 6)
-    done;
-    g
-  in
-  let module E = Executor.Make (Ssg_core.Kset_agreement.Alg) in
-  let run domains =
-    let cfg =
-      E.config ~domains ~stop_when_all_decided:false
-        ~inputs:[| 5; 4; 3; 2; 1; 0 |]
-        ~graphs:adv_graph ~max_rounds:15 ()
-    in
-    fst (E.run cfg)
-  in
-  let seq = run 0 and par = run 3 in
-  Alcotest.(check bool) "same decisions" true
-    (seq.Executor.decisions = par.Executor.decisions);
-  Alcotest.(check int) "same deliveries" seq.Executor.messages_delivered
-    par.Executor.messages_delivered;
-  Alcotest.(check int) "same bits" seq.Executor.bits_sent par.Executor.bits_sent
-
 (* HO correspondence *)
 
 let test_ho_sets () =
@@ -285,8 +259,6 @@ let tests =
     Alcotest.test_case "empty system rejected" `Quick test_empty_system_rejected;
     Alcotest.test_case "revoked decision detected" `Quick
       test_revoked_decision_detected;
-    Alcotest.test_case "parallel domains equivalent" `Quick
-      test_parallel_domains_equivalent;
     Alcotest.test_case "HO sets" `Quick test_ho_sets;
     Alcotest.test_case "HO/RRFD duality" `Quick test_ho_rrfd_duality;
     Alcotest.test_case "PT equivalence (eq. 7)" `Quick test_pt_equivalence_eq7;

@@ -1,4 +1,4 @@
-(* Tests for Table, Parallel and Order. *)
+(* Tests for Table, Pool and Order. *)
 
 open Ssg_util
 
@@ -48,37 +48,63 @@ let test_table_cells () =
   check_str "bool" "yes" (Table.cell_bool true);
   check_str "bool no" "no" (Table.cell_bool false)
 
-(* Parallel *)
+(* Pool.run: a pool of [jobs - 1] workers plus the caller *)
 
 let test_parallel_map_matches_sequential () =
-  let xs = Array.init 200 (fun i -> i) in
+  let xs = List.init 200 Fun.id in
   let f x = (x * x) + 1 in
-  Alcotest.(check (array int)) "parallel = sequential" (Array.map f xs)
-    (Parallel.map ~domains:4 f xs)
+  Alcotest.(check (list int)) "parallel = sequential" (List.map f xs)
+    (Pool.run ~jobs:5 f xs)
 
 let test_parallel_zero_domains () =
-  let xs = Array.init 10 (fun i -> i) in
-  Alcotest.(check (array int)) "sequential path" (Array.map succ xs)
-    (Parallel.map ~domains:0 succ xs)
+  let xs = List.init 10 Fun.id in
+  Alcotest.(check (list int)) "sequential path" (List.map succ xs)
+    (Pool.run ~jobs:1 succ xs)
 
 let test_parallel_empty () =
-  check_int "empty input" 0 (Array.length (Parallel.map ~domains:2 succ [||]))
+  check_int "empty input" 0 (List.length (Pool.run ~jobs:3 succ []))
 
 let test_parallel_order_preserved () =
-  let xs = Array.init 64 (fun i -> i) in
-  let ys = Parallel.map ~domains:3 (fun x -> x) xs in
-  Alcotest.(check (array int)) "order" xs ys
+  let xs = List.init 64 Fun.id in
+  let ys = Pool.run ~jobs:4 Fun.id xs in
+  Alcotest.(check (list int)) "order" xs ys
 
 let test_parallel_exception () =
   Alcotest.check_raises "propagates" (Failure "boom") (fun () ->
       ignore
-        (Parallel.map ~domains:2
+        (Pool.run ~jobs:3
            (fun x -> if x = 5 then failwith "boom" else x)
-           (Array.init 10 (fun i -> i))))
+           (List.init 10 Fun.id)))
 
-let test_parallel_init () =
-  Alcotest.(check (array int)) "init" [| 0; 2; 4 |]
-    (Parallel.init ~domains:2 3 (fun i -> 2 * i))
+(* The caller works through the items itself, so a pool whose only
+   worker is stuck on other work still answers [map]. *)
+let test_pool_map_with_busy_worker () =
+  let pool = Pool.create ~workers:1 () in
+  let started = Atomic.make false and release = Atomic.make false in
+  assert (
+    Pool.submit pool (fun () ->
+        Atomic.set started true;
+        while not (Atomic.get release) do
+          Domain.cpu_relax ()
+        done));
+  while not (Atomic.get started) do
+    Thread.yield ()
+  done;
+  let result = Atomic.make None in
+  let mapper =
+    Thread.create
+      (fun () -> Atomic.set result (Some (Pool.map pool succ [ 1; 2; 3 ])))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while Atomic.get result = None && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  let got = Atomic.get result in
+  Atomic.set release true;
+  Thread.join mapper;
+  Pool.shutdown pool;
+  check "map returned within 5 s" true (got = Some [ 2; 3; 4 ])
 
 (* Order *)
 
@@ -116,7 +142,8 @@ let tests =
     Alcotest.test_case "parallel empty" `Quick test_parallel_empty;
     Alcotest.test_case "parallel order" `Quick test_parallel_order_preserved;
     Alcotest.test_case "parallel exception" `Quick test_parallel_exception;
-    Alcotest.test_case "parallel init" `Quick test_parallel_init;
+    Alcotest.test_case "Pool.map finishes while the pool's only worker is busy"
+      `Quick test_pool_map_with_busy_worker;
     Alcotest.test_case "min_by/max_by" `Quick test_min_by;
     Alcotest.test_case "argmin/argmax" `Quick test_argmin_argmax;
     Alcotest.test_case "clamp" `Quick test_clamp;
