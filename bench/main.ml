@@ -112,7 +112,7 @@ let bench_merge n =
     done;
     g
   in
-  let src = mk () and dst = mk () in
+  let src = Lgraph.freeze (mk ()) and dst = mk () in
   Test.make
     ~name:(Printf.sprintf "B3-merge/n=%d" n)
     (Staged.stage (fun () -> Lgraph.merge_max_into ~into:dst src))

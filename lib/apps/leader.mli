@@ -25,12 +25,13 @@ type t
 (** [create ~n ~self] — the observer before round 1 (leader = self). *)
 val create : n:int -> self:int -> t
 
-(** [message t] — the graph to broadcast (delegates to {!Ssg_core.Approx}). *)
-val message : t -> Lgraph.t
+(** [message t] — the graph to broadcast: an immutable snapshot that
+    later steps never change (delegates to {!Ssg_core.Approx.message}). *)
+val message : t -> Lgraph.frozen
 
 (** [step t ~round ~received] — absorb one round (see
     {!Ssg_core.Approx.step}). *)
-val step : t -> round:int -> received:(int -> Lgraph.t option) -> unit
+val step : t -> round:int -> received:(int -> Lgraph.frozen option) -> unit
 
 (** [leader t] — the current leader estimate. *)
 val leader : t -> int

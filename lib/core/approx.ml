@@ -9,7 +9,8 @@ type t = {
   mutable round : int;
   pt : Bitset.t;
   graph : Lgraph.t;
-  scratch : Lgraph.t; (* reused accumulator for the per-round rebuild *)
+  mutable sent : Lgraph.frozen option;
+      (* this round's message, once asked for; cleared by [step] *)
   mutable sc_cache : bool option;
       (* memoized strong-connectivity certificate of [graph]; valid
          because labels refresh every round but the support goes stable
@@ -27,14 +28,21 @@ let create ?(enable_purge = true) ?(enable_prune = true) ~n ~self () =
     round = 0;
     pt = Bitset.full n;
     graph = Lgraph.create n ~self;
-    scratch = Lgraph.create n ~self;
+    sent = None;
     sc_cache = None;
   }
 
 let n t = t.order
 let self t = t.owner
 let rounds_done t = t.round
-let message t = Lgraph.copy t.graph
+
+let message t =
+  match t.sent with
+  | Some m -> m
+  | None ->
+      let m = Lgraph.freeze t.graph in
+      t.sent <- Some m;
+      m
 
 let step t ~round ~received =
   if round <> t.round + 1 then
@@ -42,44 +50,47 @@ let step t ~round ~received =
       (Printf.sprintf "Approx.step: expected round %d, got %d" (t.round + 1)
          round);
   t.round <- round;
-  (* Line 9: PT_p <- PT_p ∩ {q | heard q this round}. *)
-  let heard = Bitset.create t.order in
-  let inboxes = Array.make t.order None in
+  (* G_p as it enters the round: this round's message (frozen here if
+     nobody asked for it). *)
+  let before = message t in
+  t.sent <- None;
+  (* Lines 15–23 rebuild G_p from ⟨{p}, ∅⟩ by folding in the graphs of
+     the timely senders with per-edge max.  While p hears itself, its own
+     graph is one of them, and folding it into ⟨{p}, ∅⟩ reproduces G_p:
+     then it is enough to fold the others into G_p in place.  That needs
+     the graph p heard from itself to be G_p as it stands, which physical
+     equality with [before] proves. *)
+  let own = received t.owner in
+  let keep =
+    Bitset.mem t.pt t.owner
+    && match own with Some g -> g == before | None -> false
+  in
+  if not keep then Lgraph.reset t.graph ~self:t.owner;
+  (* Line 9 in the same pass: PT_p <- PT_p ∩ {q | heard q this round}. *)
   for q = 0 to t.order - 1 do
-    match received q with
+    match if q = t.owner then own else received q with
     | Some g ->
-        if Lgraph.capacity g <> t.order then
+        if Lgraph.frozen_capacity g <> t.order then
           invalid_arg "Approx.step: received graph capacity mismatch";
-        Bitset.add heard q;
-        inboxes.(q) <- Some g
-    | None -> ()
+        if Bitset.mem t.pt q && not (keep && q = t.owner) then
+          Lgraph.merge_max_into ~into:t.graph g
+    | None -> Bitset.remove t.pt q
   done;
-  Bitset.inter_into ~into:t.pt heard;
-  (* Lines 15–23: rebuild G_p.  We fold the received graphs of timely
-     senders with per-edge max (Lines 19–23), then overwrite the fresh
-     timely edges (q --round--> p) (Line 17) — [round] exceeds every label
-     in any received graph, so overwriting preserves the max semantics. *)
-  Lgraph.reset t.scratch ~self:t.owner;
+  (* Line 17: the fresh timely edges (q --round--> p).  [round] exceeds
+     every label in any received graph, so overwriting preserves the max
+     semantics. *)
   Bitset.iter
-    (fun q ->
-      match inboxes.(q) with
-      | Some g -> Lgraph.merge_max_into ~into:t.scratch g
-      | None -> ())
-    t.pt;
-  Bitset.iter
-    (fun q -> Lgraph.set_edge t.scratch q t.owner ~label:round)
+    (fun q -> Lgraph.set_edge t.graph q t.owner ~label:round)
     t.pt;
   (* Line 24: drop labels <= round - n. *)
-  if t.enable_purge then Lgraph.purge t.scratch ~upto:(round - t.order);
+  if t.enable_purge then Lgraph.purge t.graph ~upto:(round - t.order);
   (* Line 25: drop nodes that cannot reach p. *)
-  if t.enable_prune then Lgraph.prune_unreachable t.scratch ~self:t.owner;
+  if t.enable_prune then Lgraph.prune_unreachable t.graph ~self:t.owner;
   (* Strong connectivity only reads the support (nodes + edge presence),
      which the rebuild usually reproduces exactly once the run settles —
      only the labels keep rotating.  Keep the memoized certificate alive
      across support-stable rounds. *)
-  if not (Lgraph.same_support t.graph t.scratch) then t.sc_cache <- None;
-  (* Install the rebuilt graph by O(1) double-buffer swap. *)
-  Lgraph.swap t.graph t.scratch
+  if not (Lgraph.same_support t.graph before) then t.sc_cache <- None
 
 let pt t = Bitset.copy t.pt
 let pt_mem t q = Bitset.mem t.pt q

@@ -35,16 +35,24 @@ val self : t -> int
 (** [rounds_done t] — how many rounds have been absorbed. *)
 val rounds_done : t -> int
 
-(** [message t] is the graph to broadcast this round: a copy of [G_p]. *)
-val message : t -> Lgraph.t
+(** [message t] is the graph to broadcast this round: an immutable
+    {!Lgraph.frozen} snapshot of [G_p] that holds its nodes and its
+    labelled edges, as Section V's message does (n⌈n/63⌉ + |E| words).
+    Calls between two [step]s return the same snapshot.  It stays valid
+    for as long as anyone holds it: later [step]s of [t] change [G_p] but
+    never a snapshot already handed out, so a message delivered after its
+    sender moved on (as {!Ssg_timing.Round_sync} does) still carries its
+    round's graph. *)
+val message : t -> Lgraph.frozen
 
 (** [step t ~round ~received] performs the round-[round] update.
     [received q] must be [Some g] exactly when a round-[round] message
     carrying graph [g] arrived from [q] (in particular [received self]
     must be the graph [t] broadcast — a process always hears itself in
-    this library's model).  Rounds must be consecutive starting at 1.
+    this library's model).  [received] is called once per sender.
+    Rounds must be consecutive starting at 1.
     @raise Invalid_argument on out-of-order rounds. *)
-val step : t -> round:int -> received:(int -> Lgraph.t option) -> unit
+val step : t -> round:int -> received:(int -> Lgraph.frozen option) -> unit
 
 (** [pt t] is a copy of the current [PT_p]. *)
 val pt : t -> Bitset.t

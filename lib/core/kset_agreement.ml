@@ -17,7 +17,7 @@ type state = {
   mutable dec_round : int option;
 }
 
-type msg = { decide : bool; x : int; graph : Lgraph.t }
+type msg = { decide : bool; x : int; graph : Lgraph.frozen }
 
 let self_of s = s.id
 let estimate (s : state) = s.x
@@ -28,11 +28,6 @@ let pt_of s = Approx.pt s.approx
 let approx_of s = Approx.graph s.approx
 let pt_cardinal s = Ssg_util.Bitset.cardinal (Approx.pt s.approx)
 let approx_edge_count s = Lgraph.edge_count (Approx.graph_view s.approx)
-
-(* Bits needed to write a round number (at least 1). *)
-let round_bits round =
-  let rec go b v = if v >= round + 1 then b else go (b + 1) (v * 2) in
-  go 1 2
 
 let value_bits = 32
 
@@ -135,10 +130,12 @@ struct
   let decision s = s.dec
 
   (* Actual wire size: tag bit + value + the graph at its exact codec
-     length (Ssg_graph.Codec realizes this encoding bit-for-bit). *)
+     length (Ssg_graph.Codec realizes this encoding bit-for-bit), with
+     labels wide enough for any round number up to [round]. *)
   let message_bits ~n:_ ~round m =
     1 + value_bits
-    + Codec.encoded_bit_length m.graph ~label_bits:(round_bits round)
+    + Codec.frozen_bit_length m.graph
+        ~label_bits:(Ssg_util.Bitio.width_for (round + 1))
 end
 
 module Alg = Of_config (struct

@@ -25,6 +25,10 @@ let encode g ~label_bits =
 let encoded_bit_length g ~label_bits =
   header_bits ~n:(Lgraph.capacity g) + Lgraph.encoded_bits g ~label_bits
 
+let frozen_bit_length f ~label_bits =
+  header_bits ~n:(Lgraph.frozen_capacity f)
+  + Lgraph.frozen_encoded_bits f ~label_bits
+
 let read ~n ~self ~label_bits r =
   let id = Bitio.width_for n in
   let g = Lgraph.create n ~self in

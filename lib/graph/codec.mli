@@ -30,6 +30,11 @@ val encode : Lgraph.t -> label_bits:int -> Bytes.t
     output before byte padding: [header_bits + Lgraph.encoded_bits]. *)
 val encoded_bit_length : Lgraph.t -> label_bits:int -> int
 
+(** [frozen_bit_length f ~label_bits] is
+    [encoded_bit_length (Lgraph.thaw f) ~label_bits], in O(1) — the
+    Section V length of a round message. *)
+val frozen_bit_length : Lgraph.frozen -> label_bits:int -> int
+
 (** [decode bytes ~n ~self ~label_bits] reconstructs the graph over
     universe [n] with owner [self].
     @raise Invalid_argument on malformed input. *)

@@ -15,7 +15,20 @@
 
     Labels are strictly positive round numbers; absence is represented by
     0.  Invariant: a positive label implies both endpoints are in the node
-    set. *)
+    set.
+
+    Representation: a dense n×n label matrix, for O(1) [label] lookups,
+    plus word-packed presence rows: bit [p] of row [q] is set iff edge
+    [q -> p] has a label, [w = Sys.int_size] (63) targets per word.
+    Reset, merge, purge, support comparison, edge counting and edge
+    iteration walk the set bits, so they cost O(n⌈n/w⌉ + |E|) instead of
+    n².  Pruning and the strong-connectivity test grow reachability
+    closures with whole-word operations, in passes of n⌈n/w⌉ operations:
+    at most one pass per level of a breadth-first search, plus one.
+
+    Algorithm 1's round message is a {!frozen} snapshot: immutable, and
+    n⌈n/w⌉ + |E| words plus a constant, since it keeps the present labels
+    only. *)
 
 open Ssg_util
 
@@ -34,13 +47,6 @@ val copy : t -> t
 
 (** [equal a b] — same universe, node set, edges and labels. *)
 val equal : t -> t -> bool
-
-(** [same_support a b] — same universe, node set and edge {e presence},
-    labels ignored.  Label-blind properties (reachability, strong
-    connectivity) agree on support-equal graphs, so a caller that
-    refreshes labels every round can memoize them across support-stable
-    rounds.  O(n²) word compares, allocation-free. *)
-val same_support : t -> t -> bool
 
 (** [mem_node g p] tests node membership. *)
 val mem_node : t -> int -> bool
@@ -74,14 +80,42 @@ val iter_edges : t -> (int -> int -> int -> unit) -> unit
 (** [edges g] lists [(q, p, label)] triples in lexicographic order. *)
 val edges : t -> (int * int * int) list
 
-(** [union_nodes_into ~into src] adds [src]'s nodes to [into] — Line 18. *)
-val union_nodes_into : into:t -> t -> unit
+(** {2 Snapshots} *)
+
+(** An immutable copy of a graph: its node set, its presence rows and its
+    present labels only — what a process broadcasts in a round. *)
+type frozen
+
+(** [freeze g] is a snapshot of [g]; later changes to [g] do not reach
+    it.  O(n⌈n/w⌉ + |E|). *)
+val freeze : t -> frozen
+
+(** [thaw f] is a fresh mutable graph equal to the one [f] was frozen
+    from. *)
+val thaw : frozen -> t
+
+(** [frozen_capacity f] is the universe size [n]. *)
+val frozen_capacity : frozen -> int
+
+(** [same_support g f] — [g] has the universe, node set and edge
+    {e presence} of the snapshot [f], labels ignored.  Label-blind
+    properties (reachability, strong connectivity) agree on support-equal
+    graphs, so a caller that refreshes labels every round can memoize
+    them across support-stable rounds, comparing against the graph it
+    broadcast.  Compares the presence rows, n⌈n/w⌉ words;
+    allocation-free. *)
+val same_support : t -> frozen -> bool
+
+(** [frozen_encoded_bits f ~label_bits] is [encoded_bits (thaw f)], from
+    the node and edge counts the snapshot stores: O(1). *)
+val frozen_encoded_bits : frozen -> label_bits:int -> int
 
 (** [merge_max_into ~into src] sets each edge of [into] to the maximum of
     its label and [src]'s label for that edge (treating absent as 0), and
-    unions the node sets — the [R_{i,j}]/[r_max] computation of
-    Lines 19–23 when folded over all received graphs. *)
-val merge_max_into : into:t -> t -> unit
+    unions the node sets — Line 18, and the [R_{i,j}]/[r_max]
+    computation of Lines 19–23 when folded over all received graphs.
+    O(n⌈n/w⌉ + |E(src)|). *)
+val merge_max_into : into:t -> frozen -> unit
 
 (** [purge g ~upto] removes every edge with label [<= upto] — Line 24 with
     [upto = r - n]. *)
@@ -97,10 +131,8 @@ val prune_unreachable : t -> self:int -> unit
     the decision test of Line 28. *)
 val is_strongly_connected : t -> bool
 
-(** [swap a b] exchanges the contents of [a] and [b] in O(1) — the
-    double-buffering primitive for the per-round rebuild of Algorithm 1
-    (Line 15 re-initializes [G_p] every round; swapping avoids copying the
-    whole label matrix back).  @raise Invalid_argument on universe
+(** [swap a b] exchanges the contents of [a] and [b] in O(1) — a
+    double-buffering primitive.  @raise Invalid_argument on universe
     mismatch. *)
 val swap : t -> t -> unit
 

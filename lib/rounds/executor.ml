@@ -104,21 +104,21 @@ module Make (A : Round_model.ALGORITHM) = struct
         Tracer.span_begin
           ~args:[ ("algorithm", Tracer.Str A.name); ("round", Tracer.Int r) ]
           "round";
-      let payloads = Array.map (fun s -> A.send ~round:r s) states in
+      let sent = Array.map (fun s -> A.send ~round:r s) states in
       Array.iter
         (fun m ->
           messages_sent := !messages_sent + n;
           let bits = A.message_bits ~n ~round:r m in
           bits_sent := !bits_sent + (bits * n);
           if bits > !max_bits then max_bits := bits)
-        payloads;
+        sent;
       (* A delivered message is exactly an edge of the round graph. *)
       messages_delivered := !messages_delivered + Digraph.edge_count graph;
+      (* One [Some] per sender, shared by every inbox it lands in. *)
+      let payloads = Array.map Option.some sent in
       let transition_one q =
-        let inbox =
-          Array.init n (fun p ->
-              if Digraph.mem_edge graph p q then Some payloads.(p) else None)
-        in
+        let inbox = Array.make n None in
+        Digraph.iter_preds graph q (fun p -> inbox.(p) <- payloads.(p));
         A.transition ~round:r states.(q) inbox
       in
       Array.blit (Array.init n transition_one) 0 states 0 n;

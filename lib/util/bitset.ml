@@ -123,10 +123,20 @@ let diff a b =
   diff_into ~into:r b;
   r
 
-(* Index of the lowest set bit of a nonzero word. *)
+(* [x land (-x)] isolates the lowest set bit, 2^i.  Since 2 is a
+   primitive root mod 67, 2^i mod 67 is distinct for i = 0..65, so one
+   table lookup recovers i.  The sign bit (i = word_bits - 1) isolates to
+   [min_int], whose remainder is negative: it gets its own case. *)
+let bit_index =
+  let t = Array.make 67 0 in
+  for i = 0 to word_bits - 2 do
+    t.((1 lsl i) mod 67) <- i
+  done;
+  t
+
 let lowest_bit w =
-  let rec go i w = if w land 1 = 1 then i else go (i + 1) (w lsr 1) in
-  go 0 w
+  let b = w land -w in
+  if b < 0 then word_bits - 1 else bit_index.(b mod 67)
 
 let iter f s =
   Array.iteri
@@ -134,9 +144,8 @@ let iter f s =
       let base = wi * word_bits in
       let w = ref word in
       while !w <> 0 do
-        let b = lowest_bit !w in
-        f (base + b);
-        w := !w land lnot (1 lsl b)
+        f (base + lowest_bit !w);
+        w := !w land (!w - 1)
       done)
     s.words
 

@@ -108,3 +108,19 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
+
+(** {2 Word-level helpers}
+
+    For structures that pack many sets into one [int array] themselves
+    ({!Ssg_graph.Lgraph}'s presence rows): as here, element [i] of such a
+    packed set is bit [i mod Sys.int_size] of word [i / Sys.int_size]. *)
+
+(** [words_for n] is the number of words a set over [0 .. n-1] takes. *)
+val words_for : int -> int
+
+(** [lowest_bit w] is the index of the lowest set bit of the nonzero word
+    [w], in constant time.  Clear that bit with [w land (w - 1)]. *)
+val lowest_bit : int -> int
+
+(** [popcount w] is the number of set bits of the word [w]. *)
+val popcount : int -> int

@@ -232,12 +232,34 @@ let test_approx_misuse () =
     (try ignore (Approx.create ~n:3 ~self:3 ()); false
      with Invalid_argument _ -> true)
 
-let test_message_is_copy () =
-  let a = Approx.create ~n:2 ~self:0 () in
-  let m = Approx.message a in
-  Lgraph.set_edge m 1 0 ~label:1;
-  check "internal state unaffected" false
-    (Lgraph.mem_edge (Approx.graph_view a) 1 0)
+let test_message_is_snapshot () =
+  (* A round-r message must outlive its sender's later rounds: the timing
+     layer delivers messages after their sender has moved on. *)
+  let adv = Build.figure1 () in
+  let n = Adversary.n adv in
+  let states = Array.init n (fun self -> Approx.create ~n ~self ()) in
+  let step_all r payloads =
+    let graph = Adversary.graph adv r in
+    Array.iteri
+      (fun q s ->
+        Approx.step s ~round:r ~received:(fun p ->
+            if Digraph.mem_edge graph p q then Some payloads.(p) else None))
+      states
+  in
+  for r = 1 to 2 do
+    step_all r (Array.map Approx.message states)
+  done;
+  let sender = 5 in
+  let payloads = Array.map Approx.message states in
+  let had = Lgraph.copy (Approx.graph_view states.(sender)) in
+  step_all 3 payloads;
+  for r = 4 to 5 do
+    step_all r (Array.map Approx.message states)
+  done;
+  check "sender's graph moved on" false
+    (Lgraph.equal had (Approx.graph_view states.(sender)));
+  check "round-3 message still thaws to its graph" true
+    (Lgraph.equal had (Lgraph.thaw payloads.(sender)))
 
 let test_combined_ablations_still_sound_edges () =
   (* Even with purge AND prune disabled, Lemma 6 soundness holds: the
@@ -269,6 +291,129 @@ let test_purge_disabled_violates_obs1 () =
            states));
   check "stale labels appear" true !stale_found
 
+(* Reference equivalence: [Approx] against the dense reference
+   (Ref_approx over Ref_lgraph), stepped side by side over generated
+   adversaries and compared after every round.  n reaches past one 63-bit
+   word (62..65), and every purge/prune combination occurs. *)
+
+(* Each family builds its adversary from (rng, n, seed).  Densities fall
+   as 1/n past n = 12, so the dense reference (n² work per process and
+   operation) stays affordable at n = 62..65. *)
+let reference_families =
+  let sparse n d = Float.min d (4. /. float_of_int n) in
+  [
+    ( "block_sources",
+      fun rng ~n ~seed ->
+        Build.block_sources rng ~n ~k:(1 + (seed mod n)) ~prefix_len:3
+          ~intra:(sparse n 0.2) ~cross:(sparse n 0.05) ~noise:(sparse n 0.4)
+          () );
+    ( "partitioned",
+      fun rng ~n ~seed ->
+        Build.partitioned rng ~n ~blocks:(1 + (seed mod min 3 n))
+          ~extra:(sparse n 0.2) ~prefix_len:2 ~noise:(sparse n 0.3) () );
+    ( "arbitrary",
+      fun rng ~n ~seed:_ ->
+        Build.arbitrary rng ~n ~density:(sparse n 0.3) ~prefix_len:4
+          ~noise:(sparse n 0.5) () );
+    ( "with_recurrent_noise",
+      fun rng ~n ~seed:_ ->
+        Build.with_recurrent_noise rng
+          (Build.partitioned rng ~n ~blocks:2 ~extra:(sparse n 0.2)
+             ~prefix_len:2 ())
+          ~noise:(sparse n 0.3) );
+    ( "lower_bound",
+      fun _ ~n ~seed -> Build.lower_bound ~n ~k:(1 + (seed mod (n - 1))) );
+    ("figure1", fun _ ~n:_ ~seed:_ -> Build.figure1 ());
+  ]
+
+let gen_reference_case =
+  QCheck2.Gen.(
+    let* family = oneofl reference_families in
+    let* n = frequency [ (7, int_range 2 12); (1, oneofl [ 62; 63; 64; 65 ]) ] in
+    let* seed = int_bound 10_000 in
+    let* purge = bool in
+    let* prune = bool in
+    let+ fresh = bool in
+    (family, n, seed, purge, prune, fresh))
+
+let print_reference_case ((name, _), n, seed, purge, prune, fresh) =
+  Printf.sprintf "%s n=%d seed=%d purge=%b prune=%b fresh=%b" name n seed
+    purge prune fresh
+
+(* Runs past the prefix by n + 2 rounds, so purging is live at the end.
+   With [fresh], each process hears fresh snapshots of the graphs, its
+   own included, instead of the messages [Approx.message] handed out:
+   [Approx.step] must then rebuild G_p from ⟨{p}, ∅⟩ rather than extend
+   it in place. *)
+let matches_reference ((_, build), n, seed, enable_purge, enable_prune, fresh)
+    =
+  let adv = build (Rng.of_int seed) ~n ~seed in
+  let n = Adversary.n adv in
+  let fast =
+    Array.init n (fun self ->
+        Approx.create ~enable_purge ~enable_prune ~n ~self ())
+  in
+  let dense =
+    Array.init n (fun self ->
+        Ref_approx.create ~enable_purge ~enable_prune ~n ~self ())
+  in
+  let expect round p what ok =
+    if not ok then
+      QCheck2.Test.fail_reportf "round %d, process %d: %s differs" round p what
+  in
+  (* Each reference graph, copied into an [Lgraph] for comparison. *)
+  let copies = Array.init n (fun self -> Lgraph.create n ~self) in
+  for round = 1 to Adversary.prefix_length adv + n + 2 do
+    let graph = Adversary.graph adv round in
+    let fast_msgs =
+      if fresh then
+        Array.map (fun s -> Lgraph.freeze (Approx.graph_view s)) fast
+      else Array.map Approx.message fast
+    in
+    let dense_msgs = Array.map Ref_approx.message dense in
+    let label_bits = Bitio.width_for (round + 1) in
+    Array.iteri
+      (fun p m ->
+        expect round p "message bit length"
+          (Codec.frozen_bit_length m ~label_bits
+          = Codec.header_bits ~n
+            + Ref_lgraph.encoded_bits dense_msgs.(p) ~label_bits))
+      fast_msgs;
+    let received msgs q p =
+      if Digraph.mem_edge graph p q then Some msgs.(p) else None
+    in
+    Array.iteri
+      (fun q s -> Approx.step s ~round ~received:(received fast_msgs q))
+      fast;
+    Array.iteri
+      (fun q s -> Ref_approx.step s ~round ~received:(received dense_msgs q))
+      dense;
+    Array.iteri
+      (fun p s ->
+        let d = dense.(p) in
+        let g = Approx.graph_view s and h = Ref_approx.graph_view d in
+        expect round p "PT" (Bitset.equal (Approx.pt s) (Ref_approx.pt d));
+        expect round p "node set"
+          (Bitset.equal (Lgraph.nodes g) (Ref_lgraph.nodes h));
+        (* [Lgraph.equal] compares the whole label matrix, absent edges
+           (label 0) included; [same_support] the presence rows. *)
+        let h' = copies.(p) in
+        Lgraph.reset h' ~self:p;
+        Bitset.iter (Lgraph.add_node h') (Ref_lgraph.nodes h);
+        Ref_lgraph.iter_edges h (fun q v label -> Lgraph.set_edge h' q v ~label);
+        expect round p "labels"
+          (Lgraph.equal g h' && Lgraph.same_support g (Lgraph.freeze h'));
+        expect round p "strong connectivity"
+          (Approx.is_strongly_connected s = Ref_approx.is_strongly_connected d))
+      fast
+  done;
+  true
+
+let prop_matches_reference =
+  QCheck2.Test.make ~count:30 ~print:print_reference_case
+    ~name:"matches the dense reference, round by round" gen_reference_case
+    matches_reference
+
 let tests =
   [
     Alcotest.test_case "Observation 1" `Quick test_observation1;
@@ -282,9 +427,10 @@ let tests =
     Alcotest.test_case "root members reach SC (Lemma 11)" `Quick
       test_root_members_become_strongly_connected;
     Alcotest.test_case "misuse rejected" `Quick test_approx_misuse;
-    Alcotest.test_case "message is a copy" `Quick test_message_is_copy;
+    Alcotest.test_case "message is a snapshot" `Quick test_message_is_snapshot;
     Alcotest.test_case "no purge -> Obs1 violated" `Quick
       test_purge_disabled_violates_obs1;
     Alcotest.test_case "ablated variants never invent edges" `Quick
       test_combined_ablations_still_sound_edges;
   ]
+  @ [ QCheck_alcotest.to_alcotest prop_matches_reference ]

@@ -82,7 +82,15 @@ let test_iter_order () =
   Alcotest.(check (list int)) "elements sorted" [ 0; 31; 63; 64; 99 ]
     (Bitset.elements s);
   check_int "min_elt" 0 (Bitset.min_elt s);
-  check_int "fold count" 5 (Bitset.fold (fun _ acc -> acc + 1) s 0)
+  check_int "fold count" 5 (Bitset.fold (fun _ acc -> acc + 1) s 0);
+  (* 62 and 125 are the sign bits of their words. *)
+  let s = Bitset.of_list 130 [ 129; 125; 64; 63; 62; 61; 0 ] in
+  Alcotest.(check (list int)) "sign-bit elements sorted"
+    [ 0; 61; 62; 63; 64; 125; 129 ] (Bitset.elements s);
+  check_int "min_elt at a sign bit" 62
+    (Bitset.min_elt (Bitset.of_list 130 [ 125; 62 ]));
+  check_int "min_elt at the second sign bit" 125
+    (Bitset.min_elt (Bitset.of_list 130 [ 129; 125 ]))
 
 let test_min_elt_empty () =
   let s = Bitset.create 8 in

@@ -63,13 +63,17 @@ let prop_bitio_roundtrip =
 
 (* --- Codec --- *)
 
+(* n also takes the word-boundary sizes, where the presence rows of
+   [Lgraph] span one, two and three 63-bit words. *)
 let gen_lgraph =
   QCheck2.Gen.(
-    let* n = int_range 2 12 in
+    let* n =
+      oneof [ int_range 2 12; oneofl [ 1; 62; 63; 64; 130 ] ]
+    in
     let edge =
       triple (int_bound (n - 1)) (int_bound (n - 1)) (int_range 1 30)
     in
-    let+ es = list_size (int_bound 20) edge in
+    let+ es = list_size (int_bound (max 20 (2 * n))) edge in
     let g = Lgraph.create n ~self:0 in
     List.iter (fun (q, p, l) -> Lgraph.set_edge g q p ~label:l) es;
     g)
@@ -126,6 +130,18 @@ let prop_codec_length =
       = Codec.header_bits ~n:(Lgraph.capacity g)
         + Lgraph.encoded_bits g ~label_bits:5)
 
+let prop_frozen_length =
+  QCheck2.Test.make ~count:300
+    ~name:"snapshot length = thawed encoded length = real length" gen_lgraph
+    (fun g ->
+      let f = Lgraph.freeze g in
+      let w = Bitio.writer () in
+      Codec.write g ~label_bits:5 w;
+      let bits = Codec.frozen_bit_length f ~label_bits:5 in
+      bits = Codec.encoded_bit_length (Lgraph.thaw f) ~label_bits:5
+      && bits = Bitio.bit_length w
+      && Bytes.length (Codec.encode g ~label_bits:5) = (bits + 7) / 8)
+
 let tests =
   [
     Alcotest.test_case "bitio roundtrip" `Quick test_bitio_roundtrip_simple;
@@ -138,4 +154,9 @@ let tests =
     Alcotest.test_case "codec malformed input" `Quick test_codec_malformed_input;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_bitio_roundtrip; prop_codec_roundtrip; prop_codec_length ]
+      [
+        prop_bitio_roundtrip;
+        prop_codec_roundtrip;
+        prop_codec_length;
+        prop_frozen_length;
+      ]

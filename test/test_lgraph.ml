@@ -56,7 +56,7 @@ let test_merge_max () =
   let b = Lgraph.create 4 ~self:1 in
   Lgraph.set_edge b 1 0 ~label:4;
   Lgraph.set_edge b 3 1 ~label:1;
-  Lgraph.merge_max_into ~into:a b;
+  Lgraph.merge_max_into ~into:a (Lgraph.freeze b);
   check_int "max taken" 4 (Lgraph.label a 1 0);
   check_int "kept larger" 5 (Lgraph.label a 2 0);
   check_int "new edge" 1 (Lgraph.label a 3 1);
@@ -148,29 +148,53 @@ let test_copy_equal () =
   Lgraph.set_edge h 2 0 ~label:1;
   check "independent" false (Lgraph.equal g h)
 
-(* Property: merge_max_into is commutative and idempotent on label level. *)
+(* Properties.  n is 6, or one of the sizes where the presence rows span
+   one, two or three 63-bit words, or the single-node universe. *)
 
-let gen_lgraph =
+let gen_n = QCheck2.Gen.(oneof [ return 6; oneofl [ 1; 62; 63; 64; 130 ] ])
+
+let gen_lgraph_on n =
   QCheck2.Gen.(
-    let n = 6 in
     let edge = triple (int_bound (n - 1)) (int_bound (n - 1)) (int_range 1 9) in
-    let+ es = list_size (int_bound 15) edge in
+    let+ es = list_size (int_bound (max 15 (2 * n))) edge in
     let g = Lgraph.create n ~self:0 in
     List.iter (fun (q, p, l) -> Lgraph.set_edge g q p ~label:l) es;
     g)
 
+let gen_lgraph = QCheck2.Gen.(gen_n >>= gen_lgraph_on)
+
+(* Two graphs on one universe: unrelated, or the second derived from the
+   first by new labels, a removed edge or an extra node. *)
+let gen_pair =
+  QCheck2.Gen.(
+    let* n = gen_n in
+    let* a = gen_lgraph_on n in
+    let* b = gen_lgraph_on n in
+    let* v = int_bound (n - 1) in
+    let+ mode = int_bound 3 in
+    if mode = 0 then (a, b)
+    else begin
+      let b' = Lgraph.copy a in
+      (match (mode, Lgraph.edges a) with
+      | 1, es ->
+          List.iter (fun (q, p, l) -> Lgraph.set_edge b' q p ~label:(l + 1)) es
+      | 2, (q, p, _) :: _ -> Lgraph.remove_edge b' q p
+      | _ -> Lgraph.add_node b' v);
+      (a, b')
+    end)
+
 let props =
   [
-    QCheck2.Test.make ~count:200 ~name:"merge_max commutative"
-      (QCheck2.Gen.pair gen_lgraph gen_lgraph) (fun (a, b) ->
+    QCheck2.Test.make ~count:200 ~name:"merge_max commutative" gen_pair
+      (fun (a, b) ->
         let ab = Lgraph.copy a and ba = Lgraph.copy b in
-        Lgraph.merge_max_into ~into:ab b;
-        Lgraph.merge_max_into ~into:ba a;
+        Lgraph.merge_max_into ~into:ab (Lgraph.freeze b);
+        Lgraph.merge_max_into ~into:ba (Lgraph.freeze a);
         Lgraph.equal ab ba);
     QCheck2.Test.make ~count:200 ~name:"merge_max idempotent" gen_lgraph
       (fun a ->
         let aa = Lgraph.copy a in
-        Lgraph.merge_max_into ~into:aa a;
+        Lgraph.merge_max_into ~into:aa (Lgraph.freeze a);
         Lgraph.equal aa a);
     QCheck2.Test.make ~count:200 ~name:"purge removes exactly stale labels"
       (QCheck2.Gen.pair gen_lgraph (QCheck2.Gen.int_range 0 10))
@@ -192,7 +216,30 @@ let props =
         Bitset.for_all (fun v -> Bitset.mem expect v) kept
         && Bitset.for_all
              (fun v -> not (Bitset.mem kept v) || v = 0)
-             (Bitset.diff (Bitset.full 6) expect));
+             (Bitset.diff (Bitset.full (Lgraph.capacity g)) expect));
+    QCheck2.Test.make ~count:200 ~name:"edge_count = length of edges"
+      gen_lgraph (fun g -> Lgraph.edge_count g = List.length (Lgraph.edges g));
+    QCheck2.Test.make ~count:200
+      ~name:"same_support iff equal nodes and digraphs" gen_pair (fun (a, b) ->
+        Lgraph.same_support a (Lgraph.freeze b)
+        = (Bitset.equal (Lgraph.nodes a) (Lgraph.nodes b)
+          && Digraph.equal (Lgraph.to_digraph a) (Lgraph.to_digraph b)));
+    QCheck2.Test.make ~count:200 ~name:"thaw (freeze g) = g" gen_lgraph
+      (fun g ->
+        let g' = Lgraph.thaw (Lgraph.freeze g) in
+        Lgraph.equal g g' && Lgraph.same_support g' (Lgraph.freeze g));
+    QCheck2.Test.make ~count:200
+      ~name:"merging a snapshot = merging its thawed graph" gen_pair
+      (fun (a, b) ->
+        let f = Lgraph.freeze b in
+        let merged = Lgraph.copy a and expect = Lgraph.copy a in
+        Lgraph.merge_max_into ~into:merged f;
+        let b' = Lgraph.thaw f in
+        Bitset.iter (Lgraph.add_node expect) (Lgraph.nodes b');
+        Lgraph.iter_edges b' (fun q p l ->
+            if l > Lgraph.label expect q p then Lgraph.set_edge expect q p ~label:l);
+        Lgraph.equal merged expect
+        && Lgraph.same_support merged (Lgraph.freeze expect));
   ]
 
 let tests =
