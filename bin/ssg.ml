@@ -668,7 +668,7 @@ let route_cmd =
   in
   let request_timeout_arg =
     let doc =
-      "Reply deadline of one forwarded exchange — a mute backend becomes        a failover after this long, not a hang."
+      "Reply deadline of each forwarded request: one left unanswered this        long fails its backend link, and every job in flight on the link        fails over — a mute backend becomes a failover, not a hang."
     in
     Arg.(value & opt float 30. & info [ "request-timeout" ] ~docv:"SECONDS" ~doc)
   in
@@ -1061,20 +1061,7 @@ let trace_cmd =
         let pulled =
           Fun.protect
             ~finally:(fun () -> Ssg_engine.Client.close c)
-            (fun () ->
-              try Ssg_engine.Client.trace_pull c
-              with Failure _ ->
-                (* A pre-Trace_pull peer: degrade to the plain drain,
-                   anchor-less (epoch 0 stays unshifted). *)
-                [
-                  {
-                    Ssg_obs.Tracer.role = "worker";
-                    pid = 0;
-                    epoch_s = 0.;
-                    dropped_events = 0;
-                    events = Ssg_engine.Client.trace c;
-                  };
-                ])
+            (fun () -> Ssg_engine.Client.trace_pull c)
         in
         edge @ pulled
       with
@@ -1190,7 +1177,7 @@ let gateway_cmd =
   in
   let backend_deadline_arg =
     let doc =
-      "Liveness deadline on the pipelined backend connection: total        silence for this long fails the in-flight requests with 502s."
+      "Reply deadline of each request on the pipelined backend        connection: one left unanswered this long fails the connection        and its in-flight requests with 502s."
     in
     Arg.(value & opt float 30. & info [ "backend-deadline" ] ~docv:"SECONDS" ~doc)
   in

@@ -5,6 +5,7 @@ module Metrics = Ssg_obs.Metrics
 module Tracer = Ssg_obs.Tracer
 module Transport = Ssg_net.Transport
 module Listener = Ssg_net.Listener
+module Mux = Ssg_net.Mux
 open Ssg_engine
 
 (* Per-shard metric slot.  Members come and go at runtime (Join/Leave),
@@ -23,6 +24,9 @@ type shard = {
 type t = {
   registry : Registry.t;
   request_timeout_s : float;
+  links_lock : Mutex.t;  (* guards [links] and [stopped] *)
+  links : (string, Mux.t) Hashtbl.t;  (* one pipelined link per backend *)
+  mutable stopped : bool;  (* set by [close_links]: no link is dialed after *)
   metrics : Metrics.t;
   routed : Metrics.counter;
   failovers : Metrics.counter;
@@ -70,28 +74,83 @@ let shard_for t addr =
 
 let backends t = Registry.backends t.registry
 
-(* One forwarded exchange: fresh connection (Unix-domain connects are
-   cheap and a per-request descriptor keeps failover semantics exact —
-   no poisoned pooled connection can leak between jobs), no connect
-   retries (the router does its own failover instead), reply deadline
-   armed so a mute backend costs [request_timeout_s], not forever.
-   Job-bearing exchanges feed the router→worker hop histogram; control
-   exchanges (stats, metrics, trace pulls) do not — the hop family
-   decomposes request latency, not management traffic. *)
-let forward ?ctx t addr request =
-  let c =
-    Client.connect ~retries:0 ~deadline_s:t.request_timeout_s ~socket:addr ()
+(* The backend's link, dialed on first use and again once it has
+   failed: a failed link is closed, never reused — its in-flight
+   requests were already failed over.  The dial runs outside the lock,
+   so a slow connect stalls only its caller; of two racing dials the
+   loser's link is closed.  Links are only ever closed outside the
+   lock, since failover takes it on a link's reader thread. *)
+let link t addr =
+  match
+    Mutex.protect t.links_lock (fun () ->
+        if t.stopped then failwith "router: stopped";
+        Hashtbl.find_opt t.links addr)
+  with
+  | Some m when Mux.alive m -> m
+  | _ ->
+      let fresh =
+        Mux.create ~deadline_s:t.request_timeout_s
+          (Client.dial ~who:"Router" ~retries:0 [ addr ])
+      in
+      let winner, closed =
+        Mutex.protect t.links_lock (fun () ->
+            match Hashtbl.find_opt t.links addr with
+            | _ when t.stopped -> (None, [ fresh ])
+            | Some m when Mux.alive m -> (Some m, [ fresh ])
+            | stale ->
+                Hashtbl.replace t.links addr fresh;
+                (Some fresh, Option.to_list stale))
+      in
+      List.iter Mux.close closed;
+      match winner with Some m -> m | None -> failwith "router: stopped"
+
+let close_links t =
+  let all =
+    Mutex.protect t.links_lock (fun () ->
+        t.stopped <- true;
+        let all = Hashtbl.fold (fun _ m acc -> m :: acc) t.links [] in
+        Hashtbl.reset t.links;
+        all)
   in
-  Fun.protect
-    ~finally:(fun () -> Client.close c)
-    (fun () ->
-      match request with
-      | Protocol.Submit _ | Protocol.Batch _ ->
-          let t0 = Unix.gettimeofday () in
-          let reply = Client.rpc ?ctx c request in
-          Metrics.observe t.hop_worker (1000. *. (Unix.gettimeofday () -. t0));
-          reply
-      | _ -> Client.rpc ?ctx c request)
+  List.iter Mux.close all
+
+(* One forwarded exchange over the backend's link: [k] gets the decoded
+   reply, or why the exchange failed, exactly once — on the link's
+   reader thread, or on this one when the link cannot take the request.
+   No retries here (the router does its own failover instead); the
+   link's deadline turns a mute backend into a failure after
+   [request_timeout_s], not a hang.  Job-bearing exchanges feed the
+   router→worker hop histogram; control exchanges (stats, metrics,
+   trace pulls) do not — the hop family decomposes request latency,
+   not management traffic. *)
+let forward_cb ?ctx t addr request k =
+  match link t addr with
+  | exception Unix.Unix_error (e, _, _) -> k (Error (Unix.error_message e))
+  | exception Failure msg -> k (Error msg)
+  | m -> (
+      let t0 = Unix.gettimeofday () in
+      let on_reply outcome =
+        (match request with
+        | Protocol.Submit _ | Protocol.Batch _ ->
+            Metrics.observe t.hop_worker (1000. *. (Unix.gettimeofday () -. t0))
+        | _ -> ());
+        k
+          (Result.bind outcome (fun payload ->
+               match Protocol.reply_of_bytes payload with
+               | reply -> Ok reply
+               | exception Failure msg -> Error msg))
+      in
+      match
+        Mux.send_cb
+          ?ctx:(Option.map Ssg_obs.Context.to_wire ctx)
+          m
+          (Protocol.request_to_bytes request)
+          on_reply
+      with
+      | () -> ()
+      | exception Failure msg -> k (Error msg))
+
+let forward ?ctx t addr request = Ivar.wait (forward_cb ?ctx t addr request)
 
 let record_routed t addr =
   Registry.mark_success t.registry addr;
@@ -99,60 +158,62 @@ let record_routed t addr =
   Metrics.incr (shard_for t addr).s_routed
 
 (* Route one job to its ring owner, failing over along the successor
-   list.  A protocol [Error] reply is relayed without failover: it is
-   deterministic (the lint front door), not a shard failure.  [ctx]
-   parents the [router.route] span under the caller's (the gateway's)
-   span and hands the route span's own identity to the backend, making
-   the worker's spans grandchildren of the edge request. *)
-let route_job ?ctx t job =
+   list; [reply] gets the answer exactly once, usually on the owner
+   link's reader thread.  A protocol [Error] reply is relayed without
+   failover: it is deterministic (the lint front door), not a shard
+   failure.  [ctx] parents the [router.route] span under the caller's
+   (the gateway's) span and hands the route span's own identity to the
+   backend, making the worker's spans grandchildren of the edge
+   request.  The span begins on the front connection's reader and ends
+   where the answer arrives. *)
+let route_job ?ctx t job reply =
   let key = Job.key job in
   let key_hex = Printf.sprintf "%Lx" (Ring.hash64 key) in
-  let rec go fwd_ctx attempts = function
+  let fwd_ctx, finish =
+    if Tracer.enabled () then
+      let args = [ ("key", Tracer.Str key_hex) ] in
+      let child =
+        match ctx with
+        | Some c -> Some (Tracer.span_begin_ctx ~args ~ctx:c "router.route")
+        | None ->
+            Tracer.span_begin ~args "router.route";
+            None
+      in
+      ( child,
+        fun answer ->
+          Tracer.span_end "router.route";
+          reply answer )
+    else
+      (* Tracing off here: pass the caller's context through untouched
+         so a tracing backend still parents under the edge span. *)
+      (ctx, reply)
+  in
+  let rec go = function
     | [] ->
         Metrics.incr t.exhausted;
-        Protocol.Error "cluster: no live backend could serve the job"
-    | addr :: rest -> (
-        let outcome =
-          match forward ?ctx:fwd_ctx t addr (Protocol.Submit job) with
-          | (Protocol.Completed _ | Protocol.Error _) as reply -> Ok reply
-          | _unexpected -> Error "unexpected reply kind"
-          | exception Unix.Unix_error (e, _, _) ->
-              Error (Unix.error_message e)
-          | exception Failure msg -> Error msg
-          | exception End_of_file -> Error "backend closed mid-exchange"
-          | exception Sys_error msg -> Error msg
-        in
-        match outcome with
-        | Ok reply ->
-            record_routed t addr;
-            reply
-        | Error reason ->
-            Registry.mark_failure t.registry addr;
-            Log.info (fun m ->
-                m "forward to %s failed (%s), %s" addr reason
-                  (if rest = [] then "no shard left"
-                   else "failing over to the successor shard"));
-            if rest <> [] then begin
-              Metrics.incr t.failovers;
-              if Tracer.enabled () then
-                Tracer.instant "router.failover"
-                  ~args:
-                    [ ("key", Tracer.Str key_hex); ("from", Tracer.Str addr) ]
-            end;
-            go fwd_ctx (attempts + 1) rest)
+        finish (Protocol.Error "cluster: no live backend could serve the job")
+    | addr :: rest ->
+        forward_cb ?ctx:fwd_ctx t addr (Protocol.Submit job) (function
+          | Ok ((Protocol.Completed _ | Protocol.Error _) as answer) ->
+              record_routed t addr;
+              finish answer
+          | Ok _ -> failover addr rest "unexpected reply kind"
+          | Error reason -> failover addr rest reason)
+  and failover addr rest reason =
+    Registry.mark_failure t.registry addr;
+    Log.info (fun m ->
+        m "forward to %s failed (%s), %s" addr reason
+          (if rest = [] then "no shard left"
+           else "failing over to the successor shard"));
+    if rest <> [] then begin
+      Metrics.incr t.failovers;
+      if Tracer.enabled () then
+        Tracer.instant "router.failover"
+          ~args:[ ("key", Tracer.Str key_hex); ("from", Tracer.Str addr) ]
+    end;
+    go rest
   in
-  let run fwd_ctx = go fwd_ctx 0 (Registry.candidates t.registry key) in
-  if Tracer.enabled () then
-    let args = [ ("key", Tracer.Str key_hex) ] in
-    match ctx with
-    | Some c ->
-        Tracer.with_span_ctx ~args ~ctx:c "router.route" (fun child ->
-            run (Some child))
-    | None -> Tracer.with_span ~args "router.route" (fun () -> run None)
-  else
-    (* Tracing off here: pass the caller's context through untouched so
-       a tracing backend still parents under the edge span. *)
-    run ctx
+  go (Registry.candidates t.registry key)
 
 let error_completion msg =
   { Job.result = Error msg; cached = false; latency_ms = 0. }
@@ -186,19 +247,21 @@ let route_batch ?ctx t jobs =
     let sub = List.map (fun i -> arr.(i)) indices in
     let fallback () =
       List.iter
-        (fun i -> results.(i) <- completion_of_reply (route_job ?ctx t arr.(i)))
+        (fun i ->
+          results.(i) <-
+            completion_of_reply (Ivar.wait (route_job ?ctx t arr.(i))))
         indices
     in
     if owner = "" then fallback ()
     else
       match forward ?ctx t owner (Protocol.Batch sub) with
-      | Protocol.Batch_completed cs when List.length cs = List.length indices
-        ->
+      | Ok (Protocol.Batch_completed cs)
+        when List.length cs = List.length indices ->
           Registry.mark_success t.registry owner;
           Metrics.add t.routed (List.length indices);
           Metrics.add (shard_for t owner).s_routed (List.length indices);
           List.iter2 (fun i c -> results.(i) <- c) indices cs
-      | _ | (exception _) ->
+      | _ ->
           Registry.mark_failure t.registry owner;
           fallback ()
   in
@@ -218,13 +281,10 @@ let fan_stats t =
   backends t
   |> List.filter_map (fun addr ->
          match forward t addr Protocol.Stats with
-         | Protocol.Stats_snapshot s ->
+         | Ok (Protocol.Stats_snapshot s) ->
              Registry.mark_success t.registry addr;
              Some (addr, s)
          | _ ->
-             Registry.mark_failure t.registry addr;
-             None
-         | exception _ ->
              Registry.mark_failure t.registry addr;
              None)
 
@@ -235,33 +295,14 @@ let merged_stats t =
       Protocol.Stats_snapshot (Telemetry.merge (List.map snd reports))
 
 (* Fleet trace pull: relay [Trace_pull] to every backend and prepend
-   the router's own report.  A pre-context backend answers the unknown
-   tag with a protocol [Error] (and drops the connection) — fall back
-   to the legacy [Trace] op for it, wrapped in an anchor-less report
-   ([epoch_s = 0]: the stitcher leaves it unshifted). *)
+   the router's own report. *)
 let fleet_reports t =
-  let legacy addr =
-    match forward t addr Protocol.Trace with
-    | Protocol.Trace_events events ->
-        [
-          {
-            Tracer.role = "worker";
-            pid = 0;
-            epoch_s = 0.;
-            dropped_events = 0;
-            events;
-          };
-        ]
-    | _ -> []
-    | exception _ -> []
-  in
   let backend_reports =
     backends t
     |> List.concat_map (fun addr ->
            match forward t addr Protocol.Trace_pull with
-           | Protocol.Trace_reports reports -> reports
-           | _ -> legacy addr
-           | exception _ -> legacy addr)
+           | Ok (Protocol.Trace_reports reports) -> reports
+           | _ -> [])
   in
   Tracer.report_here ~role:"router" () :: backend_reports
 
@@ -347,6 +388,9 @@ let create ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
     {
       registry;
       request_timeout_s;
+      links_lock = Mutex.create ();
+      links = Hashtbl.create 8;
+      stopped = false;
       metrics;
       routed =
         counter "ssg_router_jobs_routed_total"
@@ -414,11 +458,11 @@ let push_entries t entries =
       List.fold_left
         (fun landed batch ->
           match forward t owner (Protocol.Transfer batch) with
-          | Protocol.Transferred n ->
+          | Ok (Protocol.Transferred n) ->
               Registry.mark_success t.registry owner;
               landed + n
-          | _ -> landed
-          | exception _ ->
+          | Ok _ -> landed
+          | Error _ ->
               Registry.mark_failure t.registry owner;
               landed)
         landed
@@ -427,9 +471,9 @@ let push_entries t entries =
 
 let export_from t donor =
   match forward t donor (Protocol.Export handoff_export_limit) with
-  | Protocol.Entries entries -> entries
-  | _ -> []
-  | exception _ ->
+  | Ok (Protocol.Entries entries) -> entries
+  | Ok _ -> []
+  | Error _ ->
       Registry.mark_failure t.registry donor;
       []
 
@@ -482,53 +526,61 @@ let fan_compact t =
   List.fold_left
     (fun total addr ->
       match forward t addr Protocol.Compact with
-      | Protocol.Compacted n -> total + n
-      | _ -> total
-      | exception _ -> total)
+      | Ok (Protocol.Compacted n) -> total + n
+      | _ -> total)
     0 (Registry.up t.registry)
 
 (* ---------------- the front-end socket server ---------------- *)
 
 (* The router's answer to one request; the connection loop around it
    is the worker's ({!Conn}), so both front ends speak the same two
-   dialects and one slow shard does not head-of-line-block a
-   pipelining client. *)
-let handle t listener ?ctx = function
-  | Protocol.Submit job -> route_job ?ctx t job
-  | Protocol.Batch jobs -> route_batch ?ctx t jobs
-  | Protocol.Stats -> merged_stats t
-  | Protocol.Metrics -> Protocol.Metrics_text (metrics_text t)
-  | Protocol.Trace -> Protocol.Trace_events (Tracer.events ())
-  | Protocol.Trace_pull -> Protocol.Trace_reports (fleet_reports t)
-  | Protocol.Join addr -> (
-      match Transport.of_string_exn addr with
-      | exception (Invalid_argument msg | Failure msg) ->
-          Protocol.Error ("join: bad address: " ^ msg)
-      | a ->
-          let canonical = Transport.to_string a in
-          if t.self_addr = Some canonical then
-            Protocol.Error "join: the router cannot be its own backend"
-          else begin
-            (* The Ack goes out only after any warm handoff ran, so a
-               joiner knows its cache is seeded once admitted. *)
-            admit t canonical;
-            Protocol.Ack
-          end)
-  | Protocol.Leave addr -> (
-      match Transport.of_string_exn addr with
-      | exception (Invalid_argument msg | Failure msg) ->
-          Protocol.Error ("leave: bad address: " ^ msg)
-      | a ->
-          retire t (Transport.to_string a);
-          Protocol.Ack)
-  | Protocol.Compact -> Protocol.Compacted (fan_compact t)
+   dialects.  A job is answered from its backend link's reader
+   ([Async]: no thread waits on it), so one slow shard does not
+   head-of-line-block a pipelining client; fan-outs and membership
+   changes wait on a replier thread. *)
+let handle t listener ?ctx request =
+  let open Conn in
+  match request with
+  | Protocol.Submit job -> Async (route_job ?ctx t job)
+  | Protocol.Batch jobs -> Later (fun () -> route_batch ?ctx t jobs)
+  | Protocol.Stats -> Later (fun () -> merged_stats t)
+  | Protocol.Metrics -> Later (fun () -> Protocol.Metrics_text (metrics_text t))
+  | Protocol.Trace -> Now (Protocol.Trace_events (Tracer.events ()))
+  | Protocol.Trace_pull ->
+      Later (fun () -> Protocol.Trace_reports (fleet_reports t))
+  | Protocol.Join addr ->
+      Later
+        (fun () ->
+          match Transport.of_string_exn addr with
+          | exception (Invalid_argument msg | Failure msg) ->
+              Protocol.Error ("join: bad address: " ^ msg)
+          | a ->
+              let canonical = Transport.to_string a in
+              if t.self_addr = Some canonical then
+                Protocol.Error "join: the router cannot be its own backend"
+              else begin
+                (* The Ack goes out only after any warm handoff ran, so
+                   a joiner knows its cache is seeded once admitted. *)
+                admit t canonical;
+                Protocol.Ack
+              end)
+  | Protocol.Leave addr ->
+      Later
+        (fun () ->
+          match Transport.of_string_exn addr with
+          | exception (Invalid_argument msg | Failure msg) ->
+              Protocol.Error ("leave: bad address: " ^ msg)
+          | a ->
+              retire t (Transport.to_string a);
+              Protocol.Ack)
+  | Protocol.Compact -> Later (fun () -> Protocol.Compacted (fan_compact t))
   | Protocol.Export _ | Protocol.Transfer _ ->
       (* Handoff ops terminate at workers; the router only issues them. *)
-      Protocol.Error "handoff ops are worker-facing"
+      Now (Protocol.Error "handoff ops are worker-facing")
   | Protocol.Shutdown ->
       Log.info (fun m -> m "router shutdown requested");
       Listener.stop listener;
-      Protocol.Shutting_down
+      Now Protocol.Shutting_down
 
 let serve ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
     ?request_timeout_s ?(max_connections = 256) ?(max_inflight = 32)
@@ -566,5 +618,6 @@ let serve ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
       Protocol.write_reply_fd fd (Protocol.Error "router at connection limit"))
     (Conn.serve ~max_inflight ~handle:(handle t listener));
   Registry.stop t.registry;
+  close_links t;
   Listener.close listener;
   Log.app (fun m -> m "ssg router stopped")

@@ -9,13 +9,22 @@
     backend as a sub-batch concurrently, and reassembled in submission
     order.
 
-    Failover: when the owner cannot serve — connect refused, reply
-    deadline exceeded, undecodable reply, died mid-exchange — the job
-    is retried on the next shard in ring order ({!Ring.successors}),
-    the failure is reported to the {!Registry} (so [down_after]
+    Backend links: the router holds one pipelined {!Ssg_net.Mux}
+    connection per backend, dialed on first use, and every forward —
+    jobs, batches, fan-outs, handoff — goes over it.  A job is sent on
+    the front connection's reader and completed from the backend
+    link's reader callback, so a forwarded job costs no thread and no
+    connection.  A link that fails is closed and redialed on its next
+    use, never reused.
+
+    Failover: when the owner cannot serve — connect refused, its link
+    failed or past its deadline, undecodable reply — the job is
+    retried on the next shard in ring order ({!Ring.successors}), the
+    failure is reported to the {!Registry} (so [down_after]
     consecutive failures take the shard out of the ring until a probe
     or forward succeeds again), and the router's failover counter
-    moves.  A backend's {e protocol-level} [Error] reply (a lint
+    moves.  When a link fails, every job in flight on it fails over
+    this way.  A backend's {e protocol-level} [Error] reply (a lint
     rejection, say) is relayed verbatim with no failover: it is the
     job's fault and would fail identically on every shard.
 
@@ -66,8 +75,9 @@
 
     - [vnodes], [down_after], [probe_interval_s], [probe_timeout_s]
       are handed to {!Registry.create};
-    - [request_timeout_s] (default 30) bounds one forwarded exchange
-      — it is the reply deadline on the backend connection, so a mute
+    - [request_timeout_s] (default 30) bounds each forwarded request:
+      the first one to go unanswered that long fails its backend link,
+      and every job in flight on the link fails over, so a mute
       (blackholed) backend turns into a failover, not a hang;
     - [max_connections], [max_inflight], [read_timeout_s],
       [drain_timeout_s] guard the front socket exactly like

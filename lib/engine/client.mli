@@ -65,22 +65,16 @@ val dial :
 
 val close : t -> unit
 
-(** [rpc ?ctx c request] — one raw request/reply exchange, no
-    reply-shape checking: what the cluster router uses to forward a
-    client's request verbatim and relay whatever the backend answered.
-    [ctx], when given, travels in the additive context envelope
+(** [submit ?ctx c job] — the job's completion (cache-hit flag, latency,
+    and the outcome or the execution error).  [ctx], when given,
+    travels in the additive context envelope
     ({!Ssg_net.Frame.with_ctx}) so the server's spans for this request
     adopt it as their remote parent; omit it and the wire bytes are
     exactly the pre-context protocol.
-    @raise Failure on an exceeded deadline or an undecodable reply,
-    [End_of_file] / [Unix.Unix_error] when the peer dies mid-exchange. *)
-val rpc : ?ctx:Ssg_obs.Context.t -> t -> Protocol.request -> Protocol.reply
-
-(** [submit ?ctx c job] — the job's completion (cache-hit flag, latency,
-    and the outcome or the execution error).
     @raise Failure on a protocol-level [Error] reply, a corrupt or
     truncated reply frame, an exceeded deadline, or an unexpected reply
-    kind. *)
+    kind; [End_of_file] / [Unix.Unix_error] when the peer dies
+    mid-exchange. *)
 val submit : ?ctx:Ssg_obs.Context.t -> t -> Job.t -> Job.completion
 
 (** [submit_batch c jobs] — completions in submission order. *)
@@ -94,10 +88,7 @@ val trace : t -> Ssg_obs.Tracer.event list
 
 (** [trace_pull c] — the fleet pull: one {!Ssg_obs.Tracer.report} per
     process reached (a worker answers with its own; a router relays the
-    pull to every backend and prepends itself).  A pre-[Trace_pull]
-    server answers with a protocol [Error], surfacing here as
-    [Failure] — callers that want graceful degradation catch it and
-    fall back to {!trace}. *)
+    pull to every backend and prepends itself). *)
 val trace_pull : t -> Ssg_obs.Tracer.report list
 
 (** [metrics_text c] — the server's stats as Prometheus text

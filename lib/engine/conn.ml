@@ -3,6 +3,11 @@ let log_src = Logs.Src.create "ssg.conn" ~doc:"native-protocol connections"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 module Frame = Ssg_net.Frame
 
+type answer =
+  | Now of Protocol.reply
+  | Later of (unit -> Protocol.reply)
+  | Async of ((Protocol.reply -> unit) -> unit)
+
 (* Split the optional context envelope off a request payload and decode
    what is left.  Pre-context clients never send the envelope and take
    the [None] path. *)
@@ -14,11 +19,20 @@ let decode payload =
 (* The request after whose reply the connection carries nothing more. *)
 let final = function Protocol.Shutdown -> true | _ -> false
 
+(* [f] with every call after the first ignored. *)
+let once f =
+  let fired = Atomic.make false in
+  fun x -> if not (Atomic.exchange fired true) then f x
+
 let serve ?telemetry ?(write = Frame.write_fd) ~max_inflight ~handle fd =
   let wlock = Mutex.create () in
+  (* Pipelined requests not yet answered; [serve] returns only once
+     this is back to zero, signalled on [idle]. *)
   let inflight = Atomic.make 0 in
-  (* Set by a pipelined replier that hit a connection-fatal condition
-     (reply write failed or dropped): the reader must stop pipelining. *)
+  let idle_lock = Mutex.create () and idle = Condition.create () in
+  (* Set once a reply could not be written: the connection carries
+     nothing more, and later replies are not even tried — each try could
+     block until the send timer fires. *)
   let broken = Atomic.make false in
   let send ?id reply =
     let payload = Protocol.reply_to_bytes reply in
@@ -27,43 +41,92 @@ let serve ?telemetry ?(write = Frame.write_fd) ~max_inflight ~handle fd =
     in
     (* EPIPE / ECONNRESET: the peer vanished between request and reply;
        the connection closes without touching the daemon. *)
-    match Mutex.protect wlock (fun () -> write fd payload) with
+    match
+      Mutex.protect wlock (fun () ->
+          if Atomic.get broken then failwith "connection broken";
+          write fd payload)
+    with
     | () -> true
-    | exception _ -> false
+    | exception _ ->
+        Atomic.set broken true;
+        false
   in
   let reject ?id msg =
     Option.iter Telemetry.record_rejected_frame telemetry;
     Log.warn (fun m -> m "dropping connection: %s" msg);
     ignore (send ?id (Protocol.Error msg))
   in
-  (* Compute and send the reply to one request; false means the
+  (* Catch-all supervision boundary: reply if possible; the caller then
+     ends the connection. *)
+  let handler_error ?id e =
+    let msg = Printexc.to_string e in
+    Log.warn (fun m -> m "connection handler error: %s" msg);
+    ignore (send ?id (Protocol.Error msg))
+  in
+  (* Answer one request on the reader itself; false means the
      connection must carry no further requests. *)
-  let serve_request ?ctx ?id request =
-    match handle ?ctx request with
+  let inline ?id request answer =
+    match
+      match answer with
+      | Now reply -> reply
+      | Later f -> f ()
+      | Async start -> Ivar.wait start
+    with
     | reply -> send ?id reply && not (final request)
     | exception e ->
-        (* Catch-all supervision boundary: reply if possible, then
-           close. *)
-        let msg = Printexc.to_string e in
-        Log.warn (fun m -> m "connection handler error: %s" msg);
-        ignore (send ?id (Protocol.Error msg));
+        handler_error ?id e;
         false
   in
-  let spawn ?ctx ~id request =
+  (* Answer one request off the reader: a replier thread for [Later],
+     the handler's own callback for [Async]. *)
+  let pipelined ~id answer =
     Atomic.incr inflight;
-    ignore
-      (Thread.create
-         (fun () ->
-           Fun.protect
-             ~finally:(fun () -> Atomic.decr inflight)
-             (fun () ->
-               if not (serve_request ?ctx ~id request) then begin
-                 Atomic.set broken true;
-                 (* Unstick the reader blocked in read. *)
-                 try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-                 with Unix.Unix_error _ -> ()
-               end))
-         ())
+    let finish =
+      once (fun result ->
+          let ok =
+            match result with
+            | Ok reply -> send ~id reply
+            | Error e ->
+                handler_error ~id e;
+                false
+          in
+          if not ok then begin
+            Atomic.set broken true;
+            (* Unstick the reader blocked in read. *)
+            try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
+            with Unix.Unix_error _ -> ()
+          end;
+          if Atomic.fetch_and_add inflight (-1) = 1 then
+            Mutex.protect idle_lock (fun () -> Condition.broadcast idle))
+    in
+    match answer with
+    | Now reply -> finish (Ok reply)
+    | Later f ->
+        ignore
+          (Thread.create
+             (fun () -> finish (try Ok (f ()) with e -> Error e))
+             ())
+    | Async start -> (
+        try start (fun reply -> finish (Ok reply)) with e -> finish (Error e))
+  in
+  let dispatch ?ctx ?id request =
+    match handle ?ctx request with
+    | exception e ->
+        handler_error ?id e;
+        false
+    | answer -> (
+        match (answer, id) with
+        | (Later _ | Async _), Some id
+          when (not (final request)) && Atomic.get inflight < max_inflight ->
+            pipelined ~id answer;
+            true
+        | _ ->
+            (* Answers that need no waiting, plain requests (answered in
+               order), Shutdown (never pipelined past), and everything
+               past the cap: the reader does the work itself, so the
+               socket is not read again until this request completes
+               and a flooding client is throttled by its own pipe. *)
+            inline ?id request answer)
   in
   let rec loop () =
     if not (Atomic.get broken) then
@@ -86,27 +149,19 @@ let serve ?telemetry ?(write = Frame.write_fd) ~max_inflight ~handle fd =
                      the connection — a peer speaking a broken dialect
                      gets no further pipeline. *)
                   reject msg
-              | ctx, request -> if serve_request ?ctx request then loop ())
+              | ctx, request -> if dispatch ?ctx request then loop ())
           | Frame.Id (id, payload) -> (
               match decode payload with
               | exception Failure msg -> reject ~id msg
-              | ctx, request
-                when final request || Atomic.get inflight >= max_inflight ->
-                  (* Shutdown is never pipelined past, and at the cap the
-                     reader does the work itself: the socket is not read
-                     again until this request completes, so a flooding
-                     client is throttled by its own pipe. *)
-                  if serve_request ?ctx ~id request then loop ()
-              | ctx, request ->
-                  spawn ?ctx ~id request;
-                  loop ()))
+              | ctx, request -> if dispatch ?ctx ~id request then loop ()))
   in
-  (* In-flight repliers still hold the fd: closing it before they finish
-     would race their writes onto a reused descriptor.  Wait them out —
-     a dead peer fails their writes promptly. *)
+  (* Pipelined answers still hold the fd: closing it before they are
+     written would race their writes onto a reused descriptor.  Wait
+     them out — a dead peer fails their writes promptly. *)
   Fun.protect
     ~finally:(fun () ->
-      while Atomic.get inflight > 0 do
-        Thread.delay 0.002
-      done)
+      Mutex.protect idle_lock (fun () ->
+          while Atomic.get inflight > 0 do
+            Condition.wait idle idle_lock
+          done))
     loop

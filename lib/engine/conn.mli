@@ -2,32 +2,51 @@
     the worker ({!Server}) and the cluster router run on every accepted
     descriptor.
 
+    The handler classifies each request by the {!answer} it returns:
+    - [Now reply]: the answer needed no waiting (a cache hit, stats);
+      the reader writes it itself, with no thread;
+    - [Later f]: [f] waits (a cache miss queued on the engine's pool, a
+      fan-out to every backend); it runs on a replier thread of its own;
+    - [Async start]: the answer arrives through a callback — [start k]
+      begins the work and [k] is called with the reply, exactly once,
+      on whatever thread completes it (the router's backend link
+      reader), so no thread is spent waiting.
+
     Two dialects share a connection, classified frame by frame
     ({!Ssg_net.Frame.classify}):
-    - {e plain} frames are answered strictly in order, one request at a
-      time;
-    - {e id-framed} requests are dispatched to their own thread, so up
-      to [max_inflight] run at once and replies return in completion
-      order, each carrying its request's id.  Past the cap, and always
-      for [Shutdown], the reader serves the request inline, which stops
-      it pulling further frames: back-pressure, not queueing.
+    - {e plain} frames are answered strictly in order on the reader,
+      one request at a time: a [Later] runs there, an [Async] is waited
+      for there;
+    - {e id-framed} requests run concurrently, so up to [max_inflight]
+      [Later] or [Async] answers are outstanding at once and replies
+      return in completion order, each carrying its request's id.  Past
+      the cap, and always for [Shutdown], the reader answers the
+      request itself as for a plain one, which stops it pulling further
+      frames: back-pressure, not queueing.
 
     Either may carry a trace context envelope, handed to [handle] as
     [ctx].
 
     {b Supervision.}  A frame that cannot be read or decoded is answered
     with an [Error] where the wire still allows one and ends the
-    connection; so does an exception escaping [handle] (its message is
-    the [Error]).  A reply write that fails ends the connection quietly
-    — the peer is gone.  [serve] returns only once every pipelined
-    replier has finished, so the caller may close [fd] right after. *)
+    connection; so does an exception escaping [handle] or a [Later]
+    (its message is the [Error]).  A reply write that fails ends the
+    connection quietly — the peer is gone.  [serve] returns only once
+    every outstanding answer has been written or has failed, so the
+    caller may close [fd] right after. *)
+
+type answer =
+  | Now of Protocol.reply
+  | Later of (unit -> Protocol.reply)
+  | Async of ((Protocol.reply -> unit) -> unit)
 
 (** [serve ~max_inflight ~handle fd] reads requests from [fd] until the
     peer hangs up, a read times out ([SO_RCVTIMEO]), a frame is
     rejected, a reply cannot be written, or [handle] has answered a
     [Shutdown].  It never closes [fd].
-    - [handle ?ctx request] computes the reply; it runs on the reader's
-      thread or a replier's.
+    - [handle ?ctx request] classifies the request; it runs on the
+      reader's thread, so anything that waits belongs in a [Later] or
+      an [Async].
     - [write] (default {!Ssg_net.Frame.write_fd}) writes one reply
       frame; calls are serialized per connection.  Any exception it
       raises ends the connection — this is where a fault plan may
@@ -38,6 +57,6 @@ val serve :
   ?telemetry:Telemetry.t ->
   ?write:(Unix.file_descr -> Bytes.t -> unit) ->
   max_inflight:int ->
-  handle:(?ctx:Ssg_obs.Context.t -> Protocol.request -> Protocol.reply) ->
+  handle:(?ctx:Ssg_obs.Context.t -> Protocol.request -> answer) ->
   Unix.file_descr ->
   unit

@@ -116,11 +116,12 @@ let persist_outcome t ~key outcome =
            ~value:(Protocol.outcome_to_string outcome));
       if Ssg_store.Store.should_compact s then ignore (compact t)
 
-let rec submit_with ?lookup ?ctx t job =
+(* One submission, counted and wrapped in its [engine.submit] span.  A
+   remote context makes the span a child of the sender's span and hands
+   its own identity down to [engine.execute]; without one the spans are
+   anonymous. *)
+let submission ?ctx t job f =
   Telemetry.record_submitted t.telemetry;
-  (* A remote context makes the submit span a child of the sender's
-     span and hands its own identity down to [engine.execute]; without
-     one the spans are anonymous, exactly as before. *)
   let span_ctx =
     match ctx with
     | Some c when Tracer.enabled () ->
@@ -134,7 +135,21 @@ let rec submit_with ?lookup ?ctx t job =
   Fun.protect
     ~finally:(fun () ->
       if Tracer.enabled () then Tracer.span_end "engine.submit")
-    (fun () -> submit_traced ?lookup ?ctx:span_ctx t job)
+    (fun () -> f span_ctx)
+
+let hit t job outcome =
+  Telemetry.record_hit t.telemetry;
+  trace_instant "engine.cache_hit" job;
+  { Job.result = Ok outcome; cached = true; latency_ms = 0. }
+
+let cached ?ctx t job =
+  match locked t (fun () -> Lru.find t.cache (Job.key job)) with
+  | None -> None
+  | Some outcome -> Some (submission ?ctx t job (fun _ -> hit t job outcome))
+
+let rec submit_with ?lookup ?ctx t job =
+  submission ?ctx t job (fun span_ctx ->
+      submit_traced ?lookup ?ctx:span_ctx t job)
 
 and submit_traced ?lookup ?ctx t job =
   let key = Job.key job in
@@ -152,10 +167,7 @@ and submit_traced ?lookup ?ctx t job =
                 `Fresh cell))
   in
   match decision with
-  | `Hit outcome ->
-      Telemetry.record_hit t.telemetry;
-      trace_instant "engine.cache_hit" job;
-      Immediate { Job.result = Ok outcome; cached = true; latency_ms = 0. }
+  | `Hit outcome -> Immediate (hit t job outcome)
   | `In_flight cell ->
       (* Joining an in-flight twin is dedup, not an LRU hit — counting
          it as one inflates the reported cache hit rate. *)

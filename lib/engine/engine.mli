@@ -70,6 +70,14 @@ type ticket
     option costs one branch. *)
 val submit : ?ctx:Ssg_obs.Context.t -> t -> Job.t -> ticket
 
+(** [cached ?ctx t job] — [job]'s completion when its outcome is in the
+    cache, counted and traced exactly like a cache hit through
+    {!submit}; [None] otherwise, with nothing counted or traced (the
+    caller follows up with {!submit}).  It never waits for the queue,
+    the lint gate or a twin in flight, so a connection's reader can
+    answer hits itself. *)
+val cached : ?ctx:Ssg_obs.Context.t -> t -> Job.t -> Job.completion option
+
 (** [rejection ticket] is [Some rendered_diagnostics] iff the submission
     was refused at the lint front door. *)
 val rejection : ticket -> string option

@@ -36,3 +36,8 @@ let peek cell =
   let v = cell.value in
   Mutex.unlock cell.mutex;
   v
+
+let wait start =
+  let cell = create () in
+  start (fun v -> try fill cell v with Invalid_argument _ -> ());
+  read cell

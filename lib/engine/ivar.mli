@@ -20,3 +20,9 @@ val read : 'a t -> 'a
 
 (** [peek cell] is the value if already filled, without blocking. *)
 val peek : 'a t -> 'a option
+
+(** [wait start] calls [start k] and blocks until [k] is first called,
+    on any thread (also from within [start]); returns the value [k] was
+    given.  Later calls of [k] are ignored.  It turns a callback-style
+    operation into a blocking one. *)
+val wait : (('a -> unit) -> unit) -> 'a

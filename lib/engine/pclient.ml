@@ -7,7 +7,7 @@ type 'a ticket = { cell : Mux.ticket; decode : Protocol.reply -> ('a, string) re
 let connect ?retries ?retry_backoff_s ?deadline_s ~socket () =
   {
     mux =
-      Mux.create
+      Mux.create ?deadline_s
         (Client.dial ~who:"Pclient.connect" ?retries ?retry_backoff_s
            ?deadline_s [ socket ]);
   }

@@ -10,7 +10,7 @@
     Failure semantics are explicit rather than exceptional: {!await}
     returns [Error reason] — a protocol-level error (including lint
     rejections, whose diagnostics ride in the message), a dead
-    connection, or an exceeded liveness deadline — so a load generator
+    connection, or a request past its deadline — so a load generator
     can count failures without exception plumbing. *)
 
 type t
@@ -18,9 +18,9 @@ type t
 type 'a ticket
 
 (** [connect ~socket ()] — same address forms, retry schedule and
-    jittered backoff as {!Client.connect}.  [deadline_s] bounds the
-    {e connection's} silence (no reply frame at all for that long fails
-    every outstanding ticket), not each request.
+    jittered backoff as {!Client.connect}.  [deadline_s] bounds each
+    request: the first one left unanswered that long fails the
+    connection and every outstanding ticket ({!Ssg_net.Mux}).
     @raise Unix.Unix_error when nothing listens after all retries.
     @raise Invalid_argument on a malformed address or parameters. *)
 val connect :

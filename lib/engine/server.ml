@@ -46,39 +46,54 @@ let write_reply faults telemetry fd payload =
         faulty_write faults telemetry fd payload)
   else faulty_write faults telemetry fd payload
 
-(* The worker's answer to one request. *)
-let handle engine listener ?ctx = function
+(* A fresh submission: lint gate, enqueue, wait for the pool. *)
+let submit engine ?ctx job =
+  let ticket = Engine.submit ?ctx engine job in
+  match Engine.rejection ticket with
+  | Some diags ->
+      (* A lint rejection is the job's fault, not the connection's:
+         answer with a protocol Error carrying the diagnostics and keep
+         serving. *)
+      Protocol.Error diags
+  | None -> Protocol.Completed (Engine.await engine ticket)
+
+(* The worker's answer to one request: [Now] when it needs no waiting,
+   [Later] (a replier thread) for a miss and the ops that wait or
+   write. *)
+let handle engine listener ?ctx request =
+  let open Conn in
+  match request with
   | Protocol.Submit job -> (
-      let ticket = Engine.submit ?ctx engine job in
-      match Engine.rejection ticket with
-      | Some diags ->
-          (* A lint rejection is the job's fault, not the connection's:
-             answer with a protocol Error carrying the diagnostics and
-             keep serving. *)
-          Protocol.Error diags
-      | None -> Protocol.Completed (Engine.await engine ticket))
+      match Engine.cached ?ctx engine job with
+      | Some completion -> Now (Protocol.Completed completion)
+      | None -> Later (fun () -> submit engine ?ctx job))
   | Protocol.Batch jobs ->
-      Protocol.Batch_completed (Engine.run_batch ?ctx engine jobs)
-  | Protocol.Stats -> Protocol.Stats_snapshot (Engine.stats engine)
-  | Protocol.Trace -> Protocol.Trace_events (Ssg_obs.Tracer.events ())
+      Later
+        (fun () -> Protocol.Batch_completed (Engine.run_batch ?ctx engine jobs))
+  | Protocol.Stats -> Now (Protocol.Stats_snapshot (Engine.stats engine))
+  | Protocol.Trace -> Now (Protocol.Trace_events (Ssg_obs.Tracer.events ()))
   | Protocol.Trace_pull ->
-      Protocol.Trace_reports [ Ssg_obs.Tracer.report_here ~role:"worker" () ]
-  | Protocol.Metrics -> Protocol.Metrics_text (Engine.prometheus engine)
+      Now
+        (Protocol.Trace_reports
+           [ Ssg_obs.Tracer.report_here ~role:"worker" () ])
+  | Protocol.Metrics -> Now (Protocol.Metrics_text (Engine.prometheus engine))
   | Protocol.Join _ | Protocol.Leave _ ->
       (* Membership ops terminate at the router; a worker receiving one
          answers with an Error but keeps the connection — it is a
          misdirected request, not a hostile frame. *)
-      Protocol.Error "not a router: membership ops go to ssg route"
-  | Protocol.Export n -> Protocol.Entries (Engine.export engine n)
+      Now (Protocol.Error "not a router: membership ops go to ssg route")
+  | Protocol.Export n ->
+      Later (fun () -> Protocol.Entries (Engine.export engine n))
   | Protocol.Transfer entries ->
-      Protocol.Transferred (Engine.import engine entries)
-  | Protocol.Compact -> Protocol.Compacted (Engine.compact engine)
+      Later (fun () -> Protocol.Transferred (Engine.import engine entries))
+  | Protocol.Compact ->
+      Later (fun () -> Protocol.Compacted (Engine.compact engine))
   | Protocol.Shutdown ->
       Log.info (fun m -> m "shutdown requested");
       (* Stop before acknowledging: if the reply send fails (dead peer,
          injected fault) the shutdown must still happen. *)
       Listener.stop listener;
-      Protocol.Shutting_down
+      Now Protocol.Shutting_down
 
 let serve ?workers ?queue_capacity ?cache_capacity ?(max_connections = 256)
     ?(max_inflight = 32) ?(read_timeout_s = 30.) ?(drain_timeout_s = 5.)

@@ -9,10 +9,15 @@
     {!Conn} runs the framed-request loop on each connection, in both
     frame dialects — plain in-order request/reply, and id-framed
     pipelining with up to [max_inflight] requests in flight per
-    connection.  The worker adds its own answers to each request, the
-    fault plan on reply writes, the [server.reply_write] span, and the
-    {!Telemetry} counters for rejected frames, reaped connections and
-    refusals at the connection cap.
+    connection.  The connection's reader writes every answer that
+    needs no waiting itself: cache hits ({!Engine.cached}), stats,
+    metrics and trace pulls.  Replier threads exist only for misses
+    (their lint gate, enqueue and wait) and for the control ops
+    that wait or write: [Batch], [Export], [Transfer] and [Compact].
+    The worker adds its own answers to each request, the fault plan on
+    reply writes, the [server.reply_write] span, and the {!Telemetry}
+    counters for rejected frames, reaped connections and refusals at
+    the connection cap.
 
     {b Supervision.}  A malformed frame or job, an oversized header, a
     peer dying mid-frame, a reply write failing with
@@ -43,7 +48,8 @@
       concurrently per connection before the reader applies
       back-pressure.
     - [read_timeout_s] (default 30., [<= 0.] disables): a connection
-      idle or stalled mid-frame for this long is reaped.
+      idle, stalled mid-frame, or not reading its replies for this
+      long is reaped.
     - [drain_timeout_s] (default 5.): how long shutdown waits for
       requests already read to be answered before abandoning their
       connections; idle connections close at once.

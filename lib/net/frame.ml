@@ -98,10 +98,13 @@ let read_fd fd =
    with End_of_file -> failwith "Frame: connection died mid-frame");
   payload
 
+(* Header and payload leave in one write: with TCP_NODELAY, two writes
+   are two segments, and the peer's reader can wake for the header
+   alone. *)
 let write_fd fd payload =
   let len = Bytes.length payload in
   if len > max_frame_bytes then failwith "Frame: frame too large";
-  let header = Bytes.create 4 in
-  Bytes.set_int32_be header 0 (Int32.of_int len);
-  really_write fd header 0 4;
-  really_write fd payload 0 len
+  let frame = Bytes.create (4 + len) in
+  Bytes.set_int32_be frame 0 (Int32.of_int len);
+  Bytes.blit payload 0 frame 4 len;
+  really_write fd frame 0 (4 + len)

@@ -62,8 +62,14 @@ let supervise t handle fd =
 
 let admit t ~read_timeout_s handle fd =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+  (* The send timer bounds a reply write to a peer that stopped reading:
+     replies may be written from a thread other peers wait on (the
+     router's backend link reader), so such a write must fail, not
+     block for good. *)
   (if read_timeout_s > 0. then
-     try Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout_s
+     try
+       Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout_s;
+       Unix.setsockopt_float fd Unix.SO_SNDTIMEO read_timeout_s
      with Unix.Unix_error _ -> ());
   Mutex.protect t.lock (fun () -> Hashtbl.replace t.live fd ());
   ignore (Thread.create (supervise t handle) fd)

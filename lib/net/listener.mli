@@ -3,7 +3,7 @@
 
     A listener owns the listening socket and the supervision of each
     accepted connection: the connection cap (with a refusal the caller
-    writes), [TCP_NODELAY] and the [SO_RCVTIMEO] read timeout on every
+    writes), [TCP_NODELAY] and the read and write timeouts on every
     accepted descriptor, one thread per connection, the close of the
     descriptor once the handler returns, and a shutdown that stops
     accepting, unsticks idle readers, and drains live connections under
@@ -38,8 +38,9 @@ val stopping : t -> bool
     - [max_connections]: a connection accepted while this many are
       live is passed to [refuse] (exceptions ignored) and closed, never
       to [handle].
-    - [read_timeout_s] ([<= 0.] disables): [SO_RCVTIMEO] on each
-      accepted descriptor, so a stalled read raises
+    - [read_timeout_s] ([<= 0.] disables): [SO_RCVTIMEO] and
+      [SO_SNDTIMEO] on each accepted descriptor, so a stalled read, or
+      a write to a peer that stopped reading, raises
       [Unix_error (EAGAIN | EWOULDBLOCK)] in the handler.
     - [drain_timeout_s]: on stop, the listening socket is closed and
       the receive side of every live connection is shut — idle readers

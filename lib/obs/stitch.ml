@@ -6,9 +6,9 @@
    Unix seconds.  The stitcher anchors the fleet at the earliest
    epoch and shifts every other process's events forward by the epoch
    delta — so one request's spans line up across tracks even though
-   no two processes ever shared a clock.  A report with [epoch_s = 0]
-   (a pre-context peer answered the legacy [Trace] op, which carries
-   no anchor) is left unshifted.
+   no two processes ever shared a clock.  A report with no positive
+   [epoch_s] has no anchor to align by (reports fetched over HTTP are
+   parsed, not trusted), so it is left unshifted.
 
    Display pids are synthesized (1, 2, …) so two reports from the
    same OS process — the in-process test fleet — still get distinct

@@ -6,8 +6,8 @@
     epoch as absolute seconds.  {!chrome_of_reports} anchors the fleet
     at the earliest epoch and shifts every other process's events by
     its epoch delta, so spans of one request line up across tracks.
-    Reports with [epoch_s = 0] (legacy peers that answered the
-    anchor-less [Trace] op) are left unshifted.
+    Reports without a positive [epoch_s] (no anchor to align by) are
+    left unshifted.
 
     {b Identity.}  Display pids are synthesized (1, 2, … in report
     order) so reports from the same OS process still get distinct

@@ -607,6 +607,186 @@ let test_router_chaos_kill_heal () =
   stop_worker w2 healed_thread;
   stop_worker w3 t3
 
+(* ---------------- router: backend links ---------------- *)
+
+(* A counting proxy in front of a real worker: it counts the
+   connections it accepts, pipes each one to the worker, and can drop
+   every live connection at once. *)
+type proxy = {
+  p_socket : string;
+  p_listen : Unix.file_descr;
+  p_accepts : int Atomic.t;
+  p_lock : Mutex.t;
+  mutable p_live : Unix.file_descr list;  (* both ends of each pipe *)
+  mutable p_threads : Thread.t list;
+}
+
+let start_proxy target =
+  let socket = fresh_socket () in
+  if Sys.file_exists socket then Sys.remove socket;
+  let listen = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listen (Unix.ADDR_UNIX socket);
+  Unix.listen listen 16;
+  let p =
+    {
+      p_socket = socket;
+      p_listen = listen;
+      p_accepts = Atomic.make 0;
+      p_lock = Mutex.create ();
+      p_live = [];
+      p_threads = [];
+    }
+  in
+  let pump src dst =
+    let buf = Bytes.create 65536 in
+    let rec go () =
+      match Unix.read src buf 0 (Bytes.length buf) with
+      | 0 | (exception Unix.Unix_error _) -> ()
+      | n -> (
+          match Unix.write dst buf 0 n with
+          | _ -> go ()
+          | exception Unix.Unix_error _ -> ())
+    in
+    go ();
+    try Unix.shutdown dst Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ()
+  in
+  let rec accept_loop () =
+    match Unix.accept listen with
+    | exception Unix.Unix_error _ -> () (* the listener was shut down *)
+    | client, _ ->
+        Atomic.incr p.p_accepts;
+        let upstream = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect upstream (Unix.ADDR_UNIX target);
+        Mutex.protect p.p_lock (fun () ->
+            p.p_live <- client :: upstream :: p.p_live;
+            p.p_threads <-
+              Thread.create (fun () -> pump client upstream) ()
+              :: Thread.create (fun () -> pump upstream client) ()
+              :: p.p_threads);
+        accept_loop ()
+  in
+  let acceptor = Thread.create accept_loop () in
+  Mutex.protect p.p_lock (fun () -> p.p_threads <- acceptor :: p.p_threads);
+  p
+
+(* Cut every live connection, as a crashed link would. *)
+let drop_connections p =
+  Mutex.protect p.p_lock (fun () ->
+      List.iter
+        (fun fd ->
+          try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+        p.p_live)
+
+let stop_proxy p =
+  (try Unix.shutdown p.p_listen Unix.SHUTDOWN_ALL
+   with Unix.Unix_error _ -> ());
+  drop_connections p;
+  List.iter Thread.join p.p_threads;
+  List.iter Unix.close (p.p_listen :: p.p_live);
+  Sys.remove p.p_socket
+
+let canonical addr = Ssg_net.Transport.(to_string (of_string_exn addr))
+
+(* Poll [f] until it holds. *)
+let wait_until what f =
+  let rec go tries =
+    if tries = 0 then Alcotest.fail (what ^ ": never happened");
+    if not (f ()) then begin
+      Thread.delay 0.01;
+      go (tries - 1)
+    end
+  in
+  go 1000
+
+let worker_submitted socket =
+  let c = Client.connect ~socket ~deadline_s:10. () in
+  Fun.protect
+    ~finally:(fun () -> Client.close c)
+    (fun () -> (Client.stats c).Telemetry.jobs_submitted)
+
+let test_router_one_link_per_backend () =
+  (* The router forwards every job over one pipelined link per backend:
+     20 jobs cost the prober's first probe plus one dial, not a dial
+     each. *)
+  let w, wt = start_worker () in
+  let p = start_proxy w in
+  let router, rt =
+    start_router ~probe_interval_s:60. ~backends:[ p.p_socket ] ()
+  in
+  let c = Client.connect ~socket:router ~deadline_s:10. () in
+  for i = 1 to 20 do
+    let completion = Client.submit c (sample_job ~seed:(300 + i) ()) in
+    check "routed job ok" true (Result.is_ok completion.Job.result)
+  done;
+  Client.close c;
+  let accepts = Atomic.get p.p_accepts in
+  check
+    (Printf.sprintf "%d backend connections for 20 jobs, at most 2" accepts)
+    true (accepts <= 2);
+  stop_router router rt;
+  stop_proxy p;
+  stop_worker w wt
+
+let test_router_dropped_link_fails_over () =
+  (* The owner's link drops with jobs in flight on it: each of them is
+     answered by the successor shard, the failover counter moves, and
+     the next job for the owner dials a fresh link. *)
+  let w1, t1 =
+    start_worker ~faults:(Faults.create ~slow_every:1 ~slow_s:0.5 ()) ()
+  in
+  let p = start_proxy w1 in
+  let w2, t2 = start_worker () in
+  let router, rt =
+    start_router ~probe_interval_s:60. ~down_after:1000
+      ~backends:[ p.p_socket; w2 ] ()
+  in
+  let ring = Ring.create [ canonical p.p_socket; canonical w2 ] in
+  let owned_by_proxy =
+    Seq.ints 400
+    |> Seq.map (fun seed -> sample_job ~seed ())
+    |> Seq.filter (fun job ->
+           Ring.owner ring (Job.key job) = Some (canonical p.p_socket))
+    |> Seq.take 4 |> List.of_seq
+  in
+  let in_flight, next =
+    match owned_by_proxy with
+    | [ a; b; c; d ] -> ([ a; b; c ], d)
+    | _ -> Alcotest.fail "the proxy owns too few keys"
+  in
+  let pc = Pclient.connect ~socket:router ~deadline_s:30. () in
+  let tickets = List.map (Pclient.submit pc) in_flight in
+  wait_until "the owner received the jobs" (fun () ->
+      worker_submitted w1 >= 3);
+  let dialed = Atomic.get p.p_accepts in
+  drop_connections p;
+  List.iter
+    (fun ticket ->
+      match Pclient.await ticket with
+      | Ok completion ->
+          check "answered after the drop" true
+            (Result.is_ok completion.Job.result)
+      | Error e -> Alcotest.fail e)
+    tickets;
+  check_int "the successor answered every dropped job" 3 (worker_submitted w2);
+  let c = wait_connect router in
+  let text = Client.metrics_text c in
+  Client.close c;
+  (match prom_counter text "ssg_router_failovers_total" with
+  | Some v -> check "failovers counted" true (v >= 3)
+  | None -> Alcotest.fail "failover counter missing");
+  (match Pclient.await (Pclient.submit pc next) with
+  | Ok completion ->
+      check "next job served" true (Result.is_ok completion.Job.result)
+  | Error e -> Alcotest.fail e);
+  check_int "the next job dialed a fresh link" (dialed + 1)
+    (Atomic.get p.p_accepts);
+  check_int "and reached the owner" 4 (worker_submitted w1);
+  Pclient.close pc;
+  stop_router router rt;
+  stop_proxy p;
+  stop_worker w1 t1;
+  stop_worker w2 t2
+
 (* ---------------- elastic membership: end to end ---------------- *)
 
 (* Poll the router's exposition until a counter satisfies [pred]. *)
@@ -735,6 +915,10 @@ let tests =
       test_router_relays_job_errors_without_failover;
     Alcotest.test_case "router: exhaustion" `Quick
       test_router_exhaustion_is_an_error_reply;
+    Alcotest.test_case "router: one link per backend" `Quick
+      test_router_one_link_per_backend;
+    Alcotest.test_case "router: dropped link fails over and redials" `Quick
+      test_router_dropped_link_fails_over;
     Alcotest.test_case "router: chaos kill/heal 200-job burst" `Slow
       test_router_chaos_kill_heal;
     Alcotest.test_case "router: elastic join + warm handoff" `Quick

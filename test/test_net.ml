@@ -46,12 +46,13 @@ let wait_connect ?(deadline_s = 10.) socket =
   in
   go 100
 
-let start_server ?(workers = 2) ?max_inflight ?faults ?socket () =
+let start_server ?(workers = 2) ?(queue_capacity = 64) ?max_inflight ?faults
+    ?socket () =
   let socket = match socket with Some s -> s | None -> fresh_tcp () in
   let thread =
     Thread.create
       (fun () ->
-        Server.serve ~workers ~queue_capacity:64 ~cache_capacity:64
+        Server.serve ~workers ~queue_capacity ~cache_capacity:64
           ?max_inflight ?faults ~drain_timeout_s:5. ~socket ())
       ()
   in
@@ -336,6 +337,109 @@ let test_mux_plain_reply_is_fatal () =
   Mux.close m;
   Unix.close b
 
+(* A peer that echoes every id-framed request except those whose
+   payload is "mute", until the connection closes. *)
+let echo_peer fd =
+  Thread.create
+    (fun () ->
+      let rec loop () =
+        match Frame.classify (Frame.read_fd fd) with
+        | Frame.Id (_, inner) when Bytes.to_string inner = "mute" -> loop ()
+        | Frame.Id (id, inner) ->
+            Frame.write_fd fd
+              (Frame.with_id ~id (Bytes.cat (Bytes.of_string "ack:") inner));
+            loop ()
+        | Frame.Plain _ -> ()
+        | exception (End_of_file | Failure _ | Unix.Unix_error _) -> ()
+      in
+      loop ();
+      Unix.close fd)
+    ()
+
+let test_mux_deadline_on_a_busy_link () =
+  (* The deadline bounds each request: a request the peer never answers
+     fails the link even while every other request keeps being
+     answered, so the connection never goes silent. *)
+  let deadline_s = 0.4 in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let peer = echo_peer b in
+  let m = Mux.create ~deadline_s a in
+  let muted = Atomic.make None in
+  let t0 = Unix.gettimeofday () in
+  Mux.send_cb m (Bytes.of_string "mute") (fun outcome ->
+      Atomic.set muted (Some (outcome, Unix.gettimeofday () -. t0)));
+  let answered = ref 0 in
+  while Atomic.get muted = None && Unix.gettimeofday () -. t0 < 5. do
+    (match Mux.call m (Bytes.of_string "ping") with
+    | Ok _ -> incr answered
+    | Error _ -> ());
+    Thread.delay 0.02
+  done;
+  (match Atomic.get muted with
+  | Some (Error msg, elapsed) ->
+      check ("the failure names the deadline: " ^ msg) true
+        (contains msg "deadline");
+      check (Printf.sprintf "not before the deadline (%.3f s)" elapsed) true
+        (elapsed >= deadline_s);
+      check
+        (Printf.sprintf "within about twice the deadline (%.3f s)" elapsed)
+        true
+        (elapsed < 2. *. deadline_s)
+  | Some (Ok _, _) -> Alcotest.fail "a muted request was answered"
+  | None -> Alcotest.fail "the muted request never failed");
+  check "other requests were answered meanwhile" true (!answered >= 5);
+  check "the link is dead" false (Mux.alive m);
+  Mux.close m;
+  Thread.join peer
+
+let test_mux_callback_form () =
+  (* Each callback fires exactly once, with the reply or the link's
+     failure; closing the link from a callback, on the reader's own
+     thread, returns. *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let peer = echo_peer b in
+  let m = Mux.create a in
+  let lock = Mutex.create () and all_in = Condition.create () in
+  let calls = Array.make 4 [] in
+  let record i outcome =
+    Mutex.protect lock (fun () ->
+        calls.(i) <- outcome :: calls.(i);
+        Condition.broadcast all_in)
+  in
+  let main = Thread.id (Thread.self ()) in
+  let closer_thread = ref main in
+  (* Three requests the peer never answers, then one it does: its
+     callback closes the link, which fails the other three. *)
+  for i = 0 to 2 do
+    Mux.send_cb m (Bytes.of_string "mute") (record i)
+  done;
+  Mux.send_cb m (Bytes.of_string "last") (fun outcome ->
+      closer_thread := Thread.id (Thread.self ());
+      Mux.close m;
+      record 3 outcome);
+  Mutex.protect lock (fun () ->
+      while not (Array.for_all (fun l -> l <> []) calls) do
+        Condition.wait all_in lock
+      done);
+  check "the closing callback ran on the reader's thread" true
+    (!closer_thread <> main);
+  check "the answered request got its reply" true
+    (calls.(3) = [ Ok (Bytes.of_string "ack:last") ]);
+  for i = 0 to 2 do
+    match calls.(i) with
+    | [ Error msg ] ->
+        check ("failure names the close: " ^ msg) true (contains msg "closed")
+    | _ ->
+        Alcotest.failf "request %d: exactly one failure expected" i
+  done;
+  (match Mux.send_cb m (Bytes.of_string "late") (record 0) with
+  | () -> Alcotest.fail "send on a closed link must raise"
+  | exception Failure _ -> ());
+  Thread.delay 0.05;
+  check "no callback fired twice" true
+    (Array.for_all (fun l -> List.length l = 1) calls);
+  Thread.join peer
+
 let prop_mux_correlation =
   QCheck2.Test.make ~count:40
     ~name:"mux: N interleaved requests correlate under shuffled replies"
@@ -506,9 +610,10 @@ let test_pclient_no_head_of_line_blocking () =
      in-order connection the hit would wait behind the queue; on the
      pipelined connection it overtakes.  The fault plan makes every
      execution sleep, so the worker holds no core while the hit is
-     answered. *)
+     answered.  The pool queue holds two jobs, so most slow submissions
+     block in the enqueue: the hit must not wait behind them either. *)
   let faults = Faults.create ~slow_every:1 ~slow_s:0.2 () in
-  let socket, thread = start_server ~workers:1 ~faults () in
+  let socket, thread = start_server ~workers:1 ~queue_capacity:2 ~faults () in
   let pc = Pclient.connect ~socket ~deadline_s:60. () in
   let warm = good_job () in
   (match Pclient.await (Pclient.submit pc warm) with
@@ -523,8 +628,8 @@ let test_pclient_no_head_of_line_blocking () =
   (match Pclient.await fast with
   | Ok completion ->
       check "fast reply is the cache hit" true completion.Job.cached;
-      check "slow jobs still outstanding when the hit returns" true
-        (Pclient.inflight pc >= 1)
+      check_int "every slow job still outstanding when the hit returns" 8
+        (Pclient.inflight pc)
   | Error e -> Alcotest.fail e);
   List.iter
     (fun t ->
@@ -618,7 +723,7 @@ let test_ctx_compat_both_dialects () =
     (Protocol.Submit (good_job ~inputs:(Array.init 6 (fun j -> 9000 + j)) ()));
   expect_completed fd "plain pre-context served";
   (* Plain dialect, ctx-framed: the envelope spliced in by hand, the
-     same framing the server's reader sees from [Client.rpc ?ctx]. *)
+     same framing the server's reader sees from [Client.submit ?ctx]. *)
   let ctx = Ssg_obs.Context.root () in
   Frame.write_fd fd
     (Frame.with_ctx
@@ -775,6 +880,9 @@ let tests =
       test_mux_dead_connection_fails_all;
     Alcotest.test_case "mux: plain reply is fatal" `Quick
       test_mux_plain_reply_is_fatal;
+    Alcotest.test_case "mux: deadline on a busy link" `Quick
+      test_mux_deadline_on_a_busy_link;
+    Alcotest.test_case "mux: callback form" `Quick test_mux_callback_form;
     QCheck_alcotest.to_alcotest prop_mux_correlation;
     Alcotest.test_case "http: request parsing" `Quick test_http_request_parsing;
     Alcotest.test_case "http: rejection" `Quick test_http_request_rejection;
