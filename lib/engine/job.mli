@@ -10,11 +10,14 @@
     {b Canonicalization.}  Constructors normalize every field so that
     jobs describing the same simulation are structurally equal and share
     one {!key}: the run text is re-serialized through
-    [Run_format.of_string |> to_string] (sorted edge order, comments
-    stripped — a permuted-but-equal hand-written description keys
-    identically), and an explicit [inputs] array equal to the default
-    distinct inputs [0..n-1] collapses to the default.  The engine's
-    result cache and in-flight dedup both key on [key]. *)
+    [Run_format.of_string |> to_string] into the canonical text that
+    {!Ssg_adversary.Run_format} specifies byte for byte (sorted edge
+    order, comments stripped, the name line [# loaded] — a
+    permuted-but-equal hand-written description keys identically), and
+    an explicit [inputs] array equal to the default distinct inputs
+    [0..n-1] collapses to the default.  The engine's result cache and
+    in-flight dedup both key on [key], and the store journals outcomes
+    under it, so the canonical text may not move by a byte. *)
 
 type algorithm = Kset | Floodmin | Flood_consensus | Naive_min
 

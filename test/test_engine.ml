@@ -158,6 +158,50 @@ let test_job_execute_matches_runner () =
              (d.Ssg_rounds.Executor.round, d.Ssg_rounds.Executor.value)))
         report.Ssg_sim.Runner.outcome.Ssg_rounds.Executor.decisions)
 
+(* [dune runtest] runs in _build/default/test, [dune exec] at the root. *)
+let examples_dir =
+  if Sys.file_exists "../examples/figure1.run" then "../examples"
+  else "examples"
+
+(* The store journals outcomes under [Job.key] and warm boot replays
+   them into the LRU, so a canonical text that moved by one byte would
+   silently turn every journaled entry into a miss.  The digest covers
+   every examples/*.run (through [of_run_text]) and every cell of one
+   seeded sweep grid (through [make]); it was computed before the
+   one-pass parser and the Printf-free writer replaced the old ones. *)
+let test_job_keys_pinned () =
+  let files =
+    Sys.readdir examples_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".run")
+    |> List.sort compare
+  in
+  let example_keys =
+    List.map
+      (fun f ->
+        Job.key
+          (Job.of_run_text
+             (In_channel.with_open_bin (Filename.concat examples_dir f)
+                In_channel.input_all)))
+      files
+  in
+  let grid =
+    Ssg_sim.Sweep.create ~ns:[ 8; 12; 16; 20 ] ~ks:[ 1; 2; 3; 4 ]
+      ~families:Ssg_sim.Sweep.all_families ~seed:1
+  in
+  let sweep_keys =
+    List.map
+      (fun cell ->
+        let adv = Ssg_sim.Sweep.adversary cell in
+        Job.key (Job.make ~k:(Ssg_sim.Sweep.effective_k cell adv) adv))
+      (Ssg_sim.Sweep.cells grid)
+  in
+  check_int "example files" 4 (List.length files);
+  check_int "grid cells" 64 (List.length sweep_keys);
+  Alcotest.(check string)
+    "Job.key digest" "79b21957510994604bb8dfe19e0f6126"
+    (Digest.to_hex
+       (Digest.string (String.concat "\n" (files @ example_keys @ sweep_keys))))
+
 (* --- Protocol: generators + qcheck round-trips --- *)
 
 let gen_job rng =
@@ -587,6 +631,8 @@ let tests =
       test_job_normalizes_default_inputs;
     Alcotest.test_case "job execute = in-process runner" `Quick
       test_job_execute_matches_runner;
+    Alcotest.test_case "job keys pinned (examples + sweep grid)" `Quick
+      test_job_keys_pinned;
     Alcotest.test_case "protocol framing over a pipe" `Quick
       test_protocol_framing_over_pipe;
     Alcotest.test_case "protocol rejects garbage" `Quick

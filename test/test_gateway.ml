@@ -172,6 +172,8 @@ let test_gateway_end_to_end () =
   check_int "bad algorithm" 400 status;
   let status, _ = post listen "/submit?k=2" "this is not a run" in
   check_int "bad run text" 400 status;
+  let status, _ = post listen "/submit?k=2" "ssg-run v1\nn 200000\nstable:\n" in
+  check_int "run text over the parser's budget" 400 status;
   (* Stats and metrics. *)
   let status, text = get listen "/stats" in
   check_int "stats" 200 status;

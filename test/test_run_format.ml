@@ -158,6 +158,174 @@ let test_save_load_file () =
       Run_format.save adv path;
       check "file roundtrip" true (same_run adv (Run_format.load path)))
 
+(* A run text whose graphs would pass the parser's budget is refused
+   with a line-anchored message before it is built, so a few bytes can
+   no longer exhaust memory at a front door.  Returns the message and
+   the bytes allocated by the refused parse. *)
+let refused text =
+  let before = Gc.allocated_bytes () in
+  match Run_format.of_string text with
+  | _ -> Alcotest.fail "a text over the budget was accepted"
+  | exception Failure msg -> (msg, Gc.allocated_bytes () -. before)
+
+let test_budget_refuses_large_n () =
+  let msg, bytes = refused "ssg-run v1\nn 200000\nstable:\n" in
+  check ("refused at the n line: " ^ msg) true
+    (String.starts_with ~prefix:"line 2: n = 200000 is too large" msg);
+  check "nothing of that order was allocated" true (bytes < 1e6)
+
+let test_budget_refuses_many_rounds () =
+  (* At n = 2000 one graph takes 148,006 words (4000 rows of 32 + 4),
+     so 28 graphs fit in 2^22 words and round 29, on line 31, is the
+     first to cross. *)
+  let rounds = List.init 100 (fun i -> Printf.sprintf "round %d:" (i + 1)) in
+  let text =
+    String.concat "\n" (("ssg-run v1" :: "n 2000" :: rounds) @ [ "stable:" ])
+  in
+  let msg, bytes = refused text in
+  check ("refused at the first round over the budget: " ^ msg) true
+    (String.starts_with ~prefix:"line 31: run too large" msg);
+  (* The 28 graphs that fit were built; the other 73 never were. *)
+  check "allocation stays within the budget" true
+    (bytes < (8. *. float_of_int (1 lsl 22)) +. 4e6)
+
+let test_budget_admits_n_1024 () =
+  let adv =
+    Run_format.of_string "ssg-run v1\nn 1024\nround 1: 0>1\nstable: 1>0\n"
+  in
+  check_int "n = 1024 parses" 1024 (Adversary.n adv)
+
+(* --- The kernels equal the ones they replaced (test/ref_run_format.ml) --- *)
+
+let gen_run =
+  QCheck2.Gen.(
+    map
+      (fun seed ->
+        let rng = Rng.of_int seed in
+        let n = 2 + Rng.int rng 129 in
+        Build.arbitrary rng ~n ~density:(Rng.float rng)
+          ~prefix_len:(Rng.int rng 5) ~noise:(Rng.float rng) ())
+      (int_bound 1_000_000))
+
+(* Sizes from 2 to 130 put rows on both sides of the 63-bit word
+   boundary, which the roundtrip property (n <= 10) never reaches. *)
+let prop_writer_matches_reference =
+  QCheck2.Test.make ~count:200
+    ~name:"writer is byte-identical to the reference"
+    ~print:Ref_run_format.to_string gen_run (fun adv ->
+      Run_format.to_string adv = Ref_run_format.to_string adv)
+
+(* Tokens only the general path reads, malformed ones, the separators
+   the edge grammar does not skip, and fast-path tokens at its edges. *)
+let spliced =
+  [|
+    "0x1>2"; "+1>2"; "-0>1"; "1_0>2"; "0b1>0o1"; "01>2"; "1234567890>1";
+    "99999999999999999999>1"; "1>2>3"; ">"; "1>"; "\t"; "\r"; "  "; "0>0";
+    "1>0"; "000000001>1"; "0000000001>1"; "1>999999999"; "#"; "\n"; ":";
+    "round"; "stable:"; "n 3";
+  |]
+
+let mutate rng ~n text =
+  let len = String.length text in
+  let pos = Rng.int rng (len + 1) in
+  let splice ?(at = pos) s =
+    String.sub text 0 at ^ s ^ String.sub text at (len - at)
+  in
+  (* a space, so that a spliced token does not split one already there *)
+  let boundary () =
+    match String.index_from_opt text pos ' ' with Some i -> i | None -> pos
+  in
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  match Rng.int rng 8 with
+  | 0 | 1 ->
+      (* an edge, often a duplicate or a self-loop, sometimes out of range *)
+      splice ~at:(boundary ())
+        (Printf.sprintf " %d>%d" (Rng.int rng (n + 1)) (Rng.int rng (n + 1)))
+  | 2 -> splice ~at:(boundary ()) (" " ^ pick spliced)
+  | 3 -> splice (pick spliced)
+  | 4 ->
+      let k = min (len - pos) (1 + Rng.int rng 3) in
+      String.sub text 0 pos ^ String.sub text (pos + k) (len - pos - k)
+  | 5 ->
+      let chars = "0123456789> \t\r\n#:x-_" in
+      splice (String.make 1 chars.[Rng.int rng (String.length chars)])
+  | 6 ->
+      (* duplicate or drop a whole line *)
+      let lines = String.split_on_char '\n' text in
+      let i = Rng.int rng (List.length lines) and dup = Rng.bool rng in
+      let copies j l = if j <> i then [ l ] else if dup then [ l; l ] else [] in
+      String.concat "\n" (List.concat (List.mapi copies lines))
+  | _ ->
+      (* widen some separators: double spaces are skipped, tabs are not *)
+      let sep = pick [| "  "; "\t"; " \t " |] in
+      let buf = Buffer.create (len + 64) in
+      String.iter
+        (fun c ->
+          if c = ' ' && Rng.int rng 8 = 0 then Buffer.add_string buf sep
+          else Buffer.add_char buf c)
+        text;
+      Buffer.contents buf
+
+(* The largest [n] a text declares on an [n] line, read as the parser
+   reads it.  The reference has no budget, so larger texts are left out. *)
+let declared_n text =
+  String.split_on_char '\n' text
+  |> List.fold_left
+       (fun acc raw ->
+         let line = String.trim (Ref_run_format.strip_comment raw) in
+         match String.index_opt line ' ' with
+         | Some sp when String.sub line 0 sp = "n" -> (
+             let rest = String.sub line sp (String.length line - sp) in
+             match int_of_string_opt (String.trim rest) with
+             | Some v -> max acc v
+             | None -> acc)
+         | _ -> acc)
+       0
+
+let gen_mutated_text =
+  QCheck2.Gen.(
+    map
+      (fun seed ->
+        let rng = Rng.of_int seed in
+        let n = 2 + Rng.int rng (if Rng.bool rng then 12 else 69) in
+        let adv =
+          Build.arbitrary rng ~n ~density:(Rng.float rng)
+            ~prefix_len:(Rng.int rng 5) ~noise:0.5 ()
+        in
+        let text = ref (Run_format.to_string adv) in
+        for _ = 1 to Rng.int rng 4 do
+          text := mutate rng ~n !text
+        done;
+        !text)
+      (int_bound 1_000_000))
+
+let parsed parse spans_of text =
+  match parse text with
+  | adv, spans ->
+      Ok
+        ( Adversary.n adv,
+          List.init
+            (Adversary.prefix_length adv + 1)
+            (fun r -> Digraph.edges (Adversary.graph adv (r + 1))),
+          spans_of spans )
+  | exception e -> Error (Printexc.to_string e)
+
+let prop_parser_matches_reference =
+  QCheck2.Test.make ~count:2000
+    ~name:"parser matches the reference on mutated texts" ~print:String.escaped
+    gen_mutated_text (fun text ->
+      QCheck2.assume (declared_n text <= 1024);
+      parsed Run_format.parse
+        (fun s ->
+          Run_format.
+            (s.n_line, s.round_lines, s.stable_line, s.redundant_edges))
+        text
+      = parsed Ref_run_format.parse
+          (fun s ->
+            Ref_run_format.
+              (s.n_line, s.round_lines, s.stable_line, s.redundant_edges))
+          text)
+
 let tests =
   [
     Alcotest.test_case "roundtrip examples" `Quick test_roundtrip_examples;
@@ -172,5 +340,15 @@ let tests =
     Alcotest.test_case "edgeless stable" `Quick test_edgeless_stable;
     Alcotest.test_case "recurrent rejected" `Quick test_recurrent_rejected;
     Alcotest.test_case "save/load file" `Quick test_save_load_file;
+    Alcotest.test_case "budget refuses a large n" `Quick
+      test_budget_refuses_large_n;
+    Alcotest.test_case "budget refuses too many rounds" `Quick
+      test_budget_refuses_many_rounds;
+    Alcotest.test_case "budget admits n = 1024" `Quick
+      test_budget_admits_n_1024;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_roundtrip ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_roundtrip; prop_writer_matches_reference;
+        prop_parser_matches_reference;
+      ]
