@@ -9,10 +9,11 @@ let default_vnodes = 128
    digit), the finalizer spreads them over the whole circle. *)
 let hash64 s =
   let open Int64 in
+  (* A loop over a local ref keeps [h] unboxed: no allocation per byte. *)
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := mul (logxor !h (of_int (Char.code c))) 0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := mul (logxor !h (of_int (Char.code s.[i]))) 0x100000001b3L
+  done;
   let h = !h in
   let h = logxor h (shift_right_logical h 30) in
   let h = mul h 0xbf58476d1ce4e5b9L in

@@ -159,19 +159,22 @@ let record_routed t addr =
 
 (* Route one job to its ring owner, failing over along the successor
    list; [reply] gets the answer exactly once, usually on the owner
-   link's reader thread.  A protocol [Error] reply is relayed without
-   failover: it is deterministic (the lint front door), not a shard
-   failure.  [ctx] parents the [router.route] span under the caller's
-   (the gateway's) span and hands the route span's own identity to the
-   backend, making the worker's spans grandchildren of the edge
-   request.  The span begins on the front connection's reader and ends
-   where the answer arrives. *)
+   link's reader thread.  The job is routed by its key as sent and
+   forwarded unparsed: the owner normalizes it on a miss.  A protocol
+   [Error] reply is relayed without failover: it is deterministic (the
+   lint front door, which also answers a run text that does not
+   parse), not a shard failure.  [ctx] parents the [router.route] span
+   under the caller's (the gateway's) span and hands the route span's
+   own identity to the backend, making the worker's spans grandchildren
+   of the edge request.  The span begins on the front connection's
+   reader and ends where the answer arrives. *)
 let route_job ?ctx t job reply =
   let key = Job.key job in
-  let key_hex = Printf.sprintf "%Lx" (Ring.hash64 key) in
+  (* A span argument: hashed again only when tracing is on. *)
+  let key_hex () = Tracer.Str (Printf.sprintf "%Lx" (Ring.hash64 key)) in
   let fwd_ctx, finish =
     if Tracer.enabled () then
-      let args = [ ("key", Tracer.Str key_hex) ] in
+      let args = [ ("key", key_hex ()) ] in
       let child =
         match ctx with
         | Some c -> Some (Tracer.span_begin_ctx ~args ~ctx:c "router.route")
@@ -209,7 +212,7 @@ let route_job ?ctx t job reply =
       Metrics.incr t.failovers;
       if Tracer.enabled () then
         Tracer.instant "router.failover"
-          ~args:[ ("key", Tracer.Str key_hex); ("from", Tracer.Str addr) ]
+          ~args:[ ("key", key_hex ()); ("from", Tracer.Str addr) ]
     end;
     go rest
   in

@@ -2,12 +2,16 @@
     {!Ssg_engine.Protocol}, fronting N independent [ssgd] workers.
 
     Placement: every [Submit] is routed to the {!Ring} owner of its
-    job's canonical cache key, so a given simulation always lands on
-    the same worker and that worker's LRU cache and in-flight dedup
-    keep their hit rates — the cluster behaves like one big cache
-    sharded by key.  A [Batch] is split by owner, forwarded to each
-    backend as a sub-batch concurrently, and reassembled in submission
-    order.
+    job's cache key, so a given simulation always lands on the same
+    worker and that worker's LRU cache and in-flight dedup keep their
+    hit rates — the cluster behaves like one big cache sharded by key.
+    The key is taken as sent and the job is forwarded unparsed: the
+    owner normalizes it on a cache miss.  Every client in this
+    repository sends canonical jobs; a client that sends a
+    non-canonical spelling may reach another owner than the canonical
+    job, which costs cache locality, never correctness.  A [Batch] is
+    split by owner, forwarded to each backend as a sub-batch
+    concurrently, and reassembled in submission order.
 
     Backend links: the router holds one pipelined {!Ssg_net.Mux}
     connection per backend, dialed on first use, and every forward —
@@ -25,8 +29,10 @@
     or forward succeeds again), and the router's failover counter
     moves.  When a link fails, every job in flight on it fails over
     this way.  A backend's {e protocol-level} [Error] reply (a lint
-    rejection, say) is relayed verbatim with no failover: it is the
-    job's fault and would fail identically on every shard.
+    rejection, say, including the one for a run text that does not
+    parse) is relayed verbatim with no failover: it is the job's fault
+    and would fail identically on every shard, and the link it came
+    over keeps serving.
 
     Fan-out ops: [Stats] queries every reachable backend and replies
     with the {!Ssg_engine.Telemetry.merge} of their snapshots;

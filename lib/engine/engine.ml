@@ -137,6 +137,14 @@ let submission ?ctx t job f =
       if Tracer.enabled () then Tracer.span_end "engine.submit")
     (fun () -> f span_ctx)
 
+(* Count, trace and log a lint rejection; returns the reply message. *)
+let rejection_message t job diags =
+  Telemetry.record_rejected_lint t.telemetry;
+  trace_instant "engine.lint_reject" job;
+  let message = "job rejected by lint:\n" ^ diags in
+  Log.info (fun m -> m "lint rejection: %s" message);
+  message
+
 let hit t job outcome =
   Telemetry.record_hit t.telemetry;
   trace_instant "engine.cache_hit" job;
@@ -195,10 +203,7 @@ and submit_traced ?lookup ?ctx t job =
       match gate with
       | Some diags ->
           locked t (fun () -> Hashtbl.remove t.pending key);
-          Telemetry.record_rejected_lint t.telemetry;
-          trace_instant "engine.lint_reject" job;
-          let message = "job rejected by lint:\n" ^ diags in
-          Log.info (fun m -> m "lint rejection: %s" message);
+          let message = rejection_message t job diags in
           Ivar.fill cell (Stdlib.Error message);
           Rejected { message; submitted = now }
       | None -> fresh_execute ?ctx t job ~key ~cell ~now)
@@ -269,6 +274,16 @@ and fresh_execute ?ctx t job ~key ~cell ~now =
       Waiting { cell; submitted = now; shared = false }
 
 let submit ?ctx t job = submit_with ?ctx t job
+
+(* Gated outside the dedup table: a job with no canonical form has no
+   key that may enter it. *)
+let refuse ?ctx t job =
+  submission ?ctx t job (fun _ ->
+      let submitted = Unix.gettimeofday () in
+      match run_gate job with
+      | Some diags ->
+          Rejected { message = rejection_message t job diags; submitted }
+      | None -> invalid_arg "Engine.refuse: the job passes the lint gate")
 
 let rejection = function
   | Rejected { message; _ } -> Some message

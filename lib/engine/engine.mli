@@ -52,7 +52,11 @@ val telemetry : t -> Telemetry.t
 type ticket
 
 (** [submit t job] — may block on a full queue.  Never raises on job
-    errors; they surface as [Error] completions.
+    errors; they surface as [Error] completions.  [job] must be
+    canonical ({!Job.make}, {!Job.of_run_text} or {!Job.normalize}):
+    its {!Job.key} is what the cache, the dedup table and the journal
+    hold, and only canonical keys may enter them.  The same holds for
+    {!submit_batch} and {!run_batch}.
 
     {b Lint front door.}  A fresh submission (no cache hit, no in-flight
     twin) is first checked by {!Ssg_lint.Lint.gate} against the job's own
@@ -75,8 +79,22 @@ val submit : ?ctx:Ssg_obs.Context.t -> t -> Job.t -> ticket
     {!submit}; [None] otherwise, with nothing counted or traced (the
     caller follows up with {!submit}).  It never waits for the queue,
     the lint gate or a twin in flight, so a connection's reader can
-    answer hits itself. *)
+    answer hits itself.
+
+    It looks up [Job.key job] as given, so [job] may be a job
+    {!Job.as_sent} that was never normalized: every cached key comes
+    from a canonical job, and a key equal to one of them means equal
+    fields ({!Job.key}), so a hit is that canonical job's outcome.  A
+    non-canonical job simply misses. *)
 val cached : ?ctx:Ssg_obs.Context.t -> t -> Job.t -> Job.completion option
+
+(** [refuse ?ctx t job] — the ticket for a job whose run text does not
+    parse, so that it has no canonical form (its {!Job.normalize}
+    raised): the lint front door's rejection with the [SSG000]
+    diagnostic, counted and traced like a rejection through {!submit}.
+    The job never touches the cache or the dedup table.
+    @raise Invalid_argument if the job passes the lint gate. *)
+val refuse : ?ctx:Ssg_obs.Context.t -> t -> Job.t -> ticket
 
 (** [rejection ticket] is [Some rendered_diagnostics] iff the submission
     was refused at the lint front door. *)

@@ -22,13 +22,16 @@ let algorithm_name = function
 let is_default_inputs n inputs =
   Array.length inputs = n && Array.for_all2 ( = ) inputs (Array.init n Fun.id)
 
+let check_params ~k ~rounds =
+  if k < 1 then invalid_arg "Job: k must be >= 1";
+  match rounds with
+  | Some r when r < 0 -> invalid_arg "Job: rounds must be >= 0"
+  | _ -> ()
+
 (* [adv] is the already-parsed form of [run] (canonical text). *)
 let build ~run ~adv ?(algorithm = Kset) ?(k = 1) ?inputs ?rounds
     ?(monitor = false) () =
-  if k < 1 then invalid_arg "Job: k must be >= 1";
-  (match rounds with
-  | Some r when r < 0 -> invalid_arg "Job: rounds must be >= 0"
-  | _ -> ());
+  check_params ~k ~rounds;
   let inputs =
     match inputs with
     | Some xs when is_default_inputs (Adversary.n adv) xs -> None
@@ -48,6 +51,14 @@ let of_run_text ?algorithm ?k ?inputs ?rounds ?monitor text =
   let adv = Run_format.of_string text in
   let run = Run_format.to_string adv in
   build ~run ~adv ?algorithm ?k ?inputs ?rounds ?monitor ()
+
+let as_sent ~algorithm ~k ?inputs ?rounds ~monitor run =
+  check_params ~k ~rounds;
+  { run; algorithm; k; inputs; rounds; monitor }
+
+let normalize job =
+  of_run_text ~algorithm:job.algorithm ~k:job.k ?inputs:job.inputs
+    ?rounds:job.rounds ~monitor:job.monitor job.run
 
 let key job =
   let buf = Buffer.create 256 in

@@ -1,28 +1,38 @@
 (** Simulation jobs: the engine's unit of work.
 
     A job is a complete, self-contained simulation request — the run
-    description (as canonical {!Ssg_adversary.Run_format} text), the
+    description (as {!Ssg_adversary.Run_format} text), the
     algorithm to execute, the agreement parameter [k], the proposal
     inputs, an optional round budget and the monitor switch.  Values of
     this type are immutable plain data, so they cross domain and wire
     boundaries freely.
 
-    {b Canonicalization.}  Constructors normalize every field so that
-    jobs describing the same simulation are structurally equal and share
-    one {!key}: the run text is re-serialized through
-    [Run_format.of_string |> to_string] into the canonical text that
-    {!Ssg_adversary.Run_format} specifies byte for byte (sorted edge
-    order, comments stripped, the name line [# loaded] — a
-    permuted-but-equal hand-written description keys identically), and
-    an explicit [inputs] array equal to the default distinct inputs
-    [0..n-1] collapses to the default.  The engine's result cache and
-    in-flight dedup both key on [key], and the store journals outcomes
-    under it, so the canonical text may not move by a byte. *)
+    {b Canonicalization.}  {!make}, {!of_run_text} and {!normalize}
+    normalize every field so that jobs describing the same simulation
+    are structurally equal and share one {!key}: the run text is
+    re-serialized through [Run_format.of_string |> to_string] into the
+    canonical text that {!Ssg_adversary.Run_format} specifies byte for
+    byte (sorted edge order, comments stripped, the name line
+    [# loaded] — a permuted-but-equal hand-written description keys
+    identically), an explicit [inputs] array equal to the default
+    distinct inputs [0..n-1] collapses to the default, and [monitor] is
+    dropped for algorithms other than [Kset].  The engine's result
+    cache and in-flight dedup both key on [key], and the store journals
+    outcomes under it, so the canonical text may not move by a byte.
+
+    {!as_sent} is the one constructor that normalizes nothing: it is
+    what the wire decoder builds, so a hop that only routes a job or
+    probes a cache with its key never parses the run text.
+    [Engine.submit] and its batch forms, which cache, deduplicate and
+    journal by {!key}, expect a canonical job; a job as sent reaches
+    them through {!normalize}. *)
 
 type algorithm = Kset | Floodmin | Flood_consensus | Naive_min
 
 type t = private {
-  run : string;  (** canonical [ssg-run v1] text *)
+  run : string;
+      (** [ssg-run v1] text: canonical, unless the job was built
+          {!as_sent} *)
   algorithm : algorithm;
   k : int;
   inputs : int array option;  (** [None] = distinct inputs [0..n-1] *)
@@ -56,8 +66,33 @@ val of_run_text :
   string ->
   t
 
-(** [key job] — the canonical cache/dedup key.  [key a = key b] iff the
-    jobs request the same simulation. *)
+(** [as_sent ~algorithm ~k ?inputs ?rounds ~monitor run] — the job
+    with its fields exactly as given: [run] is not parsed, [inputs] and
+    [monitor] are kept as they are.
+    @raise Invalid_argument if [k < 1] or [rounds < 0], the parameter
+    errors no run text can repair. *)
+val as_sent :
+  algorithm:algorithm ->
+  k:int ->
+  ?inputs:int array ->
+  ?rounds:int ->
+  monitor:bool ->
+  string ->
+  t
+
+(** [normalize job] — the canonical job with [job]'s fields, as
+    {!of_run_text} builds it; on a canonical job it is the identity
+    (structurally).
+    @raise Failure when [job]'s run text does not parse. *)
+val normalize : t -> t
+
+(** [key job] — the cache/dedup key.  For canonical jobs [key a = key b]
+    iff the jobs request the same simulation.  The fields are
+    [\x00]-separated with the run text last, and no field before it
+    can hold a [\x00], so equal keys mean equal fields: a job
+    {!as_sent} whose key equals a canonical job's key {e is} that
+    canonical job.  A non-canonical job never shares a key with a
+    canonical one. *)
 val key : t -> string
 
 val equal : t -> t -> bool

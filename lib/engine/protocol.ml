@@ -156,10 +156,10 @@ let get_job r =
   let inputs = get_option r (fun r -> get_array r get_int) in
   let rounds = get_option r get_int in
   let monitor = get_bool r in
-  (* Re-canonicalize through the constructor: a hand-rolled client
-     cannot plant a non-canonical job in the cache key space, and
-     malformed run text is rejected at decode time. *)
-  Job.of_run_text ~algorithm ~k ?inputs ?rounds ~monitor run
+  (* The job as sent: the router only routes it and the worker first
+     probes its cache with it, so the run text is parsed only by the
+     worker, on a miss. *)
+  Job.as_sent ~algorithm ~k ?inputs ?rounds ~monitor run
 
 let put_outcome buf (o : Job.outcome) =
   put_string buf o.Job.algorithm;

@@ -89,12 +89,15 @@ type reply =
 val max_frame_bytes : int
 
 (** Pure codecs (what the qcheck round-trip and decode-fuzz tests
-    exercise).  Decoders
+    exercise).  [request_of_bytes] builds every [Submit] and [Batch]
+    job with {!Job.as_sent}: it checks [k] and [rounds] but does not
+    parse the run text, so a job decodes exactly as it was sent and a
+    run text that does not parse is the worker's to refuse.  Decoders
     @raise Failure — and {e only} [Failure] — on truncated or malformed
     payloads, including payloads that frame correctly but describe an
-    invalid job (bad [k], bad run text): parameter validation errors are
-    folded into [Failure] here so nothing else can escape a connection
-    handler. *)
+    invalid job ([k < 1], [rounds < 0]): parameter validation errors
+    are folded into [Failure] here so nothing else can escape a
+    connection handler. *)
 
 val request_to_bytes : request -> Bytes.t
 

@@ -46,9 +46,22 @@ let write_reply faults telemetry fd payload =
         faulty_write faults telemetry fd payload)
   else faulty_write faults telemetry fd payload
 
-(* A fresh submission: lint gate, enqueue, wait for the pool. *)
+(* The worker's one normalization of a job as sent, on a miss.  A run
+   text that does not parse has no canonical form: it gets the lint
+   gate's rejection, and its key enters neither the cache nor the dedup
+   table. *)
+let normalize engine ?ctx job =
+  match Job.normalize job with
+  | job -> Ok job
+  | exception Failure _ -> Error (Engine.refuse ?ctx engine job)
+
+(* A miss: normalize, then lint gate, enqueue, wait for the pool. *)
 let submit engine ?ctx job =
-  let ticket = Engine.submit ?ctx engine job in
+  let ticket =
+    match normalize engine ?ctx job with
+    | Ok job -> Engine.submit ?ctx engine job
+    | Error refused -> refused
+  in
   match Engine.rejection ticket with
   | Some diags ->
       (* A lint rejection is the job's fault, not the connection's:
@@ -57,9 +70,25 @@ let submit engine ?ctx job =
       Protocol.Error diags
   | None -> Protocol.Completed (Engine.await engine ticket)
 
+(* A batch: every job normalized, the canonical ones run together (the
+   engine's parallel pre-gate), each refused one answered in its
+   slot. *)
+let run_batch engine ?ctx jobs =
+  let normalized = List.map (normalize engine ?ctx) jobs in
+  let rec in_order normalized completed =
+    match (normalized, completed) with
+    | Error refused :: rest, _ ->
+        Engine.await engine refused :: in_order rest completed
+    | Ok _ :: rest, c :: cs -> c :: in_order rest cs
+    | _ -> []
+  in
+  in_order normalized
+    (Engine.run_batch ?ctx engine (List.filter_map Result.to_option normalized))
+
 (* The worker's answer to one request: [Now] when it needs no waiting,
    [Later] (a replier thread) for a miss and the ops that wait or
-   write. *)
+   write.  A job arrives as sent ({!Job.as_sent}); its key is probed in
+   the cache as it is, and only a miss is normalized. *)
 let handle engine listener ?ctx request =
   let open Conn in
   match request with
@@ -68,8 +97,7 @@ let handle engine listener ?ctx request =
       | Some completion -> Now (Protocol.Completed completion)
       | None -> Later (fun () -> submit engine ?ctx job))
   | Protocol.Batch jobs ->
-      Later
-        (fun () -> Protocol.Batch_completed (Engine.run_batch ?ctx engine jobs))
+      Later (fun () -> Protocol.Batch_completed (run_batch engine ?ctx jobs))
   | Protocol.Stats -> Now (Protocol.Stats_snapshot (Engine.stats engine))
   | Protocol.Trace -> Now (Protocol.Trace_events (Ssg_obs.Tracer.events ()))
   | Protocol.Trace_pull ->

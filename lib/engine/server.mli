@@ -12,14 +12,27 @@
     connection.  The connection's reader writes every answer that
     needs no waiting itself: cache hits ({!Engine.cached}), stats,
     metrics and trace pulls.  Replier threads exist only for misses
-    (their lint gate, enqueue and wait) and for the control ops
-    that wait or write: [Batch], [Export], [Transfer] and [Compact].
+    (their normalization, lint gate, enqueue and wait) and for the
+    control ops that wait or write: [Batch], [Export], [Transfer] and
+    [Compact].
+
+    {b Jobs as sent.}  A job arrives as {!Job.as_sent} built it, its
+    run text unparsed.  The reader looks its key up as sent, so a hit
+    costs no parse; a miss is normalized once ({!Job.normalize}), on
+    its replier thread, and the canonical job goes through
+    {!Engine.submit}, which looks the cache up again under the
+    canonical key.  A run text that does not parse is answered like
+    any job the lint front door refuses — an [Error] starting
+    [job rejected by lint:] with its [SSG000] diagnostic, counted in
+    [jobs_rejected_lint] — and the connection keeps serving; in a
+    [Batch] only that job's slot carries the error.
     The worker adds its own answers to each request, the fault plan on
     reply writes, the [server.reply_write] span, and the {!Telemetry}
     counters for rejected frames, reaped connections and refusals at
     the connection cap.
 
-    {b Supervision.}  A malformed frame or job, an oversized header, a
+    {b Supervision.}  A malformed frame or job ([k < 1],
+    [rounds < 0]), an oversized header, a
     peer dying mid-frame, a reply write failing with
     [EPIPE]/[ECONNRESET] because the client vanished between request
     and reply, or any exception escaping dispatch is answered with an

@@ -51,7 +51,12 @@ let ok ?(strict = false) diags =
   s.errors = 0 && ((not strict) || s.warnings = 0)
 
 let gate ~k run =
-  let diags = check_text ~k run in
-  if has_errors diags then
-    Some (Report.human ~src:run (List.filter Diagnostic.is_error diags))
-  else None
+  let { active; suppressed } = lint_text ~k run in
+  (* A run that does not parse can never execute: a directive may mute
+     its SSG000 in reports, never at the gate. *)
+  let unparsed =
+    List.filter (fun (d : Diagnostic.t) -> d.code = "SSG000") suppressed
+  in
+  match List.filter Diagnostic.is_error active @ unparsed with
+  | [] -> None
+  | errors -> Some (Report.human ~src:run errors)

@@ -119,6 +119,35 @@ let test_ring_basics () =
   | _ -> Alcotest.fail "vnodes=0 must be rejected"
   | exception Invalid_argument _ -> ()
 
+(* Placement is [hash64] of the key: a hash that moved by one bit
+   would move keys to new owners and strand every journaled cache on
+   the old one.  The values were computed by the String.iter fold this
+   loop replaced; the last input is the first perfbench hit-http
+   hot-set job's key at seed 1 (an 818-byte key). *)
+let test_ring_hash64_pinned () =
+  let hot_key =
+    let cell =
+      {
+        Ssg_sim.Sweep.n = 16;
+        k = 4;
+        family = Ssg_sim.Sweep.Block_sources;
+        seed = 1_010_010;
+      }
+    in
+    let adv = Ssg_sim.Sweep.adversary cell in
+    Job.key (Job.make ~k:(Ssg_sim.Sweep.effective_k cell adv) adv)
+  in
+  check_int "hot-set key length" 818 (String.length hot_key);
+  List.iter
+    (fun (label, input, want) ->
+      Alcotest.(check int64) label want (Ring.hash64 input))
+    [
+      ("empty string", "", 0xf52a15e9a9b5e89bL);
+      ("unix socket address", "unix:/tmp/w1.sock", 0x72802310e5a6077eL);
+      ("tcp socket address", "tcp:127.0.0.1:7411", 0x6e1738e2ae81c40aL);
+      ("hot-set job key", hot_key, 0xeff23d5ef366d477L);
+    ]
+
 let test_ring_successors () =
   let members = List.init 5 (fun i -> Printf.sprintf "/w%d.sock" i) in
   let ring = Ring.create members in
@@ -787,6 +816,59 @@ let test_router_dropped_link_fails_over () =
   stop_worker w1 t1;
   stop_worker w2 t2
 
+let test_router_unparseable_run_keeps_link () =
+  (* A run text that does not parse travels unparsed to its owner, whose
+     lint front door refuses it.  The router relays that Error without
+     failover, and the shared link, with the slow jobs in flight on it,
+     keeps serving. *)
+  let w, wt =
+    start_worker ~faults:(Faults.create ~slow_every:1 ~slow_s:0.2 ()) ()
+  in
+  let p = start_proxy w in
+  let router, rt =
+    start_router ~probe_interval_s:60. ~down_after:1000
+      ~backends:[ p.p_socket ] ()
+  in
+  let pc = Pclient.connect ~socket:router ~deadline_s:30. () in
+  let served label ticket =
+    match Pclient.await ticket with
+    | Ok c -> check label true (Result.is_ok c.Job.result)
+    | Error e -> Alcotest.fail (label ^ ": " ^ e)
+  in
+  served "the first job dials the link"
+    (Pclient.submit pc (sample_job ~seed:500 ()));
+  (* The prober's first probe dials the proxy too. *)
+  wait_until "the probe and the link dialed" (fun () ->
+      Atomic.get p.p_accepts >= 2);
+  let dialed = Atomic.get p.p_accepts in
+  let in_flight =
+    List.init 3 (fun i -> Pclient.submit pc (sample_job ~seed:(501 + i) ()))
+  in
+  let bad =
+    Pclient.submit pc
+      (Job.as_sent ~algorithm:Job.Kset ~k:2 ~monitor:false
+         "ssg-run v1\nn 3\nstable: 0>1 1>9\n")
+  in
+  (match Pclient.await bad with
+  | Error msg ->
+      check "the worker's lint rejection relayed" true
+        (String.starts_with ~prefix:"job rejected by lint:" msg
+        && contains msg "SSG000")
+  | Ok _ -> Alcotest.fail "an unparseable run must be refused");
+  List.iter (served "a job in flight on the link") in_flight;
+  served "a job after the bad one"
+    (Pclient.submit pc (sample_job ~seed:510 ()));
+  Pclient.close pc;
+  check_int "still one backend link" dialed (Atomic.get p.p_accepts);
+  let c = wait_connect router in
+  let text = Client.metrics_text c in
+  Client.close c;
+  check "no failover" true
+    (prom_counter text "ssg_router_failovers_total" = Some 0);
+  stop_router router rt;
+  stop_proxy p;
+  stop_worker w wt
+
 (* ---------------- elastic membership: end to end ---------------- *)
 
 (* Poll the router's exposition until a counter satisfies [pred]. *)
@@ -881,6 +963,7 @@ let test_router_elastic_leave_rescues_keys () =
 let tests =
   [
     Alcotest.test_case "ring: basics" `Quick test_ring_basics;
+    Alcotest.test_case "ring: hash64 pinned" `Quick test_ring_hash64_pinned;
     Alcotest.test_case "ring: successors" `Quick test_ring_successors;
     Alcotest.test_case "ring: add/remove identity" `Quick
       test_ring_add_remove_identity;
@@ -917,6 +1000,8 @@ let tests =
       test_router_exhaustion_is_an_error_reply;
     Alcotest.test_case "router: one link per backend" `Quick
       test_router_one_link_per_backend;
+    Alcotest.test_case "router: unparseable run text keeps the link" `Quick
+      test_router_unparseable_run_keeps_link;
     Alcotest.test_case "router: dropped link fails over and redials" `Quick
       test_router_dropped_link_fails_over;
     Alcotest.test_case "router: chaos kill/heal 200-job burst" `Slow

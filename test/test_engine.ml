@@ -225,6 +225,66 @@ let gen_job rng =
   Job.make ~algorithm ~k:(1 + Rng.int rng 3) ?inputs ?rounds
     ~monitor:(Rng.int rng 2 = 0) adv
 
+(* The same run as a hand-written client might send it: every edge
+   list reversed, each line with a trailing comment and the name line
+   renamed — the text parses to the same run but is not canonical. *)
+let scramble text =
+  let line l =
+    match String.index_opt l ':' with
+    | Some i ->
+        let edges =
+          String.sub l (i + 1) (String.length l - i - 1)
+          |> String.split_on_char ' '
+          |> List.filter (( <> ) "")
+        in
+        Printf.sprintf "%s %s  # reversed" (String.sub l 0 (i + 1))
+          (String.concat " " (List.rev edges))
+    | None when String.starts_with ~prefix:"# " l -> "# by hand"
+    | None -> l
+  in
+  String.concat "\n" (List.map line (String.split_on_char '\n' text))
+
+(* What a worker's cache hit by the key as sent rests on: [normalize]
+   is the identity on canonical jobs, and a job sent with the same
+   parameters in any spelling — scrambled text, explicit default
+   inputs, a monitor flag the algorithm ignores — normalizes to the
+   canonical job's key. *)
+let prop_job_normalize =
+  QCheck2.Test.make ~count:150
+    ~name:"job: normalize fixes canonical jobs and canonicalizes jobs as sent"
+    QCheck2.Gen.(int_bound 1000000)
+    (fun seed ->
+      let rng = Rng.of_int seed in
+      let n = 2 + Rng.int rng 6 in
+      let adv =
+        Build.arbitrary (Rng.copy rng) ~n ~density:0.4
+          ~prefix_len:(Rng.int rng 3) ()
+      in
+      let algorithm =
+        Rng.pick rng
+          [| Job.Kset; Job.Floodmin; Job.Flood_consensus; Job.Naive_min |]
+      in
+      let k = 1 + Rng.int rng n in
+      let inputs =
+        match Rng.int rng 3 with
+        | 0 -> None
+        | 1 -> Some (Array.init n Fun.id)
+        | _ -> Some (Array.init n (fun _ -> Rng.int rng 10))
+      in
+      let rounds = if Rng.bool rng then None else Some (Rng.int rng 40) in
+      let monitor = Rng.bool rng in
+      let text = Run_format.to_string adv in
+      let made = Job.make ~algorithm ~k ?inputs ?rounds ~monitor adv in
+      let parsed =
+        Job.of_run_text ~algorithm ~k ?inputs ?rounds ~monitor text
+      in
+      let sent =
+        Job.as_sent ~algorithm ~k ?inputs ?rounds ~monitor (scramble text)
+      in
+      Job.normalize made = made
+      && Job.normalize parsed = parsed
+      && Job.key (Job.normalize sent) = Job.key made)
+
 let gen_outcome rng : Job.outcome =
   let n = 1 + Rng.int rng 8 in
   {
@@ -647,6 +707,7 @@ let tests =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
+        prop_job_normalize;
         prop_request_roundtrip;
         prop_reply_roundtrip;
         prop_request_decode_fuzz;

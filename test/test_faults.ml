@@ -143,6 +143,82 @@ let test_k0_submit_gets_error_and_close () =
   check "rejected frame counted" true (s.Telemetry.rejected_frames >= 1);
   stop_server control thread
 
+(* A run text that does not parse, sent as is (line 3 names node 9 of
+   3), and the same text with its SSG000 muted by a directive: neither
+   has a canonical form, so the worker refuses both at its lint front
+   door. *)
+let unparseable_job () =
+  Job.as_sent ~algorithm:Job.Kset ~k:2 ~monitor:false
+    "ssg-run v1\nn 3\nstable: 0>1 1>9\n"
+
+let muted_unparseable_job () =
+  Job.as_sent ~algorithm:Job.Kset ~k:2 ~monitor:false
+    "ssg-run v1\nn 3\nstable: 0>1 1>9\n# ssg-lint: disable=SSG000\n"
+
+let check_unparseable_refusal label msg =
+  check (label ^ ": a lint rejection") true
+    (String.starts_with ~prefix:"job rejected by lint:" msg);
+  check (label ^ ": SSG000") true (contains msg "SSG000");
+  check (label ^ ": names the failing line") true (contains msg "line 3");
+  check (label ^ ": and its edge") true (contains msg "1>9")
+
+let test_unparseable_run_keeps_connection () =
+  (* One id-framed connection: the bad jobs are answered with the lint
+     gate's SSG000 rejection, and the jobs around them, and after them,
+     are served on the same connection. *)
+  let socket, thread, control = start_server () in
+  let before = Client.stats control in
+  let pc = Pclient.connect ~socket ~deadline_s:10. () in
+  let good1 = Pclient.submit pc (sample_job ~seed:41 ()) in
+  let bad = Pclient.submit pc (unparseable_job ()) in
+  let muted = Pclient.submit pc (muted_unparseable_job ()) in
+  let good2 = Pclient.submit pc (sample_job ~seed:42 ()) in
+  let served label ticket =
+    match Pclient.await ticket with
+    | Ok c -> check label true (Result.is_ok c.Job.result)
+    | Error e -> Alcotest.fail (label ^ ": " ^ e)
+  in
+  let refused label ticket =
+    match Pclient.await ticket with
+    | Error msg -> check_unparseable_refusal label msg
+    | Ok _ -> Alcotest.fail (label ^ ": expected an Error reply")
+  in
+  refused "bad job" bad;
+  refused "muted bad job" muted;
+  served "job before the bad ones" good1;
+  served "job after the bad ones" good2;
+  served "a later job on the same connection"
+    (Pclient.submit pc (sample_job ~seed:43 ()));
+  check "connection still alive" true (Pclient.alive pc);
+  Pclient.close pc;
+  let after = Client.stats control in
+  check_int "no frame rejected" before.Telemetry.rejected_frames
+    after.Telemetry.rejected_frames;
+  check_int "both counted as lint rejections"
+    (before.Telemetry.jobs_rejected_lint + 2)
+    after.Telemetry.jobs_rejected_lint;
+  stop_server control thread
+
+let test_batch_with_unparseable_job () =
+  (* A bad job in a batch costs only its own slot. *)
+  let socket, thread, control = start_server () in
+  let c = Client.connect ~socket ~deadline_s:10. () in
+  (match
+     Client.submit_batch c
+       [ sample_job ~seed:51 (); unparseable_job (); sample_job ~seed:52 () ]
+   with
+  | [ first; bad; last ] ->
+      check "first slot served" true (Result.is_ok first.Job.result);
+      check "last slot served" true (Result.is_ok last.Job.result);
+      (match bad.Job.result with
+      | Error msg -> check_unparseable_refusal "bad slot" msg
+      | Ok _ -> Alcotest.fail "the bad slot must carry an error")
+  | cs -> Alcotest.failf "%d completions for a 3-job batch" (List.length cs));
+  check "connection still serves" true
+    (Result.is_ok (Client.submit c (sample_job ~seed:53 ())).Job.result);
+  Client.close c;
+  stop_server control thread
+
 (* ---------------- adversarial framing ---------------- *)
 
 let test_garbage_and_midframe_disconnects () =
@@ -422,6 +498,10 @@ let tests =
   [
     Alcotest.test_case "k=0 submit: Error reply + closed connection (regression)"
       `Quick test_k0_submit_gets_error_and_close;
+    Alcotest.test_case "unparseable run text: lint Error, connection kept"
+      `Quick test_unparseable_run_keeps_connection;
+    Alcotest.test_case "batch: an unparseable job fails only its slot" `Quick
+      test_batch_with_unparseable_job;
     Alcotest.test_case "garbage / oversized / mid-frame attacks" `Quick
       test_garbage_and_midframe_disconnects;
     Alcotest.test_case "read timeout reaps half-open clients" `Quick

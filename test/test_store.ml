@@ -504,6 +504,69 @@ let test_second_server_leaves_store_alone () =
   check_int "first record survives" 1 (Store.replayed_records s);
   Store.close s
 
+(* --- Only canonical keys reach the cache and the journal ---
+
+   A job arrives as sent: the worker probes its cache with the key as
+   sent and normalizes only on a miss.  A valid but non-canonical job
+   (edges permuted, a comment, explicit default inputs) must be served
+   the canonical job's outcome, leave only the canonical key in the
+   cache and the journal, and make its canonical twin a cache hit. *)
+
+let test_server_caches_only_canonical_keys () =
+  let dir = fresh_dir () in
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ssgd-store-canon-%d.sock" (Unix.getpid ()))
+  in
+  if Sys.file_exists socket then Sys.remove socket;
+  let canonical =
+    Job.of_run_text ~k:2 "ssg-run v1\nn 6\nstable: 0>1 1>2 2>0 3>4 4>5 5>3\n"
+  in
+  let sent =
+    Job.as_sent ~algorithm:Job.Kset ~k:2 ~inputs:(Array.init 6 Fun.id)
+      ~monitor:false
+      "ssg-run v1\n# by hand\nn 6\nstable: 5>3 2>0 4>5 0>1 3>4 1>2\n"
+  in
+  check "the job as sent keys differently" false
+    (Job.key sent = Job.key canonical);
+  let server =
+    Thread.create
+      (fun () ->
+        Server.serve ~workers:1 ~queue_capacity:16 ~cache_capacity:64
+          ~persist:dir ~persist_sync:Store.Always ~socket ())
+      ()
+  in
+  let rec wait_up tries =
+    if tries = 0 then Alcotest.fail "server did not come up";
+    match Client.connect ~socket () with
+    | c -> c
+    | exception Unix.Unix_error _ ->
+        Thread.delay 0.05;
+        wait_up (tries - 1)
+  in
+  let c = wait_up 100 in
+  let first = Client.submit c sent in
+  check "computed on first sight" false first.Job.cached;
+  check "the canonical job's outcome" true
+    (first.Job.result = Ok (Job.execute canonical));
+  let twin = Client.submit c canonical in
+  check "the canonical twin is a cache hit" true twin.Job.cached;
+  check "same outcome" true (twin.Job.result = first.Job.result);
+  check "the job as sent hits after its normalization" true
+    (Client.submit c sent).Job.cached;
+  let exported = List.map fst (Client.export c 64) in
+  Client.shutdown c;
+  Client.close c;
+  Thread.join server;
+  let store = Store.open_ ~dir () in
+  let journaled = ref [] in
+  ignore
+    (Store.replay store (fun ~key ~value:_ -> journaled := key :: !journaled));
+  Store.close store;
+  let canonical_key = Job.key canonical in
+  check "exported keys are canonical" true (exported = [ canonical_key ]);
+  check "journaled keys are canonical" true (!journaled = [ canonical_key ])
+
 let tests =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
@@ -527,6 +590,8 @@ let tests =
     Alcotest.test_case "engine warm boot" `Quick test_engine_warm_boot;
     Alcotest.test_case "server crash recovery end-to-end" `Quick
       test_server_crash_recovery;
+    Alcotest.test_case "server caches only canonical keys" `Quick
+      test_server_caches_only_canonical_keys;
     Alcotest.test_case "second server on a live socket leaves the store alone"
       `Quick test_second_server_leaves_store_alone;
   ]
