@@ -521,6 +521,29 @@ let serving addr serve =
       `Error (false, Printf.sprintf "%s: %s" addr (Unix.error_message e))
   | exception Invalid_argument msg -> `Error (false, msg)
 
+(* Run a client command's exchange with the service at [sockets].  An
+   address nothing listens on, a connection dropped mid-exchange, an
+   exceeded deadline or an [Error] reply ends the command the way
+   [serving] does: one line naming the address
+   ("ssg: /tmp/ssgd.sock: No such file or directory"), non-zero exit. *)
+let with_client ?deadline_s sockets f =
+  let addr = String.concat ", " sockets in
+  match Ssg_engine.Client.connect_any ?deadline_s ~sockets () with
+  | exception Unix.Unix_error (e, _, _) ->
+      `Error (false, Printf.sprintf "%s: %s" addr (Unix.error_message e))
+  | c -> (
+      match
+        Fun.protect ~finally:(fun () -> Ssg_engine.Client.close c) (fun () ->
+            f c)
+      with
+      | ret -> ret
+      | exception Unix.Unix_error (e, _, _) ->
+          `Error (false, Printf.sprintf "%s: %s" addr (Unix.error_message e))
+      | exception Failure msg ->
+          `Error (false, Printf.sprintf "%s: %s" addr msg)
+      | exception End_of_file ->
+          `Error (false, addr ^ ": connection closed by the server"))
+
 let socket_arg =
   let doc =
     "Address of the ssgd service: $(b,unix:PATH), $(b,tcp:HOST:PORT), or a      bare Unix-socket path."
@@ -576,7 +599,7 @@ let serve_cmd =
   in
   let trace_arg =
     let doc =
-      "Enable in-process tracing: engine phases and reply writes are        recorded into ring buffers a client can pull with $(b,ssg trace        --remote)."
+      "Enable in-process tracing: engine phases and reply writes are        recorded into ring buffers a client can pull with $(b,ssg trace        --fleet)."
     in
     Arg.(value & flag & info [ "trace" ] ~doc)
   in
@@ -694,7 +717,7 @@ let route_cmd =
   in
   let trace_arg =
     let doc =
-      "Enable in-process tracing: routing spans and failover instants,        pullable with $(b,ssg trace --remote)."
+      "Enable in-process tracing: routing spans and failover instants,        pullable with $(b,ssg trace --fleet)."
     in
     Arg.(value & flag & info [ "trace" ] ~doc)
   in
@@ -796,10 +819,7 @@ let submit_cmd =
   let action sockets family n k prefix seed load algorithm rounds monitor
       repeat quiet deadline_s files =
     let sockets = if sockets = [] then [ default_socket ] else sockets in
-    let with_client f =
-      let c = Ssg_engine.Client.connect_any ?deadline_s ~sockets () in
-      Fun.protect ~finally:(fun () -> Ssg_engine.Client.close c) (fun () -> f c)
-    in
+    let with_client f = with_client ?deadline_s sockets f in
     if files <> [] then begin
       if repeat > 1 then
         `Error (false, "--repeat cannot be combined with FILE arguments")
@@ -818,29 +838,33 @@ let submit_cmd =
             files
         in
         let jobs = List.filter_map (fun (_, r) -> Result.to_option r) parsed in
-        let completions =
-          match jobs with [] -> [] | jobs -> with_client (fun c -> Ssg_engine.Client.submit_batch c jobs)
-        in
         (* Reassemble in file order: parse failures kept their slot. *)
-        let ok = ref true in
-        let remaining = ref completions in
-        List.iter
-          (fun (file, r) ->
-            match r with
-            | Error msg ->
-                Printf.printf "%s: PARSE ERROR %s\n" file msg;
-                ok := false
-            | Ok _ -> (
-                match !remaining with
-                | completion :: rest ->
-                    remaining := rest;
-                    if not (summarize_completion file completion) then ok := false
-                | [] ->
-                    Printf.printf "%s: ERROR no reply\n" file;
-                    ok := false))
-          parsed;
-        if not !ok then Stdlib.exit 1;
-        `Ok ()
+        let report completions =
+          let ok = ref true in
+          let remaining = ref completions in
+          List.iter
+            (fun (file, r) ->
+              match r with
+              | Error msg ->
+                  Printf.printf "%s: PARSE ERROR %s\n" file msg;
+                  ok := false
+              | Ok _ -> (
+                  match !remaining with
+                  | completion :: rest ->
+                      remaining := rest;
+                      if not (summarize_completion file completion) then ok := false
+                  | [] ->
+                      Printf.printf "%s: ERROR no reply\n" file;
+                      ok := false))
+            parsed;
+          if not !ok then Stdlib.exit 1;
+          `Ok ()
+        in
+        match jobs with
+        | [] -> report []
+        | jobs ->
+            with_client (fun c ->
+                report (Ssg_engine.Client.submit_batch c jobs))
       end
     end
     else if repeat < 1 then `Error (false, "--repeat must be >= 1")
@@ -863,8 +887,8 @@ let submit_cmd =
                   (summarize_completion (Printf.sprintf "job %-3d" (i + 1))
                      completion)
               else Format.printf "%a" Ssg_engine.Job.pp_completion completion)
-            completions);
-      `Ok ()
+            completions;
+          `Ok ())
     end
   in
   let doc =
@@ -891,20 +915,16 @@ let stats_cmd =
   in
   let action socket json prom =
     if json && prom then `Error (false, "--json and --prom are exclusive")
-    else begin
-      let c = Ssg_engine.Client.connect ~socket () in
-      Fun.protect
-        ~finally:(fun () -> Ssg_engine.Client.close c)
-        (fun () ->
+    else
+      with_client [ socket ] (fun c ->
           if prom then print_string (Ssg_engine.Client.metrics_text c)
           else begin
             let snapshot = Ssg_engine.Client.stats c in
             if json then
               print_endline (Ssg_engine.Telemetry.json_of_snapshot snapshot)
             else Format.printf "%a" Ssg_engine.Telemetry.pp_snapshot snapshot
-          end);
-      `Ok ()
-    end
+          end;
+          `Ok ())
   in
   let doc =
     "Print a running ssgd service's metrics snapshot (human-readable,      $(b,--json), or Prometheus $(b,--prom))."
@@ -916,19 +936,13 @@ let stats_cmd =
 let trace_cmd =
   let file_arg =
     let doc =
-      "Run description to trace locally (omit when pulling with        $(b,--remote))."
+      "Run description to trace locally (omit when pulling with        $(b,--fleet))."
     in
     Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
   let out_arg =
     let doc = "Write the Chrome trace JSON to $(docv) (default: stdout)." in
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
-  in
-  let remote_arg =
-    let doc =
-      "Pull the trace buffers of a running ssgd (started with        $(b,--trace)) instead of executing locally."
-    in
-    Arg.(value & flag & info [ "remote" ] ~doc)
   in
   let k_opt_arg =
     let doc =
@@ -1026,7 +1040,7 @@ let trace_cmd =
             Out_channel.output_string oc json);
         Printf.printf "wrote %d trace events to %s\n" count path
   in
-  let action verbose socket file out remote fleet gateway check k rounds =
+  let action verbose socket file out fleet gateway check k rounds =
     setup_logs verbose;
     let finish count json =
       if check then
@@ -1051,43 +1065,33 @@ let trace_cmd =
       end
     in
     if fleet then begin
-      match
-        let edge =
-          match gateway with
-          | None -> []
-          | Some url -> [ fetch_gateway_report url ]
-        in
-        let c = Ssg_engine.Client.connect ~socket () in
-        let pulled =
-          Fun.protect
-            ~finally:(fun () -> Ssg_engine.Client.close c)
-            (fun () -> Ssg_engine.Client.trace_pull c)
-        in
-        edge @ pulled
-      with
-      | exception Failure msg -> `Error (false, msg)
-      | reports ->
-          let count =
-            List.fold_left
-              (fun a r -> a + List.length r.Ssg_obs.Tracer.events)
-              0 reports
-          in
-          finish count (Ssg_obs.Stitch.chrome_of_reports reports)
-    end
-    else if remote then begin
-      let c = Ssg_engine.Client.connect ~socket () in
-      let events =
-        Fun.protect
-          ~finally:(fun () -> Ssg_engine.Client.close c)
-          (fun () -> Ssg_engine.Client.trace c)
+      let edge =
+        match gateway with
+        | None -> Ok []
+        | Some url -> (
+            match fetch_gateway_report url with
+            | report -> Ok [ report ]
+            | exception Failure msg -> Error msg
+            | exception Unix.Unix_error (e, _, _) ->
+                Error (Printf.sprintf "%s: %s" url (Unix.error_message e)))
       in
-      finish (List.length events)
-        (Ssg_obs.Export.chrome_json ~process:"ssgd" events)
+      match edge with
+      | Error msg -> `Error (false, msg)
+      | Ok edge ->
+          with_client [ socket ] (fun c ->
+              let reports = edge @ Ssg_engine.Client.trace_pull c in
+              let count =
+                List.fold_left
+                  (fun a r -> a + List.length r.Ssg_obs.Tracer.events)
+                  0 reports
+              in
+              finish count (Ssg_obs.Stitch.chrome_of_reports reports))
     end
     else
       match file with
       | None ->
-          `Error (false, "pass a run description FILE, or --remote to pull        from a live ssgd")
+          `Error
+            (false, "pass a run description FILE, or --fleet to pull a live trace")
       | Some path ->
           let adv = Run_format.load path in
           let k = match k with Some k -> k | None -> Adversary.min_k adv in
@@ -1115,41 +1119,37 @@ let trace_cmd =
                 (Ssg_obs.Export.chrome_json ~process:"ssg" events))
   in
   let doc =
-    "Record a Chrome trace-event JSON file (chrome://tracing,      ui.perfetto.dev) of one run executed through the engine — engine      phase spans plus per-round simulation events — pull the trace      buffers of a live ssgd with $(b,--remote), or stitch a whole      fleet's buffers into one document with $(b,--fleet)."
+    "Record a Chrome trace-event JSON file (chrome://tracing,      ui.perfetto.dev) of one run executed through the engine — engine      phase spans plus per-round simulation events — pull the trace      buffers of a live ssgd, or of a router and its whole fleet, into one      stitched document with $(b,--fleet)."
   in
   Cmd.v
     (Cmd.info "trace" ~doc)
     Term.(
       ret
         (const action $ verbose_arg $ socket_arg $ file_arg $ out_arg
-        $ remote_arg $ fleet_arg $ gateway_arg $ check_arg $ k_opt_arg
+        $ fleet_arg $ gateway_arg $ check_arg $ k_opt_arg
         $ rounds_arg))
 
 let shutdown_cmd =
   let action socket =
-    let c = Ssg_engine.Client.connect ~socket () in
-    Fun.protect
-      ~finally:(fun () -> Ssg_engine.Client.close c)
-      (fun () ->
+    with_client [ socket ] (fun c ->
         Ssg_engine.Client.shutdown c;
-        print_endline "ssgd acknowledged shutdown")
+        print_endline "ssgd acknowledged shutdown";
+        `Ok ())
   in
   let doc = "Gracefully stop a running ssgd service." in
-  Cmd.v (Cmd.info "shutdown" ~doc) Term.(const action $ socket_arg)
+  Cmd.v (Cmd.info "shutdown" ~doc) Term.(ret (const action $ socket_arg))
 
 let compact_cmd =
   let action socket =
-    let c = Ssg_engine.Client.connect ~socket () in
-    Fun.protect
-      ~finally:(fun () -> Ssg_engine.Client.close c)
-      (fun () ->
+    with_client [ socket ] (fun c ->
         let n = Ssg_engine.Client.compact c in
-        Printf.printf "compacted: %d record(s) in the new snapshot\n" n)
+        Printf.printf "compacted: %d record(s) in the new snapshot\n" n;
+        `Ok ())
   in
   let doc =
     "Roll the durable store's generation: snapshot the live cache,      truncate the journal.  Against a router, fans out to every up      worker and prints the summed snapshot size; against a worker      without $(b,--persist), prints 0."
   in
-  Cmd.v (Cmd.info "compact" ~doc) Term.(const action $ socket_arg)
+  Cmd.v (Cmd.info "compact" ~doc) Term.(ret (const action $ socket_arg))
 
 (* ------------------------------------------------------------------ *)
 (* gateway / loadgen                                                   *)

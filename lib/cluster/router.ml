@@ -536,8 +536,8 @@ let fan_compact t =
 (* ---------------- the front-end socket server ---------------- *)
 
 (* The router's answer to one request; the connection loop around it
-   is the worker's ({!Conn}), so both front ends speak the same two
-   dialects.  A job is answered from its backend link's reader
+   is the worker's ({!Conn}), so both front ends speak the same
+   protocol.  A job is answered from its backend link's reader
    ([Async]: no thread waits on it), so one slow shard does not
    head-of-line-block a pipelining client; fan-outs and membership
    changes wait on a replier thread. *)
@@ -548,7 +548,6 @@ let handle t listener ?ctx request =
   | Protocol.Batch jobs -> Later (fun () -> route_batch ?ctx t jobs)
   | Protocol.Stats -> Later (fun () -> merged_stats t)
   | Protocol.Metrics -> Later (fun () -> Protocol.Metrics_text (metrics_text t))
-  | Protocol.Trace -> Now (Protocol.Trace_events (Tracer.events ()))
   | Protocol.Trace_pull ->
       Later (fun () -> Protocol.Trace_reports (fleet_reports t))
   | Protocol.Join addr ->

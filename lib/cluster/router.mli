@@ -39,8 +39,9 @@
     [Metrics] replies with a cluster exposition — the router's own
     registry (routed / failed-over / markdown counters, per-shard
     [ssg_router_shard<i>_*] series) followed by the merged snapshot
-    under [ssg_cluster_*]; [Trace] drains the router's own tracer
-    rings ([router.route] spans, [router.failover] instants);
+    under [ssg_cluster_*]; [Trace_pull] answers with the router's own
+    tracer report ([router.route] spans, [router.failover] instants)
+    followed by every backend's;
     [Compact] is relayed to every up backend and answered with the sum
     of their snapshot sizes; [Shutdown] stops the router (never the
     workers).
@@ -74,9 +75,8 @@
     [socket] and every backend are {!Ssg_net.Transport} address strings
     ([unix:PATH], [tcp:HOST:PORT], or a bare path); the front socket
     runs the worker's connection layer ({!Ssg_net.Listener} and
-    {!Ssg_engine.Conn}), so it speaks both frame dialects — plain
-    request/reply and id-framed pipelining (up to [max_inflight]
-    concurrent per connection) — exactly like
+    {!Ssg_engine.Conn}), so it speaks the same id-framed pipelining (up
+    to [max_inflight] concurrent per connection) exactly like
     {!Ssg_engine.Server.serve}.
 
     - [vnodes], [down_after], [probe_interval_s], [probe_timeout_s]

@@ -1,6 +1,11 @@
 module Transport = Ssg_net.Transport
+module Frame = Ssg_net.Frame
 
-type t = { fd : Unix.file_descr; deadline_s : float option }
+type t = {
+  fd : Unix.file_descr;
+  deadline_s : float option;
+  mutable next_id : int;  (* id of the next request *)
+}
 
 let retriable = function
   | Unix.ECONNREFUSED | Unix.ENOENT | Unix.EAGAIN | Unix.EINTR -> true
@@ -69,33 +74,48 @@ let connect ?retries ?retry_backoff_s ?deadline_s ~socket () =
     dial ~who:"Client.connect" ?retries ?retry_backoff_s ?deadline_s
       [ socket ]
   in
-  { fd; deadline_s }
+  { fd; deadline_s; next_id = 0 }
 
 let connect_any ?retries ?retry_backoff_s ?deadline_s ~sockets () =
   let fd =
     dial ~who:"Client.connect_any" ?retries ?retry_backoff_s ?deadline_s
       sockets
   in
-  { fd; deadline_s }
+  { fd; deadline_s; next_id = 0 }
 
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
+(* One exchange: the request goes out in the id envelope (the context
+   envelope, when given, inside it) and its reply must come back under
+   the same id.  The one reply accepted outside the envelope is an
+   [Error]: a server refusing the connection at its limit has no id to
+   repeat. *)
 let rpc ?ctx c request =
-  (match ctx with
-  | None -> Protocol.write_request_fd c.fd request
-  | Some context ->
-      (* The context envelope rides outside the plain request payload —
-         a pre-context server never receives one because pre-context
-         callers never pass [ctx]. *)
-      Ssg_net.Frame.write_fd c.fd
-        (Ssg_net.Frame.with_ctx
-           ~ctx:(Ssg_obs.Context.to_wire context)
-           (Protocol.request_to_bytes request)));
-  try Protocol.read_reply_fd c.fd
-  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-    failwith
-      (Printf.sprintf "Client: rpc deadline (%.3f s) exceeded"
-         (Option.value c.deadline_s ~default:0.))
+  let id = c.next_id in
+  c.next_id <- id + 1;
+  let payload = Protocol.request_to_bytes request in
+  let payload =
+    match ctx with
+    | None -> payload
+    | Some context ->
+        Frame.with_ctx ~ctx:(Ssg_obs.Context.to_wire context) payload
+  in
+  Frame.write_fd c.fd (Frame.with_id ~id payload);
+  match Frame.read_fd c.fd with
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      failwith
+        (Printf.sprintf "Client: rpc deadline (%.3f s) exceeded"
+           (Option.value c.deadline_s ~default:0.))
+  | frame -> (
+      match Frame.classify frame with
+      | Frame.Id (id', inner) when id' = id -> Protocol.reply_of_bytes inner
+      | Frame.Id (id', _) ->
+          failwith
+            (Printf.sprintf "Client: reply to request %d, expected %d" id' id)
+      | Frame.Plain payload -> (
+          match Protocol.reply_of_bytes payload with
+          | Protocol.Error _ as reply -> reply
+          | _ -> failwith "Client: reply outside the id envelope"))
 
 let unexpected what = failwith ("Client: unexpected reply to " ^ what)
 
@@ -116,12 +136,6 @@ let stats c =
   | Protocol.Stats_snapshot snapshot -> snapshot
   | Protocol.Error msg -> failwith ("server error: " ^ msg)
   | _ -> unexpected "stats"
-
-let trace c =
-  match rpc c Protocol.Trace with
-  | Protocol.Trace_events events -> events
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "trace"
 
 let trace_pull c =
   match rpc c Protocol.Trace_pull with
@@ -158,12 +172,6 @@ let export c n =
   | Protocol.Entries entries -> entries
   | Protocol.Error msg -> failwith ("server error: " ^ msg)
   | _ -> unexpected "export"
-
-let transfer c entries =
-  match rpc c (Protocol.Transfer entries) with
-  | Protocol.Transferred n -> n
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "transfer"
 
 let compact c =
   match rpc c Protocol.Compact with

@@ -1,10 +1,10 @@
-(** Client side of the [ssgd] wire protocol.
+(** Client side of the [ssgd] wire protocol, one exchange at a time.
 
-    One value per connection; each call is one request/reply exchange
-    (the protocol is a strict pipeline per connection, so a [t] must not
-    be shared between threads without external serialization — open one
-    connection per thread instead, which is also what exercises the
-    server's concurrency). *)
+    One value per connection; each call sends one request in the id
+    envelope ({!Ssg_net.Frame.with_id}) and waits for the reply carrying
+    its id.  A [t] must not be shared between threads without external
+    serialization — open one connection per thread, or pipeline many
+    requests on one connection with {!Pclient}. *)
 
 type t
 
@@ -67,14 +67,13 @@ val close : t -> unit
 
 (** [submit ?ctx c job] — the job's completion (cache-hit flag, latency,
     and the outcome or the execution error).  [ctx], when given,
-    travels in the additive context envelope
-    ({!Ssg_net.Frame.with_ctx}) so the server's spans for this request
-    adopt it as their remote parent; omit it and the wire bytes are
-    exactly the pre-context protocol.
+    travels in the context envelope ({!Ssg_net.Frame.with_ctx}) inside
+    the id envelope, so the server's spans for this request adopt it as
+    their remote parent.
     @raise Failure on a protocol-level [Error] reply, a corrupt or
-    truncated reply frame, an exceeded deadline, or an unexpected reply
-    kind; [End_of_file] / [Unix.Unix_error] when the peer dies
-    mid-exchange. *)
+    truncated reply frame, an exceeded deadline, a reply under another
+    request's id, or an unexpected reply kind; [End_of_file] /
+    [Unix.Unix_error] when the peer dies mid-exchange. *)
 val submit : ?ctx:Ssg_obs.Context.t -> t -> Job.t -> Job.completion
 
 (** [submit_batch c jobs] — completions in submission order. *)
@@ -82,13 +81,11 @@ val submit_batch : t -> Job.t list -> Job.completion list
 
 val stats : t -> Telemetry.snapshot
 
-(** [trace c] — drain the server's trace buffers (empty unless the
-    daemon runs with tracing enabled, e.g. [ssgd --trace]). *)
-val trace : t -> Ssg_obs.Tracer.event list
-
-(** [trace_pull c] — the fleet pull: one {!Ssg_obs.Tracer.report} per
+(** [trace_pull c] — the trace pull: one {!Ssg_obs.Tracer.report} per
     process reached (a worker answers with its own; a router relays the
-    pull to every backend and prepends itself). *)
+    pull to every backend and prepends itself).  Each report's events
+    are empty unless that process runs with tracing enabled
+    ([ssg serve --trace]). *)
 val trace_pull : t -> Ssg_obs.Tracer.report list
 
 (** [metrics_text c] — the server's stats as Prometheus text
@@ -113,10 +110,6 @@ val leave : t -> string -> unit
 (** [export c n] — up to [n] of the peer worker's hottest cache
     entries, most-recently-used first. *)
 val export : t -> int -> (string * string) list
-
-(** [transfer c entries] seeds entries into the peer worker's cache;
-    returns the count imported. *)
-val transfer : t -> (string * string) list -> int
 
 (** [compact c] rolls the peer's store generation (snapshot + journal
     truncate); a router fans it out and answers with the sum.  0 when

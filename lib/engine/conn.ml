@@ -9,8 +9,8 @@ type answer =
   | Async of ((Protocol.reply -> unit) -> unit)
 
 (* Split the optional context envelope off a request payload and decode
-   what is left.  Pre-context clients never send the envelope and take
-   the [None] path. *)
+   what is left.  A request sent without a trace context takes the
+   [None] path. *)
 let decode payload =
   let ctx_wire, payload = Frame.split_ctx payload in
   ( Option.bind ctx_wire Ssg_obs.Context.of_wire,
@@ -58,23 +58,23 @@ let serve ?telemetry ?(write = Frame.write_fd) ~max_inflight ~handle fd =
   in
   (* Catch-all supervision boundary: reply if possible; the caller then
      ends the connection. *)
-  let handler_error ?id e =
+  let handler_error ~id e =
     let msg = Printexc.to_string e in
     Log.warn (fun m -> m "connection handler error: %s" msg);
-    ignore (send ?id (Protocol.Error msg))
+    ignore (send ~id (Protocol.Error msg))
   in
   (* Answer one request on the reader itself; false means the
      connection must carry no further requests. *)
-  let inline ?id request answer =
+  let inline ~id request answer =
     match
       match answer with
       | Now reply -> reply
       | Later f -> f ()
       | Async start -> Ivar.wait start
     with
-    | reply -> send ?id reply && not (final request)
+    | reply -> send ~id reply && not (final request)
     | exception e ->
-        handler_error ?id e;
+        handler_error ~id e;
         false
   in
   (* Answer one request off the reader: a replier thread for [Later],
@@ -109,24 +109,22 @@ let serve ?telemetry ?(write = Frame.write_fd) ~max_inflight ~handle fd =
     | Async start -> (
         try start (fun reply -> finish (Ok reply)) with e -> finish (Error e))
   in
-  let dispatch ?ctx ?id request =
+  let dispatch ?ctx ~id request =
     match handle ?ctx request with
     | exception e ->
-        handler_error ?id e;
+        handler_error ~id e;
         false
-    | answer -> (
-        match (answer, id) with
-        | (Later _ | Async _), Some id
-          when (not (final request)) && Atomic.get inflight < max_inflight ->
-            pipelined ~id answer;
-            true
-        | _ ->
-            (* Answers that need no waiting, plain requests (answered in
-               order), Shutdown (never pipelined past), and everything
-               past the cap: the reader does the work itself, so the
-               socket is not read again until this request completes
-               and a flooding client is throttled by its own pipe. *)
-            inline ?id request answer)
+    | (Later _ | Async _) as answer
+      when (not (final request)) && Atomic.get inflight < max_inflight ->
+        pipelined ~id answer;
+        true
+    | answer ->
+        (* Answers that need no waiting, Shutdown (never pipelined
+           past), and everything past the cap: the reader does the work
+           itself, so the socket is not read again until this request
+           completes and a flooding client is throttled by its own
+           pipe. *)
+        inline ~id request answer
   in
   let rec loop () =
     if not (Atomic.get broken) then
@@ -141,18 +139,18 @@ let serve ?telemetry ?(write = Frame.write_fd) ~max_inflight ~handle fd =
       | frame -> (
           match Frame.classify frame with
           | exception Failure msg -> reject msg
-          | Frame.Plain payload -> (
+          | Frame.Plain _ ->
+              (* No id to answer under: one uncorrelated Error, then the
+                 connection closes. *)
+              reject "request outside the id envelope"
+          | Frame.Id (id, payload) -> (
               match decode payload with
               | exception Failure msg ->
                   (* Well-delimited but garbage (unknown tag, truncated
                      fields, malformed job, k < 1 …): answer, then drop
                      the connection — a peer speaking a broken dialect
                      gets no further pipeline. *)
-                  reject msg
-              | ctx, request -> if dispatch ?ctx request then loop ())
-          | Frame.Id (id, payload) -> (
-              match decode payload with
-              | exception Failure msg -> reject ~id msg
+                  reject ~id msg
               | ctx, request -> if dispatch ?ctx ~id request then loop ()))
   in
   (* Pipelined answers still hold the fd: closing it before they are

@@ -12,28 +12,26 @@
       on whatever thread completes it (the router's backend link
       reader), so no thread is spent waiting.
 
-    Two dialects share a connection, classified frame by frame
-    ({!Ssg_net.Frame.classify}):
-    - {e plain} frames are answered strictly in order on the reader,
-      one request at a time: a [Later] runs there, an [Async] is waited
-      for there;
-    - {e id-framed} requests run concurrently, so up to [max_inflight]
-      [Later] or [Async] answers are outstanding at once and replies
-      return in completion order, each carrying its request's id.  Past
-      the cap, and always for [Shutdown], the reader answers the
-      request itself as for a plain one, which stops it pulling further
-      frames: back-pressure, not queueing.
-
-    Either may carry a trace context envelope, handed to [handle] as
-    [ctx].
+    Every request travels in the id envelope
+    ({!Ssg_net.Frame.with_id}), and requests run concurrently: up to
+    [max_inflight] [Later] or [Async] answers are outstanding at once
+    and replies return in completion order, each carrying its request's
+    id.  Past the cap, and always for [Shutdown], the reader answers the
+    request itself — a [Later] runs there, an [Async] is waited for
+    there — which stops it pulling further frames: back-pressure, not
+    queueing.  A request may also carry a trace context envelope inside
+    the id envelope, handed to [handle] as [ctx].
 
     {b Supervision.}  A frame that cannot be read or decoded is answered
     with an [Error] where the wire still allows one and ends the
-    connection; so does an exception escaping [handle] or a [Later]
-    (its message is the [Error]).  A reply write that fails ends the
-    connection quietly — the peer is gone.  [serve] returns only once
-    every outstanding answer has been written or has failed, so the
-    caller may close [fd] right after. *)
+    connection; so does a request outside the id envelope, whose
+    [Error] carries no id since there is none to repeat.  [telemetry]
+    counts each as a rejected frame.  An exception escaping [handle] or
+    a [Later] also ends the connection, after an [Error] carrying its
+    message.  A reply write that fails ends the connection quietly —
+    the peer is gone.  [serve] returns only once every outstanding
+    answer has been written or has failed, so the caller may close
+    [fd] right after. *)
 
 type answer =
   | Now of Protocol.reply

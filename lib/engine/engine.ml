@@ -236,9 +236,7 @@ and fresh_execute ?ctx t job ~key ~cell ~now =
             Ok (Job.execute job)
           with e -> Stdlib.Error (Printexc.to_string e)
         in
-        let finished = Unix.gettimeofday () in
-        let latency_ms = 1000. *. (finished -. now) in
-        let exec_ms = 1000. *. (finished -. exec_start) in
+        let exec_ms = 1000. *. (Unix.gettimeofday () -. exec_start) in
         if Tracer.enabled () then
           Tracer.span_end
             ~args:
@@ -256,11 +254,9 @@ and fresh_execute ?ctx t job ~key ~cell ~now =
         | Ok outcome -> persist_outcome t ~key outcome
         | Error _ -> ());
         (match result with
-        | Ok _ ->
-            Telemetry.record_completed t.telemetry ~latency_ms ~queue_ms
-              ~exec_ms
+        | Ok _ -> Telemetry.record_completed t.telemetry ~queue_ms ~exec_ms
         | Error msg ->
-            Telemetry.record_failed t.telemetry ~latency_ms ~queue_ms ~exec_ms;
+            Telemetry.record_failed t.telemetry ~queue_ms ~exec_ms;
             Log.warn (fun m -> m "job failed: %s" msg));
         Ivar.fill cell result
       in

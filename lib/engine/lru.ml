@@ -86,11 +86,6 @@ let to_list c =
 
 let mem c key = Hashtbl.mem c.table key
 let length c = Hashtbl.length c.table
-let capacity c = c.cap
 let hits c = c.hits
 let misses c = c.misses
 let evictions c = c.evictions
-
-let hit_rate c =
-  let total = c.hits + c.misses in
-  if total = 0 then 0. else float_of_int c.hits /. float_of_int total

@@ -29,7 +29,6 @@ val to_list : 'a t -> (string * 'a) list
 
 val mem : 'a t -> string -> bool
 val length : 'a t -> int
-val capacity : 'a t -> int
 
 (** Counters since creation. *)
 
@@ -37,6 +36,3 @@ val hits : 'a t -> int
 
 val misses : 'a t -> int
 val evictions : 'a t -> int
-
-(** [hit_rate c] is [hits / (hits + misses)], or [0.] before any lookup. *)
-val hit_rate : 'a t -> float

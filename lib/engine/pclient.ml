@@ -43,13 +43,6 @@ let metrics_text t =
     | Protocol.Error msg -> Error msg
     | _ -> Error "Pclient: unexpected reply to metrics")
 
-let shutdown t =
-  await
-    (request t Protocol.Shutdown (function
-      | Protocol.Shutting_down -> Ok ()
-      | Protocol.Error msg -> Error msg
-      | _ -> Error "Pclient: unexpected reply to shutdown"))
-
 let submit_sync t job =
   match await (submit t job) with
   | Ok completion -> completion

@@ -53,10 +53,6 @@ val await : 'a ticket -> ('a, string) result
     connection. *)
 val submit_sync : t -> Job.t -> Job.completion
 
-(** [shutdown t] asks the server to drain and exit; resolves once
-    acknowledged. *)
-val shutdown : t -> (unit, string) result
-
 (** [inflight t] — requests sent and not yet answered. *)
 val inflight : t -> int
 

@@ -4,7 +4,6 @@ type request =
   | Submit of Job.t
   | Batch of Job.t list
   | Stats
-  | Trace
   | Trace_pull
   | Metrics
   | Shutdown
@@ -18,7 +17,6 @@ type reply =
   | Completed of Job.completion
   | Batch_completed of Job.completion list
   | Stats_snapshot of Telemetry.snapshot
-  | Trace_events of Ssg_obs.Tracer.event list
   | Trace_reports of Ssg_obs.Tracer.report list
   | Metrics_text of string
   | Shutting_down
@@ -32,22 +30,8 @@ let max_frame_bytes = Ssg_net.Frame.max_frame_bytes
 
 (* ---------------- primitive writers ---------------- *)
 
-let put_int buf (x : int) =
-  let open Int64 in
-  let v = of_int x in
-  for shift = 7 downto 0 do
-    Buffer.add_char buf
-      (Char.chr (to_int (logand (shift_right_logical v (8 * shift)) 0xFFL)))
-  done
-
-let put_float buf f =
-  let bits = Int64.bits_of_float f in
-  for shift = 7 downto 0 do
-    Buffer.add_char buf
-      (Char.chr
-         Int64.(to_int (logand (shift_right_logical bits (8 * shift)) 0xFFL)))
-  done
-
+let put_int buf (x : int) = Buffer.add_int64_be buf (Int64.of_int x)
+let put_float buf f = Buffer.add_int64_be buf (Int64.bits_of_float f)
 let put_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
 
 let put_string buf s =
@@ -86,19 +70,16 @@ let get_byte r =
   r.pos <- r.pos + 1;
   Char.code c
 
-let get_int r =
-  let v = ref 0L in
-  for _ = 1 to 8 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get_byte r))
-  done;
-  Int64.to_int !v
+(* Bounds first: a short read raises [Failure] like every other
+   truncation, never the stdlib's [Invalid_argument]. *)
+let get_int64 r =
+  if r.pos + 8 > String.length r.data then truncated ();
+  let v = String.get_int64_be r.data r.pos in
+  r.pos <- r.pos + 8;
+  v
 
-let get_float r =
-  let v = ref 0L in
-  for _ = 1 to 8 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get_byte r))
-  done;
-  Int64.float_of_bits !v
+let get_int r = Int64.to_int (get_int64 r)
+let get_float r = Int64.float_of_bits (get_int64 r)
 
 let get_bool r =
   match get_byte r with
@@ -273,7 +254,6 @@ let put_snapshot buf (s : Telemetry.snapshot) =
   put_int buf s.Telemetry.timed_out_connections;
   put_int buf s.Telemetry.connections_rejected;
   put_int buf s.Telemetry.faults_injected;
-  put_option buf put_summary s.Telemetry.latency_ms;
   put_option buf put_summary s.Telemetry.queue_wait_ms;
   put_option buf put_summary s.Telemetry.exec_ms
 
@@ -297,7 +277,6 @@ let get_snapshot r : Telemetry.snapshot =
   let timed_out_connections = get_int r in
   let connections_rejected = get_int r in
   let faults_injected = get_int r in
-  let latency_ms = get_option r get_summary in
   let queue_wait_ms = get_option r get_summary in
   let exec_ms = get_option r get_summary in
   {
@@ -320,7 +299,6 @@ let get_snapshot r : Telemetry.snapshot =
     timed_out_connections;
     connections_rejected;
     faults_injected;
-    latency_ms;
     queue_wait_ms;
     exec_ms;
   }
@@ -420,7 +398,6 @@ let request_to_bytes req =
       Buffer.add_char buf 'B';
       put_list buf put_job js
   | Stats -> Buffer.add_char buf 'T'
-  | Trace -> Buffer.add_char buf 'C'
   | Trace_pull -> Buffer.add_char buf 'P'
   | Metrics -> Buffer.add_char buf 'M'
   | Shutdown -> Buffer.add_char buf 'Q'
@@ -459,7 +436,6 @@ let request_of_bytes bytes =
   | 'S' -> Submit (get_job r)
   | 'B' -> Batch (get_list r get_job)
   | 'T' -> Stats
-  | 'C' -> Trace
   | 'P' -> Trace_pull
   | 'M' -> Metrics
   | 'Q' -> Shutdown
@@ -485,9 +461,6 @@ let reply_to_bytes reply =
   | Stats_snapshot s ->
       Buffer.add_char buf 'T';
       put_snapshot buf s
-  | Trace_events es ->
-      Buffer.add_char buf 'V';
-      put_list buf put_event es
   | Trace_reports rs ->
       Buffer.add_char buf 'W';
       put_list buf put_report rs
@@ -517,7 +490,6 @@ let reply_of_bytes bytes =
   | 'R' -> Completed (get_completion r)
   | 'L' -> Batch_completed (get_list r get_completion)
   | 'T' -> Stats_snapshot (get_snapshot r)
-  | 'V' -> Trace_events (get_list r get_event)
   | 'W' -> Trace_reports (get_list r get_report)
   | 'M' -> Metrics_text (get_string r)
   | 'D' -> Shutting_down
@@ -555,7 +527,4 @@ let outcome_of_string s =
 
 (* ---------------- descriptor framing ---------------- *)
 
-let write_request_fd fd req = Ssg_net.Frame.write_fd fd (request_to_bytes req)
-let read_request_fd fd = request_of_bytes (Ssg_net.Frame.read_fd fd)
 let write_reply_fd fd reply = Ssg_net.Frame.write_fd fd (reply_to_bytes reply)
-let read_reply_fd fd = reply_of_bytes (Ssg_net.Frame.read_fd fd)

@@ -1,28 +1,27 @@
 (** The [ssgd] wire protocol: length-prefixed binary frames.
 
-    Every message on the Unix-domain socket is one {e frame}: a 4-byte
-    big-endian payload length followed by the payload; the payload's
-    first byte is a constructor tag.  Integers travel as 8-byte
-    big-endian two's complement, floats as their IEEE-754 bits, strings
-    as a length then raw bytes — no escaping, no delimiters, so framing
-    is exact under any kernel buffering and the codec round-trips
-    byte-for-byte (property-tested).
+    Every message is one {e frame}: a 4-byte big-endian payload length
+    followed by the payload; the payload's first byte is a constructor
+    tag.  Integers travel as 8-byte big-endian two's complement, floats
+    as their IEEE-754 bits, strings as a length then raw bytes — no
+    escaping, no delimiters, so framing is exact under any kernel
+    buffering and the codec round-trips byte-for-byte (property-tested).
 
-    Clients send {!request}s, the server answers each with exactly one
-    {!reply}, in order, on the same connection — a strict request/reply
-    pipeline per connection; concurrency comes from multiple
-    connections. *)
+    Clients send {!request}s inside the request-id envelope
+    ({!Ssg_net.Frame.with_id}); the server answers each with exactly one
+    {!reply} carrying the same id, in completion order, so one
+    connection carries any number of requests at once.  A request
+    outside the envelope is answered with one [Error], itself outside
+    the envelope, and the connection is closed ({!Conn}); so is a
+    connection the server turns away at its connection limit. *)
 
 type request =
   | Submit of Job.t
   | Batch of Job.t list  (** one reply carrying one completion per job *)
   | Stats
-  | Trace
-      (** drain the server's trace buffers — answered with
-          {!Trace_events} (empty when tracing is disabled) *)
   | Trace_pull
-      (** fleet trace pull — answered with {!Trace_reports}: like
-          {!Trace} but each buffer comes wrapped in a
+      (** trace pull — answered with {!Trace_reports}: the process's
+          trace buffers (empty when tracing is disabled) wrapped in a
           {!Ssg_obs.Tracer.report} carrying role, pid and the clock
           anchor stitching needs; a router answering it relays the pull
           to every backend and prepends its own report *)
@@ -55,8 +54,6 @@ type reply =
   | Completed of Job.completion
   | Batch_completed of Job.completion list
   | Stats_snapshot of Telemetry.snapshot
-  | Trace_events of Ssg_obs.Tracer.event list
-      (** the server-side trace, oldest first per domain *)
   | Trace_reports of Ssg_obs.Tracer.report list
       (** fleet pull reply: one report per process reached — a worker
           answers with exactly its own, a router with its own plus one
@@ -73,16 +70,6 @@ type reply =
   | Transferred of int  (** {!Transfer} reply: entries imported *)
   | Compacted of int  (** {!Compact} reply: snapshot size in records *)
   | Error of string  (** protocol-level failure (not a job failure) *)
-
-(** {b Wire compatibility note (latency split).}  The stats snapshot
-    ends with three optional {!Ssg_util.Stats.summary} values:
-    [latency_ms] (the legacy submit-to-completion figure, kept with its
-    original meaning and position) followed by the two phases it splits
-    into, [queue_wait_ms] and [exec_ms] — appended {e after} every
-    pre-existing field, so a reader of the old layout consumes a prefix
-    that still parses as before.  [latency_ms ≈ queue_wait_ms + exec_ms]
-    per job; the split comes from the worker-side execution span, not
-    from a second clock. *)
 
 (** Hard cap on payload size ([16 MiB]); both sides refuse larger frames
     rather than attempting unbounded allocation on garbage input. *)
@@ -116,15 +103,7 @@ val outcome_to_string : Job.outcome -> string
 
 val outcome_of_string : string -> Job.outcome
 
-(** Descriptor framing: one codec call around {!Ssg_net.Frame.read_fd} /
-    {!Ssg_net.Frame.write_fd}, so a socket read timeout ([SO_RCVTIMEO])
-    surfaces as [Unix_error (EAGAIN | EWOULDBLOCK)] at the stalled
-    syscall.  Readers
-    @raise End_of_file on a peer closed at a frame boundary,
-    @raise Failure on oversized frames, a peer dying mid-frame, or an
-    undecodable payload. *)
-
-val write_request_fd : Unix.file_descr -> request -> unit
-val read_request_fd : Unix.file_descr -> request
+(** [write_reply_fd fd reply] writes one reply frame outside the id
+    envelope: how a server answers a connection it turns away at its
+    connection limit. *)
 val write_reply_fd : Unix.file_descr -> reply -> unit
-val read_reply_fd : Unix.file_descr -> reply

@@ -99,7 +99,6 @@ let handle engine listener ?ctx request =
   | Protocol.Batch jobs ->
       Later (fun () -> Protocol.Batch_completed (run_batch engine ?ctx jobs))
   | Protocol.Stats -> Now (Protocol.Stats_snapshot (Engine.stats engine))
-  | Protocol.Trace -> Now (Protocol.Trace_events (Ssg_obs.Tracer.events ()))
   | Protocol.Trace_pull ->
       Now
         (Protocol.Trace_reports

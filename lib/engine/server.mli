@@ -6,8 +6,7 @@
     {!Ssg_net.Listener} accepts (one lightweight [Thread] per client
     connection — the handlers only do blocking I/O and waiting, the
     simulation work runs on the engine's worker {e domains}) and
-    {!Conn} runs the framed-request loop on each connection, in both
-    frame dialects — plain in-order request/reply, and id-framed
+    {!Conn} runs the framed-request loop on each connection: id-framed
     pipelining with up to [max_inflight] requests in flight per
     connection.  The connection's reader writes every answer that
     needs no waiting itself: cache hits ({!Engine.cached}), stats,
@@ -70,8 +69,8 @@
       consulted before each job execution and each reply frame.
     - [trace] (default [false]): resets and enables the process-wide
       {!Ssg_obs.Tracer} before serving, so engine phases and reply
-      writes are recorded; clients pull the buffers with the [Trace]
-      request ([ssg trace --remote]).
+      writes are recorded; clients pull the buffers with the
+      [Trace_pull] request ([ssg trace --fleet]).
     - [persist]: a directory for the durable result store
       ({!Ssg_store.Store}) — opened only once the socket is bound (a
       server that cannot bind never touches it), the cache is

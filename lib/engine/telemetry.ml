@@ -21,7 +21,6 @@ type snapshot = {
   timed_out_connections : int;
   connections_rejected : int;
   faults_injected : int;
-  latency_ms : Stats.summary option;
   queue_wait_ms : Stats.summary option;
   exec_ms : Stats.summary option;
 }
@@ -30,9 +29,8 @@ type t = {
   mutex : Mutex.t;  (* guards the rings; counters are registry atomics *)
   started : float;  (* Unix.gettimeofday at creation *)
   recent_window_s : float;
-  ring : float array;  (* most recent submit-to-completion latencies *)
-  queue_ring : float array;  (* queue-wait portion, same ring geometry *)
-  exec_ring : float array;  (* execution portion, same ring geometry *)
+  queue_ring : float array;  (* most recent queue waits *)
+  exec_ring : float array;  (* their executions, same ring geometry *)
   stamps : float array;  (* completion times, same ring geometry *)
   mutable ring_len : int;
   mutable ring_pos : int;
@@ -50,7 +48,6 @@ type t = {
   injected : Metrics.counter;
   queue_hist : Metrics.histogram;
   exec_hist : Metrics.histogram;
-  latency_hist : Metrics.histogram;
   hop_queue_hist : Metrics.histogram;
   hop_exec_hist : Metrics.histogram;
 }
@@ -59,7 +56,7 @@ type t = {
    namespace across the fleet so a scrape of gateway + router + worker
    decomposes end-to-end latency hop by hop: the worker contributes
    queue wait and execution (registered below, observed alongside the
-   legacy [ssgd_job_*] histograms), the router and gateway register
+   [ssgd_job_*] histograms), the router and gateway register
    their forwarding hops into their own registries with these
    helpers. *)
 
@@ -96,7 +93,6 @@ let create ?(window = 4096) ?(recent_window_s = 10.) () =
     mutex = Mutex.create ();
     started = Unix.gettimeofday ();
     recent_window_s;
-    ring = Array.make window 0.;
     queue_ring = Array.make window 0.;
     exec_ring = Array.make window 0.;
     stamps = Array.make window 0.;
@@ -136,9 +132,6 @@ let create ?(window = 4096) ?(recent_window_s = 10.) () =
     exec_hist =
       histogram "ssgd_job_exec_ms"
         "Milliseconds a worker spent executing a job";
-    latency_hist =
-      histogram "ssgd_job_latency_ms"
-        "Submit-to-completion milliseconds (legacy end-to-end latency)";
     hop_queue_hist =
       histogram "ssg_hop_queue_wait_ms"
         "Milliseconds a job waited in the worker queue (queue hop)";
@@ -147,35 +140,31 @@ let create ?(window = 4096) ?(recent_window_s = 10.) () =
         "Milliseconds a worker spent executing a job (exec hop)";
   }
 
-let registry t = t.registry
-
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let push_latency t ~latency_ms ~queue_ms ~exec_ms =
-  Metrics.observe t.latency_hist latency_ms;
+let push_latency t ~queue_ms ~exec_ms =
   Metrics.observe t.queue_hist queue_ms;
   Metrics.observe t.exec_hist exec_ms;
   Metrics.observe t.hop_queue_hist queue_ms;
   Metrics.observe t.hop_exec_hist exec_ms;
   locked t (fun () ->
-      t.ring.(t.ring_pos) <- latency_ms;
       t.queue_ring.(t.ring_pos) <- queue_ms;
       t.exec_ring.(t.ring_pos) <- exec_ms;
       t.stamps.(t.ring_pos) <- Unix.gettimeofday ();
-      t.ring_pos <- (t.ring_pos + 1) mod Array.length t.ring;
-      t.ring_len <- min (t.ring_len + 1) (Array.length t.ring))
+      t.ring_pos <- (t.ring_pos + 1) mod Array.length t.stamps;
+      t.ring_len <- min (t.ring_len + 1) (Array.length t.stamps))
 
 let record_submitted t = Metrics.incr t.submitted
 
-let record_completed t ~latency_ms ~queue_ms ~exec_ms =
+let record_completed t ~queue_ms ~exec_ms =
   Metrics.incr t.completed;
-  push_latency t ~latency_ms ~queue_ms ~exec_ms
+  push_latency t ~queue_ms ~exec_ms
 
-let record_failed t ~latency_ms ~queue_ms ~exec_ms =
+let record_failed t ~queue_ms ~exec_ms =
   Metrics.incr t.failed;
-  push_latency t ~latency_ms ~queue_ms ~exec_ms
+  push_latency t ~queue_ms ~exec_ms
 
 let record_rejected_lint t = Metrics.incr t.rejected_lint
 let record_hit t = Metrics.incr t.hits
@@ -195,7 +184,7 @@ let recent_rate t now =
   else begin
     let span = Float.min t.recent_window_s (now -. t.started) in
     let span =
-      if t.ring_len < Array.length t.ring then span
+      if t.ring_len < Array.length t.stamps then span
       else
         let oldest = t.stamps.(t.ring_pos) in
         Float.min span (now -. oldest)
@@ -241,7 +230,6 @@ let snapshot t ~workers ~queue_depth ~queue_capacity ~cache_entries =
         timed_out_connections = Metrics.counter_value t.timed_out;
         connections_rejected = Metrics.counter_value t.conn_rejected;
         faults_injected = Metrics.counter_value t.injected;
-        latency_ms = summarize_ring t.ring;
         queue_wait_ms = summarize_ring t.queue_ring;
         exec_ms = summarize_ring t.exec_ring;
       })
@@ -308,7 +296,6 @@ let merge = function
           connections_rejected =
             a.connections_rejected + b.connections_rejected;
           faults_injected = a.faults_injected + b.faults_injected;
-          latency_ms = merge_summary_opt a.latency_ms b.latency_ms;
           queue_wait_ms = merge_summary_opt a.queue_wait_ms b.queue_wait_ms;
           exec_ms = merge_summary_opt a.exec_ms b.exec_ms;
         }
@@ -344,7 +331,6 @@ let fields s =
     F_count ("timed_out_connections", s.timed_out_connections);
     F_count ("connections_rejected", s.connections_rejected);
     F_count ("faults_injected", s.faults_injected);
-    F_summary ("latency_ms", s.latency_ms);
     F_summary ("queue_wait_ms", s.queue_wait_ms);
     F_summary ("exec_ms", s.exec_ms);
   ]
@@ -441,18 +427,11 @@ let pp_snapshot fmt s =
      limit, %d injected@."
     s.rejected_frames s.timed_out_connections s.connections_rejected
     s.faults_injected;
-  (match s.latency_ms with
-  | None -> Format.fprintf fmt "latency     : (no completed jobs yet)@."
-  | Some l ->
-      Format.fprintf fmt
-        "latency     : p50 %.2f ms, p95 %.2f ms, p99 %.2f ms (over last %d)@."
-        l.Stats.p50 l.Stats.p95 l.Stats.p99 l.Stats.count);
   match (s.queue_wait_ms, s.exec_ms) with
   | Some q, Some e ->
       Format.fprintf fmt
-        "  queue wait: p50 %.2f ms, p95 %.2f ms, p99 %.2f ms@." q.Stats.p50
-        q.Stats.p95 q.Stats.p99;
-      Format.fprintf fmt
-        "  execution : p50 %.2f ms, p95 %.2f ms, p99 %.2f ms@." e.Stats.p50
-        e.Stats.p95 e.Stats.p99
-  | _ -> ()
+        "queue wait  : p50 %.2f ms, p95 %.2f ms, p99 %.2f ms (over last %d)@."
+        q.Stats.p50 q.Stats.p95 q.Stats.p99 q.Stats.count;
+      Format.fprintf fmt "execution   : p50 %.2f ms, p95 %.2f ms, p99 %.2f ms@."
+        e.Stats.p50 e.Stats.p95 e.Stats.p99
+  | _ -> Format.fprintf fmt "latency     : (no completed jobs yet)@."

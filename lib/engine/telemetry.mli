@@ -7,22 +7,22 @@
     [snapshot] freezes everything into the plain record the [stats] wire
     reply carries.
 
-    Per-job latency is measured submit-to-completion in milliseconds and
-    kept in a fixed-size ring of the most recent [window] samples;
-    percentiles come from {!Ssg_util.Stats.summarize} over that window.
-    The same ring geometry holds the two phases that make up that total:
-    queue wait (submit until a worker picks the job up) and execution
-    (worker pickup until the result is ready) — see [queue_wait_ms] and
-    [exec_ms] below.  Completion {e times} are kept in one more ring of
-    the same size, so throughput can be reported over a recent
-    wall-clock window — a long-idle daemon reports the current burst's
-    rate, not its lifetime average diluted by the idle time (the
-    lifetime average is still carried separately).
+    An executed job's latency is kept as its two phases, in
+    milliseconds: queue wait (submit until a worker picks the job up)
+    and execution (worker pickup until the result is ready) — see
+    [queue_wait_ms] and [exec_ms] below.  Each lives in a fixed-size
+    ring of the most recent [window] samples; percentiles come from
+    {!Ssg_util.Stats.summarize} over that window.  Completion {e times}
+    are kept in one more ring of the same size, so throughput can be
+    reported over a recent wall-clock window — a long-idle daemon
+    reports the current burst's rate, not its lifetime average diluted
+    by the idle time (the lifetime average is still carried
+    separately).
 
     Each phase also feeds a bucketed registry histogram
-    ([ssgd_job_queue_wait_ms], [ssgd_job_exec_ms],
-    [ssgd_job_latency_ms]) for the Prometheus exposition, which wants
-    cumulative buckets rather than percentiles. *)
+    ([ssgd_job_queue_wait_ms], [ssgd_job_exec_ms]) for the Prometheus
+    exposition, which wants cumulative buckets rather than
+    percentiles. *)
 
 type snapshot = {
   uptime_s : float;
@@ -58,15 +58,12 @@ type snapshot = {
           limit *)
   faults_injected : int;
       (** faults the active {!Faults} plan injected (chaos mode) *)
-  latency_ms : Ssg_util.Stats.summary option;
-      (** submit-to-completion, the legacy end-to-end figure; [None]
-          until the first completion *)
   queue_wait_ms : Ssg_util.Stats.summary option;
-      (** the queue-wait share of [latency_ms]: submit until a worker
-          picked the job up *)
+      (** submit until a worker picked the job up; [None] until the
+          first completion *)
   exec_ms : Ssg_util.Stats.summary option;
-      (** the execution share of [latency_ms]: worker pickup until the
-          result was ready *)
+      (** worker pickup until the result was ready; [None] until the
+          first completion *)
 }
 
 type t
@@ -77,21 +74,14 @@ type t
     @raise Invalid_argument if [window < 1] or [recent_window_s <= 0.]. *)
 val create : ?window:int -> ?recent_window_s:float -> unit -> t
 
-(** The metrics registry holding this telemetry's counters and phase
-    histograms.  Extra instruments may be registered on it; they show up
-    in the Prometheus exposition's histogram section. *)
-val registry : t -> Ssg_obs.Metrics.t
-
 val record_submitted : t -> unit
 
-(** [record_completed t ~latency_ms ~queue_ms ~exec_ms] — a job executed
-    to a result.  [latency_ms] is submit-to-completion; [queue_ms] and
-    [exec_ms] are its queue-wait and execution shares. *)
-val record_completed :
-  t -> latency_ms:float -> queue_ms:float -> exec_ms:float -> unit
+(** [record_completed t ~queue_ms ~exec_ms] — a job executed to a
+    result after waiting [queue_ms] in the queue and running for
+    [exec_ms]. *)
+val record_completed : t -> queue_ms:float -> exec_ms:float -> unit
 
-val record_failed :
-  t -> latency_ms:float -> queue_ms:float -> exec_ms:float -> unit
+val record_failed : t -> queue_ms:float -> exec_ms:float -> unit
 
 (** [record_rejected_lint t] — a job was refused at the lint front
     door. *)

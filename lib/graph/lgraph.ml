@@ -11,9 +11,9 @@ open Ssg_util
 type t = {
   n : int;
   w : int;
-  mutable nodes : Bitset.t;
-  mutable rows : int array;
-  mutable labels : int array;
+  nodes : Bitset.t;
+  rows : int array;
+  labels : int array;
 }
 
 (* A snapshot: the node set, the presence rows and the present labels only,
@@ -292,16 +292,6 @@ let prune_unreachable g ~self =
       end
     done
   done
-
-let swap a b =
-  check_universe a.n b.n;
-  let nodes = a.nodes and rows = a.rows and labels = a.labels in
-  a.nodes <- b.nodes;
-  a.rows <- b.rows;
-  a.labels <- b.labels;
-  b.nodes <- nodes;
-  b.rows <- rows;
-  b.labels <- labels
 
 let to_digraph g =
   let d = Digraph.create g.n in

@@ -131,11 +131,6 @@ val prune_unreachable : t -> self:int -> unit
     the decision test of Line 28. *)
 val is_strongly_connected : t -> bool
 
-(** [swap a b] exchanges the contents of [a] and [b] in O(1) — a
-    double-buffering primitive.  @raise Invalid_argument on universe
-    mismatch. *)
-val swap : t -> t -> unit
-
 (** [to_digraph g] forgets labels, yielding the unlabelled edge set on the
     same universe. *)
 val to_digraph : t -> Digraph.t

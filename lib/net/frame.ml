@@ -1,8 +1,8 @@
 let max_frame_bytes = 16 * 1024 * 1024
 
-(* 'I' is not a constructor tag of any protocol request ('S' 'B' 'T'
-   'C' 'M' 'Q') or reply ('R' 'L' 'T' 'V' 'M' 'D' 'E'), so the two
-   dialects coexist on one connection, classified frame by frame. *)
+(* 'I' is not the constructor tag of any protocol request or reply, so
+   a reader tells an enveloped payload from a bare one by its first
+   byte. *)
 let id_magic = 'I'
 
 let with_id ~id payload =
@@ -25,12 +25,12 @@ let classify payload =
     if id < 0 then failwith "Frame: negative request id"
     else Id (id, Bytes.sub payload 9 (n - 9))
 
-(* Trace-context envelope: same additive trick as the id envelope.
-   'X' is likewise not a first byte of any protocol payload, so peers
-   that never send it are untouched and servers that do not understand
-   it would reject it like any unknown tag.  The context rides {e
-   inside} the id envelope ([with_id ~id (with_ctx ~ctx p)]): the mux
-   correlates replies without caring whether a context is present. *)
+(* Trace-context envelope, optional: 'X' is not the tag of any request,
+   so a request without a context is told apart by its first byte
+   (replies never carry a context and are never split).  The context
+   rides {e inside} the id envelope ([with_id ~id (with_ctx ~ctx p)]):
+   the mux correlates replies without caring whether a context is
+   present. *)
 let ctx_magic = 'X'
 let ctx_len = 24
 

@@ -4,14 +4,14 @@
     length, then the payload.  This module adds the {e multiplexing
     envelope} on top: a payload whose first byte is {!id_magic} carries
     an 8-byte big-endian request id before the inner payload, and a
-    connection carrying id-framed requests may answer them {b out of
-    order} — each reply repeats the id of the request it answers.
+    connection may answer its requests {b out of order} — each reply
+    repeats the id of the request it answers.
 
-    Compatibility: the magic byte is not a valid first byte of any plain
-    protocol payload (request and reply tags are distinct constants),
-    so a server can classify each frame independently — old clients
-    that never send the envelope keep the strict in-order request/reply
-    pipeline they always had. *)
+    The magic byte is not the first byte of any protocol payload
+    (request and reply tags are distinct constants), so a reader tells
+    an enveloped payload from a bare one by that byte alone.  Every
+    request travels in the envelope; the one bare payload on the wire
+    is an [Error] reply that has no id to repeat. *)
 
 (** Frames larger than this (16 MiB) are refused by both sides. *)
 val max_frame_bytes : int
@@ -36,14 +36,12 @@ val classify : Bytes.t -> classified
 
 (** {1 Trace-context envelope}
 
-    Same additive-compatibility trick as the id envelope, one layer
-    further in: a payload whose first byte is {!ctx_magic} carries a
-    fixed {!ctx_len}-byte trace context
-    ({!Ssg_obs.Context.to_wire}) before the inner payload.  Pre-context
-    peers never send it and are classified exactly as before; when both
-    envelopes are present the id envelope is outermost
-    ([with_id ~id (with_ctx ~ctx p)]) so reply correlation never
-    depends on context awareness.  Replies never carry a context.  The
+    One layer further in, and optional: a payload whose first byte is
+    {!ctx_magic} carries a fixed {!ctx_len}-byte trace context
+    ({!Ssg_obs.Context.to_wire}) before the inner payload; a request
+    sent without a context starts with its own tag.  The id envelope is
+    outermost ([with_id ~id (with_ctx ~ctx p)]) so reply correlation
+    never depends on the context.  Replies never carry a context.  The
     blob is opaque to this module — [ssg_net] does not depend on the
     tracer. *)
 

@@ -25,7 +25,7 @@
     when a ring wraps, the oldest events of that domain are overwritten
     (counted by {!dropped}).  {!events} snapshots all rings; it is meant
     to be called at quiescence (after a run, or from the daemon's
-    [Trace] wire op between jobs) — a concurrent writer can race the
+    [Trace_pull] wire op between jobs) — a concurrent writer can race the
     snapshot, in which case a just-overwritten slot may surface as a
     slightly newer event, never as garbage. *)
 

@@ -366,15 +366,16 @@ let test_telemetry_merge () =
   check_int "workers sum" (2 * s.Telemetry.workers) m.Telemetry.workers;
   check "uptime is the max, not the sum" true
     (m.Telemetry.uptime_s = s.Telemetry.uptime_s);
-  (match (s.Telemetry.latency_ms, m.Telemetry.latency_ms) with
+  (match (s.Telemetry.queue_wait_ms, m.Telemetry.queue_wait_ms) with
   | Some single, Some merged ->
-      check_int "latency samples pool" (2 * single.Stats.count) merged.Stats.count;
+      check_int "queue-wait samples pool" (2 * single.Stats.count)
+        merged.Stats.count;
       check "pooled mean is preserved" true
         (Float.abs (merged.Stats.mean -. single.Stats.mean) < 1e-9);
       check "min/max exact" true
         (merged.Stats.min = single.Stats.min
         && merged.Stats.max = single.Stats.max)
-  | _ -> Alcotest.fail "expected latency summaries");
+  | _ -> Alcotest.fail "expected queue-wait summaries");
   match Telemetry.merge [] with
   | _ -> Alcotest.fail "merging nothing must be rejected"
   | exception Invalid_argument _ -> ()
@@ -423,7 +424,7 @@ let test_blackhole_swallows_reply () =
   (* The shutdown ack is also swallowed; shut down fd-level instead. *)
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
-  Protocol.write_request_fd fd Protocol.Shutdown;
+  Raw_wire.send fd Protocol.Shutdown;
   Unix.close fd;
   Thread.join thread
 
@@ -444,8 +445,8 @@ let test_router_shutdown_closes_idle_connections () =
   Unix.connect idle (Unix.ADDR_UNIX socket);
   Unix.setsockopt_float idle Unix.SO_RCVTIMEO 5.;
   (* One exchange proves the connection was accepted; then it idles. *)
-  Protocol.write_request_fd idle Protocol.Metrics;
-  (match Protocol.read_reply_fd idle with
+  Raw_wire.send idle Protocol.Metrics;
+  (match Raw_wire.read_reply idle with
   | Protocol.Metrics_text _ -> ()
   | _ -> Alcotest.fail "idle peer's first exchange failed");
   let t0 = Unix.gettimeofday () in
@@ -456,7 +457,7 @@ let test_router_shutdown_closes_idle_connections () =
   check (Printf.sprintf "serve returned in %.2f s, under 2 s" elapsed) true
     (elapsed < 2.);
   check "idle peer reads EOF" true
-    (match Protocol.read_reply_fd idle with
+    (match Raw_wire.read_reply idle with
     | _ -> false
     | exception End_of_file -> true);
   Unix.close idle

@@ -9,6 +9,7 @@ open Ssg_engine
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_string = Alcotest.(check string)
 
 (* --- Bqueue --- *)
 
@@ -328,7 +329,6 @@ let gen_snapshot rng : Telemetry.snapshot =
           p99 = Rng.float rng *. 10.;
         }
   in
-  let summary = gen_summary () in
   {
     Telemetry.uptime_s = Rng.float rng *. 3600.;
     workers = 1 + Rng.int rng 16;
@@ -349,7 +349,6 @@ let gen_snapshot rng : Telemetry.snapshot =
     timed_out_connections = Rng.int rng 100;
     connections_rejected = Rng.int rng 100;
     faults_injected = Rng.int rng 100;
-    latency_ms = summary;
     queue_wait_ms = gen_summary ();
     exec_ms = gen_summary ();
   }
@@ -381,7 +380,7 @@ let gen_request rng =
   | 0 -> Protocol.Submit (gen_job rng)
   | 1 -> Protocol.Batch (List.init (Rng.int rng 4) (fun _ -> gen_job rng))
   | 2 -> Protocol.Stats
-  | 3 -> Protocol.Trace
+  | 3 -> Protocol.Trace_pull
   | 4 -> Protocol.Metrics
   | 5 -> Protocol.Join "unix:/tmp/w1.sock"
   | 6 -> Protocol.Leave "tcp:127.0.0.1:7001"
@@ -397,7 +396,17 @@ let gen_reply rng =
       Protocol.Batch_completed
         (List.init (Rng.int rng 4) (fun _ -> gen_completion rng))
   | 2 -> Protocol.Stats_snapshot (gen_snapshot rng)
-  | 3 -> Protocol.Trace_events (List.init (Rng.int rng 5) (fun _ -> gen_trace_event rng))
+  | 3 ->
+      Protocol.Trace_reports
+        (List.init (Rng.int rng 3) (fun i ->
+             {
+               Ssg_obs.Tracer.role = (if i = 0 then "router" else "worker");
+               pid = Rng.int rng 100000;
+               epoch_s = Rng.float rng *. 1e9;
+               dropped_events = Rng.int rng 10;
+               events =
+                 List.init (Rng.int rng 5) (fun _ -> gen_trace_event rng);
+             }))
   | 4 -> Protocol.Metrics_text "# TYPE ssgd_jobs_submitted counter\nssgd_jobs_submitted 3\n"
   | 5 -> Protocol.Shutting_down
   | 6 -> Protocol.Ack
@@ -530,16 +539,73 @@ let test_protocol_framing_over_pipe () =
   let read_fd, write_fd = Unix.pipe () in
   let rng = Rng.of_int 77 in
   let reqs = List.init 5 (fun _ -> gen_request rng) in
-  List.iter (Protocol.write_request_fd write_fd) reqs;
-  List.iter
-    (fun req ->
-      check "framed request" true (Protocol.read_request_fd read_fd = req))
+  List.iteri (fun id req -> Raw_wire.send ~id write_fd req) reqs;
+  List.iteri
+    (fun id req ->
+      match Ssg_net.Frame.classify (Ssg_net.Frame.read_fd read_fd) with
+      | Ssg_net.Frame.Id (id', inner) ->
+          check_int "request id" id id';
+          check "framed request" true (Protocol.request_of_bytes inner = req)
+      | Ssg_net.Frame.Plain _ ->
+          Alcotest.fail "request outside the id envelope")
     reqs;
   Unix.close write_fd;
   check "clean EOF at frame boundary" true
-    (try ignore (Protocol.read_request_fd read_fd); false
+    (try ignore (Ssg_net.Frame.read_fd read_fd); false
      with End_of_file -> true);
   Unix.close read_fd
+
+(* The integer and float codecs, pinned byte for byte: the durable
+   store journals outcomes in this encoding, so any other bytes would
+   orphan every journal already written. *)
+let pinned_outcome : Job.outcome =
+  {
+    Job.algorithm = "skeleton-kset";
+    n = 4;
+    min_k = 2;
+    rounds_run = 7;
+    decisions = [| Some (3, 0); None; Some (5, -2); Some (7, 1 lsl 40) |];
+    distinct_decisions = 3;
+    messages_sent = 48;
+    messages_delivered = 41;
+    bits_sent = 1234567;
+    violations = [ "k-agreement"; "" ];
+  }
+
+let pinned_outcome_hex =
+  "000000000000000d736b656c65746f6e2d6b7365740000000000000004000000000000\
+   000200000000000000070000000000000004010000000000000003000000000000000000\
+   010000000000000005fffffffffffffffe01000000000000000700000100000000000000\
+   00000000000300000000000000300000000000000029000000000012d687000000000000\
+   0002000000000000000b6b2d61677265656d656e740000000000000000"
+
+let hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let test_protocol_bytes_pinned () =
+  check_string "outcome bytes" pinned_outcome_hex
+    (hex (Protocol.outcome_to_string pinned_outcome));
+  check "outcome decodes back" true
+    (Protocol.outcome_of_string (Protocol.outcome_to_string pinned_outcome)
+    = pinned_outcome);
+  (* A completion adds a float: the latency's IEEE-754 bits. *)
+  let completion =
+    Protocol.Completed
+      { Job.result = Ok pinned_outcome; cached = true; latency_ms = -2.75 }
+  in
+  check_string "completion bytes"
+    ("5200" ^ pinned_outcome_hex ^ "01c006000000000000")
+    (hex (Bytes.to_string (Protocol.reply_to_bytes completion)));
+  (* A short read is a truncation: Failure, never Invalid_argument. *)
+  let encoded = Protocol.outcome_to_string pinned_outcome in
+  for cut = 0 to String.length encoded - 1 do
+    match Protocol.outcome_of_string (String.sub encoded 0 cut) with
+    | _ -> Alcotest.failf "a %d-byte prefix decoded" cut
+    | exception Failure _ -> ()
+  done
 
 let test_protocol_rejects_garbage () =
   check "unknown tag" true
@@ -695,6 +761,8 @@ let tests =
       test_job_keys_pinned;
     Alcotest.test_case "protocol framing over a pipe" `Quick
       test_protocol_framing_over_pipe;
+    Alcotest.test_case "protocol bytes pinned" `Quick
+      test_protocol_bytes_pinned;
     Alcotest.test_case "protocol rejects garbage" `Quick
       test_protocol_rejects_garbage;
     Alcotest.test_case "engine cache + in-flight dedup" `Quick

@@ -70,7 +70,7 @@ let raw_close fd = try Unix.close fd with Unix.Unix_error _ -> ()
 (* [Ok reply], [Error `Eof] on a closed connection, [Error `Timeout] if
    nothing arrived before the receive timeout. *)
 let try_read_reply fd =
-  match Protocol.read_reply_fd fd with
+  match Raw_wire.read_reply fd with
   | reply -> Ok reply
   | exception End_of_file -> Error `Eof
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -122,7 +122,7 @@ let k0_submit_payload () =
 let test_k0_submit_gets_error_and_close () =
   let socket, thread, control = start_server () in
   let fd = raw_connect socket in
-  Ssg_net.Frame.write_fd fd (k0_submit_payload ());
+  Raw_wire.send_payload fd (k0_submit_payload ());
   (match try_read_reply fd with
   | Ok (Protocol.Error msg) ->
       check "error names the bad parameter" true
@@ -226,7 +226,7 @@ let test_garbage_and_midframe_disconnects () =
   (* Garbage payload in a well-delimited frame: Error reply, then the
      connection is dropped. *)
   let fd = raw_connect socket in
-  Ssg_net.Frame.write_fd fd (Bytes.of_string "ZZZZ-not-a-request");
+  Raw_wire.send_payload fd (Bytes.of_string "ZZZZ-not-a-request");
   (match try_read_reply fd with
   | Ok (Protocol.Error _) -> ()
   | _ -> Alcotest.fail "garbage frame must be answered with Error");
@@ -348,7 +348,7 @@ let test_corrupt_and_truncated_replies_fail_cleanly () =
   (* control0 was connected before; its stats exchange will also be
      corrupted, so shut down over a raw socket instead. *)
   let fd = raw_connect socket in
-  Protocol.write_request_fd fd Protocol.Shutdown;
+  Raw_wire.send fd Protocol.Shutdown;
   ignore (try_read_reply fd);
   raw_close fd;
   Client.close control0;
@@ -366,7 +366,7 @@ let test_corrupt_and_truncated_replies_fail_cleanly () =
   check "truncated reply detected as a mid-frame death" true
     truncation_detected;
   let fd = raw_connect socket in
-  Protocol.write_request_fd fd Protocol.Shutdown;
+  Raw_wire.send fd Protocol.Shutdown;
   ignore (try_read_reply fd);
   raw_close fd;
   Client.close control0;
@@ -439,7 +439,7 @@ let test_shutdown_closes_idle_connections () =
   let socket, thread, control = start_server ~drain_timeout_s:10. () in
   let idle = raw_connect socket in
   (* One exchange proves the connection was accepted; then it idles. *)
-  Protocol.write_request_fd idle Protocol.Stats;
+  Raw_wire.send idle Protocol.Stats;
   (match try_read_reply idle with
   | Ok (Protocol.Stats_snapshot _) -> ()
   | _ -> Alcotest.fail "idle peer's first exchange failed");
@@ -460,7 +460,7 @@ let test_no_fd_leak_under_barrage () =
   (* Hostile traffic of every flavour. *)
   for i = 0 to 4 do
     let fd = raw_connect socket in
-    Ssg_net.Frame.write_fd fd (Bytes.of_string "garbage!");
+    Raw_wire.send_payload fd (Bytes.of_string "garbage!");
     ignore (try_read_reply fd);
     raw_close fd;
     ignore i
@@ -474,7 +474,7 @@ let test_no_fd_leak_under_barrage () =
   done;
   for _ = 0 to 1 do
     let fd = raw_connect socket in
-    Ssg_net.Frame.write_fd fd (k0_submit_payload ());
+    Raw_wire.send_payload fd (k0_submit_payload ());
     ignore (try_read_reply fd);
     ignore (try_read_reply fd);
     raw_close fd

@@ -125,21 +125,6 @@ let test_encoded_bits () =
   (* 2 nodes * 3 + 1 edge * (6 + 5) *)
   check_int "node + edge" 17 (Lgraph.encoded_bits g ~label_bits:5)
 
-let test_swap () =
-  let a = Lgraph.create 3 ~self:0 in
-  Lgraph.set_edge a 1 0 ~label:2;
-  let b = Lgraph.create 3 ~self:2 in
-  Lgraph.set_edge b 0 2 ~label:7;
-  let a0 = Lgraph.copy a and b0 = Lgraph.copy b in
-  Lgraph.swap a b;
-  check "a has b's content" true (Lgraph.equal a b0);
-  check "b has a's content" true (Lgraph.equal b a0);
-  Lgraph.swap a b;
-  check "swap is involutive" true (Lgraph.equal a a0 && Lgraph.equal b b0);
-  check "mismatch rejected" true
-    (try Lgraph.swap a (Lgraph.create 4 ~self:0); false
-     with Invalid_argument _ -> true)
-
 let test_copy_equal () =
   let g = Lgraph.create 3 ~self:0 in
   Lgraph.set_edge g 1 0 ~label:2;
@@ -257,7 +242,6 @@ let tests =
     Alcotest.test_case "to_digraph" `Quick test_to_digraph;
     Alcotest.test_case "min/max label" `Quick test_min_max_label;
     Alcotest.test_case "encoded bits" `Quick test_encoded_bits;
-    Alcotest.test_case "swap" `Quick test_swap;
     Alcotest.test_case "copy/equal" `Quick test_copy_equal;
   ]
   @ List.map QCheck_alcotest.to_alcotest props

@@ -680,11 +680,7 @@ let test_backpressure_at_inflight_cap () =
 let test_client_vanishes_before_reply () =
   let socket, thread = start_server () in
   let addr = Transport.of_string_exn socket in
-  (* Plain dialect: send a submit, close before the reply arrives. *)
-  let fd = Transport.connect addr in
-  Protocol.write_request_fd fd (Protocol.Submit (good_job ~inputs:(Array.init 6 (fun j -> 7000 + j)) ~rounds:4000 ()));
-  Unix.close fd;
-  (* Pipelined dialect: same, through the id envelope. *)
+  (* Send a submit, close before the reply arrives. *)
   let fd = Transport.connect addr in
   let req =
     Protocol.request_to_bytes
@@ -692,49 +688,22 @@ let test_client_vanishes_before_reply () =
   in
   Frame.write_fd fd (Frame.with_id ~id:1 req);
   Unix.close fd;
-  (* The server must shrug both off (EPIPE/ECONNRESET on the reply
+  (* The server must shrug it off (EPIPE/ECONNRESET on the reply
      write) and keep serving everyone else. *)
   Thread.delay 0.2;
   let c = Client.connect ~socket ~deadline_s:20. () in
   let completion = Client.submit c (good_job ()) in
-  check "server survived both vanishing clients" true
+  check "server survived the vanishing client" true
     (Result.is_ok completion.Job.result);
   check "stats still served" true
     ((Client.stats c).Telemetry.jobs_submitted >= 1);
   Client.close c;
   stop_server socket thread
 
-(* Context-envelope compatibility: the server serves all four request
-   shapes on one socket — pre-context and ctx-framed, in both the plain
-   and the pipelined dialect. *)
-let test_ctx_compat_both_dialects () =
+(* The context envelope is optional: requests with and without one,
+   interleaved on one connection, are both served. *)
+let test_ctx_optional () =
   let socket, thread = start_server () in
-  let addr = Transport.of_string_exn socket in
-  let expect_completed fd label =
-    match Protocol.read_reply_fd fd with
-    | Protocol.Completed completion ->
-        check label true (Result.is_ok completion.Job.result)
-    | _ -> Alcotest.fail (label ^ ": Completed expected")
-  in
-  (* Plain dialect, pre-context client: the request bytes carry no
-     envelope at all. *)
-  let fd = Transport.connect addr in
-  Protocol.write_request_fd fd
-    (Protocol.Submit (good_job ~inputs:(Array.init 6 (fun j -> 9000 + j)) ()));
-  expect_completed fd "plain pre-context served";
-  (* Plain dialect, ctx-framed: the envelope spliced in by hand, the
-     same framing the server's reader sees from [Client.submit ?ctx]. *)
-  let ctx = Ssg_obs.Context.root () in
-  Frame.write_fd fd
-    (Frame.with_ctx
-       ~ctx:(Ssg_obs.Context.to_wire ctx)
-       (Protocol.request_to_bytes
-          (Protocol.Submit (good_job ~inputs:(Array.init 6 (fun j -> 9100 + j)) ()))));
-  expect_completed fd "plain ctx-framed served";
-  (* The reply is never ctx-framed: a pre-context client reading this
-     connection parses it without ever seeing the magic byte. *)
-  Unix.close fd;
-  (* Pipelined dialect, both shapes interleaved on one connection. *)
   let pc = Pclient.connect ~socket ~deadline_s:30. () in
   let bare =
     Pclient.submit pc (good_job ~inputs:(Array.init 6 (fun j -> 9200 + j)) ())
@@ -750,7 +719,10 @@ let test_ctx_compat_both_dialects () =
       match Pclient.await t with
       | Ok completion -> check label true (Result.is_ok completion.Job.result)
       | Error e -> Alcotest.fail (label ^ ": " ^ e))
-    [ ("pipelined pre-context served", bare); ("pipelined ctx-framed served", framed) ];
+    [
+      ("request without a context served", bare);
+      ("ctx-framed request served", framed);
+    ];
   Pclient.close pc;
   (* And the synchronous client's ctx path end to end. *)
   let c = Client.connect ~socket ~deadline_s:10. () in
@@ -758,6 +730,91 @@ let test_ctx_compat_both_dialects () =
   check "client ctx submit served" true (Result.is_ok completion.Job.result);
   Client.close c;
   stop_server socket thread
+
+(* A request without the id envelope has no id to answer under: one
+   uncorrelated Error, then the connection closes, and the request is
+   never run — a Shutdown sent that way leaves the server up.  Other
+   connections are served meanwhile. *)
+let test_request_outside_id_envelope () =
+  let socket, thread = start_server () in
+  let c = Client.connect ~socket ~deadline_s:10. () in
+  let before = (Client.stats c).Telemetry.rejected_frames in
+  let fd = Transport.connect (Transport.of_string_exn socket) in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+  Frame.write_fd fd (Protocol.request_to_bytes Protocol.Shutdown);
+  (match Frame.classify (Frame.read_fd fd) with
+  | Frame.Plain payload -> (
+      match Protocol.reply_of_bytes payload with
+      | Protocol.Error msg ->
+          check "the Error names the envelope" true (contains msg "id envelope")
+      | _ -> Alcotest.fail "an Error reply expected")
+  | Frame.Id _ -> Alcotest.fail "the reply cannot repeat an id it never got");
+  let completion = Client.submit c (good_job ()) in
+  check "another connection served meanwhile" true
+    (Result.is_ok completion.Job.result);
+  check "then EOF" true
+    (match Frame.read_fd fd with
+    | _ -> false
+    | exception End_of_file -> true);
+  Unix.close fd;
+  check_int "the frame counted as rejected" (before + 1)
+    (Client.stats c).Telemetry.rejected_frames;
+  Client.close c;
+  stop_server socket thread
+
+(* The one-shot client takes a reply only under its request's id, or an
+   id-less [Error]: how a server refuses a connection at its limit.
+   Scripted peer: read one request, write [reply id] where [id] is the
+   request's. *)
+let test_client_reply_correlation () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ssg-net-client-%d.sock" (Unix.getpid ()))
+  in
+  if Sys.file_exists path then Sys.remove path;
+  let addr = Transport.of_string_exn path in
+  let listen_fd = Transport.listen addr in
+  let stats_answered reply =
+    let peer =
+      Thread.create
+        (fun () ->
+          let fd, _ = Unix.accept listen_fd in
+          (match Frame.classify (Frame.read_fd fd) with
+          | Frame.Id (id, _) -> Frame.write_fd fd (reply id)
+          | Frame.Plain _ -> ());
+          Unix.close fd)
+        ()
+    in
+    let c = Client.connect ~retries:0 ~deadline_s:5. ~socket:path () in
+    let result =
+      match Client.stats c with
+      | _ -> Ok ()
+      | exception Failure msg -> Error msg
+    in
+    Client.close c;
+    Thread.join peer;
+    result
+  in
+  let refused label needle = function
+    | Error msg -> check label true (contains msg needle)
+    | Ok () -> Alcotest.fail (label ^ ": the reply was accepted")
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listen_fd;
+      Transport.cleanup addr)
+    (fun () ->
+      refused "an id-less Error is the server's answer"
+        "server error: server at connection limit"
+        (stats_answered (fun _ ->
+             Protocol.reply_to_bytes
+               (Protocol.Error "server at connection limit")));
+      refused "a reply under another id is refused" "expected"
+        (stats_answered (fun id ->
+             Frame.with_id ~id:(id + 1) (Protocol.reply_to_bytes Protocol.Ack)));
+      refused "any other id-less reply is refused" "outside the id envelope"
+        (stats_answered (fun _ -> Protocol.reply_to_bytes Protocol.Ack)))
 
 (* ---------------- router over TCP ---------------- *)
 
@@ -899,8 +956,12 @@ let tests =
       test_backpressure_at_inflight_cap;
     Alcotest.test_case "server: client vanishes before reply" `Quick
       test_client_vanishes_before_reply;
-    Alcotest.test_case "server: context compat in both dialects" `Quick
-      test_ctx_compat_both_dialects;
+    Alcotest.test_case "server: with and without a context" `Quick
+      test_ctx_optional;
+    Alcotest.test_case "server: request outside the id envelope" `Quick
+      test_request_outside_id_envelope;
+    Alcotest.test_case "client: replies correlate by id" `Quick
+      test_client_reply_correlation;
     Alcotest.test_case "router: over tcp" `Quick test_router_over_tcp;
     Alcotest.test_case "signals: submits survive EINTR fire" `Quick
       test_signals_during_submits;

@@ -213,7 +213,7 @@ let test_snapshot_serializers_cover_every_field () =
   let s = Ssg_engine.Engine.stats engine in
   let fields = Ssg_engine.Telemetry.fields s in
   check "snapshot flattens to every record field" true
-    (List.length fields = 22);
+    (List.length fields = 21);
   let json = Ssg_engine.Telemetry.json_of_snapshot s in
   check "JSON well-formed" true (Export.json_wellformed json);
   List.iter
@@ -235,14 +235,15 @@ let test_snapshot_serializers_cover_every_field () =
     (is_infix ~affix:"ssgd_job_queue_wait_ms_bucket{le=" prom);
   check "exec histogram exposed" true
     (is_infix ~affix:"ssgd_job_exec_ms_bucket{le=" prom);
-  check "latency summary quantiles exposed" true
-    (is_infix ~affix:"ssgd_latency_ms{quantile=\"0.5\"}" prom);
-  check "phase split sums to the legacy latency" true
-    (match (s.Ssg_engine.Telemetry.latency_ms,
-            s.Ssg_engine.Telemetry.queue_wait_ms,
+  check "queue-wait summary quantiles exposed" true
+    (is_infix ~affix:"ssgd_queue_wait_ms{quantile=\"0.5\"}" prom);
+  check "no legacy end-to-end latency series" false
+    (is_infix ~affix:"ssgd_latency_ms" prom
+    || is_infix ~affix:"ssgd_job_latency_ms" prom);
+  check "both phases summarize the one completion" true
+    (match (s.Ssg_engine.Telemetry.queue_wait_ms,
             s.Ssg_engine.Telemetry.exec_ms) with
-    | Some l, Some q, Some e ->
-        abs_float (l.Stats.mean -. (q.Stats.mean +. e.Stats.mean)) < 1.0
+    | Some q, Some e -> q.Stats.count = 1 && e.Stats.count = 1
     | _ -> false);
   Ssg_engine.Engine.shutdown engine
 
@@ -587,8 +588,7 @@ let test_hop_histograms_and_dropped_counter () =
   Tracer.reset ();
   let t = Ssg_engine.Telemetry.create () in
   Ssg_engine.Telemetry.record_submitted t;
-  Ssg_engine.Telemetry.record_completed t ~latency_ms:5. ~queue_ms:2.
-    ~exec_ms:3.;
+  Ssg_engine.Telemetry.record_completed t ~queue_ms:2. ~exec_ms:3.;
   let s =
     Ssg_engine.Telemetry.snapshot t ~workers:1 ~queue_depth:0
       ~queue_capacity:4 ~cache_entries:0
@@ -657,7 +657,15 @@ let test_trace_pull_from_live_daemon () =
       (match (Ssg_engine.Client.submit c job).Ssg_engine.Job.result with
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "job failed: %s" msg);
-      let events = Ssg_engine.Client.trace c in
+      let events =
+        match Ssg_engine.Client.trace_pull c with
+        | [ report ] ->
+            check "the worker reports itself" true
+              (report.Tracer.role = "worker");
+            report.Tracer.events
+        | reports ->
+            Alcotest.failf "%d reports from one worker" (List.length reports)
+      in
       let has name kind =
         List.exists
           (fun (e : Tracer.event) ->
