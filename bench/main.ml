@@ -18,16 +18,17 @@
       an overhead bound gated <= 2% when SSG_OBS_GATE=1.
 
    4. B13 — cluster routing throughput: the same all-distinct cache-miss
-      batch pushed through one single-worker ssgd versus three of them
-      behind the lib/cluster router, wall-clock (gated >= 2x when
+      burst, every job in flight at once on one connection, pushed
+      through one single-worker ssgd versus three of them behind the
+      lib/cluster router, wall-clock (gated >= 2x when
       SSG_CLUSTER_GATE=1 — meaningful only on a multi-core host).
 
    5. B14 — front-door transport throughput: the same all-distinct
-      cache-miss batch pushed through one ssgd over the Unix socket with
-      the strict one-shot client (request, wait, reply, repeat) versus
-      the same daemon over TCP with the pipelined client keeping many
-      requests in flight on one connection (gated: pipelined TCP >= the
-      Unix one-shot when SSG_NET_GATE=1).  Prints a JSON summary line
+      cache-miss batch pushed through one ssgd over the Unix socket one
+      job at a time (request, wait, reply, repeat) versus the same daemon
+      over TCP with every request in flight at once on one connection
+      (gated: pipelined TCP >= Unix one at a time when
+      SSG_NET_GATE=1).  Prints a JSON summary line
       (what bench/baselines/BENCH_B14.json stores).
 
    6. B15 — incremental skeleton hot path + sweep fan-out: the per-round
@@ -454,14 +455,14 @@ let run_tracing_bench scale =
 
 (* ---------------- B13: cluster routing throughput ---------------- *)
 
-(* The cluster's throughput claim: one batch of all-distinct jobs (pure
-   cache misses — placement cannot help, only parallelism can) through a
-   single 1-worker ssgd versus three of them behind the lib/cluster
-   router.  The router splits the batch by ring owner and forwards the
-   sub-batches concurrently, so with real cores behind the workers the
-   fleet approaches 3x; on a 1-core host the three daemons time-slice
-   one core and the row honestly reports the multiplexing overhead
-   instead.  The >= 2x acceptance gate therefore only arms under
+(* The cluster's throughput claim: one burst of all-distinct jobs (pure
+   cache misses — placement cannot help, only parallelism can), every
+   job in flight at once on one connection, through a single 1-worker
+   ssgd versus three of them behind the lib/cluster router.  The router
+   forwards each job to its ring owner as it arrives, so with real cores
+   behind the workers the fleet approaches 3x; on a 1-core host the
+   three daemons time-slice one core and the row honestly reports the
+   multiplexing overhead instead.  The >= 2x acceptance gate therefore only arms under
    SSG_CLUSTER_GATE=1 (CI sets it on multi-core runners). *)
 let run_cluster_bench scale =
   let n, total =
@@ -517,11 +518,12 @@ let run_cluster_bench scale =
     Fun.protect
       ~finally:(fun () -> Ssg_engine.Client.close c)
       (fun () ->
-        let completions = Ssg_engine.Client.submit_batch c batch in
-        assert (
-          List.for_all
-            (fun c -> Result.is_ok c.Ssg_engine.Job.result)
-            completions))
+        List.map (Ssg_engine.Client.submit_async c) batch
+        |> List.iter (fun ticket ->
+               match Ssg_engine.Client.await ticket with
+               | Ok completion ->
+                   assert (Result.is_ok completion.Ssg_engine.Job.result)
+               | Error msg -> failwith msg))
   in
   (* Single 1-worker daemon. *)
   let single = sock "single" in
@@ -575,20 +577,22 @@ let run_cluster_bench scale =
 (* ---------------- B14: front-door transport throughput ---------------- *)
 
 (* The lib/net claim: multiplexing many in-flight requests onto one
-   connection recovers the round-trip latency that the strict one-shot
-   discipline pays per job.  Same daemon, same all-distinct cache-miss
+   connection recovers the round-trip latency that sending one job at a
+   time pays per job.  Same daemon, same all-distinct cache-miss
    batch, two front doors:
 
-   - Unix socket, one-shot {!Ssg_engine.Client}: submit, wait for the
-     reply, submit the next — every job pays a full round trip with the
-     worker pool idle during the client-side turnaround;
-   - TCP + {!Ssg_engine.Pclient}: every job submitted before any reply
-     is awaited, so the pool always has work and replies stream back in
-     completion order.
+   - Unix socket, one job at a time: {!Ssg_engine.Client.submit} in
+     sequence — submit, wait for the reply, submit the next — so every
+     job pays a full round trip with the worker pool idle during the
+     client-side turnaround;
+   - TCP, pipelined: every job sent with
+     {!Ssg_engine.Client.submit_async} before any reply is awaited, so
+     the pool always has work and replies stream back in completion
+     order.
 
    The pipelined side also carries TCP's framing overhead, so the >= 1x
    gate (SSG_NET_GATE=1) is a real claim: id-framed pipelining over the
-   heavier transport must still beat strict one-shot over the lighter
+   heavier transport must still beat one job at a time over the lighter
    one at equal worker count.  Arm the gate at standard scale or above:
    quick-scale jobs (n=16) finish in ~3 ms, which is inside the noise of
    the mux reader thread and per-connection handler threads contending
@@ -658,7 +662,7 @@ let run_net_bench scale =
     Ssg_engine.Client.close c;
     Thread.join thread
   in
-  (* Unix socket, strict one-shot: a full round trip per job. *)
+  (* Unix socket, one job at a time: a full round trip per job. *)
   let ut = start_server unix_sock in
   let oneshot_s =
     let c = wait_up unix_sock in
@@ -678,21 +682,17 @@ let run_net_bench scale =
   shutdown unix_sock ut;
   (* TCP, pipelined: every job in flight before any reply is read. *)
   let tt = start_server tcp_addr in
-  let c = wait_up tcp_addr in
-  Ssg_engine.Client.close c;
   let pipelined_s =
-    let pc = Ssg_engine.Pclient.connect ~socket:tcp_addr ~deadline_s:120. () in
+    let c = wait_up tcp_addr in
     Fun.protect
-      ~finally:(fun () -> Ssg_engine.Pclient.close pc)
+      ~finally:(fun () -> Ssg_engine.Client.close c)
       (fun () ->
         let (), s =
           time (fun () ->
-              let tickets =
-                List.map (fun j -> Ssg_engine.Pclient.submit pc j) batch
-              in
+              let tickets = List.map (Ssg_engine.Client.submit_async c) batch in
               List.iter
                 (fun t ->
-                  match Ssg_engine.Pclient.await t with
+                  match Ssg_engine.Client.await t with
                   | Ok completion ->
                       assert (Result.is_ok completion.Ssg_engine.Job.result)
                   | Error msg -> failwith msg)
@@ -707,14 +707,16 @@ let run_net_bench scale =
     "== B14: front-door transport throughput (%d all-distinct jobs, n=%d, %d \
      worker domain(s)) ==\n\n"
     total n workers;
-  let table = Table.create [ "front door"; "wall-clock"; "jobs/s"; "vs one-shot" ] in
+  let table =
+    Table.create [ "front door"; "wall-clock"; "jobs/s"; "vs one at a time" ]
+  in
   let row label s =
     Table.add_row table
       [ label; Printf.sprintf "%.1f ms" (1000. *. s);
         Printf.sprintf "%.0f" (jps s);
         Printf.sprintf "%.2fx" (oneshot_s /. Stdlib.max s 1e-9) ]
   in
-  row "unix socket, one-shot client" oneshot_s;
+  row "unix socket, one job at a time" oneshot_s;
   row "tcp, pipelined client (all in flight)" pipelined_s;
   Table.print table;
   Printf.printf
@@ -725,11 +727,12 @@ let run_net_bench scale =
   if Sys.getenv_opt "SSG_NET_GATE" = Some "1" then
     if ratio < 1. then begin
       Printf.printf
-        "  GATE FAILED: pipelined TCP %.2fx < 1x unix one-shot\n" ratio;
+        "  GATE FAILED: pipelined TCP %.2fx < 1x unix one at a time\n" ratio;
       exit 1
     end
     else
-      Printf.printf "  gate: pipelined TCP >= unix one-shot (OK, %.2fx)\n" ratio;
+      Printf.printf "  gate: pipelined TCP >= unix one at a time (OK, %.2fx)\n"
+        ratio;
   print_newline ()
 
 (* ---------------- B15: incremental skeleton hot path + sweep ---------------- *)
@@ -925,7 +928,8 @@ let run_sweep_bench scale =
    request is free while tracing is off.  Same daemon and all-distinct
    cache-miss batch as B14's pipelined-TCP side, two timed passes on
    fresh daemons: one plain, one attaching a root context to every
-   submit ([Pclient.submit ~ctx] — the loadgen's trace-sampling path),
+   submit ([Client.submit_async ~ctx] — the loadgen's trace-sampling
+   path),
    tracing disabled on both ends throughout.
 
    The wall-clock ratio is reported (min of [reps] repetitions per side
@@ -992,26 +996,24 @@ let run_ctx_bench scale =
             ~socket ())
         ()
     in
-    let c = wait_up socket in
-    Ssg_engine.Client.close c;
-    let pc = Ssg_engine.Pclient.connect ~socket ~deadline_s:120. () in
+    let pc = wait_up socket in
     let (), s =
       Fun.protect
-        ~finally:(fun () -> Ssg_engine.Pclient.close pc)
+        ~finally:(fun () -> Ssg_engine.Client.close pc)
         (fun () ->
           time (fun () ->
               let tickets =
                 List.map
                   (fun j ->
                     if ctx then
-                      Ssg_engine.Pclient.submit
+                      Ssg_engine.Client.submit_async
                         ~ctx:(Ssg_obs.Context.root ()) pc j
-                    else Ssg_engine.Pclient.submit pc j)
+                    else Ssg_engine.Client.submit_async pc j)
                   batch
               in
               List.iter
                 (fun t ->
-                  match Ssg_engine.Pclient.await t with
+                  match Ssg_engine.Client.await t with
                   | Ok completion ->
                       assert (Result.is_ok completion.Ssg_engine.Job.result)
                   | Error msg -> failwith msg)

@@ -540,9 +540,7 @@ let with_client ?deadline_s sockets f =
       | exception Unix.Unix_error (e, _, _) ->
           `Error (false, Printf.sprintf "%s: %s" addr (Unix.error_message e))
       | exception Failure msg ->
-          `Error (false, Printf.sprintf "%s: %s" addr msg)
-      | exception End_of_file ->
-          `Error (false, addr ^ ": connection closed by the server"))
+          `Error (false, Printf.sprintf "%s: %s" addr msg))
 
 let socket_arg =
   let doc =
@@ -691,7 +689,7 @@ let route_cmd =
   in
   let request_timeout_arg =
     let doc =
-      "Reply deadline of each forwarded request: one left unanswered this        long fails its backend link, and every job in flight on the link        fails over — a mute backend becomes a failover, not a hang."
+      "Reply deadline of each forwarded request: one left unanswered this        long fails over on its own, and a backend link quiet this long        with requests outstanding fails with every job in flight on it —        a mute backend becomes a failover, not a hang."
     in
     Arg.(value & opt float 30. & info [ "request-timeout" ] ~docv:"SECONDS" ~doc)
   in
@@ -773,7 +771,7 @@ let submit_cmd =
   in
   let repeat_arg =
     let doc =
-      "Submit the job description COUNT times as one batch, varying the        seed — a quick way to exercise the worker pool and the cache from        the command line."
+      "Submit the job description COUNT times, varying the seed, as COUNT        jobs in flight at once on one connection — a quick way to exercise        the worker pool and the cache from the command line."
     in
     Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"COUNT" ~doc)
   in
@@ -783,7 +781,7 @@ let submit_cmd =
   in
   let deadline_arg =
     let doc =
-      "Per-reply deadline in seconds: fail instead of waiting forever on        an unresponsive server."
+      "Per-request deadline in seconds: fail instead of waiting forever on        an unresponsive server."
     in
     Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
   in
@@ -795,7 +793,7 @@ let submit_cmd =
   in
   let files_arg =
     let doc =
-      "Run description files to submit as one batch over one connection        (per-file result lines; exit 1 if any file fails to parse or        errors server-side).  Without files, a run is generated from the        $(b,run)-style options instead."
+      "Run description files to submit, all in flight at once on one        connection (per-file result lines; exit 1 if any file fails to        parse or errors server-side).  Without files, a run is generated        from the $(b,run)-style options instead."
     in
     Arg.(value & pos_all file [] & info [] ~docv:"FILE" ~doc)
   in
@@ -815,6 +813,23 @@ let submit_cmd =
     | Error msg ->
         Printf.printf "%s: ERROR %s\n" label msg;
         false
+  in
+  (* Every job in flight at once on the one connection, completions in
+     job order.  A server's [Error] (a lint rejection) fails only its own
+     job, as an error completion; a connection that failed ends the
+     command. *)
+  let submit_all c jobs =
+    List.map (Ssg_engine.Client.submit_async c) jobs
+    |> List.map (fun ticket ->
+           match Ssg_engine.Client.await ticket with
+           | Ok completion -> completion
+           | Error msg when Ssg_engine.Client.alive c ->
+               {
+                 Ssg_engine.Job.result = Error msg;
+                 cached = false;
+                 latency_ms = 0.;
+               }
+           | Error msg -> failwith msg)
   in
   let action sockets family n k prefix seed load algorithm rounds monitor
       repeat quiet deadline_s files =
@@ -863,8 +878,7 @@ let submit_cmd =
         match jobs with
         | [] -> report []
         | jobs ->
-            with_client (fun c ->
-                report (Ssg_engine.Client.submit_batch c jobs))
+            with_client (fun c -> report (submit_all c jobs))
       end
     end
     else if repeat < 1 then `Error (false, "--repeat must be >= 1")
@@ -878,7 +892,7 @@ let submit_cmd =
           let completions =
             match jobs with
             | [ job ] -> [ Ssg_engine.Client.submit c job ]
-            | jobs -> Ssg_engine.Client.submit_batch c jobs
+            | jobs -> submit_all c jobs
           in
           List.iteri
             (fun i completion ->
@@ -892,7 +906,7 @@ let submit_cmd =
     end
   in
   let doc =
-    "Submit work to a running ssgd service (or cluster router): either one      generated run (same options as $(b,run), $(b,--repeat) for a batch),      or run description FILEs sent as one batch over one connection."
+    "Submit work to a running ssgd service (or cluster router): either one      generated run (same options as $(b,run), $(b,--repeat) for many), or      run description FILEs, all in flight at once on one connection."
   in
   Cmd.v
     (Cmd.info "submit" ~doc)
@@ -1177,7 +1191,7 @@ let gateway_cmd =
   in
   let backend_deadline_arg =
     let doc =
-      "Reply deadline of each request on the pipelined backend        connection: one left unanswered this long fails the connection        and its in-flight requests with 502s."
+      "Reply deadline of each request on the pipelined backend        connection: one left unanswered this long is a 502 on its own,        and a connection quiet this long fails every request in flight        on it with 502s."
     in
     Arg.(value & opt float 30. & info [ "backend-deadline" ] ~docv:"SECONDS" ~doc)
   in

@@ -5,7 +5,6 @@ module Metrics = Ssg_obs.Metrics
 module Tracer = Ssg_obs.Tracer
 module Transport = Ssg_net.Transport
 module Listener = Ssg_net.Listener
-module Mux = Ssg_net.Mux
 open Ssg_engine
 
 (* Per-shard metric slot.  Members come and go at runtime (Join/Leave),
@@ -25,7 +24,7 @@ type t = {
   registry : Registry.t;
   request_timeout_s : float;
   links_lock : Mutex.t;  (* guards [links] and [stopped] *)
-  links : (string, Mux.t) Hashtbl.t;  (* one pipelined link per backend *)
+  links : (string, Client.t) Hashtbl.t;  (* one pipelined link per backend *)
   mutable stopped : bool;  (* set by [close_links]: no link is dialed after *)
   metrics : Metrics.t;
   routed : Metrics.counter;
@@ -86,23 +85,23 @@ let link t addr =
         if t.stopped then failwith "router: stopped";
         Hashtbl.find_opt t.links addr)
   with
-  | Some m when Mux.alive m -> m
+  | Some c when Client.alive c -> c
   | _ ->
       let fresh =
-        Mux.create ~deadline_s:t.request_timeout_s
-          (Client.dial ~who:"Router" ~retries:0 [ addr ])
+        Client.connect ~retries:0 ~deadline_s:t.request_timeout_s ~socket:addr
+          ()
       in
       let winner, closed =
         Mutex.protect t.links_lock (fun () ->
             match Hashtbl.find_opt t.links addr with
             | _ when t.stopped -> (None, [ fresh ])
-            | Some m when Mux.alive m -> (Some m, [ fresh ])
+            | Some c when Client.alive c -> (Some c, [ fresh ])
             | stale ->
                 Hashtbl.replace t.links addr fresh;
                 (Some fresh, Option.to_list stale))
       in
-      List.iter Mux.close closed;
-      match winner with Some m -> m | None -> failwith "router: stopped"
+      List.iter Client.close closed;
+      match winner with Some c -> c | None -> failwith "router: stopped"
 
 let close_links t =
   let all =
@@ -112,14 +111,14 @@ let close_links t =
         Hashtbl.reset t.links;
         all)
   in
-  List.iter Mux.close all
+  List.iter Client.close all
 
 (* One forwarded exchange over the backend's link: [k] gets the decoded
    reply, or why the exchange failed, exactly once — on the link's
    reader thread, or on this one when the link cannot take the request.
    No retries here (the router does its own failover instead); the
-   link's deadline turns a mute backend into a failure after
-   [request_timeout_s], not a hang.  Job-bearing exchanges feed the
+   link's deadline turns a request a mute backend swallowed into a
+   failure after [request_timeout_s], not a hang.  Jobs feed the
    router→worker hop histogram; control exchanges (stats, metrics,
    trace pulls) do not — the hop family decomposes request latency,
    not management traffic. *)
@@ -127,30 +126,17 @@ let forward_cb ?ctx t addr request k =
   match link t addr with
   | exception Unix.Unix_error (e, _, _) -> k (Error (Unix.error_message e))
   | exception Failure msg -> k (Error msg)
-  | m -> (
-      let t0 = Unix.gettimeofday () in
-      let on_reply outcome =
-        (match request with
-        | Protocol.Submit _ | Protocol.Batch _ ->
-            Metrics.observe t.hop_worker (1000. *. (Unix.gettimeofday () -. t0))
-        | _ -> ());
-        k
-          (Result.bind outcome (fun payload ->
-               match Protocol.reply_of_bytes payload with
-               | reply -> Ok reply
-               | exception Failure msg -> Error msg))
-      in
-      match
-        Mux.send_cb
-          ?ctx:(Option.map Ssg_obs.Context.to_wire ctx)
-          m
-          (Protocol.request_to_bytes request)
-          on_reply
-      with
-      | () -> ()
-      | exception Failure msg -> k (Error msg))
+  | c -> (
+      match request with
+      | Protocol.Submit _ ->
+          let t0 = Unix.gettimeofday () in
+          Client.request ?ctx c request (fun outcome ->
+              Metrics.observe t.hop_worker
+                (1000. *. (Unix.gettimeofday () -. t0));
+              k outcome)
+      | _ -> Client.request ?ctx c request k)
 
-let forward ?ctx t addr request = Ivar.wait (forward_cb ?ctx t addr request)
+let forward t addr request = Ivar.wait (forward_cb t addr request)
 
 let record_routed t addr =
   Registry.mark_success t.registry addr;
@@ -217,65 +203,6 @@ let route_job ?ctx t job reply =
     go rest
   in
   go (Registry.candidates t.registry key)
-
-let error_completion msg =
-  { Job.result = Error msg; cached = false; latency_ms = 0. }
-
-let completion_of_reply = function
-  | Protocol.Completed c -> c
-  | Protocol.Error msg -> error_completion msg
-  | _ -> error_completion "cluster: unexpected reply kind"
-
-(* A batch splits by ring owner into per-backend sub-batches forwarded
-   concurrently (that concurrency is where the cluster's throughput
-   comes from: one client connection's batch fans out over every
-   shard's worker pool at once).  A sub-batch whose backend fails falls
-   back to job-by-job routing, which brings failover with it. *)
-let route_batch ?ctx t jobs =
-  let arr = Array.of_list jobs in
-  let results = Array.map (fun _ -> error_completion "unrouted") arr in
-  let groups = Hashtbl.create 8 in
-  Array.iteri
-    (fun i job ->
-      let owner =
-        match Registry.candidates t.registry (Job.key job) with
-        | addr :: _ -> addr
-        | [] -> ""
-      in
-      Hashtbl.replace groups owner
-        (i :: (try Hashtbl.find groups owner with Not_found -> [])))
-    arr;
-  let run_group owner indices =
-    let indices = List.rev indices in
-    let sub = List.map (fun i -> arr.(i)) indices in
-    let fallback () =
-      List.iter
-        (fun i ->
-          results.(i) <-
-            completion_of_reply (Ivar.wait (route_job ?ctx t arr.(i))))
-        indices
-    in
-    if owner = "" then fallback ()
-    else
-      match forward ?ctx t owner (Protocol.Batch sub) with
-      | Ok (Protocol.Batch_completed cs)
-        when List.length cs = List.length indices ->
-          Registry.mark_success t.registry owner;
-          Metrics.add t.routed (List.length indices);
-          Metrics.add (shard_for t owner).s_routed (List.length indices);
-          List.iter2 (fun i c -> results.(i) <- c) indices cs
-      | _ ->
-          Registry.mark_failure t.registry owner;
-          fallback ()
-  in
-  let threads =
-    Hashtbl.fold
-      (fun owner indices acc ->
-        Thread.create (fun () -> run_group owner indices) () :: acc)
-      groups []
-  in
-  List.iter Thread.join threads;
-  Protocol.Batch_completed (Array.to_list results)
 
 (* Fan [Stats] out to every configured backend (down ones included — a
    healed backend that the prober has not revisited yet still reports,
@@ -545,7 +472,6 @@ let handle t listener ?ctx request =
   let open Conn in
   match request with
   | Protocol.Submit job -> Async (route_job ?ctx t job)
-  | Protocol.Batch jobs -> Later (fun () -> route_batch ?ctx t jobs)
   | Protocol.Stats -> Later (fun () -> merged_stats t)
   | Protocol.Metrics -> Later (fun () -> Protocol.Metrics_text (metrics_text t))
   | Protocol.Trace_pull ->

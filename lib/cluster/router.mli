@@ -9,26 +9,27 @@
     owner normalizes it on a cache miss.  Every client in this
     repository sends canonical jobs; a client that sends a
     non-canonical spelling may reach another owner than the canonical
-    job, which costs cache locality, never correctness.  A [Batch] is
-    split by owner, forwarded to each backend as a sub-batch
-    concurrently, and reassembled in submission order.
+    job, which costs cache locality, never correctness.  N jobs are N
+    [Submit]s, each routed on its own.
 
-    Backend links: the router holds one pipelined {!Ssg_net.Mux}
+    Backend links: the router holds one pipelined {!Ssg_engine.Client}
     connection per backend, dialed on first use, and every forward —
-    jobs, batches, fan-outs, handoff — goes over it.  A job is sent on
-    the front connection's reader and completed from the backend
-    link's reader callback, so a forwarded job costs no thread and no
-    connection.  A link that fails is closed and redialed on its next
-    use, never reused.
+    jobs, fan-outs, handoff — goes over it.  A job is sent on the front
+    connection's reader and completed from the backend link's reader
+    callback ({!Ssg_engine.Client.request}), so a forwarded job costs
+    no thread and no connection.  A link that fails is closed and
+    redialed on its next use, never reused.
 
-    Failover: when the owner cannot serve — connect refused, its link
-    failed or past its deadline, undecodable reply — the job is
-    retried on the next shard in ring order ({!Ring.successors}), the
-    failure is reported to the {!Registry} (so [down_after]
-    consecutive failures take the shard out of the ring until a probe
-    or forward succeeds again), and the router's failover counter
-    moves.  When a link fails, every job in flight on it fails over
-    this way.  A backend's {e protocol-level} [Error] reply (a lint
+    Failover: when the owner cannot serve — connect refused (a worker
+    at its connection limit included), its link failed, the job
+    outlived its deadline, undecodable reply — the job is retried on
+    the next shard in ring order ({!Ring.successors}), the failure is
+    reported to the {!Registry} (so [down_after] consecutive failures
+    take the shard out of the ring until a probe or forward succeeds
+    again), and the router's failover counter moves.  A job whose reply
+    never comes fails over alone; when a link fails, every job in
+    flight on it fails over.  A backend's {e protocol-level} [Error]
+    reply (a lint
     rejection, say, including the one for a run text that does not
     parse) is relayed verbatim with no failover: it is the job's fault
     and would fail identically on every shard, and the link it came
@@ -82,9 +83,11 @@
     - [vnodes], [down_after], [probe_interval_s], [probe_timeout_s]
       are handed to {!Registry.create};
     - [request_timeout_s] (default 30) bounds each forwarded request:
-      the first one to go unanswered that long fails its backend link,
-      and every job in flight on the link fails over, so a mute
-      (blackholed) backend turns into a failover, not a hang;
+      a job left unanswered that long fails over on its own, and the
+      jobs in flight beside it on the link stay there; the link itself
+      fails only once it has gone quiet that long with requests
+      outstanding ({!Ssg_net.Mux}).  So a mute (blackholed) backend
+      turns into a failover, not a hang;
     - [max_connections], [max_inflight], [read_timeout_s],
       [drain_timeout_s] guard the front socket exactly like
       {!Ssg_engine.Server.serve};

@@ -1,11 +1,7 @@
 module Transport = Ssg_net.Transport
-module Frame = Ssg_net.Frame
+module Mux = Ssg_net.Mux
 
-type t = {
-  fd : Unix.file_descr;
-  deadline_s : float option;
-  mutable next_id : int;  (* id of the next request *)
-}
+type t = Mux.t
 
 let retriable = function
   | Unix.ECONNREFUSED | Unix.ENOENT | Unix.EAGAIN | Unix.EINTR -> true
@@ -28,6 +24,14 @@ let jittered rng backoff =
         r
   in
   Float.max 1e-4 (Random.State.float rng backoff)
+
+(* An id-less reply answers no request: a server turning the connection
+   away says why in an [Error]; anything else is a peer this client
+   cannot pipeline with.  Either fails the connection. *)
+let plain payload =
+  match Protocol.reply_of_bytes payload with
+  | Protocol.Error msg -> "server error: " ^ msg
+  | _ | (exception Failure _) -> "Client: reply outside the id envelope"
 
 let dial ~who ?(retries = 3) ?(retry_backoff_s = 0.05) ?deadline_s sockets =
   if sockets = [] then invalid_arg (who ^ ": no sockets");
@@ -61,120 +65,98 @@ let dial ~who ?(retries = 3) ?(retry_backoff_s = 0.05) ?deadline_s sockets =
           pass (left - 1) (backoff *. 2.)
         end
   in
-  let fd = pass retries retry_backoff_s in
-  (match deadline_s with
-  | Some d -> (
-      try Unix.setsockopt_float fd Unix.SO_RCVTIMEO d
-      with Unix.Unix_error _ -> ())
-  | None -> ());
-  fd
+  Mux.create ?deadline_s ~plain (pass retries retry_backoff_s)
 
 let connect ?retries ?retry_backoff_s ?deadline_s ~socket () =
-  let fd =
-    dial ~who:"Client.connect" ?retries ?retry_backoff_s ?deadline_s
-      [ socket ]
-  in
-  { fd; deadline_s; next_id = 0 }
+  dial ~who:"Client.connect" ?retries ?retry_backoff_s ?deadline_s [ socket ]
 
 let connect_any ?retries ?retry_backoff_s ?deadline_s ~sockets () =
-  let fd =
-    dial ~who:"Client.connect_any" ?retries ?retry_backoff_s ?deadline_s
-      sockets
+  dial ~who:"Client.connect_any" ?retries ?retry_backoff_s ?deadline_s
+    sockets
+
+let close = Mux.close
+let alive = Mux.alive
+let inflight = Mux.inflight
+
+let request ?ctx c req k =
+  let decoded = function
+    | Error _ as failed -> k failed
+    | Ok payload -> (
+        match Protocol.reply_of_bytes payload with
+        | reply -> k (Ok reply)
+        | exception Failure msg -> k (Error msg))
   in
-  { fd; deadline_s; next_id = 0 }
+  match
+    Mux.send_cb
+      ?ctx:(Option.map Ssg_obs.Context.to_wire ctx)
+      c
+      (Protocol.request_to_bytes req)
+      decoded
+  with
+  | () -> ()
+  | exception Failure reason -> k (Error reason)
 
-let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
+type ticket = (Job.completion, string) result Ivar.t
 
-(* One exchange: the request goes out in the id envelope (the context
-   envelope, when given, inside it) and its reply must come back under
-   the same id.  The one reply accepted outside the envelope is an
-   [Error]: a server refusing the connection at its limit has no id to
-   repeat. *)
-let rpc ?ctx c request =
-  let id = c.next_id in
-  c.next_id <- id + 1;
-  let payload = Protocol.request_to_bytes request in
-  let payload =
-    match ctx with
-    | None -> payload
-    | Some context ->
-        Frame.with_ctx ~ctx:(Ssg_obs.Context.to_wire context) payload
-  in
-  Frame.write_fd c.fd (Frame.with_id ~id payload);
-  match Frame.read_fd c.fd with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      failwith
-        (Printf.sprintf "Client: rpc deadline (%.3f s) exceeded"
-           (Option.value c.deadline_s ~default:0.))
-  | frame -> (
-      match Frame.classify frame with
-      | Frame.Id (id', inner) when id' = id -> Protocol.reply_of_bytes inner
-      | Frame.Id (id', _) ->
-          failwith
-            (Printf.sprintf "Client: reply to request %d, expected %d" id' id)
-      | Frame.Plain payload -> (
-          match Protocol.reply_of_bytes payload with
-          | Protocol.Error _ as reply -> reply
-          | _ -> failwith "Client: reply outside the id envelope"))
+let submit_async ?ctx c job =
+  let cell = Ivar.create () in
+  request ?ctx c (Protocol.Submit job) (fun outcome ->
+      Ivar.fill cell
+        (match outcome with
+        | Ok (Protocol.Completed completion) -> Ok completion
+        | Ok (Protocol.Error msg) -> Error msg
+        | Ok _ -> Error "Client: unexpected reply to submit"
+        | Error reason -> Error reason));
+  cell
 
-let unexpected what = failwith ("Client: unexpected reply to " ^ what)
+let await = Ivar.read
+
+(* One blocking exchange; [value] picks the answer out of the reply
+   [req] expects. *)
+let call ?ctx c req what value =
+  match Ivar.wait (request ?ctx c req) with
+  | Error reason -> failwith reason
+  | Ok (Protocol.Error msg) -> failwith ("server error: " ^ msg)
+  | Ok reply -> (
+      match value reply with
+      | Some v -> v
+      | None -> failwith ("Client: unexpected reply to " ^ what))
 
 let submit ?ctx c job =
-  match rpc ?ctx c (Protocol.Submit job) with
-  | Protocol.Completed completion -> completion
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "submit"
-
-let submit_batch c jobs =
-  match rpc c (Protocol.Batch jobs) with
-  | Protocol.Batch_completed completions -> completions
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "batch"
+  call ?ctx c (Protocol.Submit job) "submit" (function
+    | Protocol.Completed completion -> Some completion
+    | _ -> None)
 
 let stats c =
-  match rpc c Protocol.Stats with
-  | Protocol.Stats_snapshot snapshot -> snapshot
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "stats"
+  call c Protocol.Stats "stats" (function
+    | Protocol.Stats_snapshot snapshot -> Some snapshot
+    | _ -> None)
 
 let trace_pull c =
-  match rpc c Protocol.Trace_pull with
-  | Protocol.Trace_reports reports -> reports
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "trace_pull"
+  call c Protocol.Trace_pull "trace_pull" (function
+    | Protocol.Trace_reports reports -> Some reports
+    | _ -> None)
 
 let metrics_text c =
-  match rpc c Protocol.Metrics with
-  | Protocol.Metrics_text text -> text
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "metrics"
+  call c Protocol.Metrics "metrics" (function
+    | Protocol.Metrics_text text -> Some text
+    | _ -> None)
 
 let shutdown c =
-  match rpc c Protocol.Shutdown with
-  | Protocol.Shutting_down -> ()
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "shutdown"
+  call c Protocol.Shutdown "shutdown" (function
+    | Protocol.Shutting_down -> Some ()
+    | _ -> None)
 
-let join c addr =
-  match rpc c (Protocol.Join addr) with
-  | Protocol.Ack -> ()
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "join"
-
-let leave c addr =
-  match rpc c (Protocol.Leave addr) with
-  | Protocol.Ack -> ()
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "leave"
+let ack = function Protocol.Ack -> Some () | _ -> None
+let join c addr = call c (Protocol.Join addr) "join" ack
+let leave c addr = call c (Protocol.Leave addr) "leave" ack
 
 let export c n =
-  match rpc c (Protocol.Export n) with
-  | Protocol.Entries entries -> entries
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "export"
+  call c (Protocol.Export n) "export" (function
+    | Protocol.Entries entries -> Some entries
+    | _ -> None)
 
 let compact c =
-  match rpc c Protocol.Compact with
-  | Protocol.Compacted n -> n
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "compact"
+  call c Protocol.Compact "compact" (function
+    | Protocol.Compacted n -> Some n
+    | _ -> None)

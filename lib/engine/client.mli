@@ -1,10 +1,29 @@
-(** Client side of the [ssgd] wire protocol, one exchange at a time.
+(** Client side of the [ssgd] wire protocol: one pipelined connection.
 
-    One value per connection; each call sends one request in the id
-    envelope ({!Ssg_net.Frame.with_id}) and waits for the reply carrying
-    its id.  A [t] must not be shared between threads without external
-    serialization — open one connection per thread, or pipeline many
-    requests on one connection with {!Pclient}. *)
+    A [t] is one {!Ssg_net.Mux} connection.  Any number of threads may
+    share it and have requests in flight on it at once: each request
+    travels in the id envelope ({!Ssg_net.Frame.with_id}) and its reply
+    correlates back by id, in whatever order the server finishes them,
+    so a slow job does not delay a fast one sent after it.  The one
+    exchange comes in three forms:
+    - {b blocking}: {!submit}, {!stats} and the other named calls wait
+      for their reply and raise [Failure] on anything else;
+    - {b ticket}: {!submit_async} sends now and {!await} waits later,
+      with failures as [Error reason] — a load generator counts them
+      without exception plumbing;
+    - {b callback}: {!request} hands the reply, or why the exchange
+      failed, to a function on the connection's reader thread — how the
+      cluster router completes a forwarded job with no thread waiting
+      on it.
+
+    {b Failures.}  [deadline_s] bounds each request: one left
+    unanswered that long fails on its own, and the connection fails
+    only once it has gone quiet for a whole deadline with requests
+    outstanding ({!Ssg_net.Mux}).  A server that turns the connection
+    away (at its connection limit) answers with an [Error] outside the
+    id envelope, which has no request to answer: it fails the
+    connection with reason [server error: <msg>].  A failed connection
+    fails every request in flight on it and every later one. *)
 
 type t
 
@@ -19,9 +38,8 @@ type t
     lost the same server at once, so a restarted worker is not greeted
     by a thundering herd.
 
-    [deadline_s] arms a per-reply deadline ([SO_RCVTIMEO]): an rpc whose
-    reply does not arrive in time raises [Failure] instead of blocking
-    forever on a wedged or malicious server.  Default: no deadline.
+    [deadline_s] bounds each request (see above).  Default: no
+    deadline.
     @raise Unix.Unix_error when nothing is listening on [socket] after
     all retries.
     @raise Invalid_argument if [socket] does not parse as an address,
@@ -50,34 +68,58 @@ val connect_any :
   unit ->
   t
 
-(** [dial ~who sockets] — the connect-with-backoff behind {!connect},
-    {!connect_any} and {!Pclient.connect}: the same passes, jitter and
-    transient-error set, returning the bare descriptor with
-    [deadline_s] armed.  [who] prefixes the [Invalid_argument]
-    messages. *)
-val dial :
-  who:string ->
-  ?retries:int ->
-  ?retry_backoff_s:float ->
-  ?deadline_s:float ->
-  string list ->
-  Unix.file_descr
-
+(** [close c] fails whatever is still in flight and closes the
+    connection.  Idempotent. *)
 val close : t -> unit
 
-(** [submit ?ctx c job] — the job's completion (cache-hit flag, latency,
-    and the outcome or the execution error).  [ctx], when given,
-    travels in the context envelope ({!Ssg_net.Frame.with_ctx}) inside
-    the id envelope, so the server's spans for this request adopt it as
-    their remote parent.
-    @raise Failure on a protocol-level [Error] reply, a corrupt or
-    truncated reply frame, an exceeded deadline, a reply under another
-    request's id, or an unexpected reply kind; [End_of_file] /
-    [Unix.Unix_error] when the peer dies mid-exchange. *)
-val submit : ?ctx:Ssg_obs.Context.t -> t -> Job.t -> Job.completion
+(** [alive c] — false once the connection has failed or was closed. *)
+val alive : t -> bool
 
-(** [submit_batch c jobs] — completions in submission order. *)
-val submit_batch : t -> Job.t list -> Job.completion list
+(** [inflight c] — requests sent and not yet answered. *)
+val inflight : t -> int
+
+(** {1 Callback form} *)
+
+(** [request ?ctx c req k] sends [req]; [k] is called exactly once,
+    with [Ok reply] — a server's [Error] reply included — or with
+    [Error reason] when the exchange failed: the connection was already
+    dead or failed meanwhile, the request outlived its deadline, or the
+    reply did not decode.  [k] runs on the connection's reader thread,
+    or on this one when the request could not be sent, so it must not
+    block for long.  [ctx], when given, travels in the context envelope
+    ({!Ssg_net.Frame.with_ctx}) inside the id envelope, so the server's
+    spans for this request adopt it as their remote parent. *)
+val request :
+  ?ctx:Ssg_obs.Context.t ->
+  t ->
+  Protocol.request ->
+  ((Protocol.reply, string) result -> unit) ->
+  unit
+
+(** {1 Ticket form} *)
+
+type ticket
+
+(** [submit_async ?ctx c job] — send, do not wait. *)
+val submit_async : ?ctx:Ssg_obs.Context.t -> t -> Job.t -> ticket
+
+(** [await ticket] blocks until the reply correlates back: the job's
+    completion, or [Error msg] — the server's [Error] message (a lint
+    rejection, whose diagnostics ride in it) or why the exchange
+    failed.  Repeated awaits return the same result. *)
+val await : ticket -> (Job.completion, string) result
+
+(** {1 Blocking form}
+
+    Each call sends one request and waits for its reply.
+    @raise Failure with [server error: <msg>] on the server's [Error]
+    reply, and with the reason on a failed exchange (a dead connection,
+    an exceeded deadline, a corrupt or truncated reply) or an
+    unexpected reply kind. *)
+
+(** [submit ?ctx c job] — the job's completion (cache-hit flag, latency,
+    and the outcome or the execution error); [ctx] as for {!request}. *)
+val submit : ?ctx:Ssg_obs.Context.t -> t -> Job.t -> Job.completion
 
 val stats : t -> Telemetry.snapshot
 

@@ -333,12 +333,12 @@ let pregate t jobs =
       |> List.iter (fun (key, gate) -> Hashtbl.add gates key gate));
   gates
 
-let submit_batch ?ctx t jobs =
+let submit_batch t jobs =
   let gates = pregate t jobs in
   let lookup key = Hashtbl.find_opt gates key in
-  List.map (fun job -> submit_with ~lookup ?ctx t job) jobs
+  List.map (fun job -> submit_with ~lookup t job) jobs
 
-let run_batch ?ctx t jobs = List.map (await t) (submit_batch ?ctx t jobs)
+let run_batch t jobs = List.map (await t) (submit_batch t jobs)
 
 let stats t =
   let cache_entries = locked t (fun () -> Lru.length t.cache) in

@@ -114,14 +114,12 @@ val run : t -> Job.t -> Job.completion
     dedup, telemetry counts, ticket order — are identical to submitting
     serially; only the lint work is fanned out.  This is what makes
     lint-bound batches (a sweep grid, [ssg lint] over many files) scale
-    with the pool.  [ctx] parents every job's spans under the same
-    remote context (a batch travels as one wire request, hence one
-    context). *)
-val submit_batch : ?ctx:Ssg_obs.Context.t -> t -> Job.t list -> ticket list
+    with the pool. *)
+val submit_batch : t -> Job.t list -> ticket list
 
-(** [run_batch ?ctx t jobs] is {!submit_batch} then [await] in order
-    (so the pool pipelines the whole batch). *)
-val run_batch : ?ctx:Ssg_obs.Context.t -> t -> Job.t list -> Job.completion list
+(** [run_batch t jobs] is {!submit_batch} then [await] in order (so the
+    pool pipelines the whole batch). *)
+val run_batch : t -> Job.t list -> Job.completion list
 
 val stats : t -> Telemetry.snapshot
 

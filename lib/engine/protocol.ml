@@ -2,7 +2,6 @@ open Ssg_util
 
 type request =
   | Submit of Job.t
-  | Batch of Job.t list
   | Stats
   | Trace_pull
   | Metrics
@@ -15,7 +14,6 @@ type request =
 
 type reply =
   | Completed of Job.completion
-  | Batch_completed of Job.completion list
   | Stats_snapshot of Telemetry.snapshot
   | Trace_reports of Ssg_obs.Tracer.report list
   | Metrics_text of string
@@ -394,9 +392,6 @@ let request_to_bytes req =
   | Submit j ->
       Buffer.add_char buf 'S';
       put_job buf j
-  | Batch js ->
-      Buffer.add_char buf 'B';
-      put_list buf put_job js
   | Stats -> Buffer.add_char buf 'T'
   | Trace_pull -> Buffer.add_char buf 'P'
   | Metrics -> Buffer.add_char buf 'M'
@@ -434,7 +429,6 @@ let request_of_bytes bytes =
   let r = { data = Bytes.to_string bytes; pos = 0 } in
   match Char.chr (get_byte r) with
   | 'S' -> Submit (get_job r)
-  | 'B' -> Batch (get_list r get_job)
   | 'T' -> Stats
   | 'P' -> Trace_pull
   | 'M' -> Metrics
@@ -455,9 +449,6 @@ let reply_to_bytes reply =
   | Completed c ->
       Buffer.add_char buf 'R';
       put_completion buf c
-  | Batch_completed cs ->
-      Buffer.add_char buf 'L';
-      put_list buf put_completion cs
   | Stats_snapshot s ->
       Buffer.add_char buf 'T';
       put_snapshot buf s
@@ -488,7 +479,6 @@ let reply_of_bytes bytes =
   let r = { data = Bytes.to_string bytes; pos = 0 } in
   match Char.chr (get_byte r) with
   | 'R' -> Completed (get_completion r)
-  | 'L' -> Batch_completed (get_list r get_completion)
   | 'T' -> Stats_snapshot (get_snapshot r)
   | 'W' -> Trace_reports (get_list r get_report)
   | 'M' -> Metrics_text (get_string r)

@@ -10,14 +10,14 @@
     Clients send {!request}s inside the request-id envelope
     ({!Ssg_net.Frame.with_id}); the server answers each with exactly one
     {!reply} carrying the same id, in completion order, so one
-    connection carries any number of requests at once.  A request
+    connection carries any number of requests at once: N jobs are N
+    [Submit]s in flight together ({!Client}).  A request
     outside the envelope is answered with one [Error], itself outside
     the envelope, and the connection is closed ({!Conn}); so is a
     connection the server turns away at its connection limit. *)
 
 type request =
   | Submit of Job.t
-  | Batch of Job.t list  (** one reply carrying one completion per job *)
   | Stats
   | Trace_pull
       (** trace pull — answered with {!Trace_reports}: the process's
@@ -52,7 +52,6 @@ type request =
 
 type reply =
   | Completed of Job.completion
-  | Batch_completed of Job.completion list
   | Stats_snapshot of Telemetry.snapshot
   | Trace_reports of Ssg_obs.Tracer.report list
       (** fleet pull reply: one report per process reached — a worker
@@ -76,9 +75,9 @@ type reply =
 val max_frame_bytes : int
 
 (** Pure codecs (what the qcheck round-trip and decode-fuzz tests
-    exercise).  [request_of_bytes] builds every [Submit] and [Batch]
-    job with {!Job.as_sent}: it checks [k] and [rounds] but does not
-    parse the run text, so a job decodes exactly as it was sent and a
+    exercise).  [request_of_bytes] builds every [Submit] job with
+    {!Job.as_sent}: it checks [k] and [rounds] but does not parse the
+    run text, so a job decodes exactly as it was sent and a
     run text that does not parse is the worker's to refuse.  Decoders
     @raise Failure — and {e only} [Failure] — on truncated or malformed
     payloads, including payloads that frame correctly but describe an

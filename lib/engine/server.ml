@@ -46,21 +46,15 @@ let write_reply faults telemetry fd payload =
         faulty_write faults telemetry fd payload)
   else faulty_write faults telemetry fd payload
 
-(* The worker's one normalization of a job as sent, on a miss.  A run
-   text that does not parse has no canonical form: it gets the lint
-   gate's rejection, and its key enters neither the cache nor the dedup
-   table. *)
-let normalize engine ?ctx job =
-  match Job.normalize job with
-  | job -> Ok job
-  | exception Failure _ -> Error (Engine.refuse ?ctx engine job)
-
-(* A miss: normalize, then lint gate, enqueue, wait for the pool. *)
+(* A miss: the worker's one normalization of the job as sent, then
+   lint gate, enqueue, wait for the pool.  A run text that does not
+   parse has no canonical form: it gets the lint gate's rejection, and
+   its key enters neither the cache nor the dedup table. *)
 let submit engine ?ctx job =
   let ticket =
-    match normalize engine ?ctx job with
-    | Ok job -> Engine.submit ?ctx engine job
-    | Error refused -> refused
+    match Job.normalize job with
+    | job -> Engine.submit ?ctx engine job
+    | exception Failure _ -> Engine.refuse ?ctx engine job
   in
   match Engine.rejection ticket with
   | Some diags ->
@@ -69,21 +63,6 @@ let submit engine ?ctx job =
          serving. *)
       Protocol.Error diags
   | None -> Protocol.Completed (Engine.await engine ticket)
-
-(* A batch: every job normalized, the canonical ones run together (the
-   engine's parallel pre-gate), each refused one answered in its
-   slot. *)
-let run_batch engine ?ctx jobs =
-  let normalized = List.map (normalize engine ?ctx) jobs in
-  let rec in_order normalized completed =
-    match (normalized, completed) with
-    | Error refused :: rest, _ ->
-        Engine.await engine refused :: in_order rest completed
-    | Ok _ :: rest, c :: cs -> c :: in_order rest cs
-    | _ -> []
-  in
-  in_order normalized
-    (Engine.run_batch ?ctx engine (List.filter_map Result.to_option normalized))
 
 (* The worker's answer to one request: [Now] when it needs no waiting,
    [Later] (a replier thread) for a miss and the ops that wait or
@@ -96,8 +75,6 @@ let handle engine listener ?ctx request =
       match Engine.cached ?ctx engine job with
       | Some completion -> Now (Protocol.Completed completion)
       | None -> Later (fun () -> submit engine ?ctx job))
-  | Protocol.Batch jobs ->
-      Later (fun () -> Protocol.Batch_completed (run_batch engine ?ctx jobs))
   | Protocol.Stats -> Now (Protocol.Stats_snapshot (Engine.stats engine))
   | Protocol.Trace_pull ->
       Now

@@ -12,7 +12,7 @@
     needs no waiting itself: cache hits ({!Engine.cached}), stats,
     metrics and trace pulls.  Replier threads exist only for misses
     (their normalization, lint gate, enqueue and wait) and for the
-    control ops that wait or write: [Batch], [Export], [Transfer] and
+    control ops that wait or write: [Export], [Transfer] and
     [Compact].
 
     {b Jobs as sent.}  A job arrives as {!Job.as_sent} built it, its
@@ -23,8 +23,7 @@
     canonical key.  A run text that does not parse is answered like
     any job the lint front door refuses — an [Error] starting
     [job rejected by lint:] with its [SSG000] diagnostic, counted in
-    [jobs_rejected_lint] — and the connection keeps serving; in a
-    [Batch] only that job's slot carries the error.
+    [jobs_rejected_lint] — and the connection keeps serving.
     The worker adds its own answers to each request, the fault plan on
     reply writes, the [server.reply_write] span, and the {!Telemetry}
     counters for rejected frames, reaped connections and refusals at

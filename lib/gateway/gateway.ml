@@ -13,7 +13,7 @@ type t = {
   backend : string;
   backend_deadline_s : float;
   block : Mutex.t;
-  mutable pc : Pclient.t option;
+  mutable client : Client.t option;
   metrics : Metrics.t;
   requests : Metrics.counter;
   submits : Metrics.counter;
@@ -31,16 +31,16 @@ let backend_client t =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.block)
     (fun () ->
-      match t.pc with
-      | Some pc when Pclient.alive pc -> pc
+      match t.client with
+      | Some c when Client.alive c -> c
       | stale ->
-          (match stale with Some pc -> Pclient.close pc | None -> ());
-          let pc =
-            Pclient.connect ~retries:1 ~deadline_s:t.backend_deadline_s
+          Option.iter Client.close stale;
+          let c =
+            Client.connect ~retries:1 ~deadline_s:t.backend_deadline_s
               ~socket:t.backend ()
           in
-          t.pc <- Some pc;
-          pc)
+          t.client <- Some c;
+          c)
 
 (* ---------------- JSON rendering ---------------- *)
 
@@ -124,7 +124,7 @@ let awaited_hop t ticket =
   Fun.protect
     ~finally:(fun () ->
       Metrics.observe t.hop_router (1000. *. (Unix.gettimeofday () -. t0)))
-    (fun () -> Pclient.await ticket)
+    (fun () -> Client.await ticket)
 
 let handle_submit ?ctx t req =
   Metrics.incr t.submits;
@@ -135,7 +135,9 @@ let handle_submit ?ctx t req =
       | exception (Failure msg | Invalid_argument msg) ->
           (400, "application/json", json_error msg)
       | job -> (
-          match awaited_hop t (Pclient.submit ?ctx (backend_client t) job) with
+          match
+            awaited_hop t (Client.submit_async ?ctx (backend_client t) job)
+          with
           | exception Failure msg -> (502, "application/json", json_error msg)
           | exception Unix.Unix_error (e, _, _) ->
               (502, "application/json", json_error (Unix.error_message e))
@@ -165,9 +167,8 @@ let handle_submit ?ctx t req =
               (status, "application/json", json_error msg)))
 
 let handle_stats t =
-  match Pclient.await (Pclient.stats (backend_client t)) with
-  | Ok snapshot -> (200, "application/json", Telemetry.json_of_snapshot snapshot)
-  | Error msg -> (502, "application/json", json_error msg)
+  match Client.stats (backend_client t) with
+  | snapshot -> (200, "application/json", Telemetry.json_of_snapshot snapshot)
   | exception (Failure msg | Invalid_argument msg) ->
       (502, "application/json", json_error msg)
   | exception Unix.Unix_error (e, _, _) ->
@@ -175,9 +176,8 @@ let handle_stats t =
 
 let handle_metrics t =
   let own = Metrics.to_prometheus t.metrics in
-  match Pclient.await (Pclient.metrics_text (backend_client t)) with
-  | Ok text -> (200, "text/plain; version=0.0.4", own ^ text)
-  | Error msg -> (200, "text/plain; version=0.0.4", own ^ "# backend unreachable: " ^ msg ^ "\n")
+  match Client.metrics_text (backend_client t) with
+  | text -> (200, "text/plain; version=0.0.4", own ^ text)
   | exception (Failure msg | Invalid_argument msg) ->
       (200, "text/plain; version=0.0.4", own ^ "# backend unreachable: " ^ msg ^ "\n")
   | exception Unix.Unix_error (e, _, _) ->
@@ -306,7 +306,7 @@ let serve ?(backend_deadline_s = 30.) ?(max_connections = 1024)
       backend;
       backend_deadline_s;
       block = Mutex.create ();
-      pc = None;
+      client = None;
       metrics;
       requests = counter "ssg_gateway_requests_total" "HTTP requests received";
       submits = counter "ssg_gateway_submits_total" "POST /submit requests";
@@ -328,6 +328,6 @@ let serve ?(backend_deadline_s = 30.) ?(max_connections = 1024)
       Http.write_response ~status:503 ~keep_alive:false fd
         (json_error "gateway at connection limit"))
     (handle_connection t listener);
-  (match t.pc with Some pc -> Pclient.close pc | None -> ());
+  Option.iter Client.close t.client;
   Listener.close listener;
   Log.app (fun m -> m "ssg gateway stopped")

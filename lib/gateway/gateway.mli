@@ -3,7 +3,7 @@
     A thin HTTP/1.1 facade over the native wire protocol, for clients
     that speak curl rather than {!Ssg_engine.Protocol}.  All backend
     traffic is multiplexed over {e one} pipelined connection
-    ({!Ssg_engine.Pclient}): N concurrent HTTP requests become N
+    ({!Ssg_engine.Client}): N concurrent HTTP requests become N
     in-flight id-framed requests, so a slow submission does not
     head-of-line-block a stats scrape.  The backend connection is
     re-dialed lazily after it fails — a worker restart costs the
@@ -45,9 +45,10 @@
     {!Ssg_net.Transport} address string) fronting the native-protocol
     service at [backend], and {b blocks} until [POST /shutdown].
 
-    - [backend_deadline_s] (default 30): liveness deadline on the
-      pipelined backend connection — total silence for that long fails
-      the in-flight requests with 502s.
+    - [backend_deadline_s] (default 30): per-request deadline on the
+      pipelined backend connection — a request unanswered that long is
+      a 502 on its own, and total silence for that long fails every
+      request in flight with 502s.
     - [max_connections] (default 1024), [read_timeout_s] (default 30),
       [drain_timeout_s] (default 5): front-socket guards, as in
       {!Ssg_engine.Server.serve}.

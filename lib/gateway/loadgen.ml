@@ -218,46 +218,72 @@ let encode_request kind trace_top =
 
 let send_batch conn tally next_kind pipeline trace_top =
   let fd = Option.get conn.fd in
-  let batch = Array.init pipeline (fun _ -> next_kind ()) in
-  let sends =
-    Array.map
-      (fun kind ->
+  let outstanding = Hashtbl.create pipeline in
+  let payloads =
+    List.init pipeline (fun _ ->
+        let kind = next_kind () in
         let id = conn.next_id in
         conn.next_id <- id + 1;
         let trace_hex, payload = encode_request kind trace_top in
-        (id, kind, trace_hex, Frame.with_id ~id payload))
-      batch
+        Hashtbl.replace outstanding id (kind, trace_hex);
+        Frame.with_id ~id payload)
   in
-  Array.iter
-    (fun (_, _, _, payload) -> Frame.write_fd fd payload)
-    sends;
+  List.iter (Frame.write_fd fd) payloads;
   let t0 = Unix.gettimeofday () in
   tally.sent <- tally.sent + pipeline;
-  (t0, sends)
+  (conn, t0, outstanding)
 
-let read_batch conn tally trace_top (t0, sends) =
-  let fd = Option.get conn.fd in
-  let outstanding = Hashtbl.create 8 in
-  Array.iter
-    (fun (id, kind, trace_hex, _) ->
-      Hashtbl.replace outstanding id (kind, trace_hex))
-    sends;
-  while Hashtbl.length outstanding > 0 do
-    let frame = Frame.read_fd fd in
-    match Frame.classify frame with
-    | Frame.Plain _ -> failwith "loadgen: reply outside the id envelope"
-    | Frame.Id (id, inner) -> (
-        match Hashtbl.find_opt outstanding id with
-        | None -> ()  (* stale reply from a previous batch: ignore *)
-        | Some (kind, trace_hex) ->
-            Hashtbl.remove outstanding id;
-            let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-            record_latency tally ms;
-            (match trace_hex with
-            | Some hex -> record_slow tally trace_top ms hex
-            | None -> ());
-            classify tally kind inner)
-  done
+(* A connection that fails — deadline, hangup, garbage — loses every
+   request still unanswered on it. *)
+let lose tally (conn, _, outstanding) =
+  tally.errors <- tally.errors + Hashtbl.length outstanding;
+  drop conn
+
+(* Read one reply of a round sent at [t0]; true while the connection
+   still owes replies. *)
+let read_reply tally trace_top ((conn, t0, outstanding) as round) =
+  match Frame.classify (Frame.read_fd (Option.get conn.fd)) with
+  | Frame.Plain _ | (exception _) ->
+      lose tally round;
+      false
+  | Frame.Id (id, inner) ->
+      (match Hashtbl.find_opt outstanding id with
+      | None -> ()  (* stale reply from a previous batch: ignore *)
+      | Some (kind, trace_hex) ->
+          Hashtbl.remove outstanding id;
+          let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+          record_latency tally ms;
+          (match trace_hex with
+          | Some hex -> record_slow tally trace_top ms hex
+          | None -> ());
+          classify tally kind inner);
+      Hashtbl.length outstanding > 0
+
+(* Phase 2 of a round: every reply, timed as it arrives.  Draining the
+   connections one after another would time a reply only once those
+   read before it had drained, charging it for their slowest reply.
+   Silence on every connection for [deadline_s] fails them all.
+   [Unix.select] cannot watch a descriptor past FD_SETSIZE; then the
+   connections drain one after another. *)
+let rec drain tally trace_top deadline_s = function
+  | [] -> ()
+  | pending -> (
+      let fd (conn, _, _) = Option.get conn.fd in
+      match Unix.select (List.map fd pending) [] [] deadline_s with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+          drain tally trace_top deadline_s pending
+      | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
+          List.iter
+            (fun round -> while read_reply tally trace_top round do () done)
+            pending
+      | [], _, _ -> List.iter (lose tally) pending
+      | ready, _, _ ->
+          drain tally trace_top deadline_s
+            (List.filter
+               (fun round ->
+                 (not (List.mem (fd round) ready))
+                 || read_reply tally trace_top round)
+               pending))
 
 let closed_loop addr deadline_s pipeline next_kind trace_top t_end tally conns
     =
@@ -270,33 +296,20 @@ let closed_loop addr deadline_s pipeline next_kind trace_top t_end tally conns
     conns;
   while Unix.gettimeofday () < t_end do
     (* Phase 1: every live connection gets a batch in flight. *)
-    let batches =
-      Array.map
-        (fun conn ->
-          match conn.fd with
-          | None -> None
-          | Some _ -> (
-              match send_batch conn tally next_kind pipeline trace_top with
-              | batch -> Some (conn, batch)
-              | exception _ ->
-                  tally.errors <- tally.errors + pipeline;
-                  drop conn;
-                  None))
-        conns
+    let rounds =
+      Array.to_list conns
+      |> List.filter_map (fun conn ->
+             match conn.fd with
+             | None -> None
+             | Some _ -> (
+                 match send_batch conn tally next_kind pipeline trace_top with
+                 | round -> Some round
+                 | exception _ ->
+                     tally.errors <- tally.errors + pipeline;
+                     drop conn;
+                     None))
     in
-    (* Phase 2: drain them. *)
-    Array.iter
-      (function
-        | None -> ()
-        | Some (conn, ((_, sends) as batch)) -> (
-            match read_batch conn tally trace_top batch with
-            | () -> ()
-            | exception _ ->
-                (* Deadline, hangup, or garbage: every unanswered
-                   request in the batch is a client-visible failure. *)
-                tally.errors <- tally.errors + Array.length sends;
-                drop conn))
-      batches;
+    drain tally trace_top deadline_s rounds;
     (* Re-dial what died so the load level recovers. *)
     if Unix.gettimeofday () < t_end then
       Array.iter

@@ -4,22 +4,20 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type outcome = (Bytes.t, string) result
 
-type ticket = {
-  cmutex : Mutex.t;
-  ccond : Condition.t;
-  mutable state : outcome option;
-}
-
 type t = {
   fd : Unix.file_descr;
   deadline_s : float option;
+  plain : Bytes.t -> string;  (* the failure reason for an id-less reply *)
   wlock : Mutex.t;  (* serializes frame writes; guards [fd_closed] *)
   lock : Mutex.t;
-      (* guards [table], [sent], [next_id], [dead], [closed], [holders] *)
+      (* guards [table], [sent], [last_sent], [last_read], [next_id],
+         [dead], [closed], [holders] *)
   table : (int, outcome -> unit) Hashtbl.t;  (* id -> completion *)
   sent : (int * float) Queue.t;
       (* (id, send time) in send order, for the deadline; entries whose
          id has left [table] are dropped lazily *)
+  mutable last_sent : float;  (* when the newest request went out *)
+  mutable last_read : float;  (* when the latest frame came in *)
   mutable next_id : int;
   mutable dead : string option;
   mutable closed : bool;
@@ -61,28 +59,48 @@ let release t =
         t.fd_closed <- true;
         try Unix.close t.fd with Unix.Unix_error _ -> ())
 
-(* True when the oldest unanswered request has outlived the deadline.
-   Ids are sent in order and share one deadline, so the oldest one
-   still in [table] is the first to expire. *)
-let overdue t =
+(* Under [lock], at [now]: the completions of the requests past the
+   deadline, oldest first, each retired from [table] — or [None] when
+   the link has gone quiet (requests outstanding, nothing sent or read
+   for a whole deadline) and must fail as a whole.  Ids are sent in
+   order and share one deadline, so the overdue requests are the oldest
+   ones still in [table]. *)
+let overdue t now =
   match t.deadline_s with
-  | None -> false
+  | None -> Some []
+  | Some d
+    when Hashtbl.length t.table > 0
+         && now -. Float.max t.last_sent t.last_read > d ->
+      None
   | Some d ->
-      let now = Unix.gettimeofday () in
-      locked t (fun () ->
-          let rec oldest () =
-            match Queue.peek_opt t.sent with
-            | Some (id, _) when not (Hashtbl.mem t.table id) ->
+      let rec expired acc =
+        match Queue.peek_opt t.sent with
+        | None -> acc
+        | Some (id, at) -> (
+            match Hashtbl.find_opt t.table id with
+            | None ->
                 ignore (Queue.pop t.sent);
-                oldest ()
-            | Some (_, at) -> now -. at > d
-            | None -> false
-          in
-          oldest ())
+                expired acc
+            | Some k when now -. at > d ->
+                ignore (Queue.pop t.sent);
+                Hashtbl.remove t.table id;
+                expired (k :: acc)
+            | Some _ -> acc)
+      in
+      match expired [] with [] -> Some [] | ks -> Some (List.rev ks)
 
 let deadline_exceeded t =
   Printf.sprintf "Mux: request deadline (%g s) exceeded"
     (Option.value t.deadline_s ~default:0.)
+
+(* Fail what [overdue] found; false once the link is dead. *)
+let settle t = function
+  | None ->
+      fail_all t (deadline_exceeded t);
+      false
+  | Some ks ->
+      List.iter (fun k -> complete k (Error (deadline_exceeded t))) ks;
+      true
 
 let reader_loop t =
   let peek = Bytes.create 1 in
@@ -92,7 +110,8 @@ let reader_loop t =
     match Unix.recv t.fd peek 0 1 [ Unix.MSG_PEEK ] with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        if overdue t then fail_all t (deadline_exceeded t) else loop ()
+        if settle t (locked t (fun () -> overdue t (Unix.gettimeofday ())))
+        then loop ()
     | exception Unix.Unix_error (e, _, _) ->
         fail_all t ("Mux: " ^ Unix.error_message e)
     | 0 -> fail_all t "Mux: connection closed by peer"
@@ -108,28 +127,26 @@ let reader_loop t =
         | payload -> (
             match Frame.classify payload with
             | exception Failure msg -> fail_all t msg
-            | Frame.Plain _ ->
-                (* A peer that answers outside the envelope cannot be
-                   correlated; the connection is unusable for
-                   pipelining. *)
-                fail_all t "Mux: peer answered outside the id envelope"
+            | Frame.Plain payload ->
+                (* A reply outside the envelope cannot be correlated;
+                   the connection is unusable for pipelining. *)
+                fail_all t (t.plain payload)
             | Frame.Id (id, inner) ->
-                let k =
+                let now = Unix.gettimeofday () in
+                let k, late =
                   locked t (fun () ->
-                      match Hashtbl.find_opt t.table id with
-                      | Some k ->
-                          Hashtbl.remove t.table id;
-                          Some k
-                      | None -> None)
+                      t.last_read <- now;
+                      let k = Hashtbl.find_opt t.table id in
+                      if k <> None then Hashtbl.remove t.table id;
+                      (k, overdue t now))
                 in
-                (* An unknown id is tolerated: a request failed by a
-                   closing link may still be answered. *)
+                (* An unknown id is dropped: the request was failed by a
+                   closing link or retired past its deadline. *)
                 Option.iter (fun k -> complete k (Ok inner)) k;
                 (* A busy link never goes silent, so the receive timer
                    alone would never see a request that is never
                    answered. *)
-                if overdue t then fail_all t (deadline_exceeded t)
-                else loop ()))
+                if settle t late then loop ()))
   in
   loop ();
   (* The link is dead: let the peer see it at once rather than write
@@ -137,7 +154,7 @@ let reader_loop t =
   (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   release t
 
-let create ?deadline_s fd =
+let create ?deadline_s ~plain fd =
   (match deadline_s with
   | Some d when d <= 0. -> invalid_arg "Mux.create: deadline_s must be > 0"
   | Some d -> (
@@ -147,14 +164,18 @@ let create ?deadline_s fd =
       try Unix.setsockopt_float fd Unix.SO_RCVTIMEO (d /. 2.)
       with Unix.Unix_error _ -> ())
   | None -> ());
+  let now = Unix.gettimeofday () in
   let t =
     {
       fd;
       deadline_s;
+      plain;
       wlock = Mutex.create ();
       lock = Mutex.create ();
       table = Hashtbl.create 32;
       sent = Queue.create ();
+      last_sent = now;
+      last_read = now;
       next_id = 0;
       dead = None;
       closed = false;
@@ -174,8 +195,11 @@ let send_cb ?ctx t payload k =
         let id = t.next_id in
         t.next_id <- id + 1;
         Hashtbl.add t.table id k;
-        if t.deadline_s <> None then
-          Queue.push (id, Unix.gettimeofday ()) t.sent;
+        if t.deadline_s <> None then begin
+          let now = Unix.gettimeofday () in
+          t.last_sent <- now;
+          Queue.push (id, now) t.sent
+        end;
         id)
   in
   (* Context envelope innermost, id envelope outermost: the server
@@ -196,33 +220,6 @@ let send_cb ?ctx t payload k =
         | Failure msg -> msg
         | e -> "Mux: " ^ Printexc.to_string e)
 
-let fill ticket outcome =
-  Mutex.lock ticket.cmutex;
-  if ticket.state = None then begin
-    ticket.state <- Some outcome;
-    Condition.broadcast ticket.ccond
-  end;
-  Mutex.unlock ticket.cmutex
-
-let send ?ctx t payload =
-  let ticket =
-    { cmutex = Mutex.create (); ccond = Condition.create (); state = None }
-  in
-  send_cb ?ctx t payload (fill ticket);
-  ticket
-
-let await ticket =
-  Mutex.lock ticket.cmutex;
-  let rec wait () =
-    match ticket.state with
-    | Some outcome -> outcome
-    | None ->
-        Condition.wait ticket.ccond ticket.cmutex;
-        wait ()
-  in
-  Fun.protect ~finally:(fun () -> Mutex.unlock ticket.cmutex) wait
-
-let call ?ctx t payload = await (send ?ctx t payload)
 let inflight t = locked t (fun () -> Hashtbl.length t.table)
 let alive t = locked t (fun () -> t.dead = None && not t.closed)
 

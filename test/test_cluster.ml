@@ -28,17 +28,6 @@ let fresh_socket () =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "ssg-cluster-%d-%d.sock" (Unix.getpid ()) !socket_counter)
 
-let wait_connect ?(deadline_s = 10.) socket =
-  let rec go tries =
-    if tries = 0 then Alcotest.fail "service did not come up";
-    match Client.connect ~retries:0 ~socket ~deadline_s () with
-    | c -> c
-    | exception Unix.Unix_error _ ->
-        Thread.delay 0.05;
-        go (tries - 1)
-  in
-  go 100
-
 (* One backend worker on a fresh socket; returns (socket, thread). *)
 let start_worker ?(workers = 1) ?faults ?persist ?announce ?socket () =
   let socket = match socket with Some s -> s | None -> fresh_socket () in
@@ -50,12 +39,12 @@ let start_worker ?(workers = 1) ?faults ?persist ?announce ?socket () =
           ~drain_timeout_s:5. ?faults ?persist ?announce ~socket ())
       ()
   in
-  let c = wait_connect socket in
+  let c = Service.connect socket in
   Client.close c;
   (socket, thread)
 
 let stop_worker socket thread =
-  let c = wait_connect socket in
+  let c = Service.connect socket in
   Client.shutdown c;
   Client.close c;
   Thread.join thread
@@ -71,12 +60,12 @@ let start_router ?vnodes ?(down_after = 2) ?(probe_interval_s = 0.05)
           ~request_timeout_s ~drain_timeout_s:5. ~backends ~socket ())
       ()
   in
-  let c = wait_connect socket in
+  let c = Service.connect socket in
   Client.close c;
   (socket, thread)
 
 let stop_router socket thread =
-  let c = wait_connect socket in
+  let c = Service.connect socket in
   Client.shutdown c;
   Client.close c;
   Thread.join thread
@@ -440,7 +429,7 @@ let test_router_shutdown_closes_idle_connections () =
       (fun () -> Router.serve ~drain_timeout_s:10. ~backends:[] ~socket ())
       ()
   in
-  let control = wait_connect socket in
+  let control = Service.connect socket in
   let idle = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect idle (Unix.ADDR_UNIX socket);
   Unix.setsockopt_float idle Unix.SO_RCVTIMEO 5.;
@@ -470,7 +459,7 @@ let test_router_routes_and_merges () =
   let router, rt = start_router ~backends () in
   let c = Client.connect ~socket:router ~deadline_s:10. () in
   let jobs = List.init 24 (fun i -> sample_job ~seed:(1000 + i) ()) in
-  let completions = Client.submit_batch c jobs in
+  let completions = Service.submit_all c jobs in
   check_int "every job answered" 24 (List.length completions);
   List.iter
     (fun (completion : Job.completion) ->
@@ -640,12 +629,14 @@ let test_router_chaos_kill_heal () =
 (* ---------------- router: backend links ---------------- *)
 
 (* A counting proxy in front of a real worker: it counts the
-   connections it accepts, pipes each one to the worker, and can drop
-   every live connection at once. *)
+   connections it accepts and the reads it passes back from the worker,
+   pipes each connection to the worker, and can drop every live
+   connection at once. *)
 type proxy = {
   p_socket : string;
   p_listen : Unix.file_descr;
   p_accepts : int Atomic.t;
+  p_replied : int Atomic.t;
   p_lock : Mutex.t;
   mutable p_live : Unix.file_descr list;  (* both ends of each pipe *)
   mutable p_threads : Thread.t list;
@@ -662,17 +653,19 @@ let start_proxy target =
       p_socket = socket;
       p_listen = listen;
       p_accepts = Atomic.make 0;
+      p_replied = Atomic.make 0;
       p_lock = Mutex.create ();
       p_live = [];
       p_threads = [];
     }
   in
-  let pump src dst =
+  let pump ?(on_read = ignore) src dst =
     let buf = Bytes.create 65536 in
     let rec go () =
       match Unix.read src buf 0 (Bytes.length buf) with
       | 0 | (exception Unix.Unix_error _) -> ()
       | n -> (
+          on_read ();
           match Unix.write dst buf 0 n with
           | _ -> go ()
           | exception Unix.Unix_error _ -> ())
@@ -691,7 +684,12 @@ let start_proxy target =
             p.p_live <- client :: upstream :: p.p_live;
             p.p_threads <-
               Thread.create (fun () -> pump client upstream) ()
-              :: Thread.create (fun () -> pump upstream client) ()
+              :: Thread.create
+                   (fun () ->
+                     pump
+                       ~on_read:(fun () -> Atomic.incr p.p_replied)
+                       upstream client)
+                   ()
               :: p.p_threads);
         accept_loop ()
   in
@@ -783,38 +781,114 @@ let test_router_dropped_link_fails_over () =
     | [ a; b; c; d ] -> ([ a; b; c ], d)
     | _ -> Alcotest.fail "the proxy owns too few keys"
   in
-  let pc = Pclient.connect ~socket:router ~deadline_s:30. () in
-  let tickets = List.map (Pclient.submit pc) in_flight in
+  let pc = Client.connect ~socket:router ~deadline_s:30. () in
+  let tickets = List.map (Client.submit_async pc) in_flight in
   wait_until "the owner received the jobs" (fun () ->
       worker_submitted w1 >= 3);
   let dialed = Atomic.get p.p_accepts in
   drop_connections p;
   List.iter
     (fun ticket ->
-      match Pclient.await ticket with
+      match Client.await ticket with
       | Ok completion ->
           check "answered after the drop" true
             (Result.is_ok completion.Job.result)
       | Error e -> Alcotest.fail e)
     tickets;
   check_int "the successor answered every dropped job" 3 (worker_submitted w2);
-  let c = wait_connect router in
+  let c = Service.connect router in
   let text = Client.metrics_text c in
   Client.close c;
   (match prom_counter text "ssg_router_failovers_total" with
   | Some v -> check "failovers counted" true (v >= 3)
   | None -> Alcotest.fail "failover counter missing");
-  (match Pclient.await (Pclient.submit pc next) with
+  (match Client.await (Client.submit_async pc next) with
   | Ok completion ->
       check "next job served" true (Result.is_ok completion.Job.result)
   | Error e -> Alcotest.fail e);
   check_int "the next job dialed a fresh link" (dialed + 1)
     (Atomic.get p.p_accepts);
   check_int "and reached the owner" 4 (worker_submitted w1);
-  Pclient.close pc;
+  Client.close pc;
   stop_router router rt;
   stop_proxy p;
   stop_worker w1 t1;
+  stop_worker w2 t2
+
+let test_router_swallowed_reply_fails_over_alone () =
+  (* Three jobs in flight on the owner's link, and the owner swallows
+     the reply to the first.  That job fails over alone once its
+     deadline passes: the other two, still in flight then, complete on
+     the same link, and no link is dialed anew.  The owner's fault plan
+     counts its replies: the prober's stats (1st) and two stats fan-outs
+     (2nd and 3rd) go before the jobs, so the first job's reply is the
+     4th, which is swallowed, and the 8th would be the next. *)
+  let deadline_s = 1.2 and exec_s = 0.4 in
+  let w1, t1 =
+    start_worker ~workers:2
+      ~faults:
+        (Faults.create ~blackhole_every:4 ~slow_every:1 ~slow_s:exec_s ())
+      ()
+  in
+  let p = start_proxy w1 in
+  let w2, t2 = start_worker () in
+  let router, rt =
+    start_router ~probe_interval_s:60. ~down_after:1000
+      ~request_timeout_s:deadline_s ~backends:[ p.p_socket; w2 ] ()
+  in
+  wait_until "the prober's stats answered" (fun () ->
+      Atomic.get p.p_replied >= 1);
+  let c = Client.connect ~socket:router ~deadline_s:30. () in
+  ignore (Client.stats c);
+  ignore (Client.stats c);
+  let dialed = Atomic.get p.p_accepts in
+  let ring = Ring.create [ canonical p.p_socket; canonical w2 ] in
+  let swallowed, others =
+    match
+      Seq.ints 600
+      |> Seq.map (fun seed -> sample_job ~seed ())
+      |> Seq.filter (fun job ->
+             Ring.owner ring (Job.key job) = Some (canonical p.p_socket))
+      |> Seq.take 3 |> List.of_seq
+    with
+    | first :: rest -> (first, rest)
+    | [] -> Alcotest.fail "the proxy owns too few keys"
+  in
+  let t0 = Unix.gettimeofday () in
+  let muted = Client.submit_async c swallowed in
+  (* The other two go out while the first is in flight and run until its
+     deadline has passed. *)
+  Thread.delay (deadline_s -. exec_s);
+  let tickets = List.map (Client.submit_async c) others in
+  List.iter
+    (fun ticket ->
+      match Client.await ticket with
+      | Ok completion ->
+          check "answered on the link" true (Result.is_ok completion.Job.result)
+      | Error e -> Alcotest.fail e)
+    tickets;
+  check "still in flight when the first job's deadline passed" true
+    (Unix.gettimeofday () -. t0 >= deadline_s);
+  (match Client.await muted with
+  | Ok completion ->
+      check "the swallowed job answered by the successor" true
+        (Result.is_ok completion.Job.result)
+  | Error e -> Alcotest.fail e);
+  check_int "the successor ran the swallowed job alone" 1
+    (worker_submitted w2);
+  let text = Client.metrics_text c in
+  Client.close c;
+  check "one failover" true
+    (prom_counter text "ssg_router_failovers_total" = Some 1);
+  check_int "no link dialed anew" dialed (Atomic.get p.p_accepts);
+  stop_router router rt;
+  stop_proxy p;
+  (* Its 8th reply, a shutdown ack, would be swallowed. *)
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX w1);
+  Raw_wire.send fd Protocol.Shutdown;
+  Unix.close fd;
+  Thread.join t1;
   stop_worker w2 t2
 
 let test_router_unparseable_run_keeps_link () =
@@ -830,27 +904,27 @@ let test_router_unparseable_run_keeps_link () =
     start_router ~probe_interval_s:60. ~down_after:1000
       ~backends:[ p.p_socket ] ()
   in
-  let pc = Pclient.connect ~socket:router ~deadline_s:30. () in
+  let pc = Client.connect ~socket:router ~deadline_s:30. () in
   let served label ticket =
-    match Pclient.await ticket with
+    match Client.await ticket with
     | Ok c -> check label true (Result.is_ok c.Job.result)
     | Error e -> Alcotest.fail (label ^ ": " ^ e)
   in
   served "the first job dials the link"
-    (Pclient.submit pc (sample_job ~seed:500 ()));
+    (Client.submit_async pc (sample_job ~seed:500 ()));
   (* The prober's first probe dials the proxy too. *)
   wait_until "the probe and the link dialed" (fun () ->
       Atomic.get p.p_accepts >= 2);
   let dialed = Atomic.get p.p_accepts in
   let in_flight =
-    List.init 3 (fun i -> Pclient.submit pc (sample_job ~seed:(501 + i) ()))
+    List.init 3 (fun i -> Client.submit_async pc (sample_job ~seed:(501 + i) ()))
   in
   let bad =
-    Pclient.submit pc
+    Client.submit_async pc
       (Job.as_sent ~algorithm:Job.Kset ~k:2 ~monitor:false
          "ssg-run v1\nn 3\nstable: 0>1 1>9\n")
   in
-  (match Pclient.await bad with
+  (match Client.await bad with
   | Error msg ->
       check "the worker's lint rejection relayed" true
         (String.starts_with ~prefix:"job rejected by lint:" msg
@@ -858,10 +932,10 @@ let test_router_unparseable_run_keeps_link () =
   | Ok _ -> Alcotest.fail "an unparseable run must be refused");
   List.iter (served "a job in flight on the link") in_flight;
   served "a job after the bad one"
-    (Pclient.submit pc (sample_job ~seed:510 ()));
-  Pclient.close pc;
+    (Client.submit_async pc (sample_job ~seed:510 ()));
+  Client.close pc;
   check_int "still one backend link" dialed (Atomic.get p.p_accepts);
-  let c = wait_connect router in
+  let c = Service.connect router in
   let text = Client.metrics_text c in
   Client.close c;
   check "no failover" true
@@ -897,7 +971,7 @@ let test_router_elastic_join_warm_handoff () =
   let router, rt = start_router ~backends:[ w1; w2 ] () in
   let jobs = List.init 60 (fun i -> sample_job ~seed:(5000 + i) ()) in
   let c = Client.connect ~socket:router ~deadline_s:30. () in
-  let first = Client.submit_batch c jobs in
+  let first = Service.submit_all c jobs in
   check "burst succeeded" true
     (List.for_all (fun x -> Result.is_ok x.Job.result) first);
   (* A third worker walks up and announces itself to the router. *)
@@ -908,12 +982,12 @@ let test_router_elastic_join_warm_handoff () =
   check_int "fleet grew to three" 3 s.Telemetry.workers;
   (* The whole burst again: keys that moved to the joiner must be served
      from its handed-off cache, not recomputed. *)
-  let again = Client.submit_batch c jobs in
+  let again = Service.submit_all c jobs in
   check "no errors across the join" true
     (List.for_all (fun x -> Result.is_ok x.Job.result) again);
   check "every key still a cache hit" true
     (List.for_all (fun x -> x.Job.cached) again);
-  let w3c = wait_connect w3 in
+  let w3c = Service.connect w3 in
   let w3s = Client.stats w3c in
   Client.close w3c;
   check "the joiner served hits from handed-off keys" true
@@ -934,7 +1008,7 @@ let test_router_elastic_leave_rescues_keys () =
   let router, rt = start_router ~backends:[ w1; w2; w3 ] () in
   let jobs = List.init 45 (fun i -> sample_job ~seed:(7000 + i) ()) in
   let c = Client.connect ~socket:router ~deadline_s:30. () in
-  let first = Client.submit_batch c jobs in
+  let first = Service.submit_all c jobs in
   check "burst succeeded" true
     (List.for_all (fun x -> Result.is_ok x.Job.result) first);
   Client.leave c w3;
@@ -947,7 +1021,7 @@ let test_router_elastic_leave_rescues_keys () =
     (match prom_counter text "ssg_router_handoff_keys_total" with
     | Some v -> v > 0
     | None -> false);
-  let again = Client.submit_batch c jobs in
+  let again = Service.submit_all c jobs in
   check "no errors across the leave" true
     (List.for_all (fun x -> Result.is_ok x.Job.result) again);
   check "every key still a cache hit" true
@@ -1005,6 +1079,8 @@ let tests =
       test_router_unparseable_run_keeps_link;
     Alcotest.test_case "router: dropped link fails over and redials" `Quick
       test_router_dropped_link_fails_over;
+    Alcotest.test_case "router: a swallowed reply fails over alone" `Quick
+      test_router_swallowed_reply_fails_over_alone;
     Alcotest.test_case "router: chaos kill/heal 200-job burst" `Slow
       test_router_chaos_kill_heal;
     Alcotest.test_case "router: elastic join + warm handoff" `Quick

@@ -376,27 +376,23 @@ let gen_entries rng =
         Protocol.outcome_to_string (gen_outcome rng) ))
 
 let gen_request rng =
-  match Rng.int rng 11 with
+  match Rng.int rng 10 with
   | 0 -> Protocol.Submit (gen_job rng)
-  | 1 -> Protocol.Batch (List.init (Rng.int rng 4) (fun _ -> gen_job rng))
-  | 2 -> Protocol.Stats
-  | 3 -> Protocol.Trace_pull
-  | 4 -> Protocol.Metrics
-  | 5 -> Protocol.Join "unix:/tmp/w1.sock"
-  | 6 -> Protocol.Leave "tcp:127.0.0.1:7001"
-  | 7 -> Protocol.Export (Rng.int rng 2048)
-  | 8 -> Protocol.Transfer (gen_entries rng)
-  | 9 -> Protocol.Compact
+  | 1 -> Protocol.Stats
+  | 2 -> Protocol.Trace_pull
+  | 3 -> Protocol.Metrics
+  | 4 -> Protocol.Join "unix:/tmp/w1.sock"
+  | 5 -> Protocol.Leave "tcp:127.0.0.1:7001"
+  | 6 -> Protocol.Export (Rng.int rng 2048)
+  | 7 -> Protocol.Transfer (gen_entries rng)
+  | 8 -> Protocol.Compact
   | _ -> Protocol.Shutdown
 
 let gen_reply rng =
-  match Rng.int rng 11 with
+  match Rng.int rng 10 with
   | 0 -> Protocol.Completed (gen_completion rng)
-  | 1 ->
-      Protocol.Batch_completed
-        (List.init (Rng.int rng 4) (fun _ -> gen_completion rng))
-  | 2 -> Protocol.Stats_snapshot (gen_snapshot rng)
-  | 3 ->
+  | 1 -> Protocol.Stats_snapshot (gen_snapshot rng)
+  | 2 ->
       Protocol.Trace_reports
         (List.init (Rng.int rng 3) (fun i ->
              {
@@ -407,12 +403,12 @@ let gen_reply rng =
                events =
                  List.init (Rng.int rng 5) (fun _ -> gen_trace_event rng);
              }))
-  | 4 -> Protocol.Metrics_text "# TYPE ssgd_jobs_submitted counter\nssgd_jobs_submitted 3\n"
-  | 5 -> Protocol.Shutting_down
-  | 6 -> Protocol.Ack
-  | 7 -> Protocol.Entries (gen_entries rng)
-  | 8 -> Protocol.Transferred (Rng.int rng 2048)
-  | 9 -> Protocol.Compacted (Rng.int rng 2048)
+  | 3 -> Protocol.Metrics_text "# TYPE ssgd_jobs_submitted counter\nssgd_jobs_submitted 3\n"
+  | 4 -> Protocol.Shutting_down
+  | 5 -> Protocol.Ack
+  | 6 -> Protocol.Entries (gen_entries rng)
+  | 7 -> Protocol.Transferred (Rng.int rng 2048)
+  | 8 -> Protocol.Compacted (Rng.int rng 2048)
   | _ -> Protocol.Error "nope"
 
 let prop_request_roundtrip =
@@ -692,15 +688,7 @@ let test_server_end_to_end () =
           ())
       ()
   in
-  let rec wait_up tries =
-    if tries = 0 then Alcotest.fail "server did not come up";
-    match Client.connect ~socket () with
-    | c -> c
-    | exception Unix.Unix_error _ ->
-        Thread.delay 0.05;
-        wait_up (tries - 1)
-  in
-  let c0 = wait_up 100 in
+  let c0 = Service.connect socket in
   (* Concurrent clients: every thread submits the same 3 jobs (plus one
      per-thread unique job) on its own connection and checks the replies
      against in-process execution. *)
@@ -714,7 +702,7 @@ let test_server_end_to_end () =
             try
               let c = Client.connect ~socket () in
               let mine = Job.make ~k:2 (sample_adv ~seed:(1000 + t) ()) in
-              let completions = Client.submit_batch c (shared @ [ mine ]) in
+              let completions = Service.submit_all c (shared @ [ mine ]) in
               List.iteri
                 (fun i completion ->
                   match (completion.Job.result, List.nth_opt expected i) with

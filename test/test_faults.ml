@@ -41,15 +41,7 @@ let start_server ?(workers = 1) ?(queue_capacity = 16) ?max_connections
           ?max_connections ?read_timeout_s ~drain_timeout_s ?faults ~socket ())
       ()
   in
-  let rec wait_up tries =
-    if tries = 0 then Alcotest.fail "server did not come up";
-    match Client.connect ~socket ~deadline_s:10. () with
-    | c -> c
-    | exception Unix.Unix_error _ ->
-        Thread.delay 0.05;
-        wait_up (tries - 1)
-  in
-  let control = wait_up 100 in
+  let control = Service.connect socket in
   (socket, thread, control)
 
 let stop_server control thread =
@@ -168,18 +160,18 @@ let test_unparseable_run_keeps_connection () =
      are served on the same connection. *)
   let socket, thread, control = start_server () in
   let before = Client.stats control in
-  let pc = Pclient.connect ~socket ~deadline_s:10. () in
-  let good1 = Pclient.submit pc (sample_job ~seed:41 ()) in
-  let bad = Pclient.submit pc (unparseable_job ()) in
-  let muted = Pclient.submit pc (muted_unparseable_job ()) in
-  let good2 = Pclient.submit pc (sample_job ~seed:42 ()) in
+  let pc = Client.connect ~socket ~deadline_s:10. () in
+  let good1 = Client.submit_async pc (sample_job ~seed:41 ()) in
+  let bad = Client.submit_async pc (unparseable_job ()) in
+  let muted = Client.submit_async pc (muted_unparseable_job ()) in
+  let good2 = Client.submit_async pc (sample_job ~seed:42 ()) in
   let served label ticket =
-    match Pclient.await ticket with
+    match Client.await ticket with
     | Ok c -> check label true (Result.is_ok c.Job.result)
     | Error e -> Alcotest.fail (label ^ ": " ^ e)
   in
   let refused label ticket =
-    match Pclient.await ticket with
+    match Client.await ticket with
     | Error msg -> check_unparseable_refusal label msg
     | Ok _ -> Alcotest.fail (label ^ ": expected an Error reply")
   in
@@ -188,35 +180,15 @@ let test_unparseable_run_keeps_connection () =
   served "job before the bad ones" good1;
   served "job after the bad ones" good2;
   served "a later job on the same connection"
-    (Pclient.submit pc (sample_job ~seed:43 ()));
-  check "connection still alive" true (Pclient.alive pc);
-  Pclient.close pc;
+    (Client.submit_async pc (sample_job ~seed:43 ()));
+  check "connection still alive" true (Client.alive pc);
+  Client.close pc;
   let after = Client.stats control in
   check_int "no frame rejected" before.Telemetry.rejected_frames
     after.Telemetry.rejected_frames;
   check_int "both counted as lint rejections"
     (before.Telemetry.jobs_rejected_lint + 2)
     after.Telemetry.jobs_rejected_lint;
-  stop_server control thread
-
-let test_batch_with_unparseable_job () =
-  (* A bad job in a batch costs only its own slot. *)
-  let socket, thread, control = start_server () in
-  let c = Client.connect ~socket ~deadline_s:10. () in
-  (match
-     Client.submit_batch c
-       [ sample_job ~seed:51 (); unparseable_job (); sample_job ~seed:52 () ]
-   with
-  | [ first; bad; last ] ->
-      check "first slot served" true (Result.is_ok first.Job.result);
-      check "last slot served" true (Result.is_ok last.Job.result);
-      (match bad.Job.result with
-      | Error msg -> check_unparseable_refusal "bad slot" msg
-      | Ok _ -> Alcotest.fail "the bad slot must carry an error")
-  | cs -> Alcotest.failf "%d completions for a 3-job batch" (List.length cs));
-  check "connection still serves" true
-    (Result.is_ok (Client.submit c (sample_job ~seed:53 ())).Job.result);
-  Client.close c;
   stop_server control thread
 
 (* ---------------- adversarial framing ---------------- *)
@@ -283,9 +255,13 @@ let test_read_timeout_reaps_stalled_connection () =
 
 let test_connection_limit () =
   let socket, thread, control = start_server ~max_connections:2 () in
-  (* [control] occupies one slot; a raw idle connection takes the other. *)
+  (* [control] occupies one slot; a raw idle connection takes the other,
+     as one answered exchange on it shows. *)
   let held = raw_connect socket in
-  Thread.delay 0.05;
+  Raw_wire.send held Protocol.Stats;
+  (match try_read_reply held with
+  | Ok (Protocol.Stats_snapshot _) -> ()
+  | _ -> Alcotest.fail "the held connection was not served");
   let fd = raw_connect socket in
   (match try_read_reply fd with
   | Ok (Protocol.Error msg) ->
@@ -500,8 +476,6 @@ let tests =
       `Quick test_k0_submit_gets_error_and_close;
     Alcotest.test_case "unparseable run text: lint Error, connection kept"
       `Quick test_unparseable_run_keeps_connection;
-    Alcotest.test_case "batch: an unparseable job fails only its slot" `Quick
-      test_batch_with_unparseable_job;
     Alcotest.test_case "garbage / oversized / mid-frame attacks" `Quick
       test_garbage_and_midframe_disconnects;
     Alcotest.test_case "read timeout reaps half-open clients" `Quick

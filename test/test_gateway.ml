@@ -29,17 +29,6 @@ let fresh_tcp () =
   Unix.close fd;
   Printf.sprintf "tcp:127.0.0.1:%d" port
 
-let wait_connect ?(deadline_s = 10.) socket =
-  let rec go tries =
-    if tries = 0 then Alcotest.fail "service did not come up";
-    match Client.connect ~retries:0 ~socket ~deadline_s () with
-    | c -> c
-    | exception Unix.Unix_error _ ->
-        Thread.delay 0.05;
-        go (tries - 1)
-  in
-  go 100
-
 let start_worker () =
   let socket = fresh_tcp () in
   let thread =
@@ -49,12 +38,12 @@ let start_worker () =
           ~drain_timeout_s:5. ~socket ())
       ()
   in
-  let c = wait_connect socket in
+  let c = Service.connect socket in
   Client.close c;
   (socket, thread)
 
 let stop_worker socket thread =
-  let c = wait_connect socket in
+  let c = Service.connect socket in
   Client.shutdown c;
   Client.close c;
   Thread.join thread
@@ -196,7 +185,7 @@ let test_gateway_end_to_end () =
   let status, _ = post listen "/shutdown" "" in
   check_int "shutdown acknowledged" 200 status;
   Thread.join gt;
-  let c = wait_connect backend in
+  let c = Service.connect backend in
   check "backend survived the gateway shutdown" true
     ((Client.stats c).Telemetry.jobs_submitted >= 1);
   Client.close c;
@@ -273,7 +262,7 @@ let test_gateway_trace_propagation () =
           ~backends:[ backend ] ~socket:router ())
       ()
   in
-  (let c = wait_connect router in
+  (let c = Service.connect router in
    Client.close c);
   let listen = fresh_tcp () in
   let gt =
@@ -339,7 +328,7 @@ let test_gateway_trace_propagation () =
         (arg exec "parent_span_id" = arg submit "span_id");
       (* The fleet pull through the router: its own report plus the
          relayed worker report, roles labelled. *)
-      let c = wait_connect router in
+      let c = Service.connect router in
       let reports = Client.trace_pull c in
       Client.close c;
       check "fleet pull yields router and worker reports" true
@@ -355,7 +344,7 @@ let test_gateway_trace_propagation () =
   let status, _ = post listen "/shutdown" "" in
   check_int "gateway shutdown" 200 status;
   Thread.join gt;
-  let c = wait_connect router in
+  let c = Service.connect router in
   Client.shutdown c;
   Client.close c;
   Thread.join rt;

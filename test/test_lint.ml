@@ -260,15 +260,7 @@ let test_ssgd_rejects_at_submit () =
         Server.serve ~workers:1 ~queue_capacity:8 ~cache_capacity:16 ~socket ())
       ()
   in
-  let rec wait_up tries =
-    if tries = 0 then Alcotest.fail "server did not come up";
-    match Client.connect ~socket ~deadline_s:10. () with
-    | c -> c
-    | exception Unix.Unix_error _ ->
-        Thread.delay 0.05;
-        wait_up (tries - 1)
-  in
-  let c = wait_up 100 in
+  let c = Service.connect socket in
   (* The unsatisfiable job comes back as a protocol Error carrying the
      rendered diagnostics ... *)
   (match Client.submit c (bad_job ()) with

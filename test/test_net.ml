@@ -35,17 +35,6 @@ let fresh_tcp () =
   Unix.close fd;
   Printf.sprintf "tcp:127.0.0.1:%d" port
 
-let wait_connect ?(deadline_s = 10.) socket =
-  let rec go tries =
-    if tries = 0 then Alcotest.fail "service did not come up";
-    match Client.connect ~retries:0 ~socket ~deadline_s () with
-    | c -> c
-    | exception Unix.Unix_error _ ->
-        Thread.delay 0.05;
-        go (tries - 1)
-  in
-  go 100
-
 let start_server ?(workers = 2) ?(queue_capacity = 64) ?max_inflight ?faults
     ?socket () =
   let socket = match socket with Some s -> s | None -> fresh_tcp () in
@@ -56,12 +45,12 @@ let start_server ?(workers = 2) ?(queue_capacity = 64) ?max_inflight ?faults
           ?max_inflight ?faults ~drain_timeout_s:5. ~socket ())
       ()
   in
-  let c = wait_connect socket in
+  let c = Service.connect socket in
   Client.close c;
   (socket, thread)
 
 let stop_server socket thread =
-  let c = wait_connect socket in
+  let c = Service.connect socket in
   Client.shutdown c;
   Client.close c;
   Thread.join thread
@@ -267,6 +256,19 @@ let test_frame_ctx_envelope () =
    released, if given) answers them in the order [reply_order] (indices
    into arrival order), echoing each inner payload with an "ack:"
    prefix. *)
+(* The scripted peers below answer inside the envelope; a reply outside
+   it fails the link with this reason. *)
+let mux ?deadline_s fd =
+  Mux.create ?deadline_s
+    ~plain:(fun _ -> "Mux: peer answered outside the id envelope")
+    fd
+
+(* A ticket: a cell the request's completion fills. *)
+let send m payload =
+  let cell = Ivar.create () in
+  Mux.send_cb m payload (Ivar.fill cell);
+  cell
+
 let scripted_peer ?hold fd n reply_order =
   Thread.create
     (fun () ->
@@ -290,27 +292,27 @@ let test_mux_out_of_order () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let hold = Semaphore.Binary.make false in
   let peer = scripted_peer ~hold b 3 [ 2; 0; 1 ] in
-  let m = Mux.create a in
-  let t1 = Mux.send m (Bytes.of_string "one") in
-  let t2 = Mux.send m (Bytes.of_string "two") in
-  let t3 = Mux.send m (Bytes.of_string "three") in
+  let m = mux a in
+  let t1 = send m (Bytes.of_string "one") in
+  let t2 = send m (Bytes.of_string "two") in
+  let t3 = send m (Bytes.of_string "three") in
   check_int "three in flight" 3 (Mux.inflight m);
   Semaphore.Binary.release hold;
   (* Replies arrive 3,1,2 — each ticket still gets its own. *)
-  check "t2 correlates" true (Mux.await t2 = Ok (Bytes.of_string "ack:two"));
-  check "t1 correlates" true (Mux.await t1 = Ok (Bytes.of_string "ack:one"));
-  check "t3 correlates" true (Mux.await t3 = Ok (Bytes.of_string "ack:three"));
-  check "await is idempotent" true (Mux.await t2 = Ok (Bytes.of_string "ack:two"));
+  check "t2 correlates" true (Ivar.read t2 = Ok (Bytes.of_string "ack:two"));
+  check "t1 correlates" true (Ivar.read t1 = Ok (Bytes.of_string "ack:one"));
+  check "t3 correlates" true (Ivar.read t3 = Ok (Bytes.of_string "ack:three"));
+  check "await is idempotent" true (Ivar.read t2 = Ok (Bytes.of_string "ack:two"));
   check_int "drained" 0 (Mux.inflight m);
   Thread.join peer;
   Mux.close m
 
 let test_mux_dead_connection_fails_all () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let m = Mux.create a in
-  let t = Mux.send m (Bytes.of_string "doomed") in
+  let m = mux a in
+  let t = send m (Bytes.of_string "doomed") in
   Unix.close b;
-  (match Mux.await t with
+  (match Ivar.read t with
   | Error msg ->
       (* Clean EOF or ECONNRESET (the peer closed with our request still
          unread) — both are a dead connection. *)
@@ -318,7 +320,7 @@ let test_mux_dead_connection_fails_all () =
         (contains msg "closed" || contains msg "reset")
   | Ok _ -> Alcotest.fail "a reply from a closed peer?");
   check "connection marked dead" false (Mux.alive m);
-  (match Mux.send m (Bytes.of_string "after death") with
+  (match send m (Bytes.of_string "after death") with
   | _ -> Alcotest.fail "send on a dead mux must raise"
   | exception Failure _ -> ());
   Mux.close m;
@@ -328,10 +330,10 @@ let test_mux_plain_reply_is_fatal () =
   (* A peer answering outside the envelope cannot be correlated; the
      connection must fail loudly rather than stall the ticket. *)
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let m = Mux.create a in
-  let t = Mux.send m (Bytes.of_string "x") in
+  let m = mux a in
+  let t = send m (Bytes.of_string "x") in
   Frame.write_fd b (Bytes.of_string "plain reply");
-  (match Mux.await t with
+  (match Ivar.read t with
   | Error msg -> check "names the envelope" true (contains msg "envelope")
   | Ok _ -> Alcotest.fail "plain reply must not correlate");
   Mux.close m;
@@ -358,19 +360,19 @@ let echo_peer fd =
 
 let test_mux_deadline_on_a_busy_link () =
   (* The deadline bounds each request: a request the peer never answers
-     fails the link even while every other request keeps being
-     answered, so the connection never goes silent. *)
+     fails on its own while every other request keeps being answered,
+     and the link, never silent, stays up. *)
   let deadline_s = 0.4 in
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let peer = echo_peer b in
-  let m = Mux.create ~deadline_s a in
+  let m = mux ~deadline_s a in
   let muted = Atomic.make None in
   let t0 = Unix.gettimeofday () in
   Mux.send_cb m (Bytes.of_string "mute") (fun outcome ->
       Atomic.set muted (Some (outcome, Unix.gettimeofday () -. t0)));
   let answered = ref 0 in
   while Atomic.get muted = None && Unix.gettimeofday () -. t0 < 5. do
-    (match Mux.call m (Bytes.of_string "ping") with
+    (match Ivar.read (send m (Bytes.of_string "ping")) with
     | Ok _ -> incr answered
     | Error _ -> ());
     Thread.delay 0.02
@@ -388,7 +390,7 @@ let test_mux_deadline_on_a_busy_link () =
   | Some (Ok _, _) -> Alcotest.fail "a muted request was answered"
   | None -> Alcotest.fail "the muted request never failed");
   check "other requests were answered meanwhile" true (!answered >= 5);
-  check "the link is dead" false (Mux.alive m);
+  check "the link is alive" true (Mux.alive m);
   Mux.close m;
   Thread.join peer
 
@@ -398,7 +400,7 @@ let test_mux_callback_form () =
      thread, returns. *)
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let peer = echo_peer b in
-  let m = Mux.create a in
+  let m = mux a in
   let lock = Mutex.create () and all_in = Condition.create () in
   let calls = Array.make 4 [] in
   let record i outcome =
@@ -460,14 +462,14 @@ let prop_mux_correlation =
       done;
       let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       let peer = scripted_peer b n (Array.to_list order) in
-      let m = Mux.create a in
+      let m = mux a in
       let tickets =
-        List.init n (fun i -> (i, Mux.send m (Bytes.of_string (Printf.sprintf "req-%d-%d" salt i))))
+        List.init n (fun i -> (i, send m (Bytes.of_string (Printf.sprintf "req-%d-%d" salt i))))
       in
       let ok =
         List.for_all
           (fun (i, t) ->
-            Mux.await t = Ok (Bytes.of_string (Printf.sprintf "ack:req-%d-%d" salt i)))
+            Ivar.read t = Ok (Bytes.of_string (Printf.sprintf "ack:req-%d-%d" salt i)))
           tickets
       in
       Thread.join peer;
@@ -560,7 +562,7 @@ let test_http_json_escape () =
 
 let test_tcp_server_end_to_end () =
   let socket, thread = start_server () in
-  (* The strict one-shot client works unchanged over TCP. *)
+  (* The blocking client works unchanged over TCP. *)
   let c = Client.connect ~socket ~deadline_s:10. () in
   let completion = Client.submit c (good_job ()) in
   check "job served over tcp" true (Result.is_ok completion.Job.result);
@@ -574,18 +576,18 @@ let test_tcp_server_end_to_end () =
 
 let test_pclient_correlation_under_load () =
   let socket, thread = start_server () in
-  let pc = Pclient.connect ~socket ~deadline_s:30. () in
+  let pc = Client.connect ~socket ~deadline_s:30. () in
   (* 24 distinct jobs in flight at once; each ticket must resolve to
      the completion of its own job — checked through the inputs array,
      which round-trips into the outcome's decision count. *)
   let tickets =
     List.init 24 (fun i ->
         let inputs = Array.init 6 (fun j -> (100 * i) + j) in
-        (i, Pclient.submit pc (good_job ~inputs ())))
+        (i, Client.submit_async pc (good_job ~inputs ())))
   in
   List.iter
     (fun (i, t) ->
-      match Pclient.await t with
+      match Client.await t with
       | Ok completion -> (
           match completion.Job.result with
           | Ok outcome ->
@@ -602,7 +604,7 @@ let test_pclient_correlation_under_load () =
           | Error e -> Alcotest.fail e)
       | Error e -> Alcotest.fail e)
     (List.rev tickets);
-  Pclient.close pc;
+  Client.close pc;
   stop_server socket thread
 
 let test_pclient_no_head_of_line_blocking () =
@@ -614,36 +616,36 @@ let test_pclient_no_head_of_line_blocking () =
      block in the enqueue: the hit must not wait behind them either. *)
   let faults = Faults.create ~slow_every:1 ~slow_s:0.2 () in
   let socket, thread = start_server ~workers:1 ~queue_capacity:2 ~faults () in
-  let pc = Pclient.connect ~socket ~deadline_s:60. () in
+  let pc = Client.connect ~socket ~deadline_s:60. () in
   let warm = good_job () in
-  (match Pclient.await (Pclient.submit pc warm) with
+  (match Client.await (Client.submit_async pc warm) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   let slow =
     List.init 8 (fun i ->
-        Pclient.submit pc
+        Client.submit_async pc
           (good_job ~inputs:(Array.init 6 (fun j -> (1000 * (i + 1)) + j)) ()))
   in
-  let fast = Pclient.submit pc warm in
-  (match Pclient.await fast with
+  let fast = Client.submit_async pc warm in
+  (match Client.await fast with
   | Ok completion ->
       check "fast reply is the cache hit" true completion.Job.cached;
       check_int "every slow job still outstanding when the hit returns" 8
-        (Pclient.inflight pc)
+        (Client.inflight pc)
   | Error e -> Alcotest.fail e);
   List.iter
     (fun t ->
-      match Pclient.await t with
+      match Client.await t with
       | Ok completion -> check "slow job eventually ok" true (Result.is_ok completion.Job.result)
       | Error e -> Alcotest.fail e)
     slow;
-  Pclient.close pc;
+  Client.close pc;
   stop_server socket thread
 
 let test_pclient_lint_rejection_is_error_result () =
   let socket, thread = start_server () in
-  let pc = Pclient.connect ~socket ~deadline_s:10. () in
-  (match Pclient.await (Pclient.submit pc (bad_job ())) with
+  let pc = Client.connect ~socket ~deadline_s:10. () in
+  (match Client.await (Client.submit_async pc (bad_job ())) with
   | Error msg -> check "diagnostics in the message" true (contains msg "SSG")
   | Ok completion -> (
       (* The dedup-twin path reports the rejection inside the
@@ -651,28 +653,28 @@ let test_pclient_lint_rejection_is_error_result () =
       match completion.Job.result with
       | Error msg -> check "diagnostics in the completion" true (contains msg "SSG")
       | Ok _ -> Alcotest.fail "lint-rejected job must not succeed"));
-  (match Pclient.submit_sync pc (good_job ()) with
+  (match Client.submit pc (good_job ()) with
   | completion -> check "sync submit ok" true (Result.is_ok completion.Job.result));
-  Pclient.close pc;
-  check "closed pclient is dead" false (Pclient.alive pc);
+  Client.close pc;
+  check "closed pclient is dead" false (Client.alive pc);
   stop_server socket thread
 
 let test_backpressure_at_inflight_cap () =
   (* cap = 2: flooding 16 requests still answers all of them — the
      reader serves inline past the cap instead of queueing unboundedly. *)
   let socket, thread = start_server ~workers:1 ~max_inflight:2 () in
-  let pc = Pclient.connect ~socket ~deadline_s:30. () in
+  let pc = Client.connect ~socket ~deadline_s:30. () in
   let tickets =
     List.init 16 (fun i ->
-        Pclient.submit pc (good_job ~inputs:(Array.init 6 (fun j -> (50 * i) + j)) ()))
+        Client.submit_async pc (good_job ~inputs:(Array.init 6 (fun j -> (50 * i) + j)) ()))
   in
   List.iter
     (fun t ->
-      match Pclient.await t with
+      match Client.await t with
       | Ok completion -> check "answered" true (Result.is_ok completion.Job.result)
       | Error e -> Alcotest.fail e)
     tickets;
-  Pclient.close pc;
+  Client.close pc;
   stop_server socket thread
 
 (* The supervised-close regression: a client that vanishes between
@@ -704,27 +706,27 @@ let test_client_vanishes_before_reply () =
    interleaved on one connection, are both served. *)
 let test_ctx_optional () =
   let socket, thread = start_server () in
-  let pc = Pclient.connect ~socket ~deadline_s:30. () in
+  let pc = Client.connect ~socket ~deadline_s:30. () in
   let bare =
-    Pclient.submit pc (good_job ~inputs:(Array.init 6 (fun j -> 9200 + j)) ())
+    Client.submit_async pc (good_job ~inputs:(Array.init 6 (fun j -> 9200 + j)) ())
   in
   let framed =
-    Pclient.submit
+    Client.submit_async
       ~ctx:(Ssg_obs.Context.root ())
       pc
       (good_job ~inputs:(Array.init 6 (fun j -> 9300 + j)) ())
   in
   List.iter
     (fun (label, t) ->
-      match Pclient.await t with
+      match Client.await t with
       | Ok completion -> check label true (Result.is_ok completion.Job.result)
       | Error e -> Alcotest.fail (label ^ ": " ^ e))
     [
       ("request without a context served", bare);
       ("ctx-framed request served", framed);
     ];
-  Pclient.close pc;
-  (* And the synchronous client's ctx path end to end. *)
+  Client.close pc;
+  (* And the blocking form's ctx path end to end. *)
   let c = Client.connect ~socket ~deadline_s:10. () in
   let completion = Client.submit ~ctx:(Ssg_obs.Context.root ()) c (good_job ()) in
   check "client ctx submit served" true (Result.is_ok completion.Job.result);
@@ -762,10 +764,11 @@ let test_request_outside_id_envelope () =
   Client.close c;
   stop_server socket thread
 
-(* The one-shot client takes a reply only under its request's id, or an
-   id-less [Error]: how a server refuses a connection at its limit.
-   Scripted peer: read one request, write [reply id] where [id] is the
-   request's. *)
+(* The client takes a reply only under its request's id.  An id-less
+   [Error] — how a server refuses a connection at its limit — fails the
+   connection with the server's reason; a reply under an id nobody
+   waits for is dropped.  Scripted peer: read one request, write
+   [reply id] where [id] is the request's, then close. *)
 let test_client_reply_correlation () =
   let path =
     Filename.concat
@@ -810,7 +813,7 @@ let test_client_reply_correlation () =
         (stats_answered (fun _ ->
              Protocol.reply_to_bytes
                (Protocol.Error "server at connection limit")));
-      refused "a reply under another id is refused" "expected"
+      refused "a reply under another id is dropped" "closed by peer"
         (stats_answered (fun id ->
              Frame.with_id ~id:(id + 1) (Protocol.reply_to_bytes Protocol.Ack)));
       refused "any other id-less reply is refused" "outside the id envelope"
@@ -830,9 +833,9 @@ let test_router_over_tcp () =
           ~backends:[ w1; w2 ] ~socket:router ())
       ()
   in
-  let c = wait_connect router in
+  let c = Service.connect router in
   let completions =
-    Client.submit_batch c
+    Service.submit_all c
       (List.init 8 (fun i -> good_job ~inputs:(Array.init 6 (fun j -> (300 * i) + j)) ()))
   in
   check_int "batch answered through the tcp router" 8 (List.length completions);
@@ -880,7 +883,7 @@ let test_signals_during_submits () =
       for i = 1 to 20 do
         (* A fresh connection per job: each one walks connect() (and the
            server's accept()) with signals in flight. *)
-        let c = wait_connect socket in
+        let c = Service.connect socket in
         let completion =
           Client.submit c
             (good_job ~inputs:(Array.init 6 (fun j -> (100 * i) + j)) ())

@@ -636,15 +636,7 @@ let test_trace_pull_from_live_daemon () =
           ~trace:true ~socket ())
       ()
   in
-  let rec wait_up tries =
-    if tries = 0 then Alcotest.fail "server did not come up";
-    match Ssg_engine.Client.connect ~socket () with
-    | c -> c
-    | exception Unix.Unix_error _ ->
-        Thread.delay 0.05;
-        wait_up (tries - 1)
-  in
-  let c = wait_up 100 in
+  let c = Service.connect socket in
   Fun.protect
     ~finally:(fun () ->
       (try Ssg_engine.Client.shutdown c with _ -> ());

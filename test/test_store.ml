@@ -380,17 +380,6 @@ let test_server_crash_recovery () =
     | Ok f -> f
     | Error e -> Alcotest.fail e
   in
-  let wait_up () =
-    let rec go tries =
-      if tries = 0 then Alcotest.fail "server did not come up";
-      match Client.connect ~socket () with
-      | c -> c
-      | exception Unix.Unix_error _ ->
-          Thread.delay 0.05;
-          go (tries - 1)
-    in
-    go 100
-  in
   (* Life 1: one worker so journal appends happen in submission order. *)
   let server1 =
     Thread.create
@@ -399,7 +388,7 @@ let test_server_crash_recovery () =
           ~persist:dir ~persist_sync:Store.Always ~socket ())
       ()
   in
-  let c = wait_up () in
+  let c = Service.connect socket in
   List.iter
     (fun job ->
       let completion = Client.submit c job in
@@ -417,7 +406,7 @@ let test_server_crash_recovery () =
           ~persist:dir ~socket ())
       ()
   in
-  let c = wait_up () in
+  let c = Service.connect socket in
   let completions = List.map (Client.submit c) jobs in
   let cached = List.map (fun x -> x.Job.cached) completions in
   check "longest valid prefix answers from cache" true
@@ -441,7 +430,7 @@ let test_server_crash_recovery () =
           ~persist:dir ~socket ())
       ()
   in
-  let c = wait_up () in
+  let c = Service.connect socket in
   let completions = List.map (Client.submit c) jobs in
   check "full fleet of hits after a clean life" true
     (List.for_all (fun x -> x.Job.cached) completions);
@@ -477,15 +466,7 @@ let test_second_server_leaves_store_alone () =
           ~persist:dir ~persist_sync:Store.Always ~socket ())
       ()
   in
-  let rec wait_up tries =
-    if tries = 0 then Alcotest.fail "server did not come up";
-    match Client.connect ~socket () with
-    | c -> c
-    | exception Unix.Unix_error _ ->
-        Thread.delay 0.05;
-        wait_up (tries - 1)
-  in
-  let c = wait_up 100 in
+  let c = Service.connect socket in
   List.iter
     (fun seed -> ignore (Client.submit c (Job.make ~k:2 (sample_adv ~seed ()))))
     [ 200; 201 ];
@@ -536,15 +517,7 @@ let test_server_caches_only_canonical_keys () =
           ~persist:dir ~persist_sync:Store.Always ~socket ())
       ()
   in
-  let rec wait_up tries =
-    if tries = 0 then Alcotest.fail "server did not come up";
-    match Client.connect ~socket () with
-    | c -> c
-    | exception Unix.Unix_error _ ->
-        Thread.delay 0.05;
-        wait_up (tries - 1)
-  in
-  let c = wait_up 100 in
+  let c = Service.connect socket in
   let first = Client.submit c sent in
   check "computed on first sight" false first.Job.cached;
   check "the canonical job's outcome" true
