@@ -396,7 +396,9 @@ let run_tracing_bench scale =
     time (fun () ->
         push ();
         export_len :=
-          String.length (Ssg_obs.Export.chrome_json (Ssg_obs.Tracer.events ())))
+          String.length
+            (Ssg_obs.Stitch.chrome_of_reports
+               [ Ssg_obs.Tracer.report_here ~role:"bench" () ]))
   in
   Ssg_obs.Tracer.set_enabled false;
   Ssg_obs.Tracer.reset ();

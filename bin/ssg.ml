@@ -970,25 +970,26 @@ let trace_cmd =
   in
   let fleet_arg =
     let doc =
-      "Pull a stitched fleet trace: ask the service at $(b,--socket) for        per-process tracer reports (a router relays the pull to every        backend) and emit one Chrome trace with per-process tracks, clock        -aligned timestamps and cross-process flow arrows."
+      "Pull a stitched fleet trace: ask the service at $(b,--socket) (or        the gateway at $(b,--gateway)) for per-process tracer reports (a        router relays the pull to every backend) and emit one Chrome trace        with per-process tracks, clock-aligned timestamps and        cross-process flow arrows."
     in
     Arg.(value & flag & info [ "fleet" ] ~doc)
   in
   let gateway_arg =
     let doc =
-      "With $(b,--fleet): also fetch the HTTP gateway's own report from        $(docv)/trace and stitch it in as the edge process."
+      "With $(b,--fleet): fetch $(docv)/trace instead of pulling over        $(b,--socket) — the HTTP gateway answers the stitched document of        itself and every process behind it, pulled through its own        backend."
     in
     Arg.(value & opt (some string) None & info [ "gateway" ] ~docv:"URL" ~doc)
   in
   let check_arg =
     let doc =
-      "Validate the emitted document before writing it: JSON        well-formedness, balanced begin/end per track, and print the        cross-process link count."
+      "Print the audit of the emitted document before writing it: its        event, process and cross-process link counts, and any ends the        ring buffer truncated or spans still in flight.  Every document        is audited (well-formed JSON, known phases, begin/end counted per        track); one the audit rejects is an error, not a trace file."
     in
     Arg.(value & flag & info [ "check" ] ~doc)
   in
-  (* Minimal HTTP GET of the gateway's /trace endpoint; raises Failure
-     with a printable reason. *)
-  let fetch_gateway_report url =
+  (* Minimal HTTP GET of the gateway's /trace endpoint — the stitched
+     document of the gateway and every process behind it; raises
+     Failure with a printable reason. *)
+  let fetch_gateway_trace url =
     let rest =
       let p = "http://" in
       if
@@ -1006,62 +1007,51 @@ let trace_cmd =
       Ssg_net.Transport.connect
         (Ssg_net.Transport.of_string_exn ("tcp:" ^ hostport))
     in
-    let body =
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let req =
-            Printf.sprintf
-              "GET /trace HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n"
-              hostport
-          in
-          ignore (Unix.write_substring fd req 0 (String.length req));
-          let buf = Buffer.create 8192 in
-          let chunk = Bytes.create 8192 in
-          let rec drain () =
-            match Unix.read fd chunk 0 (Bytes.length chunk) with
-            | 0 -> ()
-            | n ->
-                Buffer.add_subbytes buf chunk 0 n;
-                drain ()
-          in
-          drain ();
-          let s = Buffer.contents buf in
-          let limit = String.length s - 3 in
-          let rec find i =
-            if i >= limit then None
-            else if String.sub s i 4 = "\r\n\r\n" then Some (i + 4)
-            else find (i + 1)
-          in
-          match find 0 with
-          | None -> failwith ("no HTTP reply from gateway " ^ url)
-          | Some off -> String.sub s off (String.length s - off))
-    in
-    match
-      Option.bind
-        (Ssg_obs.Export.json_of_string body)
-        Ssg_obs.Stitch.report_of_json
-    with
-    | Some report -> report
-    | None ->
-        failwith ("gateway " ^ url ^ " returned an unparsable trace report")
-  in
-  let emit_doc out count json =
-    match out with
-    | None -> print_endline json
-    | Some path ->
-        Out_channel.with_open_bin path (fun oc ->
-            Out_channel.output_string oc json);
-        Printf.printf "wrote %d trace events to %s\n" count path
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        let req =
+          Printf.sprintf
+            "GET /trace HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n"
+            hostport
+        in
+        ignore (Unix.write_substring fd req 0 (String.length req));
+        let buf = Buffer.create 8192 in
+        let chunk = Bytes.create 8192 in
+        let rec drain () =
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> ()
+          | n ->
+              Buffer.add_subbytes buf chunk 0 n;
+              drain ()
+        in
+        drain ();
+        let s = Buffer.contents buf in
+        let limit = String.length s - 3 in
+        let rec find i =
+          if i >= limit then None
+          else if String.sub s i 4 = "\r\n\r\n" then Some (i + 4)
+          else find (i + 1)
+        in
+        match find 0 with
+        | None -> failwith ("no HTTP reply from gateway " ^ url)
+        | Some off -> (
+            let body = String.sub s off (String.length s - off) in
+            (* "HTTP/1.1 200 ..." *)
+            if String.length s > 12 && String.sub s 9 3 = "200" then body
+            else failwith (Printf.sprintf "gateway %s: %s" url body)))
   in
   let action verbose socket file out fleet gateway check k rounds =
     setup_logs verbose;
-    let finish count json =
-      if check then
-        match Ssg_obs.Stitch.audit_string json with
-        | Error msg -> `Error (false, "trace check failed: " ^ msg)
-        | Ok { Ssg_obs.Stitch.events; processes; links; truncated_ends; open_spans }
-          ->
+    (* Every document is audited before it is written: the audit counts
+       its events, and a document it rejects (say, a gateway's error
+       body) is an error, not a trace file.  --check prints the audit. *)
+    let finish json =
+      match Ssg_obs.Stitch.audit_string json with
+      | Error msg -> `Error (false, "trace check failed: " ^ msg)
+      | Ok { Ssg_obs.Stitch.events; processes; links; truncated_ends; open_spans }
+        ->
+          if check then begin
             Printf.printf
               "trace ok: %d event(s), %d process(es), %d cross-process \
                link(s)\n"
@@ -1070,37 +1060,29 @@ let trace_cmd =
               Printf.printf
                 "  (%d end(s) truncated by the ring buffer, %d span(s) still \
                  in flight)\n"
-                truncated_ends open_spans;
-            emit_doc out count json;
-            `Ok ()
-      else begin
-        emit_doc out count json;
-        `Ok ()
-      end
+                truncated_ends open_spans
+          end;
+          (match out with
+          | None -> print_endline json
+          | Some path ->
+              Out_channel.with_open_bin path (fun oc ->
+                  Out_channel.output_string oc json);
+              Printf.printf "wrote %d trace events to %s\n" events path);
+          `Ok ()
     in
-    if fleet then begin
-      let edge =
-        match gateway with
-        | None -> Ok []
-        | Some url -> (
-            match fetch_gateway_report url with
-            | report -> Ok [ report ]
-            | exception Failure msg -> Error msg
-            | exception Unix.Unix_error (e, _, _) ->
-                Error (Printf.sprintf "%s: %s" url (Unix.error_message e)))
-      in
-      match edge with
-      | Error msg -> `Error (false, msg)
-      | Ok edge ->
+    if fleet then
+      match gateway with
+      | Some url -> (
+          match fetch_gateway_trace url with
+          | json -> finish json
+          | exception Failure msg -> `Error (false, msg)
+          | exception Unix.Unix_error (e, _, _) ->
+              `Error (false, Printf.sprintf "%s: %s" url (Unix.error_message e)))
+      | None ->
           with_client [ socket ] (fun c ->
-              let reports = edge @ Ssg_engine.Client.trace_pull c in
-              let count =
-                List.fold_left
-                  (fun a r -> a + List.length r.Ssg_obs.Tracer.events)
-                  0 reports
-              in
-              finish count (Ssg_obs.Stitch.chrome_of_reports reports))
-    end
+              finish
+                (Ssg_obs.Stitch.chrome_of_reports
+                   (Ssg_engine.Client.trace_pull c)))
     else
       match file with
       | None ->
@@ -1125,15 +1107,15 @@ let trace_cmd =
           let completion = Ssg_engine.Engine.run engine job in
           Ssg_engine.Engine.shutdown engine;
           Ssg_obs.Tracer.set_enabled false;
-          let events = Ssg_obs.Tracer.events () in
           (match completion.Ssg_engine.Job.result with
           | Error msg -> `Error (false, msg)
           | Ok _ ->
-              finish (List.length events)
-                (Ssg_obs.Export.chrome_json ~process:"ssg" events))
+              finish
+                (Ssg_obs.Stitch.chrome_of_reports
+                   [ Ssg_obs.Tracer.report_here ~role:"ssg" () ]))
   in
   let doc =
-    "Record a Chrome trace-event JSON file (chrome://tracing,      ui.perfetto.dev) of one run executed through the engine — engine      phase spans plus per-round simulation events — pull the trace      buffers of a live ssgd, or of a router and its whole fleet, into one      stitched document with $(b,--fleet)."
+    "Record a Chrome trace-event JSON file (chrome://tracing,      ui.perfetto.dev) of one run executed through the engine — engine      phase spans plus per-round simulation events — pull the trace      buffers of a live ssgd, or of a router or gateway and its whole fleet,      into one stitched document with $(b,--fleet)."
   in
   Cmd.v
     (Cmd.info "trace" ~doc)
@@ -1211,7 +1193,7 @@ let gateway_cmd =
   in
   let trace_arg =
     let doc =
-      "Enable in-process tracing: every request gets a        $(b,gateway.request) span whose context propagates to the backend        (traceparent in, traceparent out), pullable from $(b,GET /trace)        or stitched with $(b,ssg trace --fleet --gateway)."
+      "Enable in-process tracing: every request gets a        $(b,gateway.request) span whose context propagates to the backend        (traceparent in, traceparent out).  $(b,GET /trace) answers the        stitched trace of the gateway and every process behind it, the        document $(b,ssg trace --fleet --gateway) fetches."
     in
     Arg.(value & flag & info [ "trace" ] ~doc)
   in
@@ -1225,7 +1207,7 @@ let gateway_cmd =
           ~drain_timeout_s:drain_timeout ~trace ~listen ~backend ())
   in
   let doc =
-    "Serve an HTTP/JSON front door over a native ssgd or router backend:      POST /submit (run text body, k/algorithm/rounds/monitor query      parameters), GET /stats, GET /metrics (Prometheus), GET /trace,      GET /healthz, POST /shutdown.  All backend traffic shares one      pipelined connection."
+    "Serve an HTTP/JSON front door over a native ssgd or router backend:      POST /submit (run text body, k/algorithm/rounds/monitor query      parameters), GET /stats, GET /metrics (Prometheus), GET /trace      (the stitched fleet trace), GET /healthz, POST /shutdown.  All backend traffic shares one      pipelined connection."
   in
   Cmd.v
     (Cmd.info "gateway" ~doc)

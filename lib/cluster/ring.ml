@@ -22,7 +22,6 @@ let hash64 s =
   logxor h (shift_right_logical h 31)
 
 type t = {
-  vnodes : int;
   members : string array;  (* sorted, distinct *)
   points : (int64 * string) array;  (* sorted by unsigned hash *)
 }
@@ -45,10 +44,9 @@ let create ?(vnodes = default_vnodes) members =
       | 0 -> String.compare ma mb
       | c -> c)
     points;
-  { vnodes; members; points }
+  { members; points }
 
 let members t = Array.to_list t.members
-let vnodes t = t.vnodes
 let is_empty t = Array.length t.members = 0
 
 (* Index of the first point at or clockwise after [h] (wrapping). *)
@@ -84,13 +82,3 @@ let successors t key =
     done;
     List.rev !order
   end
-
-let add t m =
-  if Array.exists (String.equal m) t.members then t
-  else create ~vnodes:t.vnodes (m :: Array.to_list t.members)
-
-let remove t m =
-  if not (Array.exists (String.equal m) t.members) then t
-  else
-    create ~vnodes:t.vnodes
-      (List.filter (fun x -> not (String.equal x m)) (Array.to_list t.members))

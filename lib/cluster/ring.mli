@@ -9,12 +9,14 @@
     on every key without talking to each other, and a rebuild after a
     membership change is deterministic.
 
-    The monotonicity property the failover design leans on: removing a
-    member remaps {e only} the keys that member owned (they fall to
-    their successors); every other key keeps its owner.  Adding a member
-    only steals keys for the new member.  Both are property-tested.
+    The monotonicity property the failover design leans on: a ring
+    over one member fewer remaps {e only} the keys that member owned
+    (they fall to their successors); every other key keeps its owner.
+    Read the other way, adding a member only steals keys for the new
+    member.  Property-tested.
 
-    Values are immutable; {!add} and {!remove} return new rings. *)
+    Values are immutable; a membership change builds a new ring with
+    {!create}. *)
 
 type t
 
@@ -28,7 +30,6 @@ val default_vnodes : int
 (** The distinct member set, sorted. *)
 val members : t -> string list
 
-val vnodes : t -> int
 val is_empty : t -> bool
 
 (** [owner t key] — the member owning [key]; [None] on an empty ring. *)
@@ -38,12 +39,6 @@ val owner : t -> string -> string option
     starting at [key]'s owner: the failover order for [key].  Its head
     is [owner t key]; its length is the member count. *)
 val successors : t -> string -> string list
-
-(** [add t m] / [remove t m] rebuild deterministically; adding a present
-    member or removing an absent one is the identity. *)
-val add : t -> string -> t
-
-val remove : t -> string -> t
 
 (** The ring's key hash (FNV-1a 64 with a splitmix64 finalizer),
     exposed so tests can check balance claims against the same

@@ -345,7 +345,12 @@ let create ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
       shards = Hashtbl.create 8;
       next_shard = 0;
       self_addr = None;
-      hop_worker = Telemetry.hop_router_worker metrics;
+      hop_worker =
+        Metrics.histogram metrics
+          ~help:
+            "Milliseconds the router waited on a backend exchange \
+             (router\xe2\x86\x92worker hop)"
+          "ssg_hop_router_worker_ms";
     }
   in
   (* Pre-assign shard indices in sorted order so a statically configured

@@ -48,30 +48,7 @@ type t = {
   injected : Metrics.counter;
   queue_hist : Metrics.histogram;
   exec_hist : Metrics.histogram;
-  hop_queue_hist : Metrics.histogram;
-  hop_exec_hist : Metrics.histogram;
 }
-
-(* Per-hop latency decomposition.  The [ssg_hop_*] family shares one
-   namespace across the fleet so a scrape of gateway + router + worker
-   decomposes end-to-end latency hop by hop: the worker contributes
-   queue wait and execution (registered below, observed alongside the
-   [ssgd_job_*] histograms), the router and gateway register
-   their forwarding hops into their own registries with these
-   helpers. *)
-
-let hop_gateway_router registry =
-  Metrics.histogram registry
-    ~help:
-      "Milliseconds the gateway waited on its backend (gateway\xe2\x86\x92router hop)"
-    "ssg_hop_gateway_router_ms"
-
-let hop_router_worker registry =
-  Metrics.histogram registry
-    ~help:
-      "Milliseconds the router waited on a backend exchange \
-       (router\xe2\x86\x92worker hop)"
-    "ssg_hop_router_worker_ms"
 
 (* The tracer's ring drop counter, rendered wherever a process exposes
    Prometheus text — zero (the healthy steady state) is still exposed
@@ -132,12 +109,6 @@ let create ?(window = 4096) ?(recent_window_s = 10.) () =
     exec_hist =
       histogram "ssgd_job_exec_ms"
         "Milliseconds a worker spent executing a job";
-    hop_queue_hist =
-      histogram "ssg_hop_queue_wait_ms"
-        "Milliseconds a job waited in the worker queue (queue hop)";
-    hop_exec_hist =
-      histogram "ssg_hop_exec_ms"
-        "Milliseconds a worker spent executing a job (exec hop)";
   }
 
 let locked t f =
@@ -147,8 +118,6 @@ let locked t f =
 let push_latency t ~queue_ms ~exec_ms =
   Metrics.observe t.queue_hist queue_ms;
   Metrics.observe t.exec_hist exec_ms;
-  Metrics.observe t.hop_queue_hist queue_ms;
-  Metrics.observe t.hop_exec_hist exec_ms;
   locked t (fun () ->
       t.queue_ring.(t.ring_pos) <- queue_ms;
       t.exec_ring.(t.ring_pos) <- exec_ms;

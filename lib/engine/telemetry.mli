@@ -22,7 +22,10 @@
     Each phase also feeds a bucketed registry histogram
     ([ssgd_job_queue_wait_ms], [ssgd_job_exec_ms]) for the Prometheus
     exposition, which wants cumulative buckets rather than
-    percentiles. *)
+    percentiles.  These two are the worker's hops in the fleet's
+    per-hop latency decomposition, next to the gateway's
+    [ssg_hop_gateway_router_ms] and the router's
+    [ssg_hop_router_worker_ms]. *)
 
 type snapshot = {
   uptime_s : float;
@@ -145,34 +148,11 @@ val json_of_snapshot : snapshot -> string
 (** [prometheus t s] — Prometheus text exposition: every {!fields} entry
     as an [ssgd_]-prefixed counter, gauge or summary (quantiles
     0.5/0.95/0.99), followed by the registry's bucketed phase
-    histograms and {!prom_trace_dropped}.  The registry's counters are
-    skipped — they are the same numbers the snapshot already
-    carries. *)
+    histograms and the tracer's ring drop counter
+    ([ssg_trace_dropped_total], rendered at zero too).  The registry's
+    counters are skipped — they are the same numbers the snapshot
+    already carries. *)
 val prometheus : t -> snapshot -> string
-
-(** {1 Per-hop latency decomposition}
-
-    The [ssg_hop_*] histogram family shares one namespace across the
-    fleet, so a scrape of gateway + router + worker decomposes
-    end-to-end latency hop by hop.  The worker registers
-    [ssg_hop_queue_wait_ms] and [ssg_hop_exec_ms] itself (observed with
-    every completion); the forwarding processes register their hops
-    into their own registries with these helpers. *)
-
-(** [hop_gateway_router registry] — register the
-    [ssg_hop_gateway_router_ms] histogram (gateway-side backend wait).
-    @raise Invalid_argument on a registry that already has it. *)
-val hop_gateway_router : Ssg_obs.Metrics.t -> Ssg_obs.Metrics.histogram
-
-(** [hop_router_worker registry] — register the
-    [ssg_hop_router_worker_ms] histogram (router-side backend
-    exchange). *)
-val hop_router_worker : Ssg_obs.Metrics.t -> Ssg_obs.Metrics.histogram
-
-(** [prom_trace_dropped buf] — append the tracer's ring drop counter as
-    the [ssg_trace_dropped_total] counter (always rendered, including
-    at zero). *)
-val prom_trace_dropped : Buffer.t -> unit
 
 (** [prometheus_of_snapshot ?prefix s] — the snapshot-only part of
     {!prometheus} (no registry histograms), with every metric name

@@ -166,13 +166,19 @@ let handle_submit ?ctx t req =
               in
               (status, "application/json", json_error msg)))
 
-let handle_stats t =
-  match Client.stats (backend_client t) with
-  | snapshot -> (200, "application/json", Telemetry.json_of_snapshot snapshot)
+(* A JSON body built from backend exchanges; a failed exchange is a
+   502. *)
+let from_backend body =
+  match body () with
+  | json -> (200, "application/json", json)
   | exception (Failure msg | Invalid_argument msg) ->
       (502, "application/json", json_error msg)
   | exception Unix.Unix_error (e, _, _) ->
       (502, "application/json", json_error (Unix.error_message e))
+
+let handle_stats t =
+  from_backend (fun () ->
+      Telemetry.json_of_snapshot (Client.stats (backend_client t)))
 
 let handle_metrics t =
   let own = Metrics.to_prometheus t.metrics in
@@ -185,21 +191,21 @@ let handle_metrics t =
         "text/plain; version=0.0.4",
         own ^ "# backend unreachable: " ^ Unix.error_message e ^ "\n" )
 
-(* The gateway's own tracer report, for the fleet stitcher: the CLI
-   fetches [GET /trace] and merges it with the reports pulled over the
-   native protocol. *)
-let handle_trace () =
-  let report = Tracer.report_here ~role:"gateway" () in
-  ( 200,
-    "application/json",
-    Ssg_obs.Export.json_to_string (Ssg_obs.Stitch.report_to_json report) )
+(* The fleet trace, relayed the way the router relays it: the
+   gateway's own report ahead of every report the backend pull
+   returns, stitched into one Chrome document. *)
+let handle_trace t =
+  let here = Tracer.report_here ~role:"gateway" () in
+  from_backend (fun () ->
+      Ssg_obs.Stitch.chrome_of_reports
+        (here :: Client.trace_pull (backend_client t)))
 
 let dispatch ?ctx t listener req =
   match (req.Http.meth, req.Http.path) with
   | "POST", "/submit" -> handle_submit ?ctx t req
   | "GET", "/stats" -> handle_stats t
   | "GET", "/metrics" -> handle_metrics t
-  | "GET", "/trace" -> handle_trace ()
+  | "GET", "/trace" -> handle_trace t
   | "GET", "/healthz" -> (200, "application/json", "{\"status\":\"ok\"}")
   | "POST", "/shutdown" ->
       Log.info (fun m -> m "gateway shutdown requested");
@@ -315,7 +321,12 @@ let serve ?(backend_deadline_s = 30.) ?(max_connections = 1024)
       backend_errors =
         counter "ssg_gateway_backend_errors_total"
           "Responses with a 502 status (backend unreachable or failed)";
-      hop_router = Telemetry.hop_gateway_router metrics;
+      hop_router =
+        Metrics.histogram metrics
+          ~help:
+            "Milliseconds the gateway waited on its backend \
+             (gateway\xe2\x86\x92router hop)"
+          "ssg_hop_gateway_router_ms";
     }
   in
   let listener = Listener.bind addr in

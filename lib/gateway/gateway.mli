@@ -20,8 +20,11 @@
     - [GET /metrics] — Prometheus text: the gateway's own series
       ([ssg_gateway_*], including the [ssg_hop_gateway_router_ms]
       round-trip histogram) followed by the backend's exposition.
-    - [GET /trace] — the gateway's own tracer report as JSON
-      ({!Ssg_obs.Stitch.report_to_json}), for the fleet stitcher.
+    - [GET /trace] — the stitched fleet trace: the gateway's own
+      tracer report ahead of every report a [Trace_pull] through the
+      backend returns (a router relays it to every worker), as one
+      Chrome document ({!Ssg_obs.Stitch.chrome_of_reports}); [502]
+      when the backend pull fails.
     - [GET /healthz] — liveness (does not touch the backend).
     - [POST /shutdown] — stops the {e gateway} (never the backend).
 
@@ -54,7 +57,8 @@
       {!Ssg_engine.Server.serve}.
     - [trace] (default [false]): resets and enables the process-wide
       tracer; requests get [gateway.request] spans with propagated
-      context, and [GET /trace] returns the buffered report.
+      context, and [GET /trace] answers the stitched trace of the
+      gateway and every process behind it.
     @raise Invalid_argument on malformed addresses or non-positive
     limits, [Unix.Unix_error] when [listen] cannot be bound. *)
 val serve :

@@ -54,8 +54,6 @@ val write_response :
   string ->
   unit
 
-val reason_phrase : int -> string
-
 (** [json_escape s] — [s] with backslash, quote and control characters
     escaped for inclusion inside a JSON string literal (no quotes
     added). *)

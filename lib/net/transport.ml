@@ -65,12 +65,13 @@ let to_string = function
       if String.contains host ':' then Printf.sprintf "tcp:[%s]:%d" host port
       else Printf.sprintf "tcp:%s:%d" host port
 
-let pp fmt a = Format.pp_print_string fmt (to_string a)
 let equal (a : addr) b = a = b
 let is_tcp = function Tcp _ -> true | Unix_sock _ -> false
 
 (* ---------------- resolution ---------------- *)
 
+(* A Unix path verbatim, a TCP host through [getaddrinfo] (numeric
+   forms short-circuit); [Failure] when a TCP host does not resolve. *)
 let sockaddr = function
   | Unix_sock path -> Unix.ADDR_UNIX path
   | Tcp (host, port) -> (

@@ -30,18 +30,10 @@ val of_string_exn : string -> addr
     [tcp:HOST:PORT]); brackets are restored around IPv6 hosts. *)
 val to_string : addr -> string
 
-(** [pp] prints {!to_string}. *)
-val pp : Format.formatter -> addr -> unit
-
 val equal : addr -> addr -> bool
 
 (** [is_tcp a] — true for {!Tcp} addresses. *)
 val is_tcp : addr -> bool
-
-(** [sockaddr a] resolves the address: a Unix path verbatim, a TCP host
-    through [getaddrinfo] (numeric forms short-circuit).
-    @raise Failure when a TCP host does not resolve. *)
-val sockaddr : addr -> Unix.sockaddr
 
 (** [prepare a] makes the address bindable: a stale Unix socket file left
     by a dead server is unlinked, a live one raises; TCP needs nothing

@@ -325,11 +325,3 @@ let metadata_jsons ~pid ~process events =
          metadata_json ~pid ~tid ~meta:"thread_name"
            (Printf.sprintf "domain %d" tid))
        tids
-
-let chrome_json ?(pid = 1) ?process events =
-  let meta =
-    match process with
-    | None -> []
-    | Some p -> metadata_jsons ~pid ~process:p events
-  in
-  json_to_string (Arr (meta @ List.map (event_json pid) events))

@@ -1,8 +1,9 @@
 (** Trace exporters: a minimal JSON layer and the Chrome trace-event
     format.
 
-    {!chrome_json} renders a drained {!Tracer} event list as a Chrome
-    trace-event JSON array — the format [chrome://tracing] and Perfetto
+    The Chrome pieces ({!event_json}, {!metadata_jsons}) are what
+    {!Ssg_obs.Stitch.chrome_of_reports} assembles into a trace-event
+    JSON array — the format [chrome://tracing] and Perfetto
     ([ui.perfetto.dev]) load directly.  Mapping: each tracer domain
     becomes a [tid], span begins/ends become ["B"]/["E"] phase events,
     instants become thread-scoped ["i"] events; timestamps are the
@@ -46,18 +47,7 @@ val json_of_string : string -> json option
     event by event. *)
 val event_json : int -> Tracer.event -> json
 
-(** [metadata_json ~pid ?tid ~meta value] — a Chrome metadata event
-    (phase ["M"]).  [meta] is the metadata name ([process_name],
-    [thread_name], …), [value] its value. *)
-val metadata_json : pid:int -> ?tid:int -> meta:string -> string -> json
-
 (** [metadata_jsons ~pid ~process events] — a [process_name] event plus
     one [thread_name] event per distinct domain appearing in [events],
     labelling the tracks Perfetto will draw for them. *)
 val metadata_jsons : pid:int -> process:string -> Tracer.event list -> json list
-
-(** [chrome_json ?pid ?process events] — the trace as a Chrome
-    trace-event JSON array.  [pid] defaults to 1.  When [process] is
-    given the array is prefixed with {!metadata_jsons} naming the
-    process and its threads. *)
-val chrome_json : ?pid:int -> ?process:string -> Tracer.event list -> string

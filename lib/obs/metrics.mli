@@ -28,11 +28,9 @@ val counter : t -> ?help:string -> string -> counter
 val gauge : t -> ?help:string -> string -> gauge
 
 (** [histogram t ?help ?buckets name] registers a histogram with the
-    given upper bounds (strictly increasing, [+Inf] implied; default
-    {!default_buckets}, tuned for millisecond latencies). *)
+    given upper bounds (strictly increasing, [+Inf] implied; the
+    default, 0.05 to 5000, is tuned for millisecond latencies). *)
 val histogram : t -> ?help:string -> ?buckets:float array -> string -> histogram
-
-val default_buckets : float array
 
 val incr : counter -> unit
 val add : counter -> int -> unit

@@ -2,13 +2,12 @@
    Chrome trace document.
 
    Clock alignment: every event timestamp is µs since its process's
-   tracer epoch, and the pull reply carries that epoch as absolute
-   Unix seconds.  The stitcher anchors the fleet at the earliest
-   epoch and shifts every other process's events forward by the epoch
-   delta — so one request's spans line up across tracks even though
-   no two processes ever shared a clock.  A report with no positive
-   [epoch_s] has no anchor to align by (reports fetched over HTTP are
-   parsed, not trusted), so it is left unshifted.
+   tracer epoch, and every report carries that epoch as absolute Unix
+   seconds (a [gettimeofday] taken by [Tracer.report_here]'s process).
+   The stitcher anchors the fleet at the earliest epoch and shifts
+   every other process's events forward by the epoch delta — so one
+   request's spans line up across tracks even though no two processes
+   ever shared a clock.
 
    Display pids are synthesized (1, 2, …) so two reports from the
    same OS process — the in-process test fleet — still get distinct
@@ -26,15 +25,10 @@ let arg_str e key =
 
 let no_parent = String.make 16 '0'
 
-let shift_of ~zero (r : Tracer.report) =
-  if r.epoch_s > 0. then (r.epoch_s -. zero) *. 1e6 else 0.
-
 let fleet_zero (reports : Tracer.report list) =
   List.fold_left
-    (fun acc (r : Tracer.report) ->
-      if r.epoch_s > 0. && (acc <= 0. || r.epoch_s < acc) then r.epoch_s
-      else acc)
-    0. reports
+    (fun acc (r : Tracer.report) -> Float.min acc r.epoch_s)
+    infinity reports
 
 (* Location of a span's begin event: where flow arrows start and end. *)
 type span_loc = { pid : int; tid : int; ts : float }
@@ -92,10 +86,10 @@ let flow_events reports =
   List.rev !flows
 
 let process_label (r : Tracer.report) =
-  if r.pid > 0 then Printf.sprintf "%s (pid %d)" r.role r.pid else r.role
+  Printf.sprintf "%s (pid %d)" r.role r.pid
 
 let shift_events ~zero (r : Tracer.report) =
-  let d = shift_of ~zero r in
+  let d = (r.epoch_s -. zero) *. 1e6 in
   if d = 0. then r.events
   else
     List.map (fun (e : Tracer.event) -> { e with Tracer.ts_us = e.ts_us +. d })
@@ -122,45 +116,7 @@ let chrome_of_reports (reports : Tracer.report list) =
   in
   json_to_string (Arr (meta @ evs @ flow_events shifted))
 
-(* ---------------- report codec (JSON) ---------------- *)
-
-(* The gateway exposes its own buffers over HTTP as a JSON report; the
-   fleet CLI parses it back with this codec.  Events round-trip through
-   the same arg shapes the Chrome exporter uses. *)
-
-let kind_str = function
-  | Tracer.Begin -> "B"
-  | Tracer.End -> "E"
-  | Tracer.Instant -> "i"
-
-let event_to_json (e : Tracer.event) =
-  Obj
-    [
-      ("kind", Str (kind_str e.kind));
-      ("name", Str e.name);
-      ("domain", Int e.domain);
-      ("ts_us", Float e.ts_us);
-      ( "args",
-        Obj
-          (List.map
-             (fun (k, v) ->
-               ( k,
-                 match v with
-                 | Tracer.Int i -> Int i
-                 | Tracer.Float f -> Float f
-                 | Tracer.Str s -> Str s ))
-             e.args) );
-    ]
-
-let report_to_json (r : Tracer.report) =
-  Obj
-    [
-      ("role", Str r.role);
-      ("pid", Int r.pid);
-      ("epoch_s", Float r.epoch_s);
-      ("dropped", Int r.dropped_events);
-      ("events", Arr (List.map event_to_json r.events));
-    ]
+(* ---------------- stitched-document audit ---------------- *)
 
 let field obj key = match obj with
   | Obj kvs -> List.assoc_opt key kvs
@@ -168,59 +124,6 @@ let field obj key = match obj with
 
 let num = function Some (Int i) -> Some (float_of_int i) | Some (Float f) -> Some f | _ -> None
 let str = function Some (Str s) -> Some s | _ -> None
-
-let event_of_json j =
-  match (str (field j "kind"), str (field j "name"), num (field j "domain"), num (field j "ts_us")) with
-  | Some k, Some name, Some domain, Some ts_us ->
-      let kind =
-        match k with
-        | "B" -> Some Tracer.Begin
-        | "E" -> Some Tracer.End
-        | "i" -> Some Tracer.Instant
-        | _ -> None
-      in
-      let args =
-        match field j "args" with
-        | Some (Obj kvs) ->
-            List.map
-              (fun (k, v) ->
-                ( k,
-                  match v with
-                  | Int i -> Tracer.Int i
-                  | Float f -> Tracer.Float f
-                  | Str s -> Tracer.Str s
-                  | _ -> Tracer.Str (json_to_string v) ))
-              kvs
-        | _ -> []
-      in
-      Option.map
-        (fun kind ->
-          { Tracer.kind; name; domain = int_of_float domain; ts_us; args })
-        kind
-  | _ -> None
-
-let report_of_json j =
-  match (str (field j "role"), num (field j "pid"), num (field j "epoch_s")) with
-  | Some role, Some pid, Some epoch_s ->
-      let events =
-        match field j "events" with
-        | Some (Arr evs) -> List.filter_map event_of_json evs
-        | _ -> []
-      in
-      let dropped_events =
-        match num (field j "dropped") with Some d -> int_of_float d | None -> 0
-      in
-      Some
-        {
-          Tracer.role;
-          pid = int_of_float pid;
-          epoch_s;
-          dropped_events;
-          events;
-        }
-  | _ -> None
-
-(* ---------------- stitched-document audit ---------------- *)
 
 type link = {
   parent_pid : int;

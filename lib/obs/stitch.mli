@@ -6,8 +6,8 @@
     epoch as absolute seconds.  {!chrome_of_reports} anchors the fleet
     at the earliest epoch and shifts every other process's events by
     its epoch delta, so spans of one request line up across tracks.
-    Reports without a positive [epoch_s] (no anchor to align by) are
-    left unshifted.
+    Every report comes from {!Tracer.report_here}, so every epoch is a
+    wall-clock anchor.
 
     {b Identity.}  Display pids are synthesized (1, 2, … in report
     order) so reports from the same OS process still get distinct
@@ -19,17 +19,12 @@
 
 (** [chrome_of_reports reports] — the stitched Chrome trace-event JSON
     array: per-process [process_name]/[thread_name] metadata, clock
-    -shifted events, and cross-process flow events. *)
+    -shifted events, and cross-process flow events.  The one Chrome
+    writer: a single process's trace is [chrome_of_reports
+    [Tracer.report_here ~role ()]], and the gateway's [GET /trace]
+    answers the stitched document of itself and every process behind
+    it. *)
 val chrome_of_reports : Tracer.report list -> string
-
-(** [report_to_json r] / [report_of_json j] — JSON codec for one
-    report, used by the gateway's [GET /trace] endpoint and the fleet
-    CLI that consumes it.  Round-trips role, pid, epoch, drop count
-    and events (a [Float] arg with integral value may come back as
-    [Int] — JSON does not distinguish them). *)
-val report_to_json : Tracer.report -> Export.json
-
-val report_of_json : Export.json -> Tracer.report option
 
 type link = {
   parent_pid : int;

@@ -4,9 +4,9 @@
     sites emit {e events} — span begins, span ends, instants — tagged
     with the emitting domain's id and a timestamp that is monotone
     within each domain.  The engine, the executor and the simulation
-    runner are instrumented with it; {!Ssg_obs.Export.chrome_json} turns
-    a drained event list into Chrome trace-event JSON that loads in
-    Perfetto.
+    runner are instrumented with it; {!Ssg_obs.Stitch.chrome_of_reports}
+    turns {!report_here} snapshots into Chrome trace-event JSON that
+    loads in Perfetto.
 
     {b Cost model.}  Tracing is globally disabled by default.  The
     disabled fast path is a single atomic load and a branch — cheap
@@ -87,10 +87,6 @@ val epoch_s : unit -> float
     (["trace_id"], ["span_id"], ["parent_span_id"] as hex strings) —
     the event record itself is unchanged, which is what keeps the
     trace wire codec and existing exporters compatible. *)
-
-(** [ctx_args c] — the three identity args for a span running as
-    context [c]. *)
-val ctx_args : Context.t -> (string * arg) list
 
 (** [span_begin_ctx ?args ~ctx name] — begin a span that adopts [ctx]
     as its (possibly remote) parent: mints [Context.child ctx], emits

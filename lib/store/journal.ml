@@ -3,7 +3,6 @@ let log_src = Logs.Src.create "ssg.store.journal" ~doc:"durable result log"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type t = {
-  path : string;
   fd : Unix.file_descr;
   fsync_every : int;
   mutable bytes : int;
@@ -21,7 +20,6 @@ let open_append ~fsync_every path =
   in
   let bytes = (Unix.fstat fd).Unix.st_size in
   {
-    path;
     fd;
     fsync_every;
     bytes;
@@ -31,7 +29,6 @@ let open_append ~fsync_every path =
     closed = false;
   }
 
-let path t = t.path
 let bytes t = t.bytes
 let fsyncs t = t.fsyncs
 let wedged t = t.wedged

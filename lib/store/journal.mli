@@ -22,8 +22,6 @@ type t
     @raise Unix.Unix_error if the path is unusable. *)
 val open_append : fsync_every:int -> string -> t
 
-val path : t -> string
-
 (** Current file size in bytes (including any torn tail written through
     this handle). *)
 val bytes : t -> int
@@ -40,9 +38,6 @@ val wedged : t -> bool
     [~torn:true] writes half the record, fsyncs, and wedges the
     handle. *)
 val append : ?torn:bool -> t -> key:string -> value:string -> bool
-
-(** Force an fsync now (no-op on a wedged handle). *)
-val sync : t -> unit
 
 (** Sync (unless wedged) and close.  Idempotent. *)
 val close : t -> unit

@@ -1,3 +1,4 @@
+(* Fixed bytes before the body: the length and crc fields. *)
 let header_bytes = 8
 let max_record_bytes = 16 * 1024 * 1024
 

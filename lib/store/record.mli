@@ -20,9 +20,6 @@
     property asserts that every single-byte corruption of a framed
     record is rejected (the CRC guarantees it). *)
 
-(** Fixed bytes before the body: the length and crc fields. *)
-val header_bytes : int
-
 (** Hard cap on one record's body ([16 MiB]); both the encoder and the
     decoder refuse larger records rather than attempting unbounded
     allocation on a garbage length field. *)

@@ -171,6 +171,9 @@ let test_gateway_end_to_end () =
   check_int "metrics" 200 status;
   check "gateway series" true (contains text "ssg_gateway_requests_total");
   check "backend exposition appended" true (contains text "ssgd_jobs_submitted");
+  (* Three submissions reached the backend: ok, cache hit, lint 422. *)
+  check "gateway hop histogram observed every forwarded submit" true
+    (contains text "ssg_hop_gateway_router_ms_count 3");
   (* Unknown path / wrong method. *)
   let status, _ = get listen "/nope" in
   check_int "404" 404 status;
@@ -240,6 +243,10 @@ let test_gateway_backend_down_is_502 () =
   let status, text = get listen "/metrics" in
   check_int "metrics degrade gracefully" 200 status;
   check "own series still exposed" true (contains text "ssg_gateway_requests_total");
+  (* The trace is pulled through the backend, so it fails like /stats. *)
+  let status, text = get listen "/trace" in
+  check_int "unreachable backend trace is 502" 502 status;
+  check "trace error body" true (contains text "\"error\"");
   let status, _ = post listen "/shutdown" "" in
   check_int "shutdown" 200 status;
   Thread.join gt
@@ -350,6 +357,68 @@ let test_gateway_trace_propagation () =
   Thread.join rt;
   stop_worker backend wt
 
+(* [GET /trace] relays the fleet pull through the gateway's backend:
+   one stitched document, the gateway's own track ahead of every
+   process behind it. *)
+let test_gateway_trace_relays_fleet_pull () =
+  let module T = Ssg_obs.Tracer in
+  let backend, wt = start_worker () in
+  let listen = fresh_tcp () in
+  let gt =
+    Thread.create
+      (fun () ->
+        Gateway.serve ~trace:true ~drain_timeout_s:5. ~listen ~backend ())
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      T.set_enabled false;
+      T.reset ())
+    (fun () ->
+      let status, _ = post listen "/submit?k=2" two_islands in
+      check_int "traced submit ok" 200 status;
+      let status, text = get listen "/trace" in
+      check_int "trace ok" 200 status;
+      let body =
+        let rec find i =
+          if i + 4 > String.length text then Alcotest.fail "no HTTP body"
+          else if String.sub text i 4 = "\r\n\r\n" then i + 4
+          else find (i + 1)
+        in
+        let off = find 0 in
+        String.sub text off (String.length text - off)
+      in
+      (match Ssg_obs.Stitch.audit_string body with
+      | Ok a -> check "stitched events" true (a.Ssg_obs.Stitch.events > 0)
+      | Error msg -> Alcotest.failf "audit rejected GET /trace: %s" msg);
+      let process_names =
+        let open Ssg_obs.Export in
+        match json_of_string body with
+        | Some (Arr items) ->
+            List.filter_map
+              (function
+                | Obj kvs
+                  when List.assoc_opt "name" kvs = Some (Str "process_name")
+                  -> (
+                    match List.assoc_opt "args" kvs with
+                    | Some (Obj [ ("name", Str n) ]) -> Some n
+                    | _ -> None)
+                | _ -> None)
+              items
+        | _ -> Alcotest.fail "GET /trace is not a JSON array"
+      in
+      let has role =
+        List.exists
+          (String.starts_with ~prefix:(role ^ " (pid "))
+          process_names
+      in
+      check "gateway track" true (has "gateway");
+      check "worker track" true (has "worker"));
+  let status, _ = post listen "/shutdown" "" in
+  check_int "gateway shutdown" 200 status;
+  Thread.join gt;
+  stop_worker backend wt
+
 (* ---------------- loadgen: smoke ---------------- *)
 
 let test_loadgen_closed_loop_smoke () =
@@ -451,6 +520,8 @@ let tests =
       test_gateway_backend_down_is_502;
     Alcotest.test_case "gateway: trace propagation end to end" `Quick
       test_gateway_trace_propagation;
+    Alcotest.test_case "gateway: trace relays the fleet pull" `Quick
+      test_gateway_trace_relays_fleet_pull;
     Alcotest.test_case "loadgen: slow-request trace sampling" `Quick
       test_loadgen_trace_top;
     Alcotest.test_case "loadgen: closed-loop smoke" `Quick

@@ -1,9 +1,10 @@
 (* Tests for the observability layer: the span/event tracer (nesting,
    per-domain ordering, disabled fast path, ring overflow), the metrics
    registry (counters, gauges, histograms, Prometheus exposition), the
-   Chrome trace exporter (qcheck: always well-formed JSON, always
-   B/E-balanced), the Telemetry snapshot serializers derived from
-   [Telemetry.fields], and an end-to-end trace pull from a live ssgd.
+   Chrome trace writer (qcheck: always well-formed JSON, always
+   B/E-balanced), fleet stitching, the Telemetry snapshot serializers
+   derived from [Telemetry.fields], and an end-to-end trace pull from
+   a live ssgd.
 
    The tracer is process-global, so every test starts with [reset] and
    finishes disabled — Alcotest runs cases sequentially in-process. *)
@@ -12,6 +13,7 @@ open Ssg_util
 module Tracer = Ssg_obs.Tracer
 module Metrics = Ssg_obs.Metrics
 module Export = Ssg_obs.Export
+module Stitch = Ssg_obs.Stitch
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -310,7 +312,8 @@ let prop_chrome_export_wellformed_and_balanced =
       with_tracing (fun () ->
           record_random_tree seed;
           let events = Tracer.events () in
-          Export.json_wellformed (Export.chrome_json events)
+          Export.json_wellformed
+            (Stitch.chrome_of_reports [ Tracer.report_here ~role:"test" () ])
           && balanced events))
 
 let prop_disabled_tracing_emits_zero =
@@ -324,7 +327,6 @@ let prop_disabled_tracing_emits_zero =
 (* --- trace context --- *)
 
 module Context = Ssg_obs.Context
-module Stitch = Ssg_obs.Stitch
 
 let gen_ctx =
   QCheck2.Gen.(
@@ -433,6 +435,10 @@ let test_stitch_links_metadata_and_clock () =
         [
           ev Tracer.Begin "engine.execute" 10.
             ~args:(ids ~span:"00000000000000bb" ~parent:"00000000000000aa");
+          (* A same-process parent: linked by its args, but no arrow. *)
+          ev Tracer.Begin "round" 20.
+            ~args:(ids ~span:"00000000000000cc" ~parent:"00000000000000bb");
+          ev Tracer.End "round" 30.;
           ev Tracer.End "engine.execute" 60.;
         ];
     }
@@ -446,11 +452,24 @@ let test_stitch_links_metadata_and_clock () =
   (* The worker's epoch is 2 s after the fleet zero: its 10 µs event
      must land at 2000010 µs on the stitched clock. *)
   check "clock-aligned worker timestamp" true (is_infix ~affix:"2000010" json);
-  match Stitch.audit_string json with
+  let flow_ends =
+    match Export.json_of_string json with
+    | Some (Export.Arr items) ->
+        List.length
+          (List.filter
+             (function
+               | Export.Obj kvs ->
+                   List.assoc_opt "ph" kvs = Some (Export.Str "f")
+               | _ -> false)
+             items)
+    | _ -> Alcotest.fail "stitched doc is not an array"
+  in
+  check_int "a same-process parent makes no flow event" 1 flow_ends;
+  (match Stitch.audit_string json with
   | Error msg -> Alcotest.failf "audit rejected the stitched doc: %s" msg
   | Ok { Stitch.events; processes; links; truncated_ends; open_spans } ->
-      (* 4 span events + the cross-process flow pair (s/f). *)
-      check_int "span + flow events audited" 6 events;
+      (* 6 span events + the one cross-process flow pair (s/f). *)
+      check_int "span + flow events audited" 8 events;
       check_int "two processes" 2 processes;
       check_int "no truncated ends on a clean doc" 0 truncated_ends;
       check_int "no in-flight spans on a clean doc" 0 open_spans;
@@ -461,45 +480,7 @@ let test_stitch_links_metadata_and_clock () =
             && l.Stitch.child_name = "engine.execute"
             && l.Stitch.parent_pid <> l.Stitch.child_pid)
       | ls -> Alcotest.failf "expected 1 cross-process link, got %d"
-                (List.length ls))
-
-let test_stitch_legacy_report_unshifted () =
-  (* epoch_s = 0 marks a pre-context peer's anchor-less report: its
-     timestamps must pass through unshifted, and a same-process parent
-     link must NOT become a flow event. *)
-  let legacy =
-    {
-      Tracer.role = "worker";
-      pid = 0;
-      epoch_s = 0.;
-      dropped_events = 0;
-      events =
-        [
-          ev Tracer.Begin "a" 5.
-            ~args:(ids ~span:"00000000000000aa" ~parent:"0000000000000000");
-          ev Tracer.Begin "b" 6.
-            ~args:(ids ~span:"00000000000000bb" ~parent:"00000000000000aa");
-          ev Tracer.End "b" 7.;
-          ev Tracer.End "a" 8.;
-        ];
-    }
-  in
-  let anchored =
-    {
-      Tracer.role = "router";
-      pid = 9;
-      epoch_s = 400.;
-      dropped_events = 0;
-      events = [ ev Tracer.Begin "r" 1.; ev Tracer.End "r" 2. ];
-    }
-  in
-  let json = Stitch.chrome_of_reports [ anchored; legacy ] in
-  (match Stitch.audit_string json with
-  | Error msg -> Alcotest.failf "audit rejected: %s" msg
-  | Ok { Stitch.links; _ } ->
-      check_int "same-process parents produce no cross-process links" 0
-        (List.length links);
-      check "legacy timestamps unshifted" true (is_infix ~affix:"\"ts\":5" json));
+                (List.length ls)));
   (* A busy-fleet shape: an end whose begin was evicted by the ring
      buffer, and a span still open at pull time.  Counted, not
      rejected. *)
@@ -507,7 +488,7 @@ let test_stitch_legacy_report_unshifted () =
     {
       Tracer.role = "worker";
       pid = 1;
-      epoch_s = 0.;
+      epoch_s = 600.;
       dropped_events = 3;
       events = [ ev Tracer.End "evicted" 1.; ev Tracer.Begin "inflight" 2. ];
     }
@@ -517,42 +498,6 @@ let test_stitch_legacy_report_unshifted () =
   | Ok a ->
       check_int "truncated end counted" 1 a.Stitch.truncated_ends;
       check_int "in-flight span counted" 1 a.Stitch.open_spans
-
-let test_report_json_roundtrip () =
-  let r =
-    {
-      Tracer.role = "worker";
-      pid = 7;
-      epoch_s = 123.5;
-      dropped_events = 3;
-      events =
-        [
-          ev Tracer.Begin "s" 1.5
-            ~args:
-              [ ("a", Tracer.Int 1); ("b", Tracer.Str "x\"y");
-                ("c", Tracer.Float 2.5) ];
-          ev Tracer.End "s" 2.;
-          ev Tracer.Instant "i" 3. ~domain:2;
-        ];
-    }
-  in
-  let rendered = Export.json_to_string (Stitch.report_to_json r) in
-  check "report JSON well-formed" true (Export.json_wellformed rendered);
-  match
-    Option.bind (Export.json_of_string rendered) Stitch.report_of_json
-  with
-  | None -> Alcotest.fail "report did not round-trip"
-  | Some r' ->
-      check "role survives" true (r'.Tracer.role = "worker");
-      check_int "pid survives" 7 r'.Tracer.pid;
-      check "epoch survives" true (r'.Tracer.epoch_s = 123.5);
-      check_int "drop counter survives" 3 r'.Tracer.dropped_events;
-      check_int "events survive" 3 (List.length r'.Tracer.events);
-      let b = List.hd r'.Tracer.events in
-      check "kind survives" true (b.Tracer.kind = Tracer.Begin);
-      check "args survive" true
-        (List.assoc "b" b.Tracer.args = Tracer.Str "x\"y"
-        && List.assoc "c" b.Tracer.args = Tracer.Float 2.5)
 
 (* --- remote-parent spans --- *)
 
@@ -594,32 +539,25 @@ let test_hop_histograms_and_dropped_counter () =
       ~queue_capacity:4 ~cache_entries:0
   in
   let prom = Ssg_engine.Telemetry.prometheus t s in
-  check "queue hop histogram conformant" true
-    (is_infix ~affix:"# TYPE ssg_hop_queue_wait_ms histogram" prom
-    && is_infix ~affix:"ssg_hop_queue_wait_ms_bucket{le=" prom
-    && is_infix ~affix:"ssg_hop_queue_wait_ms_bucket{le=\"+Inf\"} 1" prom
-    && is_infix ~affix:"ssg_hop_queue_wait_ms_sum 2" prom
-    && is_infix ~affix:"ssg_hop_queue_wait_ms_count 1" prom);
-  check "exec hop histogram conformant" true
-    (is_infix ~affix:"ssg_hop_exec_ms_bucket{le=\"+Inf\"} 1" prom
-    && is_infix ~affix:"ssg_hop_exec_ms_sum 3" prom
-    && is_infix ~affix:"ssg_hop_exec_ms_count 1" prom);
+  check "queue wait histogram conformant" true
+    (is_infix ~affix:"# TYPE ssgd_job_queue_wait_ms histogram" prom
+    && is_infix ~affix:"ssgd_job_queue_wait_ms_bucket{le=" prom
+    && is_infix ~affix:"ssgd_job_queue_wait_ms_bucket{le=\"+Inf\"} 1" prom
+    && is_infix ~affix:"ssgd_job_queue_wait_ms_sum 2" prom
+    && is_infix ~affix:"ssgd_job_queue_wait_ms_count 1" prom);
+  check "exec histogram conformant" true
+    (is_infix ~affix:"ssgd_job_exec_ms_bucket{le=\"+Inf\"} 1" prom
+    && is_infix ~affix:"ssgd_job_exec_ms_sum 3" prom
+    && is_infix ~affix:"ssgd_job_exec_ms_count 1" prom);
+  (* Each observation lands in one histogram: the worker's hops are
+     the ssgd_job_* pair, not a second ssg_hop_* copy. *)
+  check "no duplicate queue wait series" false
+    (is_infix ~affix:"ssg_hop_queue_wait_ms" prom);
+  check "no duplicate exec series" false
+    (is_infix ~affix:"ssg_hop_exec_ms" prom);
   check "trace drop counter exposed (at zero)" true
     (is_infix ~affix:"# TYPE ssg_trace_dropped_total counter" prom
-    && is_infix ~affix:"ssg_trace_dropped_total 0" prom);
-  (* The forwarding processes' hops register into their own
-     registries. *)
-  let reg = Metrics.create () in
-  let gw = Ssg_engine.Telemetry.hop_gateway_router reg in
-  let rt = Ssg_engine.Telemetry.hop_router_worker reg in
-  Metrics.observe gw 1.5;
-  Metrics.observe rt 0.5;
-  let text = Metrics.to_prometheus reg in
-  check "gateway hop series" true
-    (is_infix ~affix:"ssg_hop_gateway_router_ms_bucket{le=" text
-    && is_infix ~affix:"ssg_hop_gateway_router_ms_count 1" text);
-  check "router hop series" true
-    (is_infix ~affix:"ssg_hop_router_worker_ms_count 1" text)
+    && is_infix ~affix:"ssg_trace_dropped_total 0" prom)
 
 (* --- end to end: pull a trace and metrics from a live ssgd --- *)
 
@@ -649,15 +587,16 @@ let test_trace_pull_from_live_daemon () =
       (match (Ssg_engine.Client.submit c job).Ssg_engine.Job.result with
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "job failed: %s" msg);
-      let events =
+      let report =
         match Ssg_engine.Client.trace_pull c with
         | [ report ] ->
             check "the worker reports itself" true
               (report.Tracer.role = "worker");
-            report.Tracer.events
+            report
         | reports ->
             Alcotest.failf "%d reports from one worker" (List.length reports)
       in
+      let events = report.Tracer.events in
       let has name kind =
         List.exists
           (fun (e : Tracer.event) ->
@@ -673,7 +612,7 @@ let test_trace_pull_from_live_daemon () =
       check "reply write span pulled" true
         (has "server.reply_write" Tracer.Begin);
       check "remote trace exports clean" true
-        (Export.json_wellformed (Export.chrome_json events));
+        (Export.json_wellformed (Stitch.chrome_of_reports [ report ]));
       let prom = Ssg_engine.Client.metrics_text c in
       check "served exposition has counters" true
         (is_infix ~affix:"ssgd_jobs_completed 1" prom);
@@ -708,10 +647,6 @@ let tests =
       test_context_ids_and_rejects;
     Alcotest.test_case "stitch: links, metadata, clock alignment" `Quick
       test_stitch_links_metadata_and_clock;
-    Alcotest.test_case "stitch: legacy reports stay unshifted" `Quick
-      test_stitch_legacy_report_unshifted;
-    Alcotest.test_case "tracer report JSON round-trips" `Quick
-      test_report_json_roundtrip;
     Alcotest.test_case "remote-parent spans carry identity args" `Quick
       test_span_ctx_identity_args;
     Alcotest.test_case "hop histograms + trace drop counter" `Quick
