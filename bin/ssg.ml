@@ -982,7 +982,7 @@ let trace_cmd =
   in
   let check_arg =
     let doc =
-      "Print the audit of the emitted document before writing it: its        event, process and cross-process link counts, and any ends the        ring buffer truncated or spans still in flight.  Every document        is audited (well-formed JSON, known phases, begin/end counted per        track); one the audit rejects is an error, not a trace file."
+      "Print the audit of the emitted document before writing it: its        event, process and cross-process link counts, and any ends the        ring buffer truncated, spans still in flight or events the        processes' rings dropped.  Every document        is audited (well-formed JSON, known phases, begin/end counted per        track); one the audit rejects is an error, not a trace file."
     in
     Arg.(value & flag & info [ "check" ] ~doc)
   in
@@ -1049,25 +1049,28 @@ let trace_cmd =
     let finish json =
       match Ssg_obs.Stitch.audit_string json with
       | Error msg -> `Error (false, "trace check failed: " ^ msg)
-      | Ok { Ssg_obs.Stitch.events; processes; links; truncated_ends; open_spans }
-        ->
+      | Ok (a : Ssg_obs.Stitch.audit) ->
           if check then begin
             Printf.printf
               "trace ok: %d event(s), %d process(es), %d cross-process \
                link(s)\n"
-              events processes (List.length links);
-            if truncated_ends > 0 || open_spans > 0 then
+              a.events a.processes (List.length a.links);
+            if a.truncated_ends > 0 || a.open_spans > 0 then
               Printf.printf
                 "  (%d end(s) truncated by the ring buffer, %d span(s) still \
                  in flight)\n"
-                truncated_ends open_spans
+                a.truncated_ends a.open_spans;
+            if a.dropped_events > 0 then
+              Printf.printf
+                "  (%d event(s) dropped by ring wrap-around before the pull)\n"
+                a.dropped_events
           end;
           (match out with
           | None -> print_endline json
           | Some path ->
               Out_channel.with_open_bin path (fun oc ->
                   Out_channel.output_string oc json);
-              Printf.printf "wrote %d trace events to %s\n" events path);
+              Printf.printf "wrote %d trace events to %s\n" a.events path);
           `Ok ()
     in
     if fleet then

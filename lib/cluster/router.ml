@@ -7,19 +7,6 @@ module Transport = Ssg_net.Transport
 module Listener = Ssg_net.Listener
 open Ssg_engine
 
-(* Per-shard metric slot.  Members come and go at runtime (Join/Leave),
-   so slots live in a table keyed by canonical address; each gets a
-   stable, monotonically assigned index for its metric names.  A slot
-   is never unregistered — a departed member's counters keep their last
-   value in the exposition, which is how Prometheus expects counters to
-   behave across membership churn. *)
-type shard = {
-  idx : int;
-  s_routed : Metrics.counter;
-  s_up : Metrics.gauge;
-  s_reporting : Metrics.gauge;
-}
-
 type t = {
   registry : Registry.t;
   request_timeout_s : float;
@@ -35,41 +22,13 @@ type t = {
   joins : Metrics.counter;
   leaves : Metrics.counter;
   handoff_keys : Metrics.counter;
-  shard_lock : Mutex.t;
-  shards : (string, shard) Hashtbl.t;
-  mutable next_shard : int;
+  (* Per-shard series, labeled by canonical backend address. *)
+  shard_routed : Metrics.counter Metrics.family;
+  shard_up : Metrics.gauge Metrics.family;
+  shard_reporting : Metrics.gauge Metrics.family;
   mutable self_addr : string option;  (* set once serving, for Join guard *)
   hop_worker : Metrics.histogram;  (* router→worker exchange latency *)
 }
-
-let shard_for t addr =
-  Mutex.lock t.shard_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.shard_lock)
-    (fun () ->
-      match Hashtbl.find_opt t.shards addr with
-      | Some s -> s
-      | None ->
-          let i = t.next_shard in
-          t.next_shard <- i + 1;
-          let s =
-            {
-              idx = i;
-              s_routed =
-                Metrics.counter t.metrics ~help:"Jobs routed to this shard"
-                  (Printf.sprintf "ssg_router_shard%d_routed_total" i);
-              s_up =
-                Metrics.gauge t.metrics
-                  ~help:"1 when this shard is in the ring"
-                  (Printf.sprintf "ssg_router_shard%d_up" i);
-              s_reporting =
-                Metrics.gauge t.metrics
-                  ~help:"1 when this shard answered the last stats fan-out"
-                  (Printf.sprintf "ssg_router_shard%d_reporting" i);
-            }
-          in
-          Hashtbl.add t.shards addr s;
-          s)
 
 let backends t = Registry.backends t.registry
 
@@ -141,7 +100,7 @@ let forward t addr request = Ivar.wait (forward_cb t addr request)
 let record_routed t addr =
   Registry.mark_success t.registry addr;
   Metrics.incr t.routed;
-  Metrics.incr (shard_for t addr).s_routed
+  Metrics.incr (Metrics.labeled t.shard_routed addr)
 
 (* Route one job to its ring owner, failing over along the successor
    list; [reply] gets the answer exactly once, usually on the owner
@@ -236,39 +195,25 @@ let fleet_reports t =
   in
   Tracer.report_here ~role:"router" () :: backend_reports
 
-(* The cluster exposition: router registry (global and per-shard
-   counters), shard index -> address mapping as comments, then the
-   merged backend snapshot under ssg_cluster_*. *)
+(* The cluster exposition: the router's registry, its per-shard gauges
+   set from this scrape's stats fan-out, then the merged snapshot's
+   ssg_cluster_* gauges when any backend answered.  Every member gets
+   a routed series, at zero until a job lands there. *)
 let metrics_text t =
-  let members = backends t in
   let reports = fan_stats t in
-  let reported addr = List.mem_assoc addr reports in
   List.iter
     (fun addr ->
-      let shard = shard_for t addr in
-      Metrics.set_gauge shard.s_up
-        (if Registry.is_up t.registry addr then 1. else 0.);
-      Metrics.set_gauge shard.s_reporting (if reported addr then 1. else 0.))
-    members;
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "# ssg cluster: %d backend(s), %d up, %d reporting\n"
-       (List.length members)
-       (List.length (Registry.up t.registry))
-       (List.length reports));
-  List.iter
-    (fun addr ->
-      Buffer.add_string buf
-        (Printf.sprintf "# shard %d = %s\n" (shard_for t addr).idx addr))
-    members;
-  Buffer.add_string buf (Metrics.to_prometheus t.metrics);
-  (match reports with
-  | [] -> ()
-  | _ ->
-      Buffer.add_string buf
-        (Telemetry.prometheus_of_snapshot ~prefix:"ssg_cluster_"
-           (Telemetry.merge (List.map snd reports))));
-  Buffer.contents buf
+      let flag b = if b then 1. else 0. in
+      ignore (Metrics.labeled t.shard_routed addr);
+      Metrics.set_gauge
+        (Metrics.labeled t.shard_up addr)
+        (flag (Registry.is_up t.registry addr));
+      Metrics.set_gauge
+        (Metrics.labeled t.shard_reporting addr)
+        (flag (List.mem_assoc addr reports)))
+    (backends t);
+  Metrics.to_prometheus t.metrics
+  ^ Metrics.to_prometheus (Telemetry.cluster_registry (List.map snd reports))
 
 let create ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
     ?(request_timeout_s = 30.) backends =
@@ -314,49 +259,49 @@ let create ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
     Registry.create ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
       ~on_transition backends
   in
-  let t =
-    {
-      registry;
-      request_timeout_s;
-      links_lock = Mutex.create ();
-      links = Hashtbl.create 8;
-      stopped = false;
-      metrics;
-      routed =
-        counter "ssg_router_jobs_routed_total"
-          "Jobs forwarded to a backend and answered";
-      failovers =
-        counter "ssg_router_failovers_total"
-          "Jobs retried on a successor shard after their owner failed";
-      exhausted =
-        counter "ssg_router_jobs_failed_total"
-          "Jobs answered with an error after every candidate shard failed";
-      markdowns;
-      readmissions;
-      joins =
-        counter "ssg_router_joins_total"
-          "Members admitted via a Join announcement";
-      leaves =
-        counter "ssg_router_leaves_total" "Members retired via a Leave";
-      handoff_keys =
-        counter "ssg_router_handoff_keys_total"
-          "Cache entries streamed to their new owner on ring changes";
-      shard_lock = Mutex.create ();
-      shards = Hashtbl.create 8;
-      next_shard = 0;
-      self_addr = None;
-      hop_worker =
-        Metrics.histogram metrics
-          ~help:
-            "Milliseconds the router waited on a backend exchange \
-             (router\xe2\x86\x92worker hop)"
-          "ssg_hop_router_worker_ms";
-    }
-  in
-  (* Pre-assign shard indices in sorted order so a statically configured
-     fleet numbers its shards exactly as before elastic membership. *)
-  List.iter (fun addr -> ignore (shard_for t addr)) (Registry.backends registry);
-  t
+  {
+    registry;
+    request_timeout_s;
+    links_lock = Mutex.create ();
+    links = Hashtbl.create 8;
+    stopped = false;
+    metrics;
+    routed =
+      counter "ssg_router_jobs_routed_total"
+        "Jobs forwarded to a backend and answered";
+    failovers =
+      counter "ssg_router_failovers_total"
+        "Jobs retried on a successor shard after their owner failed";
+    exhausted =
+      counter "ssg_router_jobs_failed_total"
+        "Jobs answered with an error after every candidate shard failed";
+    markdowns;
+    readmissions;
+    joins =
+      counter "ssg_router_joins_total"
+        "Members admitted via a Join announcement";
+    leaves = counter "ssg_router_leaves_total" "Members retired via a Leave";
+    handoff_keys =
+      counter "ssg_router_handoff_keys_total"
+        "Cache entries streamed to their new owner on ring changes";
+    shard_routed =
+      Metrics.counter_family metrics ~help:"Jobs routed to this shard"
+        ~label:"backend" "ssg_router_shard_routed_total";
+    shard_up =
+      Metrics.gauge_family metrics ~help:"1 when this shard is in the ring"
+        ~label:"backend" "ssg_router_shard_up";
+    shard_reporting =
+      Metrics.gauge_family metrics
+        ~help:"1 when this shard answered the last stats fan-out"
+        ~label:"backend" "ssg_router_shard_reporting";
+    self_addr = None;
+    hop_worker =
+      Metrics.histogram metrics
+        ~help:
+          "Milliseconds the router waited on a backend exchange \
+           (router\xe2\x86\x92worker hop)"
+        "ssg_hop_router_worker_ms";
+  }
 
 (* ---------------- elastic membership & warm handoff ---------------- *)
 

@@ -37,10 +37,14 @@
 
     Fan-out ops: [Stats] queries every reachable backend and replies
     with the {!Ssg_engine.Telemetry.merge} of their snapshots;
-    [Metrics] replies with a cluster exposition — the router's own
-    registry (routed / failed-over / markdown counters, per-shard
-    [ssg_router_shard<i>_*] series) followed by the merged snapshot
-    under [ssg_cluster_*]; [Trace_pull] answers with the router's own
+    [Metrics] replies with the router's registry: routed / failed-over
+    / markdown counters and per-shard series labeled by canonical
+    backend address
+    ([ssg_router_shard_routed_total{backend="unix:/tmp/w1.sock"}],
+    [ssg_router_shard_up], [ssg_router_shard_reporting], the last two
+    set from that scrape's [Stats] fan-out), followed by the merged
+    snapshot of that fan-out as [ssg_cluster_<field>] gauges (none when
+    no backend answered); [Trace_pull] answers with the router's own
     tracer report ([router.route] spans, [router.failover] instants)
     followed by every backend's;
     [Compact] is relayed to every up backend and answered with the sum

@@ -387,10 +387,11 @@ let import t entries =
     0 (List.rev entries)
 
 let prometheus t =
-  let text = Telemetry.prometheus t.telemetry (stats t) in
+  Telemetry.set_gauges t.telemetry (stats t);
+  let own = Ssg_obs.Metrics.to_prometheus (Telemetry.registry t.telemetry) in
   match t.store with
-  | None -> text
-  | Some s -> text ^ Ssg_obs.Metrics.to_prometheus (Ssg_store.Store.metrics s)
+  | None -> own
+  | Some s -> own ^ Ssg_obs.Metrics.to_prometheus (Ssg_store.Store.metrics s)
 
 let shutdown t =
   Ssg_util.Pool.shutdown t.pool;

@@ -123,10 +123,10 @@ val run_batch : t -> Job.t list -> Job.completion list
 
 val stats : t -> Telemetry.snapshot
 
-(** [prometheus t] — the current stats as Prometheus text exposition
-    (see {!Telemetry.prometheus}), with the attached store's
-    [ssg_store_*] series appended when one is wired in; what the
-    [Metrics] wire op serves. *)
+(** [prometheus t] — the engine's registry ({!Telemetry.registry},
+    its gauges set from a fresh {!stats}) as Prometheus text
+    exposition, followed by the attached store's [ssg_store_*] registry
+    when one is wired in; what the [Metrics] wire op serves. *)
 val prometheus : t -> string
 
 (** Warm handoff (what the [Export] / [Transfer] / [Compact] wire ops

@@ -13,9 +13,6 @@ type 'a t = {
   table : (string, 'a node) Hashtbl.t;
   mutable head : 'a node option;
   mutable tail : 'a node option;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
 }
 
 let create ~capacity =
@@ -25,9 +22,6 @@ let create ~capacity =
     table = Hashtbl.create (max 16 capacity);
     head = None;
     tail = None;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
   }
 
 let unlink c node =
@@ -48,21 +42,17 @@ let push_front c node =
 let find c key =
   match Hashtbl.find_opt c.table key with
   | Some node ->
-      c.hits <- c.hits + 1;
       unlink c node;
       push_front c node;
       Some node.value
-  | None ->
-      c.misses <- c.misses + 1;
-      None
+  | None -> None
 
 let evict_lru c =
   match c.tail with
   | None -> ()
   | Some node ->
       unlink c node;
-      Hashtbl.remove c.table node.key;
-      c.evictions <- c.evictions + 1
+      Hashtbl.remove c.table node.key
 
 let add c key v =
   if c.cap > 0 then
@@ -86,6 +76,3 @@ let to_list c =
 
 let mem c key = Hashtbl.mem c.table key
 let length c = Hashtbl.length c.table
-let hits c = c.hits
-let misses c = c.misses
-let evictions c = c.evictions

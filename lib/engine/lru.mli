@@ -1,13 +1,13 @@
-(** LRU result cache with hit/miss accounting.
+(** LRU result cache.
 
     String-keyed (the engine keys on {!Job.key}'s canonical encoding) and
     capacity-bounded: inserting beyond capacity evicts the
-    least-recently-used entry.  [find] counts a hit or a miss and bumps
-    recency.
+    least-recently-used entry.  A hit in [find] bumps recency.  Hits and
+    misses are counted by the engine's {!Telemetry}, not here.
 
     Not internally synchronized — the engine serializes all access under
-    its own lock (cache lookup, pending-table dedup and the counters must
-    be updated atomically together anyway).  A [capacity] of [0] is a
+    its own lock (cache lookup and pending-table dedup must be updated
+    atomically together anyway).  A [capacity] of [0] is a
     valid always-miss cache (caching disabled). *)
 
 type 'a t
@@ -24,15 +24,8 @@ val find : 'a t -> string -> 'a option
 val add : 'a t -> string -> 'a -> unit
 
 (** [to_list c] — every live entry, most-recently-used first.  Does not
-    touch recency or the counters. *)
+    touch recency. *)
 val to_list : 'a t -> (string * 'a) list
 
 val mem : 'a t -> string -> bool
 val length : 'a t -> int
-
-(** Counters since creation. *)
-
-val hits : 'a t -> int
-
-val misses : 'a t -> int
-val evictions : 'a t -> int

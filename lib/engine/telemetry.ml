@@ -25,10 +25,103 @@ type snapshot = {
   exec_ms : Stats.summary option;
 }
 
+(* ---------------- snapshot fields ---------------- *)
+
+type field =
+  | F_count of string * int
+  | F_gauge_i of string * int
+  | F_gauge_f of string * float
+  | F_summary of string * Stats.summary option
+
+type read =
+  | Count of (snapshot -> int)
+  | Gauge_i of (snapshot -> int)
+  | Gauge_f of (snapshot -> float)
+
+(* Every scalar field once, in declaration order: its name, its help
+   text and how to read it off a snapshot.  [fields], the worker's
+   registry and the cluster registry are all built from this table. *)
+let scalars =
+  [
+    ( "uptime_s",
+      "Seconds since the daemon started",
+      Gauge_f (fun s -> s.uptime_s) );
+    ("workers", "Worker domains executing jobs", Gauge_i (fun s -> s.workers));
+    ( "queue_depth",
+      "Jobs waiting in the queue for a worker",
+      Gauge_i (fun s -> s.queue_depth) );
+    ( "queue_capacity",
+      "Bound on the job queue",
+      Gauge_i (fun s -> s.queue_capacity) );
+    ( "jobs_submitted",
+      "Requests accepted, including cache hits and dedup joins",
+      Count (fun s -> s.jobs_submitted) );
+    ( "jobs_completed",
+      "Jobs executed to a result",
+      Count (fun s -> s.jobs_completed) );
+    ( "jobs_failed",
+      "Executions ending in an error reply",
+      Count (fun s -> s.jobs_failed) );
+    ( "jobs_rejected_lint",
+      "Jobs refused at the lint front door",
+      Count (fun s -> s.jobs_rejected_lint) );
+    ( "cache_hits",
+      "Served from the LRU result cache",
+      Count (fun s -> s.cache_hits) );
+    ( "cache_misses",
+      "LRU result cache misses",
+      Count (fun s -> s.cache_misses) );
+    ( "dedup_joins",
+      "Submissions joining an identical in-flight execution",
+      Count (fun s -> s.dedup_joins) );
+    ( "cache_entries",
+      "Results held in the LRU result cache",
+      Gauge_i (fun s -> s.cache_entries) );
+    ( "throughput_jps",
+      "Completions per second over the recent window",
+      Gauge_f (fun s -> s.throughput_jps) );
+    ( "lifetime_jps",
+      "Completions per second since startup",
+      Gauge_f (fun s -> s.lifetime_jps) );
+    ( "recent_window_s",
+      "Seconds the recent throughput window spans",
+      Gauge_f (fun s -> s.recent_window_s) );
+    ( "rejected_frames",
+      "Wire frames refused: oversized, truncated or undecodable",
+      Count (fun s -> s.rejected_frames) );
+    ( "timed_out_connections",
+      "Connections reaped by the read timeout",
+      Count (fun s -> s.timed_out_connections) );
+    ( "connections_rejected",
+      "Connections turned away at the connection limit",
+      Count (fun s -> s.connections_rejected) );
+    ( "faults_injected",
+      "Faults injected by the active chaos plan",
+      Count (fun s -> s.faults_injected) );
+  ]
+
+let value s = function
+  | Count read | Gauge_i read -> float_of_int (read s)
+  | Gauge_f read -> read s
+
+let fields s =
+  List.map
+    (fun (name, _, read) ->
+      match read with
+      | Count read -> F_count (name, read s)
+      | Gauge_i read -> F_gauge_i (name, read s)
+      | Gauge_f read -> F_gauge_f (name, read s))
+    scalars
+  @ [
+      F_summary ("queue_wait_ms", s.queue_wait_ms);
+      F_summary ("exec_ms", s.exec_ms);
+    ]
+
+(* ---------------- recording ---------------- *)
+
 type t = {
   mutex : Mutex.t;  (* guards the rings; counters are registry atomics *)
   started : float;  (* Unix.gettimeofday at creation *)
-  recent_window_s : float;
   queue_ring : float array;  (* most recent queue waits *)
   exec_ring : float array;  (* their executions, same ring geometry *)
   stamps : float array;  (* completion times, same ring geometry *)
@@ -46,74 +139,73 @@ type t = {
   timed_out : Metrics.counter;
   conn_rejected : Metrics.counter;
   injected : Metrics.counter;
+  gauges : (Metrics.gauge * read) list;  (* set by [set_gauges] *)
   queue_hist : Metrics.histogram;
   exec_hist : Metrics.histogram;
 }
 
-(* The tracer's ring drop counter, rendered wherever a process exposes
-   Prometheus text — zero (the healthy steady state) is still exposed
-   so dashboards can alert on the first drop. *)
-let prom_trace_dropped buf =
-  Metrics.prom_scalar buf ~kind:`Counter
-    ~help:"Trace events lost to ring wrap-around since the last reset"
-    "ssg_trace_dropped_total"
-    (float_of_int (Ssg_obs.Tracer.dropped ()))
+(* The rings hold the most recent [ring_size] executions;
+   [throughput_jps] is the completion rate over the trailing
+   [rate_window_s]. *)
+let ring_size = 4096
+let rate_window_s = 10.
 
-let create ?(window = 4096) ?(recent_window_s = 10.) () =
-  if window < 1 then invalid_arg "Telemetry.create: window must be >= 1";
-  if recent_window_s <= 0. then
-    invalid_arg "Telemetry.create: recent_window_s must be > 0";
+let create () =
   let registry = Metrics.create () in
-  let counter name help = Metrics.counter registry ~help name in
+  (* Every scalar field as ssgd_<field>, in [scalars] order: a count is
+     a counter the recorders below bump, a gauge is set by
+     [set_gauges]. *)
+  let counters = Hashtbl.create 16 and gauges = ref [] in
+  List.iter
+    (fun (name, help, read) ->
+      let series = "ssgd_" ^ name in
+      match read with
+      | Count _ ->
+          Hashtbl.add counters name (Metrics.counter registry ~help series)
+      | Gauge_i _ | Gauge_f _ ->
+          gauges := (Metrics.gauge registry ~help series, read) :: !gauges)
+    scalars;
+  let counter = Hashtbl.find counters in
   let histogram name help = Metrics.histogram registry ~help name in
+  let queue_hist =
+    histogram "ssgd_job_queue_wait_ms"
+      "Milliseconds a job waited in the queue before a worker picked it up"
+  in
+  let exec_hist =
+    histogram "ssgd_job_exec_ms" "Milliseconds a worker spent executing a job"
+  in
+  (* Exposed at zero too, so dashboards can alert on the first drop. *)
+  Metrics.counter_fn registry
+    ~help:"Trace events lost to ring wrap-around since the last reset"
+    "ssg_trace_dropped_total" Ssg_obs.Tracer.dropped;
   {
     mutex = Mutex.create ();
     started = Unix.gettimeofday ();
-    recent_window_s;
-    queue_ring = Array.make window 0.;
-    exec_ring = Array.make window 0.;
-    stamps = Array.make window 0.;
+    queue_ring = Array.make ring_size 0.;
+    exec_ring = Array.make ring_size 0.;
+    stamps = Array.make ring_size 0.;
     ring_len = 0;
     ring_pos = 0;
     registry;
-    submitted =
-      counter "ssgd_jobs_submitted_total"
-        "Requests accepted, including cache hits and dedup joins";
-    completed =
-      counter "ssgd_jobs_completed_total" "Jobs executed to a result";
-    failed =
-      counter "ssgd_jobs_failed_total" "Executions ending in an error reply";
-    rejected_lint =
-      counter "ssgd_jobs_rejected_lint_total"
-        "Jobs refused at the lint front door";
-    hits = counter "ssgd_cache_hits_total" "Served from the LRU result cache";
-    misses = counter "ssgd_cache_misses_total" "LRU result cache misses";
-    dedups =
-      counter "ssgd_dedup_joins_total"
-        "Submissions joining an identical in-flight execution";
-    rejected_frames =
-      counter "ssgd_frames_rejected_total"
-        "Wire frames refused: oversized, truncated or undecodable";
-    timed_out =
-      counter "ssgd_connections_timed_out_total"
-        "Connections reaped by the read timeout";
-    conn_rejected =
-      counter "ssgd_connections_rejected_total"
-        "Connections turned away at the connection limit";
-    injected =
-      counter "ssgd_faults_injected_total"
-        "Faults injected by the active chaos plan";
-    queue_hist =
-      histogram "ssgd_job_queue_wait_ms"
-        "Milliseconds a job waited in the queue before a worker picked it up";
-    exec_hist =
-      histogram "ssgd_job_exec_ms"
-        "Milliseconds a worker spent executing a job";
+    submitted = counter "jobs_submitted";
+    completed = counter "jobs_completed";
+    failed = counter "jobs_failed";
+    rejected_lint = counter "jobs_rejected_lint";
+    hits = counter "cache_hits";
+    misses = counter "cache_misses";
+    dedups = counter "dedup_joins";
+    rejected_frames = counter "rejected_frames";
+    timed_out = counter "timed_out_connections";
+    conn_rejected = counter "connections_rejected";
+    injected = counter "faults_injected";
+    gauges = !gauges;
+    queue_hist;
+    exec_hist;
   }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let registry t = t.registry
+
+let locked t f = Mutex.protect t.mutex f
 
 let push_latency t ~queue_ms ~exec_ms =
   Metrics.observe t.queue_hist queue_ms;
@@ -144,14 +236,14 @@ let record_connection_timeout t = Metrics.incr t.timed_out
 let record_connection_rejected t = Metrics.incr t.conn_rejected
 let record_injected t = Metrics.incr t.injected
 
-(* Completions per second over the trailing [recent_window_s].  The
-   stamp ring only remembers the last [window] completions, so when it
+(* Completions per second over the trailing [rate_window_s].  The
+   stamp ring only remembers the last [ring_size] completions, so when it
    has wrapped inside the window the rate is computed over the span the
    ring actually covers instead of silently undercounting. *)
 let recent_rate t now =
   if t.ring_len = 0 then 0.
   else begin
-    let span = Float.min t.recent_window_s (now -. t.started) in
+    let span = Float.min rate_window_s (now -. t.started) in
     let span =
       if t.ring_len < Array.length t.stamps then span
       else
@@ -194,7 +286,7 @@ let snapshot t ~workers ~queue_depth ~queue_capacity ~cache_entries =
         throughput_jps = recent_rate t now;
         lifetime_jps =
           (if uptime_s > 0. then float_of_int done_jobs /. uptime_s else 0.);
-        recent_window_s = t.recent_window_s;
+        recent_window_s = rate_window_s;
         rejected_frames = Metrics.counter_value t.rejected_frames;
         timed_out_connections = Metrics.counter_value t.timed_out;
         connections_rejected = Metrics.counter_value t.conn_rejected;
@@ -202,6 +294,9 @@ let snapshot t ~workers ~queue_depth ~queue_capacity ~cache_entries =
         queue_wait_ms = summarize_ring t.queue_ring;
         exec_ms = summarize_ring t.exec_ring;
       })
+
+let set_gauges t s =
+  List.iter (fun (g, read) -> Metrics.set_gauge g (value s read)) t.gauges
 
 (* ---------------- cluster-wide merge ---------------- *)
 
@@ -271,38 +366,26 @@ let merge = function
       in
       List.fold_left merge2 first rest
 
-(* ---------------- snapshot serialization ---------------- *)
+let cluster_registry snapshots =
+  let registry = Metrics.create () in
+  (match snapshots with
+  | [] -> ()
+  | l ->
+      let merged = merge l in
+      List.iter
+        (fun (name, help, read) ->
+          Metrics.set_gauge
+            (Metrics.gauge registry
+               ~help:
+                 (Printf.sprintf
+                    "%s (ssgd_%s merged over the reporting backends)" help
+                    name)
+               ("ssg_cluster_" ^ name))
+            (value merged read))
+        scalars);
+  registry
 
-type field =
-  | F_count of string * int
-  | F_gauge_i of string * int
-  | F_gauge_f of string * float
-  | F_summary of string * Stats.summary option
-
-let fields s =
-  [
-    F_gauge_f ("uptime_s", s.uptime_s);
-    F_gauge_i ("workers", s.workers);
-    F_gauge_i ("queue_depth", s.queue_depth);
-    F_gauge_i ("queue_capacity", s.queue_capacity);
-    F_count ("jobs_submitted", s.jobs_submitted);
-    F_count ("jobs_completed", s.jobs_completed);
-    F_count ("jobs_failed", s.jobs_failed);
-    F_count ("jobs_rejected_lint", s.jobs_rejected_lint);
-    F_count ("cache_hits", s.cache_hits);
-    F_count ("cache_misses", s.cache_misses);
-    F_count ("dedup_joins", s.dedup_joins);
-    F_gauge_i ("cache_entries", s.cache_entries);
-    F_gauge_f ("throughput_jps", s.throughput_jps);
-    F_gauge_f ("lifetime_jps", s.lifetime_jps);
-    F_gauge_f ("recent_window_s", s.recent_window_s);
-    F_count ("rejected_frames", s.rejected_frames);
-    F_count ("timed_out_connections", s.timed_out_connections);
-    F_count ("connections_rejected", s.connections_rejected);
-    F_count ("faults_injected", s.faults_injected);
-    F_summary ("queue_wait_ms", s.queue_wait_ms);
-    F_summary ("exec_ms", s.exec_ms);
-  ]
+(* ---------------- renderings ---------------- *)
 
 let json_of_snapshot s =
   let open Ssg_obs.Export in
@@ -329,48 +412,6 @@ let json_of_snapshot s =
             | F_gauge_f (name, v) -> (name, Float v)
             | F_summary (name, v) -> (name, summary_json v))
           (fields s)))
-
-let render_prometheus buf ~prefix s =
-  List.iter
-    (function
-      | F_count (name, v) ->
-          Metrics.prom_scalar buf ~kind:`Counter (prefix ^ name)
-            (float_of_int v)
-      | F_gauge_i (name, v) ->
-          Metrics.prom_scalar buf ~kind:`Gauge (prefix ^ name)
-            (float_of_int v)
-      | F_gauge_f (name, v) ->
-          Metrics.prom_scalar buf ~kind:`Gauge (prefix ^ name) v
-      | F_summary (name, v) -> (
-          match v with
-          | None -> ()
-          | Some (l : Stats.summary) ->
-              Metrics.prom_summary buf (prefix ^ name) ~count:l.Stats.count
-                ~sum:(l.Stats.mean *. float_of_int l.Stats.count)
-                ~quantiles:
-                  [
-                    (0.5, l.Stats.p50); (0.95, l.Stats.p95); (0.99, l.Stats.p99);
-                  ]))
-    (fields s)
-
-let prometheus_of_snapshot ?(prefix = "ssgd_") s =
-  let buf = Buffer.create 2048 in
-  render_prometheus buf ~prefix s;
-  Buffer.contents buf
-
-let prometheus t s =
-  let buf = Buffer.create 2048 in
-  render_prometheus buf ~prefix:"ssgd_" s;
-  (* The registry counters duplicate the snapshot's count fields under
-     their *_total names; only the bucketed phase histograms add
-     information the snapshot summaries cannot carry. *)
-  Buffer.add_string buf
-    (Metrics.to_prometheus
-       ~only:(fun name ->
-         String.length name > 3 && String.sub name (String.length name - 3) 3 = "_ms")
-       t.registry);
-  prom_trace_dropped buf;
-  Buffer.contents buf
 
 let pp_snapshot fmt s =
   let total = s.cache_hits + s.cache_misses in

@@ -2,30 +2,29 @@
     accounting.
 
     One [t] per engine.  Workers and connection handlers record events
-    concurrently; counters live on an {!Ssg_obs.Metrics} registry (one
-    atomic each), the latency rings are internally synchronized, and
-    [snapshot] freezes everything into the plain record the [stats] wire
-    reply carries.
+    concurrently; every count is a counter on the engine's
+    {!Ssg_obs.Metrics} registry (one atomic each), the latency rings
+    are internally synchronized, and [snapshot] freezes everything into
+    the plain record the [stats] wire reply carries.
 
     An executed job's latency is kept as its two phases, in
     milliseconds: queue wait (submit until a worker picks the job up)
     and execution (worker pickup until the result is ready) — see
     [queue_wait_ms] and [exec_ms] below.  Each lives in a fixed-size
-    ring of the most recent [window] samples; percentiles come from
+    ring of the most recent 4096 samples; percentiles come from
     {!Ssg_util.Stats.summarize} over that window.  Completion {e times}
     are kept in one more ring of the same size, so throughput can be
-    reported over a recent wall-clock window — a long-idle daemon
+    reported over the last 10 s of wall-clock time — a long-idle daemon
     reports the current burst's rate, not its lifetime average diluted
     by the idle time (the lifetime average is still carried
     separately).
 
-    Each phase also feeds a bucketed registry histogram
-    ([ssgd_job_queue_wait_ms], [ssgd_job_exec_ms]) for the Prometheus
-    exposition, which wants cumulative buckets rather than
-    percentiles.  These two are the worker's hops in the fleet's
-    per-hop latency decomposition, next to the gateway's
-    [ssg_hop_gateway_router_ms] and the router's
-    [ssg_hop_router_worker_ms]. *)
+    The {!registry} holds every scalar {!fields} entry as
+    [ssgd_<field>] (a count as a counter, a gauge as {!set_gauges}
+    last set it), each phase as a bucketed histogram
+    ([ssgd_job_queue_wait_ms], [ssgd_job_exec_ms]: the worker's hops in
+    the fleet's per-hop latency decomposition) in place of its
+    percentiles, and the tracer's [ssg_trace_dropped_total]. *)
 
 type snapshot = {
   uptime_s : float;
@@ -71,11 +70,11 @@ type snapshot = {
 
 type t
 
-(** [create ?window ?recent_window_s ()] — [window] (default 4096)
-    bounds the latency and completion-time rings; [recent_window_s]
-    (default 10.) is the wall-clock span of the recent throughput rate.
-    @raise Invalid_argument if [window < 1] or [recent_window_s <= 0.]. *)
-val create : ?window:int -> ?recent_window_s:float -> unit -> t
+val create : unit -> t
+
+(** [registry t] — the registry the engine renders for the [Metrics]
+    wire op. *)
+val registry : t -> Ssg_obs.Metrics.t
 
 val record_submitted : t -> unit
 
@@ -116,6 +115,11 @@ val snapshot :
   cache_entries:int ->
   snapshot
 
+(** [set_gauges t s] sets the registry's gauge fields ([ssgd_workers],
+    [ssgd_uptime_s], …) to [s]'s values; the engine calls it with a
+    fresh {!snapshot} right before it renders. *)
+val set_gauges : t -> snapshot -> unit
+
 (** [merge snapshots] — one cluster-wide snapshot from per-backend
     ones (what the router's [stats] fan-out replies with).  Counters,
     gauges and throughputs add; [uptime_s] and [recent_window_s] take
@@ -127,10 +131,18 @@ val snapshot :
     @raise Invalid_argument on the empty list. *)
 val merge : snapshot list -> snapshot
 
-(** A snapshot flattened to named fields — the one serializer both the
-    JSON and the Prometheus renderings are derived from, so the two
-    cannot drift apart (and tests can assert coverage field by
-    field). *)
+(** [cluster_registry snapshots] — a fresh registry holding a gauge
+    [ssg_cluster_<field>] for every scalar {!fields} entry, set to the
+    {!merge} of [snapshots]; empty when the list is, so a scrape no
+    backend answered shows no cluster series at all.  Gauges, since a
+    sum over a changing membership is not monotone. *)
+val cluster_registry : snapshot list -> Ssg_obs.Metrics.t
+
+(** A snapshot flattened to named fields.  The JSON rendering, the
+    registry's [ssgd_<field>] series and the [ssg_cluster_<field>]
+    gauges are all built from one table of the scalar fields (name,
+    kind, help text), so they cannot drift apart (and tests can assert
+    coverage field by field). *)
 type field =
   | F_count of string * int  (** monotone counter *)
   | F_gauge_i of string * int
@@ -144,22 +156,6 @@ val fields : snapshot -> field list
     [count]/[mean]/[stddev]/[min]/[max]/[p50]/[p95]/[p99], absent
     summaries become [null]. *)
 val json_of_snapshot : snapshot -> string
-
-(** [prometheus t s] — Prometheus text exposition: every {!fields} entry
-    as an [ssgd_]-prefixed counter, gauge or summary (quantiles
-    0.5/0.95/0.99), followed by the registry's bucketed phase
-    histograms and the tracer's ring drop counter
-    ([ssg_trace_dropped_total], rendered at zero too).  The registry's
-    counters are skipped — they are the same numbers the snapshot
-    already carries. *)
-val prometheus : t -> snapshot -> string
-
-(** [prometheus_of_snapshot ?prefix s] — the snapshot-only part of
-    {!prometheus} (no registry histograms), with every metric name
-    under [prefix] (default ["ssgd_"]).  The router renders its merged
-    cluster snapshot with [~prefix:"ssg_cluster_"] so a cluster scrape
-    and a per-worker scrape cannot collide. *)
-val prometheus_of_snapshot : ?prefix:string -> snapshot -> string
 
 (** Human-readable multi-line rendering (the [ssg stats] output). *)
 val pp_snapshot : Format.formatter -> snapshot -> unit

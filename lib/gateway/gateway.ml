@@ -180,16 +180,18 @@ let handle_stats t =
   from_backend (fun () ->
       Telemetry.json_of_snapshot (Client.stats (backend_client t)))
 
+(* The gateway's registry, then its backend's exposition relayed as
+   is; an unreachable backend degrades to a comment. *)
 let handle_metrics t =
   let own = Metrics.to_prometheus t.metrics in
-  match Client.metrics_text (backend_client t) with
-  | text -> (200, "text/plain; version=0.0.4", own ^ text)
-  | exception (Failure msg | Invalid_argument msg) ->
-      (200, "text/plain; version=0.0.4", own ^ "# backend unreachable: " ^ msg ^ "\n")
-  | exception Unix.Unix_error (e, _, _) ->
-      ( 200,
-        "text/plain; version=0.0.4",
-        own ^ "# backend unreachable: " ^ Unix.error_message e ^ "\n" )
+  let unreachable msg = "# backend unreachable: " ^ msg ^ "\n" in
+  let backend =
+    match Client.metrics_text (backend_client t) with
+    | text -> text
+    | exception (Failure msg | Invalid_argument msg) -> unreachable msg
+    | exception Unix.Unix_error (e, _, _) -> unreachable (Unix.error_message e)
+  in
+  (200, "text/plain; version=0.0.4", own ^ backend)
 
 (* The fleet trace, relayed the way the router relays it: the
    gateway's own report ahead of every report the backend pull
@@ -247,7 +249,9 @@ let handle_connection t listener fd =
             with e ->
               (500, "application/json", json_error (Printexc.to_string e))
           in
-          if Tracer.enabled () then begin
+          (* A trace pull gets no span: it would be open in the
+             gateway's own report, which the pull takes. *)
+          if Tracer.enabled () && req.Http.path <> "/trace" then begin
             (* The caller's [traceparent] header makes this request's
                span a child of the caller's; without one the gateway
                originates a fresh trace. *)

@@ -28,8 +28,9 @@
     - [GET /healthz] — liveness (does not touch the backend).
     - [POST /shutdown] — stops the {e gateway} (never the backend).
 
-    {b Tracing.}  With [trace], every request runs under a
-    [gateway.request] span.  An incoming [traceparent] header makes
+    {b Tracing.}  With [trace], every request but [GET /trace] runs
+    under a [gateway.request] span (a trace pull's own span would be
+    open in the report it serves).  An incoming [traceparent] header makes
     that span a child of the caller's; otherwise the gateway
     originates the trace.  The span's context is forwarded to the
     backend in the frame context envelope (so router and worker spans

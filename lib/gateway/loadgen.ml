@@ -47,18 +47,6 @@ type report = {
   slow_traces : (float * string) list;
 }
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then Float.nan
-  else if n = 1 then sorted.(0)
-  else begin
-    let rank = q *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = min (lo + 1) (n - 1) in
-    let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
-  end
-
 (* ---------------- synthetic jobs ---------------- *)
 
 (* The paper's two-islands geometry: n=6, two 3-cycles.  Psrcs(2) holds
@@ -464,7 +452,10 @@ let run ?threads ?(pipeline = 1) ?(rate = 0.) ?(mix = default_mix)
     if total_lat = 0 then Float.nan
     else Array.fold_left ( +. ) 0. latencies /. float_of_int total_lat
   in
-  let pct q = percentile latencies q in
+  let pct q =
+    if total_lat = 0 then Float.nan
+    else Ssg_util.Stats.percentile_sorted latencies (100. *. q)
+  in
   let p50 = pct 0.5 and p95 = pct 0.95 and p99 = pct 0.99 in
   let maxl = if total_lat = 0 then Float.nan else latencies.(total_lat - 1) in
   let violations =

@@ -52,10 +52,6 @@ type report = {
           hex)], slowest first; empty unless trace sampling was on *)
 }
 
-(** [percentile sorted q] — linear-interpolated [q]-quantile of a
-    sorted array (exposed for tests; [nan] on empty input). *)
-val percentile : float array -> float -> float
-
 (** [run ~connections ~duration_s ~target ()] — drive load, block until
     done, report.
 

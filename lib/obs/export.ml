@@ -306,22 +306,23 @@ let event_json pid (e : Tracer.event) =
   in
   Obj (base @ scope @ args)
 
-let metadata_json ~pid ?tid ~meta value =
+let metadata_json ~pid ?tid ~meta args =
   Obj
     ([ ("name", Str meta); ("ph", Str "M"); ("pid", Int pid) ]
     @ (match tid with Some t -> [ ("tid", Int t) ] | None -> [])
-    @ [ ("args", Obj [ ("name", Str value) ]) ])
+    @ [ ("args", Obj args) ])
 
 (* Metadata events naming the process and its threads (domains) — what
    makes the export Perfetto-readable as labelled tracks rather than
-   bare pid/tid numbers. *)
-let metadata_jsons ~pid ~process events =
+   bare pid/tid numbers.  The process's ring drop count rides along. *)
+let metadata_jsons ~pid ~process ~dropped events =
   let tids =
     List.sort_uniq compare (List.map (fun e -> e.Tracer.domain) events)
   in
-  metadata_json ~pid ~meta:"process_name" process
+  metadata_json ~pid ~meta:"process_name"
+    [ ("name", Str process); ("dropped_events", Int dropped) ]
   :: List.map
        (fun tid ->
          metadata_json ~pid ~tid ~meta:"thread_name"
-           (Printf.sprintf "domain %d" tid))
+           [ ("name", Str (Printf.sprintf "domain %d" tid)) ])
        tids

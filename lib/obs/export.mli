@@ -47,7 +47,10 @@ val json_of_string : string -> json option
     event by event. *)
 val event_json : int -> Tracer.event -> json
 
-(** [metadata_jsons ~pid ~process events] — a [process_name] event plus
-    one [thread_name] event per distinct domain appearing in [events],
-    labelling the tracks Perfetto will draw for them. *)
-val metadata_jsons : pid:int -> process:string -> Tracer.event list -> json list
+(** [metadata_jsons ~pid ~process ~dropped events] — a [process_name]
+    event (args [name] = [process] and [dropped_events] = [dropped], the
+    events the process's rings lost) plus one [thread_name] event per
+    distinct domain appearing in [events], labelling the tracks
+    Perfetto will draw for them. *)
+val metadata_jsons :
+  pid:int -> process:string -> dropped:int -> Tracer.event list -> json list

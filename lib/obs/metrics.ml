@@ -1,25 +1,58 @@
-type counter = { c_name : string; c_help : string; c_value : int Atomic.t }
-type gauge = { g_name : string; g_help : string; g_value : float Atomic.t }
+type counter = int Atomic.t
+type gauge = float Atomic.t
 
 type histogram = {
-  h_name : string;
-  h_help : string;
   bounds : float array;  (* strictly increasing upper bounds, no +Inf *)
   counts : int Atomic.t array;  (* one per bound, plus the +Inf bucket *)
   h_sum : float Atomic.t;
 }
 
-type metric = Counter of counter | Gauge of gauge | Histogram of histogram
+type 'a family = {
+  fresh : unit -> 'a;
+  series_lock : Mutex.t;
+  series : (string, 'a) Hashtbl.t;  (* label value -> series *)
+}
+
+(* A registered metric renders as its [# HELP] and [# TYPE] lines, then
+   one line per sample: the name, the sample's suffix (labels, or a
+   histogram's [_bucket{le=...}] / [_sum] / [_count]) and its value,
+   read at render time. *)
+type entry = {
+  name : string;
+  help : string;
+  kind : string;
+  samples : unit -> (string * string) list;
+}
 
 type t = {
   lock : Mutex.t;
-  mutable metrics : (string * metric) list;  (* newest first *)
+  mutable entries : entry list;  (* newest first *)
 }
 
 let default_buckets =
   [| 0.05; 0.1; 0.5; 1.; 5.; 10.; 50.; 100.; 500.; 1000.; 5000. |]
 
-let create () = { lock = Mutex.create (); metrics = [] }
+let create () = { lock = Mutex.create (); entries = [] }
+
+let prom_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then
+    Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.9g" f
+
+let prom_bound b = if b = infinity then "+Inf" else prom_float b
+
+(* Help text escapes backslash and newline; a label value also escapes
+   the double quote that closes it. *)
+let escape ~quote s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (function
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '"' when quote -> Buffer.add_string buf "\\\""
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
 
 let valid_name name =
   String.length name > 0
@@ -32,63 +65,28 @@ let valid_name name =
          | _ -> false)
        name
 
-let register t name metric =
+let register t ~help ~kind name samples =
   if not (valid_name name) then
     invalid_arg (Printf.sprintf "Metrics: invalid metric name %S" name);
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      if List.mem_assoc name t.metrics then
+  Mutex.protect t.lock (fun () ->
+      if List.exists (fun e -> String.equal e.name name) t.entries then
         invalid_arg (Printf.sprintf "Metrics: duplicate metric %S" name);
-      t.metrics <- (name, metric) :: t.metrics)
+      t.entries <- { name; help; kind; samples } :: t.entries)
 
-let counter t ?(help = "") name =
-  let c = { c_name = name; c_help = help; c_value = Atomic.make 0 } in
-  register t name (Counter c);
+let counter_fn t ~help name read =
+  register t ~help ~kind:"counter" name (fun () ->
+      [ ("", string_of_int (read ())) ])
+
+let counter t ~help name =
+  let c = Atomic.make 0 in
+  counter_fn t ~help name (fun () -> Atomic.get c);
   c
 
-let gauge t ?(help = "") name =
-  let g = { g_name = name; g_help = help; g_value = Atomic.make 0. } in
-  register t name (Gauge g);
+let gauge t ~help name =
+  let g = Atomic.make 0. in
+  register t ~help ~kind:"gauge" name (fun () ->
+      [ ("", prom_float (Atomic.get g)) ]);
   g
-
-let histogram t ?(help = "") ?(buckets = default_buckets) name =
-  if Array.length buckets = 0 then
-    invalid_arg "Metrics.histogram: empty bucket list";
-  Array.iteri
-    (fun i b ->
-      if i > 0 && buckets.(i - 1) >= b then
-        invalid_arg "Metrics.histogram: buckets must be strictly increasing")
-    buckets;
-  let h =
-    {
-      h_name = name;
-      h_help = help;
-      bounds = Array.copy buckets;
-      counts = Array.init (Array.length buckets + 1) (fun _ -> Atomic.make 0);
-      h_sum = Atomic.make 0.;
-    }
-  in
-  register t name (Histogram h);
-  h
-
-let incr c = Atomic.incr c.c_value
-let add c n = ignore (Atomic.fetch_and_add c.c_value n)
-let counter_value c = Atomic.get c.c_value
-let set_gauge g v = Atomic.set g.g_value v
-let gauge_value g = Atomic.get g.g_value
-
-let rec atomic_add_float a x =
-  let old = Atomic.get a in
-  if not (Atomic.compare_and_set a old (old +. x)) then atomic_add_float a x
-
-let observe h x =
-  let rec bucket i =
-    if i >= Array.length h.bounds || x <= h.bounds.(i) then i else bucket (i + 1)
-  in
-  Atomic.incr h.counts.(bucket 0);
-  atomic_add_float h.h_sum x
 
 type hist_snapshot = {
   buckets : (float * int) array;
@@ -110,77 +108,90 @@ let hist_snapshot h =
   in
   { buckets; sum = Atomic.get h.h_sum; count = !cumulative }
 
+let histogram t ~help ?(buckets = default_buckets) name =
+  if Array.length buckets = 0 then
+    invalid_arg "Metrics.histogram: empty bucket list";
+  Array.iteri
+    (fun i b ->
+      if i > 0 && buckets.(i - 1) >= b then
+        invalid_arg "Metrics.histogram: buckets must be strictly increasing")
+    buckets;
+  let h =
+    {
+      bounds = Array.copy buckets;
+      counts = Array.init (Array.length buckets + 1) (fun _ -> Atomic.make 0);
+      h_sum = Atomic.make 0.;
+    }
+  in
+  register t ~help ~kind:"histogram" name (fun () ->
+      let s = hist_snapshot h in
+      List.map
+        (fun (bound, cumulative) ->
+          ( Printf.sprintf "_bucket{le=\"%s\"}" (prom_bound bound),
+            string_of_int cumulative ))
+        (Array.to_list s.buckets)
+      @ [ ("_sum", prom_float s.sum); ("_count", string_of_int s.count) ]);
+  h
+
+let family t ~help ~kind ~label name fresh value =
+  if not (valid_name label) then
+    invalid_arg (Printf.sprintf "Metrics: invalid label name %S" label);
+  let f = { fresh; series_lock = Mutex.create (); series = Hashtbl.create 8 } in
+  register t ~help ~kind name (fun () ->
+      Mutex.protect f.series_lock (fun () ->
+          Hashtbl.fold (fun v s acc -> (v, value s) :: acc) f.series [])
+      |> List.sort compare
+      |> List.map (fun (v, x) ->
+             (Printf.sprintf "{%s=\"%s\"}" label (escape ~quote:true v), x)));
+  f
+
+let counter_family t ~help ~label name =
+  family t ~help ~kind:"counter" ~label name
+    (fun () -> Atomic.make 0)
+    (fun c -> string_of_int (Atomic.get c))
+
+let gauge_family t ~help ~label name =
+  family t ~help ~kind:"gauge" ~label name
+    (fun () -> Atomic.make 0.)
+    (fun g -> prom_float (Atomic.get g))
+
+let labeled f value =
+  Mutex.protect f.series_lock (fun () ->
+      match Hashtbl.find_opt f.series value with
+      | Some s -> s
+      | None ->
+          let s = f.fresh () in
+          Hashtbl.add f.series value s;
+          s)
+
+let incr = Atomic.incr
+let add c n = ignore (Atomic.fetch_and_add c n)
+let counter_value = Atomic.get
+let set_gauge = Atomic.set
+
+let rec atomic_add_float a x =
+  let old = Atomic.get a in
+  if not (Atomic.compare_and_set a old (old +. x)) then atomic_add_float a x
+
+let observe h x =
+  let rec bucket i =
+    if i >= Array.length h.bounds || x <= h.bounds.(i) then i else bucket (i + 1)
+  in
+  Atomic.incr h.counts.(bucket 0);
+  atomic_add_float h.h_sum x
+
 (* ---------------- Prometheus text exposition ---------------- *)
 
-let prom_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
-
-let prom_bound b = if b = infinity then "+Inf" else prom_float b
-
-let escape_help s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let header buf name help kind =
-  if help <> "" then
-    Buffer.add_string buf
-      (Printf.sprintf "# HELP %s %s\n" name (escape_help help));
-  Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
-
-let render_metric buf = function
-  | Counter c ->
-      header buf c.c_name c.c_help "counter";
-      Buffer.add_string buf
-        (Printf.sprintf "%s %d\n" c.c_name (Atomic.get c.c_value))
-  | Gauge g ->
-      header buf g.g_name g.g_help "gauge";
-      Buffer.add_string buf
-        (Printf.sprintf "%s %s\n" g.g_name (prom_float (Atomic.get g.g_value)))
-  | Histogram h ->
-      let s = hist_snapshot h in
-      header buf h.h_name h.h_help "histogram";
-      Array.iter
-        (fun (bound, cumulative) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" h.h_name
-               (prom_bound bound) cumulative))
-        s.buckets;
-      Buffer.add_string buf
-        (Printf.sprintf "%s_sum %s\n" h.h_name (prom_float s.sum));
-      Buffer.add_string buf (Printf.sprintf "%s_count %d\n" h.h_name s.count)
-
-let prom_scalar buf ~kind ?(help = "") name value =
-  header buf name help (match kind with `Counter -> "counter" | `Gauge -> "gauge");
-  Buffer.add_string buf (Printf.sprintf "%s %s\n" name (prom_float value))
-
-let prom_summary buf ?(help = "") name ~count ~sum ~quantiles =
-  header buf name help "summary";
-  List.iter
-    (fun (q, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s{quantile=\"%s\"} %s\n" name (prom_float q)
-           (prom_float v)))
-    quantiles;
-  Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" name (prom_float sum));
-  Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name count)
-
-let to_prometheus ?(only = fun _ -> true) t =
-  let metrics =
-    Mutex.lock t.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.lock)
-      (fun () -> List.rev t.metrics)
-  in
+let to_prometheus t =
+  let entries = Mutex.protect t.lock (fun () -> List.rev t.entries) in
   let buf = Buffer.create 1024 in
   List.iter
-    (fun (name, metric) -> if only name then render_metric buf metric)
-    metrics;
+    (fun { name; help; kind; samples } ->
+      Printf.bprintf buf "# HELP %s %s\n# TYPE %s %s\n" name
+        (escape ~quote:false help) name kind;
+      List.iter
+        (fun (series, value) ->
+          Printf.bprintf buf "%s%s %s\n" name series value)
+        (samples ()))
+    entries;
   Buffer.contents buf

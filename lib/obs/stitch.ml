@@ -105,7 +105,8 @@ let chrome_of_reports (reports : Tracer.report list) =
     List.concat
       (List.mapi
          (fun i (r : Tracer.report) ->
-           metadata_jsons ~pid:(i + 1) ~process:(process_label r) r.events)
+           metadata_jsons ~pid:(i + 1) ~process:(process_label r)
+             ~dropped:r.dropped_events r.events)
          shifted)
   in
   let evs =
@@ -138,6 +139,7 @@ type audit = {
   links : link list;
   truncated_ends : int;
   open_spans : int;
+  dropped_events : int;
 }
 
 (* Validate a stitched document: well-formed JSON, B/E balance per
@@ -150,7 +152,8 @@ type audit = {
    interleave.  Two imbalances are expected on a busy fleet and are
    reported rather than rejected: an E whose B was evicted by the ring
    buffer ([truncated_ends]) and a span still open at pull time
-   ([open_spans]). *)
+   ([open_spans]).  The rings' own drop counts, carried on each
+   [process_name] event, are summed into [dropped_events]. *)
 let audit_string s =
   match json_of_string s with
   | None -> Error "malformed JSON"
@@ -168,6 +171,7 @@ let audit_string s =
       let begins = ref [] in
       let events = ref 0 in
       let truncated = ref 0 in
+      let dropped = ref 0 in
       let err = ref None in
       let fail msg = if !err = None then err := Some msg in
       List.iter
@@ -202,7 +206,12 @@ let audit_string s =
                   let c = counter () in
                   if !c > 0 then decr c else incr truncated
               | "i" | "s" | "f" -> incr events
-              | "M" -> ()  (* metadata labels, not trace events *)
+              | "M" ->
+                  (* Metadata labels, not trace events. *)
+                  let args = Option.value (field item "args") ~default:Null in
+                  Option.iter
+                    (fun n -> dropped := !dropped + int_of_float n)
+                    (num (field args "dropped_events"))
               | _ -> fail (Printf.sprintf "unknown phase %S" ph))
           | _ -> fail "event missing ph/name")
         items;
@@ -237,5 +246,6 @@ let audit_string s =
               links;
               truncated_ends = !truncated;
               open_spans;
+              dropped_events = !dropped;
             })
   | Some _ -> Error "top level is not an array"

@@ -18,7 +18,8 @@
     Perfetto draws between tracks. *)
 
 (** [chrome_of_reports reports] — the stitched Chrome trace-event JSON
-    array: per-process [process_name]/[thread_name] metadata, clock
+    array: per-process [process_name]/[thread_name] metadata (the
+    [process_name] event carries the report's [dropped_events]), clock
     -shifted events, and cross-process flow events.  The one Chrome
     writer: a single process's trace is [chrome_of_reports
     [Tracer.report_here ~role ()]], and the gateway's [GET /trace]
@@ -43,6 +44,9 @@ type audit = {
   open_spans : int;
       (** spans still open when the buffers were pulled — in-flight
           requests, zero on a quiescent fleet *)
+  dropped_events : int;
+      (** events the processes' rings overwrote before the pull, summed
+          from each [process_name] event — zero unless a ring wrapped *)
 }
 
 (** [audit_string s] — validate a stitched document: [s] passes

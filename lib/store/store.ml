@@ -40,8 +40,6 @@ type t = {
   mutable gen : int;
   mutable journal : Journal.t;
   mutable recovered : (string * string) list;  (* file order; consumed once *)
-  mutable replayed : int;
-  mutable torn : int;
   mutable fsyncs_seen : int;
   metrics : Metrics.t;
   m_replayed : Metrics.counter;
@@ -155,8 +153,6 @@ let open_ ?(sync = Group 8) ?(compact_bytes = 4 * 1024 * 1024) ~dir () =
       gen;
       journal;
       recovered = List.rev !recovered;
-      replayed = !replayed;
-      torn = !torn;
       fsyncs_seen = 0;
       metrics;
       m_replayed =
@@ -179,21 +175,20 @@ let open_ ?(sync = Group 8) ?(compact_bytes = 4 * 1024 * 1024) ~dir () =
           "ssg_store_generation";
     }
   in
-  Metrics.add t.m_replayed t.replayed;
-  Metrics.add t.m_torn t.torn;
+  Metrics.add t.m_replayed !replayed;
+  Metrics.add t.m_torn !torn;
   Metrics.set_gauge t.m_journal_bytes (float_of_int (Journal.bytes journal));
   Metrics.set_gauge t.m_generation (float_of_int gen);
   Log.info (fun m ->
-      m "store %s: generation %d, %d record(s) recovered%s" dir gen t.replayed
-        (if t.torn > 0 then
-           Printf.sprintf ", %d torn tail(s) truncated" t.torn
+      m "store %s: generation %d, %d record(s) recovered%s" dir gen !replayed
+        (if !torn > 0 then Printf.sprintf ", %d torn tail(s) truncated" !torn
          else ""));
   t
 
 let dir t = t.dir
 let generation t = t.gen
-let replayed_records t = t.replayed
-let torn_recoveries t = t.torn
+let replayed_records t = Metrics.counter_value t.m_replayed
+let torn_recoveries t = Metrics.counter_value t.m_torn
 let journal_bytes t = Journal.bytes t.journal
 let wedged t = Journal.wedged t.journal
 let metrics t = t.metrics

@@ -24,6 +24,10 @@ val maximum : float array -> float
     order statistics. *)
 val percentile : float array -> float -> float
 
+(** [percentile_sorted sorted q] — {!percentile} of an already sorted,
+    non-empty sample, without the copy and sort.  [q] is not checked. *)
+val percentile_sorted : float array -> float -> float
+
 val median : float array -> float
 
 (** [summarize xs] computes the full summary in one pass over a sorted

@@ -464,32 +464,31 @@ let test_router_routes_and_merges () =
   check "all submissions accounted for" true (s.Telemetry.jobs_submitted >= 24);
   (* The exposition names every shard and the merged cluster series. *)
   let text = Client.metrics_text c in
-  List.iteri
-    (fun i addr ->
-      (* The router canonicalizes addresses on parse, so shards are
-         named in [unix:PATH] form whatever spelling was passed in. *)
-      let canonical =
-        Ssg_net.Transport.(to_string (of_string_exn addr))
-      in
-      check "shard comment present" true
-        (contains text (Printf.sprintf "# shard %d = %s" i canonical));
+  (* The router canonicalizes addresses on parse, so shards are
+     labeled in [unix:PATH] form whatever spelling was passed in. *)
+  let routed addr =
+    Printf.sprintf "ssg_router_shard_routed_total{backend=\"%s\"}"
+      Ssg_net.Transport.(to_string (of_string_exn addr))
+  in
+  List.iter
+    (fun addr ->
       check "per-shard routed counter present" true
-        (contains text (Printf.sprintf "ssg_router_shard%d_routed_total" i)))
-    (List.sort compare backends);
+        (contains text (routed addr ^ " ")))
+    backends;
   check "merged snapshot under cluster prefix" true
-    (contains text "ssg_cluster_jobs_submitted");
+    (match prom_counter text "ssg_cluster_jobs_submitted" with
+    | Some v -> v >= 24
+    | None -> false);
   check "router hop histogram observed every job" true
     (contains text "ssg_hop_router_worker_ms_count 24");
   (* Placement actually spread the keys over several shards. *)
   let routed_shards =
     List.filter
-      (fun i ->
-        match
-          prom_counter text (Printf.sprintf "ssg_router_shard%d_routed_total" i)
-        with
+      (fun addr ->
+        match prom_counter text (routed addr) with
         | Some v -> v > 0
         | None -> false)
-      [ 0; 1; 2 ]
+      backends
   in
   check "more than one shard saw traffic" true (List.length routed_shards >= 2);
   Client.close c;
@@ -509,9 +508,13 @@ let test_router_dedups_duplicate_backends () =
   let router, rt = start_router ~backends () in
   let c = Client.connect ~socket:router ~deadline_s:10. () in
   let text = Client.metrics_text c in
-  check "two backends survive dedup" true
-    (contains text "# ssg cluster: 2 backend(s)");
-  check "no phantom third shard" false (contains text "# shard 2 = ");
+  let shards =
+    List.filter
+      (String.starts_with ~prefix:"ssg_router_shard_up{")
+      (String.split_on_char '\n' text)
+  in
+  check_int "two backends survive dedup, no phantom third shard" 2
+    (List.length shards);
   let s = Client.stats c in
   check_int "fan-out does not double-count the duplicate" 2
     s.Telemetry.workers;
@@ -563,6 +566,8 @@ let test_router_exhaustion_is_an_error_reply () =
     (match prom_counter text "ssg_router_jobs_failed_total" with
     | Some v -> v >= 1
     | None -> false);
+  check "no cluster series when no backend reports" false
+    (contains text "ssg_cluster_");
   Client.close c;
   stop_router router rt
 

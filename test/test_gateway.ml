@@ -1,6 +1,6 @@
 (* Gateway suite: the HTTP/JSON front door end to end against a real
    worker (submit / stats / metrics / error statuses / shutdown), and
-   the load generator's pure parts (SLO specs, percentile math) plus a
+   the load generator's pure parts (SLO specs) plus a
    short closed-loop smoke run with SLO grading. *)
 
 open Ssg_net
@@ -114,18 +114,6 @@ let test_slo_of_string () =
       | Ok _ -> Alcotest.fail ("must reject " ^ bad)
       | Error msg -> check ("rejection names the spec: " ^ bad) true (contains msg bad))
     [ "p99"; "99<250ms"; "p99<250"; "p0<1ms"; "p100<1ms"; "p99<-3ms"; "<5ms" ]
-
-let test_percentile () =
-  check "empty is nan" true (Float.is_nan (Loadgen.percentile [||] 0.5));
-  check "singleton" true (Loadgen.percentile [| 7. |] 0.99 = 7.);
-  let sorted = [| 1.; 2.; 3.; 4. |] in
-  check "p0 is the min" true (Loadgen.percentile sorted 0. = 1.);
-  check "p100 is the max" true (Loadgen.percentile sorted 1. = 4.);
-  (* rank 0.5 * 3 = 1.5 — halfway between 2 and 3. *)
-  check "p50 interpolates" true
-    (Float.abs (Loadgen.percentile sorted 0.5 -. 2.5) < 1e-9);
-  check "p75 interpolates" true
-    (Float.abs (Loadgen.percentile sorted 0.75 -. 3.25) < 1e-9)
 
 (* ---------------- gateway: end to end ---------------- *)
 
@@ -357,6 +345,16 @@ let test_gateway_trace_propagation () =
   Thread.join rt;
   stop_worker backend wt
 
+(* The body of a raw HTTP response. *)
+let http_body text =
+  let rec find i =
+    if i + 4 > String.length text then Alcotest.fail "no HTTP body"
+    else if String.sub text i 4 = "\r\n\r\n" then i + 4
+    else find (i + 1)
+  in
+  let off = find 0 in
+  String.sub text off (String.length text - off)
+
 (* [GET /trace] relays the fleet pull through the gateway's backend:
    one stitched document, the gateway's own track ahead of every
    process behind it. *)
@@ -379,17 +377,13 @@ let test_gateway_trace_relays_fleet_pull () =
       check_int "traced submit ok" 200 status;
       let status, text = get listen "/trace" in
       check_int "trace ok" 200 status;
-      let body =
-        let rec find i =
-          if i + 4 > String.length text then Alcotest.fail "no HTTP body"
-          else if String.sub text i 4 = "\r\n\r\n" then i + 4
-          else find (i + 1)
-        in
-        let off = find 0 in
-        String.sub text off (String.length text - off)
-      in
+      let body = http_body text in
       (match Ssg_obs.Stitch.audit_string body with
-      | Ok a -> check "stitched events" true (a.Ssg_obs.Stitch.events > 0)
+      | Ok a ->
+          check "stitched events" true (a.Ssg_obs.Stitch.events > 0);
+          (* The pull is not itself traced, so a quiescent fleet has no
+             span open: not even the gateway's for this request. *)
+          check_int "no open span" 0 a.Ssg_obs.Stitch.open_spans
       | Error msg -> Alcotest.failf "audit rejected GET /trace: %s" msg);
       let process_names =
         let open Ssg_obs.Export in
@@ -401,7 +395,10 @@ let test_gateway_trace_relays_fleet_pull () =
                   when List.assoc_opt "name" kvs = Some (Str "process_name")
                   -> (
                     match List.assoc_opt "args" kvs with
-                    | Some (Obj [ ("name", Str n) ]) -> Some n
+                    | Some (Obj args) -> (
+                        match List.assoc_opt "name" args with
+                        | Some (Str n) -> Some n
+                        | _ -> None)
                     | _ -> None)
                 | _ -> None)
               items
@@ -509,10 +506,197 @@ let test_loadgen_rejects_nonsense () =
 
 (* ---------------- suite ---------------- *)
 
+(* ---------------- exposition lint ---------------- *)
+
+(* The [(name, type)] pairs a scrape declares, after checking its
+   shape: every sample sits under the [# TYPE] of its name (a
+   histogram's [_bucket]/[_sum]/[_count] under the histogram's), no
+   name is typed twice, every [# TYPE] follows its [# HELP], and every
+   name matches [^ssgd?_[a-z0-9_]+$]. *)
+let lint_exposition what text =
+  let fail fmt = Printf.ksprintf (Alcotest.failf "%s: %s" what) fmt in
+  let name_ok name =
+    (String.starts_with ~prefix:"ssg_" name
+    || String.starts_with ~prefix:"ssgd_" name)
+    && String.for_all
+         (function 'a' .. 'z' | '0' .. '9' | '_' -> true | _ -> false)
+         name
+  in
+  let typed = ref [] and current = ref None and help = ref None in
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ "" ] -> ()
+      | "#" :: "HELP" :: name :: _ -> help := Some name
+      | [ "#"; "TYPE"; name; kind ] ->
+          if List.mem_assoc name !typed then fail "%s typed twice" name;
+          if !help <> Some name then fail "# TYPE %s has no # HELP" name;
+          if not (name_ok name) then fail "bad metric name %s" name;
+          typed := (name, kind) :: !typed;
+          current := Some (name, kind)
+      | "#" :: _ -> ()
+      | _ ->
+          let series =
+            match String.index_opt line '{' with
+            | Some i -> String.sub line 0 i
+            | None -> List.hd (String.split_on_char ' ' line)
+          in
+          let belongs =
+            match !current with
+            | Some (name, "histogram") ->
+                List.mem series
+                  [ name ^ "_bucket"; name ^ "_sum"; name ^ "_count" ]
+            | Some (name, _) -> series = name
+            | None -> false
+          in
+          if not belongs then fail "sample %S outside its # TYPE" line)
+    (String.split_on_char '\n' text);
+  List.rev !typed
+
+(* README's metric tables: [(name, type)] of every row whose first
+   cell is a backquoted [ssg] name. *)
+let readme_metrics () =
+  let path =
+    if Sys.file_exists "../README.md" then "../README.md" else "README.md"
+  in
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match String.split_on_char '|' line with
+         | "" :: name :: kind :: _ -> (
+             match String.split_on_char '`' name with
+             | [ _; name; _ ] when String.starts_with ~prefix:"ssg" name ->
+                 Some (name, String.trim kind)
+             | _ -> None)
+         | _ -> None)
+
+(* Three live scrapes — a worker with a store, a router over two
+   workers, a gateway in front of that router — each linted, checked
+   for the names perfbench reads, and checked against README's
+   tables; the worker's also for every scalar snapshot field. *)
+let test_exposition_lint () =
+  let store_dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ssg-exposition-%d" (Unix.getpid ()))
+  in
+  let worker = fresh_tcp () in
+  let wt =
+    Thread.create
+      (fun () ->
+        Server.serve ~workers:1 ~queue_capacity:16 ~cache_capacity:64
+          ~drain_timeout_s:5. ~persist:store_dir ~socket:worker ())
+      ()
+  in
+  Client.close (Service.connect worker);
+  let b1, t1 = start_worker () in
+  let b2, t2 = start_worker () in
+  let router = fresh_tcp () in
+  let rt =
+    Thread.create
+      (fun () ->
+        Ssg_cluster.Router.serve ~probe_interval_s:0.5 ~drain_timeout_s:5.
+          ~backends:[ b1; b2 ] ~socket:router ())
+      ()
+  in
+  Client.close (Service.connect router);
+  let listen = fresh_tcp () in
+  let gt =
+    Thread.create
+      (fun () -> Gateway.serve ~drain_timeout_s:5. ~listen ~backend:router ())
+      ()
+  in
+  let job = Job.of_run_text ~k:2 two_islands in
+  let scrape addr =
+    let c = Service.connect addr in
+    ignore (Client.submit c job);
+    let text = Client.metrics_text c in
+    Client.close c;
+    text
+  in
+  let worker_text = scrape worker and router_text = scrape router in
+  let status, _ = post listen "/submit?k=2" two_islands in
+  check_int "gateway submit" 200 status;
+  let status, gateway_text = get listen "/metrics" in
+  check_int "gateway metrics" 200 status;
+  let documented = readme_metrics () in
+  let in_readme (name, kind) =
+    let cluster = "ssg_cluster_" in
+    let n = String.length cluster in
+    List.mem (name, kind) documented
+    || String.starts_with ~prefix:cluster name
+       && kind = "gauge"
+       && List.mem_assoc "ssg_cluster_<field>" documented
+       && List.mem_assoc
+            ("ssgd_" ^ String.sub name n (String.length name - n))
+            documented
+  in
+  let check_scrape what text ~reads =
+    let typed = lint_exposition what text in
+    List.iter
+      (fun m ->
+        check
+          (Printf.sprintf "%s: %s %s in README's tables" what (fst m) (snd m))
+          true (in_readme m))
+      typed;
+    List.iter
+      (fun name ->
+        check
+          (Printf.sprintf "%s: perfbench reads %s" what name)
+          true (List.mem_assoc name typed))
+      reads;
+    typed
+  in
+  let typed =
+    check_scrape "worker" worker_text
+      ~reads:
+        [
+          "ssgd_jobs_submitted";
+          "ssgd_jobs_rejected_lint";
+          "ssgd_cache_hits";
+          "ssgd_dedup_joins";
+          "ssgd_job_queue_wait_ms";
+          "ssgd_job_exec_ms";
+          "ssg_store_fsyncs_total";
+          "ssg_store_compactions_total";
+          "ssg_store_journal_bytes";
+        ]
+  in
+  let c = Service.connect worker in
+  List.iter
+    (fun f ->
+      match f with
+      | Telemetry.F_count (name, _)
+      | Telemetry.F_gauge_i (name, _)
+      | Telemetry.F_gauge_f (name, _) ->
+          check ("--prom carries --json's " ^ name) true
+            (List.mem_assoc ("ssgd_" ^ name) typed)
+      | Telemetry.F_summary _ -> ())
+    (Telemetry.fields (Client.stats c));
+  Client.close c;
+  ignore
+    (check_scrape "router" router_text ~reads:[ "ssg_hop_router_worker_ms" ]);
+  ignore
+    (check_scrape "gateway" (http_body gateway_text)
+       ~reads:[ "ssg_hop_gateway_router_ms" ]);
+  let status, _ = post listen "/shutdown" "" in
+  check_int "gateway shutdown" 200 status;
+  Thread.join gt;
+  let c = Service.connect router in
+  Client.shutdown c;
+  Client.close c;
+  Thread.join rt;
+  stop_worker b1 t1;
+  stop_worker b2 t2;
+  stop_worker worker wt;
+  Array.iter
+    (fun f -> Sys.remove (Filename.concat store_dir f))
+    (Sys.readdir store_dir);
+  Sys.rmdir store_dir
+
 let tests =
   [
     Alcotest.test_case "loadgen: slo specs" `Quick test_slo_of_string;
-    Alcotest.test_case "loadgen: percentile math" `Quick test_percentile;
     Alcotest.test_case "gateway: end to end" `Quick test_gateway_end_to_end;
     Alcotest.test_case "gateway: shutdown closes idle connections at once"
       `Quick test_gateway_shutdown_closes_idle_connections;
@@ -522,6 +706,8 @@ let tests =
       test_gateway_trace_propagation;
     Alcotest.test_case "gateway: trace relays the fleet pull" `Quick
       test_gateway_trace_relays_fleet_pull;
+    Alcotest.test_case "exposition: lint, README tables" `Quick
+      test_exposition_lint;
     Alcotest.test_case "loadgen: slow-request trace sampling" `Quick
       test_loadgen_trace_top;
     Alcotest.test_case "loadgen: closed-loop smoke" `Quick

@@ -143,22 +143,46 @@ let test_ring_overflow () =
 let test_counters_and_gauges () =
   let t = Metrics.create () in
   let c = Metrics.counter t ~help:"jobs" "jobs_total" in
-  let g = Metrics.gauge t "queue_depth" in
+  let g = Metrics.gauge t ~help:"queued" "queue_depth" in
+  let routed =
+    Metrics.counter_family t ~help:"routed" ~label:"backend" "routed_total"
+  in
+  let up = Metrics.gauge_family t ~help:"up" ~label:"backend" "up" in
+  let drops = ref 0 in
+  Metrics.counter_fn t ~help:"drops" "drops_total" (fun () -> !drops);
   Metrics.incr c;
   Metrics.add c 4;
   check_int "counter accumulates" 5 (Metrics.counter_value c);
   Metrics.set_gauge g 3.5;
-  check "gauge holds last set" true (Metrics.gauge_value g = 3.5);
+  Metrics.incr (Metrics.labeled routed "unix:/tmp/w2.sock");
+  Metrics.add (Metrics.labeled routed "unix:/tmp/w1.sock") 2;
+  Metrics.incr (Metrics.labeled routed "unix:/tmp/w1.sock");
+  check_int "one series per label value" 3
+    (Metrics.counter_value (Metrics.labeled routed "unix:/tmp/w1.sock"));
+  Metrics.set_gauge (Metrics.labeled up "we\"ird\\") 1.;
+  drops := 7;
   let text = Metrics.to_prometheus t in
   check "TYPE line" true
     (is_infix ~affix:"# TYPE jobs_total counter" text);
   check "HELP line" true (is_infix ~affix:"# HELP jobs_total jobs" text);
   check "counter sample" true (is_infix ~affix:"jobs_total 5" text);
-  check "gauge sample" true (is_infix ~affix:"queue_depth 3.5" text)
+  check "gauge sample" true (is_infix ~affix:"queue_depth 3.5" text);
+  check "one TYPE for a family, its series sorted" true
+    (is_infix
+       ~affix:
+         "# TYPE routed_total counter\n\
+          routed_total{backend=\"unix:/tmp/w1.sock\"} 3\n\
+          routed_total{backend=\"unix:/tmp/w2.sock\"} 1\n"
+       text);
+  check "label values escaped" true
+    (is_infix ~affix:"up{backend=\"we\\\"ird\\\\\"} 1\n" text);
+  check "read at render" true (is_infix ~affix:"\ndrops_total 7\n" text)
 
 let test_histogram_buckets () =
   let t = Metrics.create () in
-  let h = Metrics.histogram t ~buckets:[| 1.; 10.; 100. |] "lat_ms" in
+  let h =
+    Metrics.histogram t ~help:"latency" ~buckets:[| 1.; 10.; 100. |] "lat_ms"
+  in
   List.iter (Metrics.observe h) [ 0.5; 5.; 5.; 50.; 5000. ];
   let s = Metrics.hist_snapshot h in
   check_int "count" 5 s.Metrics.count;
@@ -179,17 +203,17 @@ let test_histogram_buckets () =
 
 let test_registry_rejects_bad_names () =
   let t = Metrics.create () in
-  ignore (Metrics.counter t "ok_name");
+  ignore (Metrics.counter t ~help:"ok" "ok_name");
   check "duplicate raises" true
-    (match Metrics.counter t "ok_name" with
+    (match Metrics.counter t ~help:"ok" "ok_name" with
     | exception Invalid_argument _ -> true
     | _ -> false);
   check "invalid chars raise" true
-    (match Metrics.counter t "bad-name" with
+    (match Metrics.counter t ~help:"bad" "bad-name" with
     | exception Invalid_argument _ -> true
     | _ -> false);
   check "bad buckets raise" true
-    (match Metrics.histogram t ~buckets:[| 2.; 1. |] "h" with
+    (match Metrics.histogram t ~help:"h" ~buckets:[| 2.; 1. |] "h" with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -227,18 +251,26 @@ let test_snapshot_serializers_cover_every_field () =
     fields;
   let prom = Ssg_engine.Engine.prometheus engine in
   List.iter
-    (fun f ->
-      check
-        (Printf.sprintf "Prometheus carries %S" (field_name f))
-        true
-        (is_infix ~affix:("ssgd_" ^ field_name f) prom))
+    (function
+      | Ssg_engine.Telemetry.F_summary (name, _) ->
+          check
+            (Printf.sprintf "no Prometheus summary for %S" name)
+            false
+            (is_infix ~affix:("ssgd_" ^ name ^ "{quantile=") prom)
+      | f ->
+          check
+            (Printf.sprintf "Prometheus carries %S" (field_name f))
+            true
+            (is_infix ~affix:("\nssgd_" ^ field_name f ^ " ") prom))
     fields;
   check "phase histogram buckets exposed" true
     (is_infix ~affix:"ssgd_job_queue_wait_ms_bucket{le=" prom);
   check "exec histogram exposed" true
     (is_infix ~affix:"ssgd_job_exec_ms_bucket{le=" prom);
-  check "queue-wait summary quantiles exposed" true
-    (is_infix ~affix:"ssgd_queue_wait_ms{quantile=\"0.5\"}" prom);
+  check "gauges set from the snapshot" true
+    (is_infix ~affix:"\nssgd_workers 1\n" prom
+    && is_infix ~affix:"\nssgd_queue_capacity 4\n" prom
+    && is_infix ~affix:"\nssgd_cache_entries 1\n" prom);
   check "no legacy end-to-end latency series" false
     (is_infix ~affix:"ssgd_latency_ms" prom
     || is_infix ~affix:"ssgd_job_latency_ms" prom);
@@ -467,12 +499,21 @@ let test_stitch_links_metadata_and_clock () =
   check_int "a same-process parent makes no flow event" 1 flow_ends;
   (match Stitch.audit_string json with
   | Error msg -> Alcotest.failf "audit rejected the stitched doc: %s" msg
-  | Ok { Stitch.events; processes; links; truncated_ends; open_spans } ->
+  | Ok
+      {
+        Stitch.events;
+        processes;
+        links;
+        truncated_ends;
+        open_spans;
+        dropped_events;
+      } ->
       (* 6 span events + the one cross-process flow pair (s/f). *)
       check_int "span + flow events audited" 8 events;
       check_int "two processes" 2 processes;
       check_int "no truncated ends on a clean doc" 0 truncated_ends;
       check_int "no in-flight spans on a clean doc" 0 open_spans;
+      check_int "no ring drops on a clean doc" 0 dropped_events;
       (match links with
       | [ l ] ->
           check "link parent is the gateway span" true
@@ -482,22 +523,27 @@ let test_stitch_links_metadata_and_clock () =
       | ls -> Alcotest.failf "expected 1 cross-process link, got %d"
                 (List.length ls)));
   (* A busy-fleet shape: an end whose begin was evicted by the ring
-     buffer, and a span still open at pull time.  Counted, not
-     rejected. *)
+     buffer, a span still open at pull time, and a ring that wrapped
+     (its drop count rides in the process_name metadata).  Counted,
+     not rejected. *)
   let busy =
     {
       Tracer.role = "worker";
       pid = 1;
       epoch_s = 600.;
-      dropped_events = 3;
+      dropped_events = 5;
       events = [ ev Tracer.End "evicted" 1.; ev Tracer.Begin "inflight" 2. ];
     }
   in
-  match Stitch.audit_string (Stitch.chrome_of_reports [ busy ]) with
+  let json = Stitch.chrome_of_reports [ busy; { r_gw with pid = 2 } ] in
+  check "process_name carries the drop count" true
+    (is_infix ~affix:"\"name\":\"worker (pid 1)\",\"dropped_events\":5" json);
+  match Stitch.audit_string json with
   | Error msg -> Alcotest.failf "audit rejected the busy doc: %s" msg
   | Ok a ->
       check_int "truncated end counted" 1 a.Stitch.truncated_ends;
-      check_int "in-flight span counted" 1 a.Stitch.open_spans
+      check_int "in-flight span counted" 1 a.Stitch.open_spans;
+      check_int "ring drops summed" 5 a.Stitch.dropped_events
 
 (* --- remote-parent spans --- *)
 
@@ -534,11 +580,7 @@ let test_hop_histograms_and_dropped_counter () =
   let t = Ssg_engine.Telemetry.create () in
   Ssg_engine.Telemetry.record_submitted t;
   Ssg_engine.Telemetry.record_completed t ~queue_ms:2. ~exec_ms:3.;
-  let s =
-    Ssg_engine.Telemetry.snapshot t ~workers:1 ~queue_depth:0
-      ~queue_capacity:4 ~cache_entries:0
-  in
-  let prom = Ssg_engine.Telemetry.prometheus t s in
+  let prom = Metrics.to_prometheus (Ssg_engine.Telemetry.registry t) in
   check "queue wait histogram conformant" true
     (is_infix ~affix:"# TYPE ssgd_job_queue_wait_ms histogram" prom
     && is_infix ~affix:"ssgd_job_queue_wait_ms_bucket{le=" prom

@@ -22,6 +22,15 @@ let test_percentile () =
   checkf "median odd" 2.0 (Stats.median [| 3.0; 1.0; 2.0 |]);
   checkf "singleton" 9.0 (Stats.percentile [| 9.0 |] 73.0)
 
+let test_percentile_sorted () =
+  checkf "singleton" 7.0 (Stats.percentile_sorted [| 7.0 |] 99.0);
+  let sorted = [| 1.0; 2.0; 3.0; 4.0 |] in
+  checkf "p0 is the min" 1.0 (Stats.percentile_sorted sorted 0.0);
+  checkf "p100 is the max" 4.0 (Stats.percentile_sorted sorted 100.0);
+  (* rank 0.5 * 3 = 1.5 — halfway between 2 and 3. *)
+  checkf "p50 interpolates" 2.5 (Stats.percentile_sorted sorted 50.0);
+  checkf "p75 interpolates" 3.25 (Stats.percentile_sorted sorted 75.0)
+
 let test_percentile_unsorted_input_untouched () =
   let xs = [| 3.0; 1.0; 2.0 |] in
   ignore (Stats.percentile xs 50.0);
@@ -89,6 +98,8 @@ let tests =
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "percentile preserves input" `Quick
       test_percentile_unsorted_input_untouched;
+    Alcotest.test_case "percentile of a sorted sample" `Quick
+      test_percentile_sorted;
     Alcotest.test_case "summarize" `Quick test_summarize;
     Alcotest.test_case "linear fit" `Quick test_linear_fit;
     Alcotest.test_case "linear fit (negative slope)" `Quick test_linear_fit_noisy;
