@@ -252,6 +252,18 @@ let run_micro scale =
   Table.print table;
   print_newline ()
 
+(* Every bench job is lint-clean, so a refusal is a bug. *)
+let await_ok engine ticket =
+  match Ssg_engine.Engine.await engine ticket with
+  | Ok completion -> completion
+  | Error diags -> failwith diags
+
+(* Submit every job, then await each in order, so the pool pipelines
+   the batch — the [ssg sweep] fold. *)
+let run_all engine jobs =
+  List.map (Ssg_engine.Engine.submit engine) jobs
+  |> List.map (await_ok engine)
+
 (* ---------------- B9: service-engine batch throughput ---------------- *)
 
 (* Wall-clock, not Bechamel: the subject is a persistent stateful engine
@@ -292,10 +304,10 @@ let run_engine_bench scale =
       ()
   in
   let cold_completions, cold_s =
-    time (fun () -> Ssg_engine.Engine.run_batch engine batch)
+    time (fun () -> run_all engine batch)
   in
   let warm_completions, warm_s =
-    time (fun () -> Ssg_engine.Engine.run_batch engine batch)
+    time (fun () -> run_all engine batch)
   in
   let stats = Ssg_engine.Engine.stats engine in
   Ssg_engine.Engine.shutdown engine;
@@ -377,7 +389,7 @@ let run_tracing_bench scale =
     let engine =
       Ssg_engine.Engine.create ~workers ~queue_capacity:32 ~cache_capacity:0 ()
     in
-    let completions = Ssg_engine.Engine.run_batch engine batch in
+    let completions = run_all engine batch in
     Ssg_engine.Engine.shutdown engine;
     assert (
       List.for_all (fun c -> Result.is_ok c.Ssg_engine.Job.result) completions)
@@ -834,14 +846,10 @@ let run_sweep_bench scale =
     let engine = Ssg_engine.Engine.create ~workers ~cache_capacity:0 () in
     let (), s =
       time (fun () ->
-          let tickets =
-            List.map (fun j -> Ssg_engine.Engine.submit engine j) jobs
-          in
           List.iter
-            (fun t ->
-              let completion = Ssg_engine.Engine.await engine t in
+            (fun completion ->
               assert (Result.is_ok completion.Ssg_engine.Job.result))
-            tickets)
+            (run_all engine jobs))
     in
     Ssg_engine.Engine.shutdown engine;
     s
@@ -1096,11 +1104,10 @@ let run_ctx_bench scale =
 (* Lint v2's per-file work is real analysis — a fixpoint traversal of the
    skeleton chain with a per-revision min_k (branch-and-bound MIS), the
    Psrcs machinery, the text-level passes — and a lint fleet (`ssg lint
-   FILE...`, the engine's batch pre-gate) is embarrassingly parallel
-   across files.  B16 measures exactly the CLI's fan-out: the same
-   generated corpus linted by a single-domain List.map versus
-   Pool.run (the caller plus all cores but one), asserting identical
-   summaries.
+   FILE...`) is embarrassingly parallel across files.  B16 measures
+   exactly the CLI's fan-out: the same generated corpus linted by a
+   single-domain List.map versus Pool.run (the caller plus all cores
+   but one), asserting identical summaries.
 
    Gate (SSG_LINT_GATE=1): pool lint >= 2x single-domain — armed only on
    >= 4 worker domains (with fewer cores there is no 2x to claim). *)
@@ -1225,7 +1232,7 @@ let run_store_bench scale =
   (* Seeding life: compute the working set once, journaled. *)
   let store = Ssg_store.Store.open_ ~dir () in
   let engine = Ssg_engine.Engine.create ~workers ~store () in
-  let seeded = Ssg_engine.Engine.run_batch engine batch in
+  let seeded = run_all engine batch in
   assert (
     List.for_all (fun c -> Result.is_ok c.Ssg_engine.Job.result) seeded);
   Ssg_engine.Engine.shutdown engine;
@@ -1235,11 +1242,11 @@ let run_store_bench scale =
   let time_to_target boot =
     let t0 = Unix.gettimeofday () in
     let engine = boot () in
-    let tickets = Ssg_engine.Engine.submit_batch engine batch in
+    let tickets = List.map (Ssg_engine.Engine.submit engine) batch in
     let served = ref 0 and t_target = ref Float.nan and hits = ref 0 in
     List.iter
       (fun ticket ->
-        let c = Ssg_engine.Engine.await engine ticket in
+        let c = await_ok engine ticket in
         assert (Result.is_ok c.Ssg_engine.Job.result);
         if c.Ssg_engine.Job.cached then incr hits;
         incr served;

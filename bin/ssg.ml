@@ -1107,11 +1107,12 @@ let trace_cmd =
             Ssg_engine.Job.make ~algorithm:Ssg_engine.Job.Kset ~k ?rounds
               ~monitor:false adv
           in
-          let completion = Ssg_engine.Engine.run engine job in
+          let result = Ssg_engine.Engine.run engine job in
           Ssg_engine.Engine.shutdown engine;
           Ssg_obs.Tracer.set_enabled false;
-          (match completion.Ssg_engine.Job.result with
-          | Error msg -> `Error (false, msg)
+          (match result with
+          | Error msg | Ok { Ssg_engine.Job.result = Error msg; _ } ->
+              `Error (false, msg)
           | Ok _ ->
               finish
                 (Ssg_obs.Stitch.chrome_of_reports
@@ -1553,24 +1554,18 @@ let sweep_cmd =
                 Ssg_obs.Tracer.set_enabled true;
                 let engine = Ssg_engine.Engine.create ?workers () in
                 let t0 = Unix.gettimeofday () in
-                (* Submit everything as one batch: the engine pre-gates
-                   (lints) the whole grid on the pool up front, then the
-                   pool pipelines execution; await in cell order under
-                   per-cell spans. *)
-                let prepared =
+                (* Submit every cell, so the pool pipelines the grid;
+                   await in cell order under per-cell spans. *)
+                let tickets =
                   List.map
                     (fun cell ->
                       let adv = Sweep.adversary cell in
                       let k = Sweep.effective_k cell adv in
-                      (cell, k, Ssg_engine.Job.make ~k ?rounds adv))
+                      ( cell,
+                        k,
+                        Ssg_engine.Engine.submit engine
+                          (Ssg_engine.Job.make ~k ?rounds adv) ))
                     cells
-                in
-                let tickets =
-                  Ssg_engine.Engine.submit_batch engine
-                    (List.map (fun (_, _, job) -> job) prepared)
-                  |> List.map2
-                       (fun (cell, k, _) ticket -> (cell, k, ticket))
-                       prepared
                 in
                 let results =
                   List.map
@@ -1587,7 +1582,17 @@ let sweep_cmd =
                         "sweep.cell"
                         (fun () ->
                           let completion =
-                            Ssg_engine.Engine.await engine ticket
+                            match Ssg_engine.Engine.await engine ticket with
+                            | Ok completion -> completion
+                            | Error diags ->
+                                (* Never taken: [effective_k] is at least
+                                   the cell's [min_k], so the gate admits
+                                   every cell. *)
+                                {
+                                  Ssg_engine.Job.result = Error diags;
+                                  cached = false;
+                                  latency_ms = 0.;
+                                }
                           in
                           {
                             Sweep.cell;

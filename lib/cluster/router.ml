@@ -198,9 +198,16 @@ let fleet_reports t =
 (* The cluster exposition: the router's registry, its per-shard gauges
    set from this scrape's stats fan-out, then the merged snapshot's
    ssg_cluster_* gauges when any backend answered.  Every member gets
-   a routed series, at zero until a job lands there. *)
+   a routed series, at zero until a job lands there; a member that
+   left loses all three series, even one a late [record_routed]
+   recreated after its Leave. *)
 let metrics_text t =
   let reports = fan_stats t in
+  let members = backends t in
+  let keep addr = List.mem addr members in
+  Metrics.retain t.shard_routed ~keep;
+  Metrics.retain t.shard_up ~keep;
+  Metrics.retain t.shard_reporting ~keep;
   List.iter
     (fun addr ->
       let flag b = if b then 1. else 0. in
@@ -211,7 +218,7 @@ let metrics_text t =
       Metrics.set_gauge
         (Metrics.labeled t.shard_reporting addr)
         (flag (List.mem_assoc addr reports)))
-    (backends t);
+    members;
   Metrics.to_prometheus t.metrics
   ^ Metrics.to_prometheus (Telemetry.cluster_registry (List.map snd reports))
 

@@ -42,9 +42,10 @@
     backend address
     ([ssg_router_shard_routed_total{backend="unix:/tmp/w1.sock"}],
     [ssg_router_shard_up], [ssg_router_shard_reporting], the last two
-    set from that scrape's [Stats] fan-out), followed by the merged
-    snapshot of that fan-out as [ssg_cluster_<field>] gauges (none when
-    no backend answered); [Trace_pull] answers with the router's own
+    set from that scrape's [Stats] fan-out; current members only),
+    followed by the merged snapshot of that fan-out as
+    [ssg_cluster_<field>] gauges (none when no backend answered);
+    [Trace_pull] answers with the router's own
     tracer report ([router.route] spans, [router.failover] instants)
     followed by every backend's;
     [Compact] is relayed to every up backend and answered with the sum

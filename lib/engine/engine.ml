@@ -3,12 +3,15 @@ let log_src = Logs.Src.create "ssg.engine" ~doc:"Simulation service engine"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 module Tracer = Ssg_obs.Tracer
 
-type done_r = (Job.outcome, string) Stdlib.result
+(* What a result cell is filled with: [Ok result] once the job ran
+   (its result may still be an execution error), [Error rendered] when
+   the lint gate refused it. *)
+type cell = ((Job.outcome, string) Stdlib.result, string) Stdlib.result Ivar.t
 
 type t = {
   pool : Ssg_util.Pool.t;
   cache : Job.outcome Lru.t;
-  pending : (string, done_r Ivar.t) Hashtbl.t;
+  pending : (string, cell) Hashtbl.t;
       (* key → in-flight result cell, for dedup of identical jobs *)
   lock : Mutex.t;  (* guards [cache] and [pending] together *)
   telemetry : Telemetry.t;
@@ -57,9 +60,8 @@ let telemetry t = t.telemetry
 let store t = t.store
 
 type ticket =
-  | Immediate of Job.completion
-  | Rejected of { message : string; submitted : float }
-  | Waiting of { cell : done_r Ivar.t; submitted : float; shared : bool }
+  | Ready of (Job.completion, string) Stdlib.result
+  | Waiting of { cell : cell; submitted : float; shared : bool }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -150,16 +152,79 @@ let hit t job outcome =
   trace_instant "engine.cache_hit" job;
   { Job.result = Ok outcome; cached = true; latency_ms = 0. }
 
+let find t job = locked t (fun () -> Lru.find t.cache (Job.key job))
+
 let cached ?ctx t job =
-  match locked t (fun () -> Lru.find t.cache (Job.key job)) with
+  match find t job with
   | None -> None
   | Some outcome -> Some (submission ?ctx t job (fun _ -> hit t job outcome))
 
-let rec submit_with ?lookup ?ctx t job =
-  submission ?ctx t job (fun span_ctx ->
-      submit_traced ?lookup ?ctx:span_ctx t job)
+(* Enqueue a job the gate admitted; its result fills [cell]. *)
+let fresh_execute ?ctx t job ~key ~cell ~now =
+  Telemetry.record_miss t.telemetry;
+  let task () =
+    (* Runs on a worker domain.  The span begins and ends here so
+       every B/E pair shares one trace track; the cross-domain queue
+       wait is carried as a span argument instead of a span of its
+       own. *)
+    let exec_start = Unix.gettimeofday () in
+    let queue_ms = 1000. *. (exec_start -. now) in
+    if Tracer.enabled () then begin
+      let args = ("queue_ms", Tracer.Float queue_ms) :: job_args job in
+      match ctx with
+      | Some c -> ignore (Tracer.span_begin_ctx ~args ~ctx:c "engine.execute")
+      | None -> Tracer.span_begin ~args "engine.execute"
+    end;
+    let result =
+      try
+        (match Faults.on_execute t.faults with
+        | Faults.Run -> ()
+        | Faults.Delay s ->
+            Telemetry.record_injected t.telemetry;
+            Unix.sleepf s
+        | Faults.Crash ->
+            Telemetry.record_injected t.telemetry;
+            failwith "injected fault: job crashed");
+        Ok (Job.execute job)
+      with e -> Stdlib.Error (Printexc.to_string e)
+    in
+    let exec_ms = 1000. *. (Unix.gettimeofday () -. exec_start) in
+    if Tracer.enabled () then
+      Tracer.span_end
+        ~args:
+          [
+            ( "ok",
+              Tracer.Int (match result with Ok _ -> 1 | Error _ -> 0) );
+          ]
+        "engine.execute";
+    locked t (fun () ->
+        Hashtbl.remove t.pending key;
+        match result with
+        | Ok outcome -> Lru.add t.cache key outcome
+        | Error _ -> ());
+    (match result with
+    | Ok outcome -> persist_outcome t ~key outcome
+    | Error _ -> ());
+    (match result with
+    | Ok _ -> Telemetry.record_completed t.telemetry ~queue_ms ~exec_ms
+    | Error msg ->
+        Telemetry.record_failed t.telemetry ~queue_ms ~exec_ms;
+        Log.warn (fun m -> m "job failed: %s" msg));
+    Ivar.fill cell (Ok result)
+  in
+  (* Pool.submit blocks on a full queue — backpressure on purpose.
+     The engine lock is NOT held here, so workers finishing jobs
+     can still take it. *)
+  if not (Ssg_util.Pool.submit t.pool task) then begin
+    locked t (fun () -> Hashtbl.remove t.pending key);
+    Ivar.fill cell (Ok (Stdlib.Error "engine is shut down"))
+  end;
+  Waiting { cell; submitted = now; shared = false }
 
-and submit_traced ?lookup ?ctx t job =
+(* A canonical job past the probe by its key as sent: a hit under the
+   canonical key, a join of its in-flight twin, or a fresh entry in the
+   dedup table that the lint gate then admits or refuses. *)
+let admit ?ctx t job =
   let key = Job.key job in
   let now = Unix.gettimeofday () in
   let decision =
@@ -175,7 +240,7 @@ and submit_traced ?lookup ?ctx t job =
                 `Fresh cell))
   in
   match decision with
-  | `Hit outcome -> Immediate (hit t job outcome)
+  | `Hit outcome -> Ready (Ok (hit t job outcome))
   | `In_flight cell ->
       (* Joining an in-flight twin is dedup, not an LRU hit — counting
          it as one inflates the reported cache hit rate. *)
@@ -184,161 +249,47 @@ and submit_traced ?lookup ?ctx t job =
       Waiting { cell; submitted = now; shared = true }
   | `Fresh cell -> (
       (* Lint front door: a job whose run can never satisfy its own
-         predicate (or does not even parse) is refused before it costs a
-         worker slot.  Only fresh submissions are checked — a cache hit
-         or an in-flight twin proves an identical job already passed.
-         Rejections fill the pending cell so twins that joined in the
-         meantime observe the same Error, and are never cached: the
-         diagnostics are cheap to recompute and the LRU stays reserved
-         for real results. *)
-      let gate =
-        (* A batch pre-gate may have linted this key already (on the
-           pool, in parallel); fall back to the inline gate when the
-           lookup has nothing — the table is an optimization, never a
-           correctness dependency. *)
-        match Option.bind lookup (fun find -> find key) with
-        | Some gate -> gate
-        | None -> run_gate job
-      in
-      match gate with
+         predicate is refused before it costs a worker slot.  Only
+         fresh submissions are checked — a cache hit or an in-flight
+         twin proves an identical job already passed.  A refusal fills
+         the pending cell so twins that joined in the meantime get the
+         same [Error], and is never cached: the diagnostics are cheap
+         to recompute and the LRU stays reserved for real results. *)
+      match run_gate job with
       | Some diags ->
           locked t (fun () -> Hashtbl.remove t.pending key);
           let message = rejection_message t job diags in
           Ivar.fill cell (Stdlib.Error message);
-          Rejected { message; submitted = now }
+          Ready (Stdlib.Error message)
       | None -> fresh_execute ?ctx t job ~key ~cell ~now)
 
-and fresh_execute ?ctx t job ~key ~cell ~now =
-  Telemetry.record_miss t.telemetry;
-  let task () =
-        (* Runs on a worker domain.  The span begins and ends here so
-           every B/E pair shares one trace track; the cross-domain queue
-           wait is carried as a span argument instead of a span of its
-           own. *)
-        let exec_start = Unix.gettimeofday () in
-        let queue_ms = 1000. *. (exec_start -. now) in
-        if Tracer.enabled () then begin
-          let args = ("queue_ms", Tracer.Float queue_ms) :: job_args job in
-          match ctx with
-          | Some c -> ignore (Tracer.span_begin_ctx ~args ~ctx:c "engine.execute")
-          | None -> Tracer.span_begin ~args "engine.execute"
-        end;
-        let result =
-          try
-            (match Faults.on_execute t.faults with
-            | Faults.Run -> ()
-            | Faults.Delay s ->
-                Telemetry.record_injected t.telemetry;
-                Unix.sleepf s
-            | Faults.Crash ->
-                Telemetry.record_injected t.telemetry;
-                failwith "injected fault: job crashed");
-            Ok (Job.execute job)
-          with e -> Stdlib.Error (Printexc.to_string e)
-        in
-        let exec_ms = 1000. *. (Unix.gettimeofday () -. exec_start) in
-        if Tracer.enabled () then
-          Tracer.span_end
-            ~args:
-              [
-                ( "ok",
-                  Tracer.Int (match result with Ok _ -> 1 | Error _ -> 0) );
-              ]
-            "engine.execute";
-        locked t (fun () ->
-            Hashtbl.remove t.pending key;
-            match result with
-            | Ok outcome -> Lru.add t.cache key outcome
-            | Error _ -> ());
-        (match result with
-        | Ok outcome -> persist_outcome t ~key outcome
-        | Error _ -> ());
-        (match result with
-        | Ok _ -> Telemetry.record_completed t.telemetry ~queue_ms ~exec_ms
-        | Error msg ->
-            Telemetry.record_failed t.telemetry ~queue_ms ~exec_ms;
-            Log.warn (fun m -> m "job failed: %s" msg));
-        Ivar.fill cell result
-      in
-      (* Pool.submit blocks on a full queue — backpressure on purpose.
-         The engine lock is NOT held here, so workers finishing jobs
-         can still take it. *)
-      if not (Ssg_util.Pool.submit t.pool task) then begin
-        locked t (fun () -> Hashtbl.remove t.pending key);
-        Ivar.fill cell (Stdlib.Error "engine is shut down")
-      end;
-      Waiting { cell; submitted = now; shared = false }
+(* The one way in.  The job is probed by its key as sent, so a hit
+   costs no parse; only a miss is normalized, and only its canonical
+   key may enter the cache, the dedup table and the journal. *)
+let submit ?ctx t job =
+  submission ?ctx t job (fun span_ctx ->
+      match find t job with
+      | Some outcome -> Ready (Ok (hit t job outcome))
+      | None -> (
+          match Job.normalize job with
+          | job -> admit ?ctx:span_ctx t job
+          | exception Failure msg ->
+              (* No canonical form: the gate words the SSG000 refusal. *)
+              let diags = Option.value (run_gate job) ~default:msg in
+              Ready (Stdlib.Error (rejection_message t job diags))))
 
-let submit ?ctx t job = submit_with ?ctx t job
-
-(* Gated outside the dedup table: a job with no canonical form has no
-   key that may enter it. *)
-let refuse ?ctx t job =
-  submission ?ctx t job (fun _ ->
-      let submitted = Unix.gettimeofday () in
-      match run_gate job with
-      | Some diags ->
-          Rejected { message = rejection_message t job diags; submitted }
-      | None -> invalid_arg "Engine.refuse: the job passes the lint gate")
-
-let rejection = function
-  | Rejected { message; _ } -> Some message
-  | Immediate _ | Waiting _ -> None
-
-let await _t ticket =
-  match ticket with
-  | Immediate completion -> completion
-  | Rejected { message; submitted } ->
-      {
-        Job.result = Stdlib.Error message;
-        cached = false;
-        latency_ms = 1000. *. (Unix.gettimeofday () -. submitted);
-      }
+let await _t = function
+  | Ready r -> r
   | Waiting { cell; submitted; shared } ->
-      let result = Ivar.read cell in
-      {
-        Job.result;
-        cached = shared;
-        latency_ms = 1000. *. (Unix.gettimeofday () -. submitted);
-      }
+      Ivar.read cell
+      |> Result.map (fun result ->
+             {
+               Job.result;
+               cached = shared;
+               latency_ms = 1000. *. (Unix.gettimeofday () -. submitted);
+             })
 
 let run t job = await t (submit t job)
-
-(* Batch pre-gate: lint every distinct not-yet-resolved key of the batch
-   on the worker pool before any submission.  The cache/pending peek is
-   a racy optimization — a key that resolves concurrently is simply
-   gated again inline by [submit_with]'s fallback. *)
-let pregate t jobs =
-  let seen = Hashtbl.create 32 in
-  let fresh =
-    List.filter_map
-      (fun job ->
-        let key = Job.key job in
-        if Hashtbl.mem seen key then None
-        else begin
-          Hashtbl.add seen key ();
-          let resolved =
-            locked t (fun () ->
-                Lru.mem t.cache key || Hashtbl.mem t.pending key)
-          in
-          if resolved then None else Some (key, job)
-        end)
-      jobs
-  in
-  let gates = Hashtbl.create 32 in
-  (match fresh with
-  | [] | [ _ ] -> () (* nothing worth fanning out; inline gating wins *)
-  | fresh ->
-      Ssg_util.Pool.map t.pool (fun (key, job) -> (key, run_gate job)) fresh
-      |> List.iter (fun (key, gate) -> Hashtbl.add gates key gate));
-  gates
-
-let submit_batch t jobs =
-  let gates = pregate t jobs in
-  let lookup key = Hashtbl.find_opt gates key in
-  List.map (fun job -> submit_with ~lookup t job) jobs
-
-let run_batch t jobs = List.map (await t) (submit_batch t jobs)
 
 let stats t =
   let cache_entries = locked t (fun () -> Lru.length t.cache) in
@@ -371,16 +322,23 @@ let import t entries =
      last and lands most-recent in the receiving cache.  Imports are
      seeds, not fresh results: they are persisted (a handed-off key
      must survive the joiner's next restart) but never counted as
-     completions. *)
+     completions.  A key in flight is left to its running job, which
+     caches and journals it itself. *)
   List.fold_left
     (fun n (key, value) ->
       match Protocol.outcome_of_string value with
       | outcome ->
-          locked t (fun () ->
-              if not (Hashtbl.mem t.pending key) then
-                Lru.add t.cache key outcome);
-          persist_outcome t ~key outcome;
-          n + 1
+          let in_flight =
+            locked t (fun () ->
+                Hashtbl.mem t.pending key
+                || (Lru.add t.cache key outcome;
+                    false))
+          in
+          if in_flight then n
+          else begin
+            persist_outcome t ~key outcome;
+            n + 1
+          end
       | exception Failure msg ->
           Log.warn (fun m -> m "import: skipping undecodable entry: %s" msg);
           n)

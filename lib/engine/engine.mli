@@ -14,8 +14,9 @@
       domain, cached (successes only) and delivered.
 
     [submit] returns a {!ticket}; [await] blocks until the result is in.
-    Submitting from several threads is safe — that is the server's normal
-    mode. *)
+    A batch is every job submitted, then each awaited in order, so the
+    pool pipelines it.  Submitting from several threads is safe — that
+    is the server's normal mode. *)
 
 type t
 
@@ -51,21 +52,25 @@ val telemetry : t -> Telemetry.t
 
 type ticket
 
-(** [submit t job] — may block on a full queue.  Never raises on job
-    errors; they surface as [Error] completions.  [job] must be
-    canonical ({!Job.make}, {!Job.of_run_text} or {!Job.normalize}):
-    its {!Job.key} is what the cache, the dedup table and the journal
-    hold, and only canonical keys may enter them.  The same holds for
-    {!submit_batch} and {!run_batch}.
+(** [submit t job] — the one way into the engine; may block on a full
+    queue.  Never raises on job errors: they surface through {!await}.
 
-    {b Lint front door.}  A fresh submission (no cache hit, no in-flight
-    twin) is first checked by {!Ssg_lint.Lint.gate} against the job's own
-    [k]: jobs whose run description cannot parse or can never satisfy
-    [Psrcs(k)] are rejected without touching the worker pool.  The
-    rejection surfaces as an [Error] completion from [await] (and via
-    {!rejection} for callers that want to answer with a protocol-level
-    error instead), is counted as [jobs_rejected_lint] in telemetry, and
-    is never cached.
+    [job] is taken as it arrived, {!Job.as_sent} or canonical.  Its key
+    as sent is probed in the cache first, exactly as {!cached} does, so
+    a hit costs no parse.  On a miss the job is normalized
+    ({!Job.normalize}) and everything after that is keyed by its
+    canonical {!Job.key}: a hit under that key, a join of an identical
+    job in flight (a {e dedup join}, counted apart from cache hits), or
+    a fresh entry in the dedup table.  Only canonical keys enter the
+    cache, the dedup table and the journal.
+
+    {b Lint front door.}  A fresh submission is first checked by
+    {!Ssg_lint.Lint.gate} against the job's own [k], on the submitting
+    thread: a job whose run can never satisfy [Psrcs(k)] is refused
+    without touching the worker pool.  A run text that does not parse
+    has no canonical form; it is refused with the [SSG000] diagnostic
+    and enters neither the cache nor the dedup table.  A refusal is
+    counted as [jobs_rejected_lint] in telemetry and is never cached.
 
     [ctx], when given and tracing is enabled, makes the [engine.submit]
     span a child of the remote context (the router's or gateway's span
@@ -88,38 +93,17 @@ val submit : ?ctx:Ssg_obs.Context.t -> t -> Job.t -> ticket
     non-canonical job simply misses. *)
 val cached : ?ctx:Ssg_obs.Context.t -> t -> Job.t -> Job.completion option
 
-(** [refuse ?ctx t job] — the ticket for a job whose run text does not
-    parse, so that it has no canonical form (its {!Job.normalize}
-    raised): the lint front door's rejection with the [SSG000]
-    diagnostic, counted and traced like a rejection through {!submit}.
-    The job never touches the cache or the dedup table.
-    @raise Invalid_argument if the job passes the lint gate. *)
-val refuse : ?ctx:Ssg_obs.Context.t -> t -> Job.t -> ticket
-
-(** [rejection ticket] is [Some rendered_diagnostics] iff the submission
-    was refused at the lint front door. *)
-val rejection : ticket -> string option
-
-(** [await t ticket] blocks until the job's completion is available. *)
-val await : t -> ticket -> Job.completion
+(** [await t ticket] blocks until the job is resolved — the one way out.
+    [Error rendered] exactly when the lint gate refused the job: the
+    rendered diagnostics, starting [job rejected by lint:], the same
+    for the submitter and for every twin that joined it.  Otherwise
+    [Ok completion]; its [result] is an [Error] only when the execution
+    itself failed (an inconsistent job, an injected crash, a shut-down
+    engine). *)
+val await : t -> ticket -> (Job.completion, string) result
 
 (** [run t job] is [await t (submit t job)]. *)
-val run : t -> Job.t -> Job.completion
-
-(** [submit_batch t jobs] is [List.map (submit t) jobs] with a parallel
-    front door: every distinct key of the batch that is neither cached
-    nor in flight is linted on the worker pool {e first} (the batch
-    pre-gate), then the jobs are submitted in order consulting those
-    precomputed verdicts.  Per-job semantics — rejection behavior,
-    dedup, telemetry counts, ticket order — are identical to submitting
-    serially; only the lint work is fanned out.  This is what makes
-    lint-bound batches (a sweep grid, [ssg lint] over many files) scale
-    with the pool. *)
-val submit_batch : t -> Job.t list -> ticket list
-
-(** [run_batch t jobs] is {!submit_batch} then [await] in order (so the
-    pool pipelines the whole batch). *)
-val run_batch : t -> Job.t list -> Job.completion list
+val run : t -> Job.t -> (Job.completion, string) result
 
 val stats : t -> Telemetry.snapshot
 
@@ -141,7 +125,8 @@ val export : t -> int -> (string * string) list
     journal, when a store is attached), hottest landing most-recent.
     Entries whose outcome no longer decodes are skipped with a warning;
     entries whose key is currently in flight are left to the running
-    computation.  Returns the number imported. *)
+    computation, which caches and journals it.  Returns the number
+    imported, those left out not included. *)
 val import : t -> (string * string) list -> int
 
 (** [compact t] — snapshot the live cache into the store and truncate

@@ -23,9 +23,9 @@
     {!as_sent} is the one constructor that normalizes nothing: it is
     what the wire decoder builds, so a hop that only routes a job or
     probes a cache with its key never parses the run text.
-    [Engine.submit] and its batch forms, which cache, deduplicate and
-    journal by {!key}, expect a canonical job; a job as sent reaches
-    them through {!normalize}. *)
+    [Engine.submit] takes a job as sent and normalizes it on a cache
+    miss, so only canonical keys enter its cache, its dedup table and
+    the journal. *)
 
 type algorithm = Kset | Floodmin | Flood_consensus | Naive_min
 

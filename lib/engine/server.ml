@@ -46,35 +46,25 @@ let write_reply faults telemetry fd payload =
         faulty_write faults telemetry fd payload)
   else faulty_write faults telemetry fd payload
 
-(* A miss: the worker's one normalization of the job as sent, then
-   lint gate, enqueue, wait for the pool.  A run text that does not
-   parse has no canonical form: it gets the lint gate's rejection, and
-   its key enters neither the cache nor the dedup table. *)
-let submit engine ?ctx job =
-  let ticket =
-    match Job.normalize job with
-    | job -> Engine.submit ?ctx engine job
-    | exception Failure _ -> Engine.refuse ?ctx engine job
-  in
-  match Engine.rejection ticket with
-  | Some diags ->
-      (* A lint rejection is the job's fault, not the connection's:
-         answer with a protocol Error carrying the diagnostics and keep
-         serving. *)
-      Protocol.Error diags
-  | None -> Protocol.Completed (Engine.await engine ticket)
-
 (* The worker's answer to one request: [Now] when it needs no waiting,
    [Later] (a replier thread) for a miss and the ops that wait or
    write.  A job arrives as sent ({!Job.as_sent}); its key is probed in
-   the cache as it is, and only a miss is normalized. *)
+   the cache as it is, and a miss goes to [Engine.submit] as it came.
+   A lint rejection is the job's fault, not the connection's: it is
+   answered with a protocol [Error] carrying the diagnostics, and the
+   connection keeps serving. *)
 let handle engine listener ?ctx request =
   let open Conn in
   match request with
   | Protocol.Submit job -> (
       match Engine.cached ?ctx engine job with
       | Some completion -> Now (Protocol.Completed completion)
-      | None -> Later (fun () -> submit engine ?ctx job))
+      | None ->
+          Later
+            (fun () ->
+              match Engine.await engine (Engine.submit ?ctx engine job) with
+              | Ok completion -> Protocol.Completed completion
+              | Error diags -> Protocol.Error diags))
   | Protocol.Stats -> Now (Protocol.Stats_snapshot (Engine.stats engine))
   | Protocol.Trace_pull ->
       Now

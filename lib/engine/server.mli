@@ -17,13 +17,13 @@
 
     {b Jobs as sent.}  A job arrives as {!Job.as_sent} built it, its
     run text unparsed.  The reader looks its key up as sent, so a hit
-    costs no parse; a miss is normalized once ({!Job.normalize}), on
-    its replier thread, and the canonical job goes through
-    {!Engine.submit}, which looks the cache up again under the
-    canonical key.  A run text that does not parse is answered like
-    any job the lint front door refuses — an [Error] starting
-    [job rejected by lint:] with its [SSG000] diagnostic, counted in
-    [jobs_rejected_lint] — and the connection keeps serving.
+    costs no parse; a miss goes to {!Engine.submit} as it came, on its
+    replier thread, and the engine normalizes it once.  Every job the
+    lint front door refuses — a run text that does not parse included,
+    with its [SSG000] diagnostic — is answered with the [Error] that
+    {!Engine.await} returns, starting [job rejected by lint:], to its
+    submitter and to every twin that joined it; the connection keeps
+    serving.
     The worker adds its own answers to each request, the fault plan on
     reply writes, the [server.reply_write] span, and the {!Telemetry}
     counters for rejected frames, reaped connections and refusals at

@@ -159,30 +159,17 @@ let drop conn =
   conn.fd <- None
 
 (* One request/reply classified against what was asked for.  A
-   lint-error job answered with a lint rejection is the expected
-   outcome; everything else unexpected is a client-visible error. *)
+   lint-error job answered with a lint rejection (a protocol [Error])
+   is the expected outcome; everything else unexpected is a
+   client-visible error. *)
 let classify tally kind reply_payload =
-  let rejection () =
-    tally.completed <- tally.completed + 1;
-    tally.rejected <- tally.rejected + 1
-  in
-  match Protocol.reply_of_bytes reply_payload with
+  match (Protocol.reply_of_bytes reply_payload, kind) with
   | exception Failure _ -> tally.errors <- tally.errors + 1
-  | Protocol.Completed { Job.result = Ok _; _ } -> (
-      match kind with
-      | Cached | Uncached -> tally.completed <- tally.completed + 1
-      | Lint_error -> tally.errors <- tally.errors + 1)
-  | Protocol.Completed { Job.result = Error _; _ } -> (
-      (* A lint job that dedup-joined an in-flight twin comes back as a
-         Completed carrying the rejection, not a protocol Error — both
-         shapes are the expected outcome for that kind. *)
-      match kind with
-      | Lint_error -> rejection ()
-      | Cached | Uncached -> tally.errors <- tally.errors + 1)
-  | Protocol.Error _ -> (
-      match kind with
-      | Lint_error -> rejection ()
-      | Cached | Uncached -> tally.errors <- tally.errors + 1)
+  | Protocol.Completed { Job.result = Ok _; _ }, (Cached | Uncached) ->
+      tally.completed <- tally.completed + 1
+  | Protocol.Error _, Lint_error ->
+      tally.completed <- tally.completed + 1;
+      tally.rejected <- tally.rejected + 1
   | _ -> tally.errors <- tally.errors + 1
 
 (* ---------------- drivers ---------------- *)

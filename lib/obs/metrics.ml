@@ -164,6 +164,12 @@ let labeled f value =
           Hashtbl.add f.series value s;
           s)
 
+let retain f ~keep =
+  Mutex.protect f.series_lock (fun () ->
+      Hashtbl.filter_map_inplace
+        (fun v s -> if keep v then Some s else None)
+        f.series)
+
 let incr = Atomic.incr
 let add c n = ignore (Atomic.fetch_and_add c n)
 let counter_value = Atomic.get

@@ -40,8 +40,7 @@ val counter_fn : t -> help:string -> string -> (unit -> int) -> unit
 (** A one-label family: one series per label value, rendered as
     [name{label="value"}] under a single [# TYPE], label values
     escaped and sorted.  A series is created at zero on first use and
-    never removed, so a departed member's counter keeps its last
-    value. *)
+    kept until {!retain} drops it. *)
 type 'a family
 
 val counter_family :
@@ -52,6 +51,10 @@ val gauge_family : t -> help:string -> label:string -> string -> gauge family
 (** [labeled f v] — the series of [f] for label value [v]: one locked
     table lookup. *)
 val labeled : 'a family -> string -> 'a
+
+(** [retain f ~keep] drops every series of [f] whose label value fails
+    [keep]. *)
+val retain : 'a family -> keep:(string -> bool) -> unit
 
 val incr : counter -> unit
 val add : counter -> int -> unit

@@ -264,14 +264,8 @@ let test_registry_prober_thread () =
   Registry.mark_failure r socket;
   check "marked down" false (Registry.is_up r socket);
   Registry.start r;
-  let rec wait tries =
-    if tries = 0 then Alcotest.fail "prober never re-admitted the backend";
-    if not (Registry.is_up r socket) then begin
-      Thread.delay 0.05;
-      wait (tries - 1)
-    end
-  in
-  wait 100;
+  Service.eventually ~deadline_s:5. ~what:"the prober re-admitted the backend"
+    (fun () -> Registry.is_up r socket);
   Registry.stop r;
   stop_worker socket thread
 
@@ -599,15 +593,10 @@ let test_router_chaos_kill_heal () =
       [ 1; 2; 3; 4 ]
   in
   (* Kill w2 once the burst is moving, heal it before the end. *)
-  let rec wait_progress () =
-    if Atomic.get done_jobs < 30 then begin
-      Thread.delay 0.01;
-      wait_progress ()
-    end
-  in
-  wait_progress ();
+  Service.eventually ~what:"the burst answered 30 jobs" (fun () ->
+      Atomic.get done_jobs >= 30);
   stop_worker w2 t2;
-  Thread.delay 0.3;
+  Thread.delay 0.3;  (* pacing: w2 stays down while the burst goes on *)
   let _, healed_thread = start_worker ~socket:w2 () in
   List.iter Thread.join clients;
   check_int "all 200 jobs answered" 200 (Atomic.get done_jobs);
@@ -715,17 +704,6 @@ let stop_proxy p =
 
 let canonical addr = Ssg_net.Transport.(to_string (of_string_exn addr))
 
-(* Poll [f] until it holds. *)
-let wait_until what f =
-  let rec go tries =
-    if tries = 0 then Alcotest.fail (what ^ ": never happened");
-    if not (f ()) then begin
-      Thread.delay 0.01;
-      go (tries - 1)
-    end
-  in
-  go 1000
-
 let worker_submitted socket =
   let c = Client.connect ~socket ~deadline_s:10. () in
   Fun.protect
@@ -783,7 +761,7 @@ let test_router_dropped_link_fails_over () =
   in
   let pc = Client.connect ~socket:router ~deadline_s:30. () in
   let tickets = List.map (Client.submit_async pc) in_flight in
-  wait_until "the owner received the jobs" (fun () ->
+  Service.eventually ~what:"the owner received the jobs" (fun () ->
       worker_submitted w1 >= 3);
   let dialed = Atomic.get p.p_accepts in
   drop_connections p;
@@ -836,7 +814,7 @@ let test_router_swallowed_reply_fails_over_alone () =
     start_router ~probe_interval_s:60. ~down_after:1000
       ~request_timeout_s:deadline_s ~backends:[ p.p_socket; w2 ] ()
   in
-  wait_until "the prober's stats answered" (fun () ->
+  Service.eventually ~what:"the prober's stats answered" (fun () ->
       Atomic.get p.p_replied >= 1);
   let c = Client.connect ~socket:router ~deadline_s:30. () in
   ignore (Client.stats c);
@@ -913,7 +891,7 @@ let test_router_unparseable_run_keeps_link () =
   served "the first job dials the link"
     (Client.submit_async pc (sample_job ~seed:500 ()));
   (* The prober's first probe dials the proxy too. *)
-  wait_until "the probe and the link dialed" (fun () ->
+  Service.eventually ~what:"the probe and the link dialed" (fun () ->
       Atomic.get p.p_accepts >= 2);
   let dialed = Atomic.get p.p_accepts in
   let in_flight =
@@ -948,18 +926,11 @@ let test_router_unparseable_run_keeps_link () =
 
 (* Poll the router's exposition until a counter satisfies [pred]. *)
 let wait_prom router name pred =
-  let rec go tries =
-    if tries = 0 then Alcotest.fail (name ^ ": condition never reached");
-    let c = Client.connect ~socket:router ~deadline_s:10. () in
-    let v = prom_counter (Client.metrics_text c) name in
-    Client.close c;
-    match v with
-    | Some v when pred v -> ()
-    | _ ->
-        Thread.delay 0.05;
-        go (tries - 1)
-  in
-  go 200
+  Service.eventually ~what:name (fun () ->
+      let c = Client.connect ~socket:router ~deadline_s:10. () in
+      let v = prom_counter (Client.metrics_text c) name in
+      Client.close c;
+      match v with Some v -> pred v | None -> false)
 
 (* A worker started with [--announce] joins a live ring at runtime; the
    warm handoff streams the hot keys for its new ranges, so resubmitting
@@ -1033,6 +1004,39 @@ let test_router_elastic_leave_rescues_keys () =
   (* The leaver itself keeps running; it just left the ring. *)
   stop_worker w3 t3
 
+(* A member that leaves loses its shard series: after an announced
+   worker's shutdown (its Leave), the scrape names it nowhere, and the
+   remaining member keeps all three. *)
+let test_router_leaver_loses_shard_series () =
+  let w1, t1 = start_worker () in
+  let router, rt = start_router ~backends:[ w1 ] () in
+  let w2, t2 = start_worker ~announce:router () in
+  wait_prom router "ssg_router_joins_total" (fun v -> v >= 1);
+  let c = Client.connect ~socket:router ~deadline_s:30. () in
+  let burst = List.init 20 (fun i -> sample_job ~seed:(8000 + i) ()) in
+  check "burst succeeded" true
+    (List.for_all
+       (fun x -> Result.is_ok x.Job.result)
+       (Service.submit_all c burst));
+  (* The sample lines of a scrape that name [addr]. *)
+  let naming addr text =
+    String.split_on_char '\n' text
+    |> List.filter (fun line ->
+           line <> "" && line.[0] <> '#' && contains line addr)
+    |> List.length
+  in
+  check_int "the joiner has its three series" 3
+    (naming (canonical w2) (Client.metrics_text c));
+  stop_worker w2 t2;
+  wait_prom router "ssg_router_leaves_total" (fun v -> v >= 1);
+  let text = Client.metrics_text c in
+  check_int "no sample names the leaver" 0 (naming (canonical w2) text);
+  check_int "the member keeps its three series" 3
+    (naming (canonical w1) text);
+  Client.close c;
+  stop_router router rt;
+  stop_worker w1 t1
+
 (* ---------------- suite ---------------- *)
 
 let tests =
@@ -1085,4 +1089,6 @@ let tests =
       test_router_elastic_join_warm_handoff;
     Alcotest.test_case "router: elastic leave rescues keys" `Quick
       test_router_elastic_leave_rescues_keys;
+    Alcotest.test_case "router: a leaver loses its shard series" `Quick
+      test_router_leaver_loses_shard_series;
   ]

@@ -42,7 +42,7 @@ let test_bqueue_backpressure () =
         Atomic.set second_in true)
       ()
   in
-  Thread.delay 0.05;
+  Thread.delay 0.05;  (* time for a push that should block to complete *)
   check "second push blocked on full queue" false (Atomic.get second_in);
   check_int "first out" 1 (Option.get (Bqueue.pop q));
   Thread.join t;
@@ -56,7 +56,7 @@ let test_ivar () =
   check "empty peek" true (Ivar.peek cell = None);
   let got = Atomic.make 0 in
   let t = Thread.create (fun () -> Atomic.set got (Ivar.read cell)) () in
-  Thread.delay 0.02;
+  Thread.delay 0.02;  (* time for the reader to return early, were it to *)
   Ivar.fill cell 42;
   Thread.join t;
   check_int "reader woke with value" 42 (Atomic.get got);
@@ -613,16 +613,17 @@ let test_protocol_rejects_garbage () =
 let test_engine_cache_and_dedup () =
   let engine = Engine.create ~workers:2 ~queue_capacity:8 () in
   let job = Job.make ~k:2 (sample_adv ()) in
-  let first = Engine.run engine job in
+  let first = Service.completed (Engine.run engine job) in
   check "first computed" false first.Job.cached;
-  let again = Engine.run engine job in
+  let again = Service.completed (Engine.run engine job) in
   check "resubmission served from cache" true again.Job.cached;
   check "same outcome" true (first.Job.result = again.Job.result);
   (* In-flight dedup: submit the same fresh job twice before awaiting. *)
   let fresh = Job.make ~k:2 (sample_adv ~seed:99 ()) in
   let t1 = Engine.submit engine fresh in
   let t2 = Engine.submit engine fresh in
-  let c1 = Engine.await engine t1 and c2 = Engine.await engine t2 in
+  let c1 = Service.completed (Engine.await engine t1)
+  and c2 = Service.completed (Engine.await engine t2) in
   check "dedup twin shares the result" true (c1.Job.result = c2.Job.result);
   let s = Engine.stats engine in
   (* The resubmission is an LRU hit; the twin is either a dedup join (if
@@ -639,19 +640,22 @@ let test_engine_failure_propagation () =
   (* 3 inputs for a 6-process run: Job.execute raises, the engine must
      turn that into an Error completion and keep serving. *)
   let bad = Job.make ~k:2 ~inputs:[| 1; 2; 3 |] (sample_adv ()) in
-  (match (Engine.run engine bad).Job.result with
+  (match (Service.completed (Engine.run engine bad)).Job.result with
   | Error msg -> check "error mentions the cause" true (msg <> "")
   | Ok _ -> Alcotest.fail "inconsistent job must fail");
-  let good = Engine.run engine (Job.make ~k:2 (sample_adv ())) in
+  let good =
+    Service.completed (Engine.run engine (Job.make ~k:2 (sample_adv ())))
+  in
   check "engine alive after failure" true (Result.is_ok good.Job.result);
   let s = Engine.stats engine in
   check_int "failure counted" 1 s.Telemetry.jobs_failed;
   check "failures are not cached" false
-    ((Engine.run engine bad).Job.cached);
+    (Service.completed (Engine.run engine bad)).Job.cached;
   Engine.shutdown engine;
   (* A cached job would still be served after shutdown; a fresh one must
      error because the pool no longer accepts work. *)
-  (match (Engine.run engine (Job.make ~k:2 (sample_adv ~seed:4242 ()))).Job.result with
+  let fresh = Job.make ~k:2 (sample_adv ~seed:4242 ()) in
+  (match (Service.completed (Engine.run engine fresh)).Job.result with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "fresh submission after shutdown must error")
 
@@ -660,7 +664,9 @@ let test_engine_batch () =
   let jobs =
     List.init 20 (fun i -> Job.make ~k:2 (sample_adv ~seed:(i mod 5) ()))
   in
-  let completions = Engine.run_batch engine jobs in
+  let completions =
+    List.map Service.completed (Service.run_all engine jobs)
+  in
   check_int "every job answered" 20 (List.length completions);
   check "all ok" true
     (List.for_all (fun c -> Result.is_ok c.Job.result) completions);
@@ -668,6 +674,38 @@ let test_engine_batch () =
   check_int "only distinct jobs executed" 5 s.Telemetry.jobs_completed;
   check_int "the rest were hits or in-flight joins" 15
     (s.Telemetry.cache_hits + s.Telemetry.dedup_joins);
+  Engine.shutdown engine
+
+(* A job as sent, its text permuted but equal to a canonical job's, is
+   normalized by [Engine.submit] itself: it is served from the canonical
+   entry, and the pair executes once. *)
+let test_engine_submit_as_sent () =
+  let engine = Engine.create ~workers:1 ~queue_capacity:4 () in
+  let canonical =
+    Job.of_run_text ~k:2 "ssg-run v1\nn 6\nstable: 0>1 1>2 2>0 3>4 4>5 5>3\n"
+  in
+  let sent =
+    Job.as_sent ~algorithm:Job.Kset ~k:2 ~inputs:(Array.init 6 Fun.id)
+      ~monitor:false
+      "ssg-run v1\n# by hand\nn 6\nstable: 5>3 2>0 4>5 0>1 3>4 1>2\n"
+  in
+  check "the job as sent keys differently" false
+    (Job.key sent = Job.key canonical);
+  let t1 = Engine.submit engine sent in
+  let t2 = Engine.submit engine canonical in
+  let c1 = Service.completed (Engine.await engine t1)
+  and c2 = Service.completed (Engine.await engine t2) in
+  check "the canonical job's outcome" true
+    (c1.Job.result = Ok (Job.execute canonical));
+  check "the canonical twin shares it" true (c2.Job.result = c1.Job.result);
+  let again = Service.completed (Engine.run engine sent) in
+  check "the job as sent is then served from the canonical entry" true
+    again.Job.cached;
+  let s = Engine.stats engine in
+  check_int "executed once" 1 s.Telemetry.jobs_completed;
+  check_int "one cache entry" 1 s.Telemetry.cache_entries;
+  check "under the canonical key" true
+    (List.map fst (Engine.export engine 8) = [ Job.key canonical ]);
   Engine.shutdown engine
 
 (* --- End-to-end socket smoke test with concurrent clients --- *)
@@ -755,6 +793,8 @@ let tests =
     Alcotest.test_case "engine failure propagation" `Quick
       test_engine_failure_propagation;
     Alcotest.test_case "engine batch dedup" `Quick test_engine_batch;
+    Alcotest.test_case "engine job as sent, canonical entry" `Quick
+      test_engine_submit_as_sent;
     Alcotest.test_case "server end-to-end (concurrent clients)" `Quick
       test_server_end_to_end;
   ]

@@ -220,7 +220,8 @@ let test_garbage_and_midframe_disconnects () =
   ignore (Unix.write fd header 0 4);
   ignore (Unix.write fd (Bytes.make 10 'x') 0 10);
   raw_close fd;
-  Thread.delay 0.05;
+  Service.eventually ~what:"three rejected frames counted" (fun () ->
+      (Client.stats control).Telemetry.rejected_frames >= 3);
   (* The server shrugged all of it off. *)
   let ok = Client.submit control (sample_job ()) in
   check "server alive after framing attacks" true (Result.is_ok ok.Job.result);
@@ -270,7 +271,8 @@ let test_connection_limit () =
   check "then closed" true (try_read_reply fd = Error `Eof);
   raw_close fd;
   raw_close held;
-  Thread.delay 0.05;
+  Service.eventually ~what:"the refusal counted" (fun () ->
+      (Client.stats control).Telemetry.connections_rejected >= 1);
   let s = Client.stats control in
   check "rejection counted" true (s.Telemetry.connections_rejected >= 1);
   stop_server control thread
@@ -401,7 +403,8 @@ let test_shutdown_drains_inflight_request () =
         Client.close c)
       ()
   in
-  Thread.delay 0.1;  (* the slow job is now in flight *)
+  Service.eventually ~what:"the slow job in flight" (fun () ->
+      (Client.stats control).Telemetry.faults_injected >= 1);
   Client.shutdown control;
   Client.close control;
   Thread.join submitter;
@@ -463,7 +466,8 @@ let test_no_fd_leak_under_barrage () =
     [ 9001; 9002; 9003 ];
   stop_server control thread;
   Gc.full_major ();
-  Thread.delay 0.05;
+  Service.eventually ~what:"the server's fds released" (fun () ->
+      open_fds () <= before);
   let after = open_fds () in
   check ("no leaked fds: " ^ string_of_int before ^ " before, "
         ^ string_of_int after ^ " after")

@@ -54,14 +54,14 @@ let two_islands = "ssg-run v1\nn 6\nstable: 0>1 1>2 2>0 3>4 4>5 5>3\n"
    into (status, whole response text). *)
 let http_request listen raw =
   let addr = Transport.of_string_exn listen in
-  let rec dial tries =
-    match Transport.connect addr with
-    | fd -> fd
-    | exception Unix.Unix_error _ when tries > 0 ->
-        Thread.delay 0.05;
-        dial (tries - 1)
-  in
-  let fd = dial 100 in
+  let fd = ref None in
+  Service.eventually ~deadline_s:5. ~what:("dial " ^ listen) (fun () ->
+      match Transport.connect addr with
+      | c ->
+          fd := Some c;
+          true
+      | exception Unix.Unix_error _ -> false);
+  let fd = Option.get !fd in
   let bytes = Bytes.of_string raw in
   ignore (Unix.write fd bytes 0 (Bytes.length bytes));
   let buf = Buffer.create 1024 in

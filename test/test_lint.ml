@@ -213,21 +213,20 @@ let test_gate () =
 let test_engine_front_door () =
   let engine = Engine.create ~workers:1 ~queue_capacity:4 () in
   let bad = bad_job () in
-  (* Rejected: an Error completion that names the diagnostic. *)
-  (match (Engine.run engine bad).Ssg_engine.Job.result with
+  (* Rejected: an Error that names the diagnostic. *)
+  (match Engine.run engine bad with
   | Error msg ->
       check "rejection mentions lint" true (contains msg "rejected by lint");
       check "rejection carries SSG001" true (contains msg "SSG001")
   | Ok _ -> Alcotest.fail "unsatisfiable job must be rejected");
-  (* The ticket-level accessor the server uses. *)
-  check "rejection accessor" true
-    (Engine.rejection (Engine.submit engine bad) <> None);
+  (* The ticket's result is what the server answers with. *)
+  check "rejection through the ticket" true
+    (Result.is_error (Engine.await engine (Engine.submit engine bad)));
   let good_ticket = Engine.submit engine (good_job ()) in
-  check "accessor is None for good jobs" true
-    (Engine.rejection good_ticket = None);
-  ignore (Engine.await engine good_ticket);
+  check "good jobs complete" true
+    (Result.is_ok (Engine.await engine good_ticket));
   (* Rejections never execute, never cache, and are counted. *)
-  (match (Engine.run engine bad).Ssg_engine.Job.result with
+  (match Engine.run engine bad with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "resubmitted bad job must be rejected again");
   let s = Engine.stats engine in
@@ -238,11 +237,11 @@ let test_engine_front_door () =
 
 let test_engine_batch_mixed () =
   let engine = Engine.create ~workers:2 ~queue_capacity:8 () in
-  match Engine.run_batch engine [ bad_job (); good_job () ] with
+  match Service.run_all engine [ bad_job (); good_job () ] with
   | [ bad; good ] ->
-      check "bad rejected in batch" true (Result.is_error bad.Ssg_engine.Job.result);
+      check "bad rejected in batch" true (Result.is_error bad);
       check "good survives the batch" true
-        (Result.is_ok good.Ssg_engine.Job.result);
+        (Result.is_ok (Service.completed good).Ssg_engine.Job.result);
       Engine.shutdown engine
   | _ -> Alcotest.fail "batch must answer per job"
 

@@ -485,7 +485,7 @@ let test_pool_map_propagates_exception () =
   Pool.shutdown pool;
   check "first error re-raised" true raised
 
-(* ---------------- Engine.submit_batch ---------------- *)
+(* ---------------- a mixed batch through the engine ---------------- *)
 
 let batch_jobs () =
   let good = Run_format.to_string (Build.synchronous ~n:4) in
@@ -496,51 +496,25 @@ let batch_jobs () =
     Job.of_run_text ~k:1 good (* duplicate: must dedup, not re-gate *);
   ]
 
-let test_submit_batch_mixed () =
+(* Every job submitted, then each awaited in order: the refused job
+   comes back as its lint Error, the others as completions. *)
+let test_mixed_batch () =
   let engine = Engine.create ~workers:2 ~queue_capacity:8 () in
-  let tickets = Engine.submit_batch engine (batch_jobs ()) in
+  let tickets = List.map (Engine.submit engine) (batch_jobs ()) in
   check_int "one ticket per job" 3 (List.length tickets);
-  (match tickets with
+  (match List.map (Engine.await engine) tickets with
   | [ ok1; rejected; ok2 ] ->
-      check "good job admitted" true (Engine.rejection ok1 = None);
+      check "good job admitted" true (Result.is_ok ok1);
       check "two-island job rejected at the door" true
-        (match Engine.rejection rejected with
-        | Some msg -> contains msg "SSG001"
-        | None -> false);
-      check "duplicate admitted" true (Engine.rejection ok2 = None);
-      let c1 = Engine.await engine ok1 and c2 = Engine.await engine ok2 in
+        (match rejected with
+        | Error msg -> contains msg "SSG001"
+        | Ok _ -> false);
+      check "duplicate admitted" true (Result.is_ok ok2);
+      let c1 = Service.completed ok1 and c2 = Service.completed ok2 in
       check "good job succeeded" true (Result.is_ok c1.Job.result);
       check "duplicate shares the result" true (Result.is_ok c2.Job.result)
   | _ -> ());
   Engine.shutdown engine
-
-(* The batch pre-gate is an optimization only: telemetry must match a
-   serial submission of the same jobs, counter for counter. *)
-let test_submit_batch_telemetry_matches_serial () =
-  let probe submit_all =
-    let engine = Engine.create ~workers:2 ~queue_capacity:8 () in
-    let tickets = submit_all engine (batch_jobs ()) in
-    List.iter
-      (fun t ->
-        if Engine.rejection t = None then ignore (Engine.await engine t))
-      tickets;
-    let s = Engine.stats engine in
-    Engine.shutdown engine;
-    ( s.Telemetry.jobs_submitted,
-      s.Telemetry.jobs_completed,
-      s.Telemetry.jobs_rejected_lint )
-  in
-  let serial = probe (fun e jobs -> List.map (Engine.submit e) jobs) in
-  let batch = probe Engine.submit_batch in
-  check "submitted equal" true
-    (let a, _, _ = serial and b, _, _ = batch in
-     a = b);
-  check "completed equal" true
-    (let _, a, _ = serial and _, b, _ = batch in
-     a = b);
-  check "rejected equal" true
-    (let _, _, a = serial and _, _, b = batch in
-     a = b)
 
 (* ---------------- properties: SSG2xx vs the slow way ---------------- *)
 
@@ -744,9 +718,7 @@ let tests =
       test_pool_map_order_and_fallback;
     Alcotest.test_case "pool map: exception" `Quick
       test_pool_map_propagates_exception;
-    Alcotest.test_case "submit_batch: mixed" `Quick test_submit_batch_mixed;
-    Alcotest.test_case "submit_batch: telemetry matches serial" `Quick
-      test_submit_batch_telemetry_matches_serial;
+    Alcotest.test_case "mixed batch via submit/await" `Quick test_mixed_batch;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

@@ -36,13 +36,13 @@ let fresh_tcp () =
   Printf.sprintf "tcp:127.0.0.1:%d" port
 
 let start_server ?(workers = 2) ?(queue_capacity = 64) ?max_inflight ?faults
-    ?socket () =
+    ?trace ?socket () =
   let socket = match socket with Some s -> s | None -> fresh_tcp () in
   let thread =
     Thread.create
       (fun () ->
         Server.serve ~workers ~queue_capacity ~cache_capacity:64
-          ?max_inflight ?faults ~drain_timeout_s:5. ~socket ())
+          ?max_inflight ?faults ?trace ~drain_timeout_s:5. ~socket ())
       ()
   in
   let c = Service.connect socket in
@@ -375,7 +375,7 @@ let test_mux_deadline_on_a_busy_link () =
     (match Ivar.read (send m (Bytes.of_string "ping")) with
     | Ok _ -> incr answered
     | Error _ -> ());
-    Thread.delay 0.02
+    Thread.delay 0.02  (* pacing: a ping every 20 ms until the deadline *)
   done;
   (match Atomic.get muted with
   | Some (Error msg, elapsed) ->
@@ -437,7 +437,7 @@ let test_mux_callback_form () =
   (match Mux.send_cb m (Bytes.of_string "late") (record 0) with
   | () -> Alcotest.fail "send on a closed link must raise"
   | exception Failure _ -> ());
-  Thread.delay 0.05;
+  Thread.delay 0.05;  (* time for a second callback to fire, were it to *)
   check "no callback fired twice" true
     (Array.for_all (fun l -> List.length l = 1) calls);
   Thread.join peer
@@ -647,17 +647,46 @@ let test_pclient_lint_rejection_is_error_result () =
   let pc = Client.connect ~socket ~deadline_s:10. () in
   (match Client.await (Client.submit_async pc (bad_job ())) with
   | Error msg -> check "diagnostics in the message" true (contains msg "SSG")
-  | Ok completion -> (
-      (* The dedup-twin path reports the rejection inside the
-         completion; either shape must carry the diagnostics. *)
-      match completion.Job.result with
-      | Error msg -> check "diagnostics in the completion" true (contains msg "SSG")
-      | Ok _ -> Alcotest.fail "lint-rejected job must not succeed"));
+  | Ok _ -> Alcotest.fail "a lint-rejected job must come back as an Error");
   (match Client.submit pc (good_job ()) with
   | completion -> check "sync submit ok" true (Result.is_ok completion.Job.result));
   Client.close pc;
   check "closed pclient is dead" false (Client.alive pc);
   stop_server socket thread
+
+(* A twin of a rejected job gets its submitter's Error, byte for byte,
+   never a completion.  The gate of an edgeless n = 1024 run at k = 1
+   takes about half a second, so the twin, sent once the first job's
+   [engine.lint] span has begun, joins it in flight.  (At n = 512 the
+   gate's ~80 ms is shorter than the hand-offs of the runtime lock
+   between the test's and the server's threads, and the twin often
+   arrived after it.) *)
+let test_rejected_twin_gets_the_same_error () =
+  let socket, thread = start_server ~trace:true () in
+  Fun.protect
+    ~finally:(fun () -> Ssg_obs.Tracer.set_enabled false)
+    (fun () ->
+      let job = Job.of_run_text ~k:1 "ssg-run v1\nn 1024\nstable:\n" in
+      let pc = Client.connect ~socket ~deadline_s:10. () in
+      let first = Client.submit_async pc job in
+      Service.eventually ~what:"the engine.lint span began" (fun () ->
+          List.exists
+            (fun (e : Ssg_obs.Tracer.event) ->
+              e.kind = Ssg_obs.Tracer.Begin && e.name = "engine.lint")
+            (Ssg_obs.Tracer.events ()));
+      let twin = Client.submit_async pc job in
+      let r1 = Client.await first and r2 = Client.await twin in
+      let s = Client.stats pc in
+      Client.close pc;
+      stop_server socket thread;
+      check_int "the twin joined the job in flight" 1 s.Telemetry.dedup_joins;
+      check_int "one lint rejection" 1 s.Telemetry.jobs_rejected_lint;
+      match (r1, r2) with
+      | Error m1, Error m2 ->
+          check "a lint rejection" true
+            (String.starts_with ~prefix:"job rejected by lint:" m1);
+          check_string "the twin's Error is the submitter's" m1 m2
+      | _ -> Alcotest.fail "both submissions must come back as an Error")
 
 let test_backpressure_at_inflight_cap () =
   (* cap = 2: flooding 16 requests still answers all of them — the
@@ -691,7 +720,8 @@ let test_client_vanishes_before_reply () =
   Frame.write_fd fd (Frame.with_id ~id:1 req);
   Unix.close fd;
   (* The server must shrug it off (EPIPE/ECONNRESET on the reply
-     write) and keep serving everyone else. *)
+     write) and keep serving everyone else: time for the write to fail,
+     were it to take the server down. *)
   Thread.delay 0.2;
   let c = Client.connect ~socket ~deadline_s:20. () in
   let completion = Client.submit c (good_job ()) in
@@ -866,7 +896,7 @@ let with_signal_fire f =
       (fun () ->
         while not (Atomic.get stop) do
           Unix.kill pid Sys.sigusr1;
-          Thread.delay 0.0005
+          Thread.delay 0.0005 (* pacing: a signal every 0.5 ms *)
         done)
       ()
   in
@@ -955,6 +985,8 @@ let tests =
       test_pclient_no_head_of_line_blocking;
     Alcotest.test_case "pclient: lint rejection" `Quick
       test_pclient_lint_rejection_is_error_result;
+    Alcotest.test_case "client: a rejected job's twin, same Error" `Quick
+      test_rejected_twin_gets_the_same_error;
     Alcotest.test_case "server: back-pressure at the in-flight cap" `Quick
       test_backpressure_at_inflight_cap;
     Alcotest.test_case "server: client vanishes before reply" `Quick

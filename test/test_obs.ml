@@ -233,9 +233,10 @@ let sample_adv ?(seed = 11) () =
 let test_snapshot_serializers_cover_every_field () =
   let engine = Ssg_engine.Engine.create ~workers:1 ~queue_capacity:4 () in
   let job = Ssg_engine.Job.make ~k:2 (sample_adv ()) in
-  (match (Ssg_engine.Engine.run engine job).Ssg_engine.Job.result with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.failf "job failed: %s" msg);
+  (match Ssg_engine.Engine.run engine job with
+  | Ok { Ssg_engine.Job.result = Ok _; _ } -> ()
+  | Ok { Ssg_engine.Job.result = Error msg; _ } | Error msg ->
+      Alcotest.failf "job failed: %s" msg);
   let s = Ssg_engine.Engine.stats engine in
   let fields = Ssg_engine.Telemetry.fields s in
   check "snapshot flattens to every record field" true

@@ -333,7 +333,7 @@ let test_engine_warm_boot () =
   let jobs = List.init 3 (fun i -> Job.make ~k:2 (sample_adv ~seed:i ())) in
   let store = Store.open_ ~sync:Store.Always ~dir () in
   let engine = Engine.create ~workers:2 ~store () in
-  let first = Engine.run_batch engine jobs in
+  let first = List.map Service.completed (Service.run_all engine jobs) in
   check "all computed fresh" true
     (List.for_all (fun c -> Result.is_ok c.Job.result && not c.Job.cached) first);
   Engine.shutdown engine;
@@ -341,7 +341,7 @@ let test_engine_warm_boot () =
   let store2 = Store.open_ ~dir () in
   check_int "journal replayed" 3 (Store.replayed_records store2);
   let engine2 = Engine.create ~workers:2 ~store:store2 () in
-  let again = Engine.run_batch engine2 jobs in
+  let again = List.map Service.completed (Service.run_all engine2 jobs) in
   check "warm boot serves every job from cache" true
     (List.for_all (fun c -> c.Job.cached) again);
   check "results identical across the restart" true
@@ -356,6 +356,27 @@ let test_engine_warm_boot () =
   let store3 = Store.open_ ~dir () in
   check_int "snapshot carries the records" 3 (Store.replayed_records store3);
   Store.close store3
+
+(* An entry imported while its key is in flight is left to the running
+   job: [import] neither counts nor journals it, and the job journals
+   its outcome once. *)
+let test_import_leaves_in_flight_key () =
+  let dir = fresh_dir () in
+  let faults = Faults.create ~slow_every:1 ~slow_s:0.3 () in
+  let store = Store.open_ ~sync:Store.Always ~dir () in
+  let engine = Engine.create ~workers:1 ~faults ~store () in
+  let job = Job.make ~k:2 (sample_adv ~seed:77 ()) in
+  let entry =
+    (Job.key job, Protocol.outcome_to_string (Job.execute job))
+  in
+  let ticket = Engine.submit engine job in
+  check_int "nothing imported while the job runs" 0
+    (Engine.import engine [ entry ]);
+  let completion = Service.completed (Engine.await engine ticket) in
+  check "the job computed its own outcome" false completion.Job.cached;
+  check "one append for the key" true
+    (prom_value (Engine.prometheus engine) "ssg_store_appends_total" = Some 1.);
+  Engine.shutdown engine
 
 (* --- Crash recovery end to end ---
 
@@ -561,6 +582,8 @@ let tests =
     Alcotest.test_case "faults: torn-write spec" `Quick
       test_faults_torn_write_spec;
     Alcotest.test_case "engine warm boot" `Quick test_engine_warm_boot;
+    Alcotest.test_case "import leaves an in-flight key" `Quick
+      test_import_leaves_in_flight_key;
     Alcotest.test_case "server crash recovery end-to-end" `Quick
       test_server_crash_recovery;
     Alcotest.test_case "server caches only canonical keys" `Quick

@@ -178,7 +178,9 @@ let test_sweep_through_engine () =
       in
       List.iter
         (fun ((cell : Sweep.cell), k_submitted, ticket) ->
-          let completion = Ssg_engine.Engine.await engine ticket in
+          let completion =
+            Service.completed (Ssg_engine.Engine.await engine ticket)
+          in
           match completion.Ssg_engine.Job.result with
           | Error msg ->
               Alcotest.failf "cell (n=%d,k=%d) failed: %s" cell.n cell.k msg

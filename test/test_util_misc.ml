@@ -96,15 +96,15 @@ let test_pool_map_with_busy_worker () =
       (fun () -> Atomic.set result (Some (Pool.map pool succ [ 1; 2; 3 ])))
       ()
   in
-  let deadline = Unix.gettimeofday () +. 5. in
-  while Atomic.get result = None && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  let got = Atomic.get result in
-  Atomic.set release true;
-  Thread.join mapper;
-  Pool.shutdown pool;
-  check "map returned within 5 s" true (got = Some [ 2; 3; 4 ])
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set release true;
+      Thread.join mapper;
+      Pool.shutdown pool)
+    (fun () ->
+      Service.eventually ~deadline_s:5. ~what:"map returned" (fun () ->
+          Atomic.get result <> None));
+  check "map returned within 5 s" true (Atomic.get result = Some [ 2; 3; 4 ])
 
 (* Order *)
 
