@@ -615,7 +615,7 @@ let serve_cmd =
   in
   let compact_bytes_arg =
     let doc =
-      "Journal size in bytes beyond which the store compacts (snapshots        the live cache and truncates the journal)."
+      "Bytes appended to the journal beyond which the store compacts: the        live cache becomes the first records of the next generation's        journal.  After a restart the whole journal counts."
     in
     Arg.(
       value
@@ -648,7 +648,7 @@ let serve_cmd =
                   ~persist_compact_bytes:compact_bytes ?announce ~socket ()))
   in
   let doc =
-    "Run the ssgd simulation service: a persistent engine with a domain      worker pool, job dedup and an LRU result cache, served over a      Unix-domain or TCP socket.  Blocks until a client sends shutdown.      With $(b,--persist) the cache survives restarts (journal +      snapshot, crash-safe); with $(b,--announce) the worker joins a      router's hash ring at boot instead of being pre-listed."
+    "Run the ssgd simulation service: a persistent engine with a domain      worker pool, job dedup and an LRU result cache, served over a      Unix-domain or TCP socket.  Blocks until a client sends shutdown.      With $(b,--persist) the cache survives restarts (one journal      file per generation, crash-safe); with $(b,--announce) the worker joins a      router's hash ring at boot instead of being pre-listed."
   in
   Cmd.v
     (Cmd.info "serve" ~doc)
@@ -1147,7 +1147,7 @@ let compact_cmd =
         `Ok ())
   in
   let doc =
-    "Roll the durable store's generation: snapshot the live cache,      truncate the journal.  Against a router, fans out to every up      worker and prints the summed snapshot size; against a worker      without $(b,--persist), prints 0."
+    "Roll the durable store's generation: the live cache becomes the      first records of the next generation's journal, and the old      journal is deleted.  Against a router, fans out to every up worker      and prints the summed record count; against a worker without      $(b,--persist), prints 0."
   in
   Cmd.v (Cmd.info "compact" ~doc) Term.(ret (const action $ socket_arg))
 

@@ -153,7 +153,7 @@ val leave : t -> string -> unit
     entries, most-recently-used first. *)
 val export : t -> int -> (string * string) list
 
-(** [compact c] rolls the peer's store generation (snapshot + journal
-    truncate); a router fans it out and answers with the sum.  0 when
-    no store is attached. *)
+(** [compact c] rolls the peer's store generation (the live cache
+    becomes the next journal's first records); a router fans it out and
+    answers with the sum.  0 when no store is attached. *)
 val compact : t -> int

@@ -33,8 +33,9 @@ let create ?workers ?(queue_capacity = 64) ?(cache_capacity = 1024)
     }
   in
   (* Warm boot: replay the store's recovered records into the LRU, in
-     file order — the snapshot is written LRU-first, so the last replay
-     lands most-recent and the cache's recency survives the restart.
+     file order — a compaction image is written LRU-first, so the last
+     replay lands most-recent and the cache's recency survives the
+     restart.
      Records that no longer decode (a protocol bump) are skipped, not
      fatal: the journal is a cache, losing an entry costs a recompute. *)
   (match store with

@@ -129,9 +129,9 @@ val export : t -> int -> (string * string) list
     imported, those left out not included. *)
 val import : t -> (string * string) list -> int
 
-(** [compact t] — snapshot the live cache into the store and truncate
-    the journal (see {!Ssg_store.Store.compact}); [0] without a store or
-    on a wedged one. *)
+(** [compact t] — write the live cache as the store's next generation
+    (see {!Ssg_store.Store.compact}) and return its record count; [0]
+    without a store or on a wedged one. *)
 val compact : t -> int
 
 (** Tracing: when {!Ssg_obs.Tracer} is enabled, the engine emits

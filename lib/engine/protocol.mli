@@ -45,10 +45,10 @@ type request =
           into your cache — answered with {!Transferred} (the count
           actually imported; undecodable entries are skipped) *)
   | Compact
-      (** roll the store generation: snapshot the live cache, truncate
-          the journal — answered with {!Compacted} (snapshot size; 0
-          when no store is attached); a router relays it to every
-          backend and answers with the sum *)
+      (** roll the store generation: the live cache becomes the next
+          journal's first records — answered with {!Compacted} (their
+          count; 0 when no store is attached); a router relays it to
+          every backend and answers with the sum *)
 
 type reply =
   | Completed of Job.completion
@@ -67,7 +67,7 @@ type reply =
       (** {!Export} reply: (cache key, encoded outcome) pairs,
           most-recently-used first *)
   | Transferred of int  (** {!Transfer} reply: entries imported *)
-  | Compacted of int  (** {!Compact} reply: snapshot size in records *)
+  | Compacted of int  (** {!Compact} reply: image size in records *)
   | Error of string  (** protocol-level failure (not a job failure) *)
 
 (** Hard cap on payload size ([16 MiB]); both sides refuse larger frames

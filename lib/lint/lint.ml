@@ -10,20 +10,21 @@ let parse_error_span msg =
 
 type outcome = { active : Diagnostic.t list; suppressed : Diagnostic.t list }
 
-let lint_text ?k text =
-  let diags =
-    match Run_format.parse text with
-    | adv, spans -> Pass.run_all Checks.all (Pass.ctx ?k ~spans adv)
-    | exception Failure msg ->
-        [
-          Diagnostic.error
-            ?span:(parse_error_span msg)
-            ~code:"SSG000"
-            (Printf.sprintf "run description does not parse: %s" msg);
-        ]
-  in
+let unparsed msg =
+  Diagnostic.error
+    ?span:(parse_error_span msg)
+    ~code:"SSG000"
+    (Printf.sprintf "run description does not parse: %s" msg)
+
+let apply_directives text diags =
   let active, suppressed = Suppress.partition (Suppress.parse text) diags in
   { active; suppressed }
+
+let lint_text ?k text =
+  apply_directives text
+    (match Run_format.parse text with
+    | adv, spans -> Pass.run_all Checks.all (Pass.ctx ?k ~spans adv)
+    | exception Failure msg -> [ unparsed msg ])
 
 let check_text ?k text = (lint_text ?k text).active
 
@@ -51,12 +52,24 @@ let ok ?(strict = false) diags =
   s.errors = 0 && ((not strict) || s.warnings = 0)
 
 let gate ~k run =
-  let { active; suppressed } = lint_text ~k run in
-  (* A run that does not parse can never execute: a directive may mute
-     its SSG000 in reports, never at the gate. *)
-  let unparsed =
-    List.filter (fun (d : Diagnostic.t) -> d.code = "SSG000") suppressed
+  let refuse diags =
+    let { active; suppressed } = apply_directives run diags in
+    (* A run that does not parse can never execute: a directive may mute
+       its SSG000 in reports, never at the gate. *)
+    let unparsed =
+      List.filter (fun (d : Diagnostic.t) -> d.code = "SSG000") suppressed
+    in
+    match List.filter Diagnostic.is_error active @ unparsed with
+    | [] -> None
+    | errors -> Some (Report.human ~src:run errors)
   in
-  match List.filter Diagnostic.is_error active @ unparsed with
-  | [] -> None
-  | errors -> Some (Report.human ~src:run errors)
+  match Run_format.parse run with
+  | exception Failure msg -> refuse [ unparsed msg ]
+  | adv, spans ->
+      (* On a parsed run only SSG001 and SSG201 can be errors, and both
+         fire exactly when [k < min_k] (SSG201 compares against the
+         chain's final min_k, which is the skeleton's), so every pass is
+         run only to word a refusal. *)
+      let ctx = Pass.ctx ~k ~spans adv in
+      if k >= ctx.Pass.min_k then None
+      else refuse (Pass.run_all Checks.all ctx)

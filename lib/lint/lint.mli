@@ -31,7 +31,9 @@ val check_text : ?k:int -> string -> Diagnostic.t list
 (** [gate ~k run] is the engine front door: [Some rendered] when [run]
     has lint errors at agreement parameter [k] (the string is the
     human-rendered diagnostics, with source excerpts), [None] when the
-    job may execute.  A run that does not parse is always refused: its
+    job may execute.  A run that parses is accepted from its [min_k]
+    alone when [k >= min_k], with no pass run; the passes run only to
+    word a refusal.  A run that does not parse is always refused: its
     [SSG000] counts here even when a directive suppresses it. *)
 val gate : k:int -> string -> string option
 

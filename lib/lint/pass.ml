@@ -15,14 +15,15 @@ type ctx = {
 
 let ctx ?k ?spans adv =
   let skeleton = Adversary.stable_skeleton adv in
+  let pts = Ssg_predicates.Predicate.of_skeleton skeleton in
   {
     adv;
     k;
     spans;
     skeleton;
     analysis = Ssg_skeleton.Analysis.analyze skeleton;
-    pts = Adversary.pts adv;
-    min_k = Adversary.min_k adv;
+    pts;
+    min_k = Ssg_predicates.Predicate.min_k pts;
     chain = lazy (Semantic.analyze adv);
   }
 

@@ -23,7 +23,8 @@ type ctx = {
       (** per-round fixpoint facts; forced only by the SSG2xx passes *)
 }
 
-(** [ctx ?k ?spans adv] runs the shared analysis once. *)
+(** [ctx ?k ?spans adv] runs the shared analysis once: one stable
+    skeleton, from which the analysis, [pts] and [min_k] are derived. *)
 val ctx : ?k:int -> ?spans:Run_format.spans -> Adversary.t -> ctx
 
 type t = {

@@ -1,5 +1,5 @@
 (** CRC-32 (IEEE 802.3, polynomial [0xEDB88320]), the checksum guarding
-    every journal and snapshot record on disk.
+    every journal record on disk.
 
     Table-driven, allocation-free per byte.  The single-byte error
     detection guarantee of CRC-32 is what the store's fuzz property

@@ -93,7 +93,7 @@ let read_all path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let recover ?(truncate = true) path ~f =
+let recover path ~f =
   if not (Sys.file_exists path) then
     { Record.records = 0; valid_bytes = 0; torn = false }
   else begin
@@ -105,9 +105,24 @@ let recover ?(truncate = true) path ~f =
              trailing byte(s)"
             path r.Record.records r.Record.valid_bytes
             (String.length contents - r.Record.valid_bytes));
-      if truncate then
-        try Unix.truncate path r.Record.valid_bytes
-        with Unix.Unix_error _ -> ()
+      try Unix.truncate path r.Record.valid_bytes
+      with Unix.Unix_error _ -> ()
     end;
     r
   end
+
+let write_image path entries =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      List.iter
+        (fun (key, value) -> output_string oc (Record.frame ~key ~value))
+        entries;
+      flush oc;
+      (* Flush reaches the kernel; fsync reaches the platter — only
+         then may the rename publish the new generation. *)
+      try Unix.fsync (Unix.descr_of_out_channel oc)
+      with Unix.Unix_error _ -> ());
+  Unix.rename tmp path

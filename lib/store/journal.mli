@@ -1,5 +1,8 @@
 (** The append-only result log: one {!Record}-framed [(key, value)] per
     completed job, written by exactly one process (the owning worker).
+    A store generation is one such file: its {!write_image} (the live
+    cache at the compaction that opened it, empty for generation 0)
+    followed by the appends since.
 
     Appends go straight to the descriptor with [O_APPEND]; durability
     is governed by [fsync_every] — the group-commit knob:
@@ -42,13 +45,17 @@ val append : ?torn:bool -> t -> key:string -> value:string -> bool
 (** Sync (unless wedged) and close.  Idempotent. *)
 val close : t -> unit
 
-(** [recover ?truncate path ~f] replays the log at [path]: every
-    leading valid record is delivered to [f] in append order; a torn
-    tail ends the walk and — with [truncate] (the default) — is cut off
-    the file, so the next boot sees a clean log.  A missing file is an
-    empty log, not an error. *)
+(** [recover path ~f] replays the log at [path]: every leading valid
+    record is delivered to [f] in file order; a torn tail ends the walk
+    and is cut off the file, so the next boot sees a clean log.  A
+    missing file is an empty log, not an error. *)
 val recover :
-  ?truncate:bool ->
-  string ->
-  f:(key:string -> value:string -> unit) ->
-  Record.recovery
+  string -> f:(key:string -> value:string -> unit) -> Record.recovery
+
+(** [write_image path entries] writes [entries], in list order, as the
+    whole content of [path]: to [path ^ ".tmp"], fsynced, then renamed
+    over [path].  The rename is the only step that changes [path], so a
+    crash leaves [path] absent or complete, and at worst a partial temp
+    file beside it; {!open_append} then continues the file.
+    @raise Unix.Unix_error if the directory is unusable. *)
+val write_image : string -> (string * string) list -> unit

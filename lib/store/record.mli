@@ -1,5 +1,6 @@
 (** The on-disk framing of one [(key, value)] store record — the unit
-    both the journal and snapshot files are a concatenation of.
+    a journal file, compaction image and appends alike, is a
+    concatenation of.
 
     Layout (all integers 4-byte big-endian):
     {v

@@ -39,6 +39,9 @@ type t = {
   lock : Mutex.t;
   mutable gen : int;
   mutable journal : Journal.t;
+  mutable image_bytes : int;
+      (* the image at the head of the journal; 0 after a boot, since
+         nothing on disk marks where an image ends *)
   mutable recovered : (string * string) list;  (* file order; consumed once *)
   mutable fsyncs_seen : int;
   metrics : Metrics.t;
@@ -51,13 +54,10 @@ type t = {
   m_generation : Metrics.gauge;
 }
 
-let journal_path dir gen =
-  Filename.concat dir (Printf.sprintf "journal-%06d.log" gen)
+let journal_name gen = Printf.sprintf "journal-%06d.log" gen
+let journal_path dir gen = Filename.concat dir (journal_name gen)
 
-let snapshot_path dir gen =
-  Filename.concat dir (Printf.sprintf "snapshot-%06d.ssg" gen)
-
-let current_path dir = Filename.concat dir "CURRENT"
+let generation_of name = Scanf.sscanf_opt name "journal-%u.log%!" Fun.id
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -66,81 +66,38 @@ let rec mkdir_p dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* CURRENT is published the same way snapshots are: temp, fsync,
-   rename — a reader never sees a half-written generation number. *)
-let write_current dir gen =
-  let tmp = current_path dir ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (string_of_int gen);
-      output_char oc '\n';
-      flush oc;
-      try Unix.fsync (Unix.descr_of_out_channel oc)
-      with Unix.Unix_error _ -> ());
-  Unix.rename tmp (current_path dir)
+let remove path = try Sys.remove path with Sys_error _ -> ()
 
-(* The generation to boot from: CURRENT when it parses, else the
-   highest generation any file on disk names (a crash can die between
-   writing files and publishing CURRENT), else 0. *)
-let read_generation dir =
-  let from_current =
-    match open_in_bin (current_path dir) with
-    | exception Sys_error _ -> None
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            match input_line ic with
-            | exception End_of_file -> None
-            | line -> (
-                match int_of_string_opt (String.trim line) with
-                | Some g when g >= 0 -> Some g
-                | _ -> None))
+(* The live generation is the highest-numbered journal; only a crash
+   mid-compaction leaves another journal-* file beside it (the
+   generation it replaced, or a temp image never renamed), and those
+   are deleted. *)
+let live_generation dir =
+  let names =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (String.starts_with ~prefix:"journal-")
   in
-  match from_current with
-  | Some g -> g
-  | None ->
-      Sys.readdir dir |> Array.to_list
-      |> List.filter_map (fun name ->
-             let parse prefix suffix =
-               if
-                 String.length name > String.length prefix + String.length suffix
-                 && String.starts_with ~prefix name
-                 && String.ends_with ~suffix name
-               then
-                 int_of_string_opt
-                   (String.sub name (String.length prefix)
-                      (String.length name - String.length prefix
-                     - String.length suffix))
-               else None
-             in
-             match parse "journal-" ".log" with
-             | Some g -> Some g
-             | None -> parse "snapshot-" ".ssg")
-      |> List.fold_left max 0
+  let gen = List.filter_map generation_of names |> List.fold_left max 0 in
+  List.iter
+    (fun name ->
+      if name <> journal_name gen then remove (Filename.concat dir name))
+    names;
+  gen
 
 let open_ ?(sync = Group 8) ?(compact_bytes = 4 * 1024 * 1024) ~dir () =
   if compact_bytes < 1 then invalid_arg "Store.open_: compact_bytes must be >= 1";
   let fsync_every = fsync_every_of sync in
   mkdir_p dir;
-  let gen = read_generation dir in
+  let gen = live_generation dir in
   let recovered = ref [] in
-  let replayed = ref 0 in
-  let torn = ref 0 in
   let recover () =
-    let f ~key ~value =
-      recovered := (key, value) :: !recovered;
-      incr replayed
-    in
-    let snap = Snapshot.read (snapshot_path dir gen) ~f in
-    if snap.Record.torn then incr torn;
-    let jnl = Journal.recover (journal_path dir gen) ~f in
-    if jnl.Record.torn then incr torn
+    Journal.recover (journal_path dir gen) ~f:(fun ~key ~value ->
+        recovered := (key, value) :: !recovered)
   in
-  if Tracer.enabled () then Tracer.with_span "store.replay" recover
-  else recover ();
+  let r =
+    if Tracer.enabled () then Tracer.with_span "store.replay" recover
+    else recover ()
+  in
   let journal = Journal.open_append ~fsync_every (journal_path dir gen) in
   let metrics = Metrics.create () in
   let counter name help = Metrics.counter metrics ~help name in
@@ -152,6 +109,7 @@ let open_ ?(sync = Group 8) ?(compact_bytes = 4 * 1024 * 1024) ~dir () =
       lock = Mutex.create ();
       gen;
       journal;
+      image_bytes = 0;
       recovered = List.rev !recovered;
       fsyncs_seen = 0;
       metrics;
@@ -175,21 +133,21 @@ let open_ ?(sync = Group 8) ?(compact_bytes = 4 * 1024 * 1024) ~dir () =
           "ssg_store_generation";
     }
   in
-  Metrics.add t.m_replayed !replayed;
-  Metrics.add t.m_torn !torn;
+  Metrics.add t.m_replayed r.Record.records;
+  if r.Record.torn then Metrics.incr t.m_torn;
   Metrics.set_gauge t.m_journal_bytes (float_of_int (Journal.bytes journal));
   Metrics.set_gauge t.m_generation (float_of_int gen);
   Log.info (fun m ->
-      m "store %s: generation %d, %d record(s) recovered%s" dir gen !replayed
-        (if !torn > 0 then Printf.sprintf ", %d torn tail(s) truncated" !torn
-         else ""));
+      m "store %s: generation %d, %d record(s) recovered%s" dir gen
+        r.Record.records
+        (if r.Record.torn then ", torn tail truncated" else ""));
   t
 
 let dir t = t.dir
 let generation t = t.gen
 let replayed_records t = Metrics.counter_value t.m_replayed
 let torn_recoveries t = Metrics.counter_value t.m_torn
-let journal_bytes t = Journal.bytes t.journal
+let journal_bytes t = Journal.bytes t.journal - t.image_bytes
 let wedged t = Journal.wedged t.journal
 let metrics t = t.metrics
 
@@ -214,7 +172,7 @@ let sync_metrics_unlocked t =
     Metrics.add t.m_fsyncs (fs - t.fsyncs_seen);
     t.fsyncs_seen <- fs
   end;
-  Metrics.set_gauge t.m_journal_bytes (float_of_int (Journal.bytes t.journal))
+  Metrics.set_gauge t.m_journal_bytes (float_of_int (journal_bytes t))
 
 let append ?(torn = false) t ~key ~value =
   let go () =
@@ -230,8 +188,7 @@ let append ?(torn = false) t ~key ~value =
       "store.append" go
   else go ()
 
-let should_compact t =
-  (not (wedged t)) && Journal.bytes t.journal > t.compact_bytes
+let should_compact t = (not (wedged t)) && journal_bytes t > t.compact_bytes
 
 let compact t ~entries =
   let go () =
@@ -239,32 +196,21 @@ let compact t ~entries =
         if Journal.wedged t.journal then 0
         else begin
           let gen' = t.gen + 1 in
-          let n = Snapshot.write (snapshot_path t.dir gen') entries in
+          Journal.write_image (journal_path t.dir gen') entries;
           Journal.close t.journal;
-          (* O_TRUNC: a journal file left over from a compaction that
-             crashed before publishing CURRENT must not leak stale
-             records into the new generation. *)
-          let fd =
-            Unix.openfile (journal_path t.dir gen')
-              [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
-              0o644
-          in
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          write_current t.dir gen';
-          List.iter
-            (fun path -> try Sys.remove path with Sys_error _ -> ())
-            [ snapshot_path t.dir t.gen; journal_path t.dir t.gen ];
+          remove (journal_path t.dir t.gen);
           t.journal <-
             Journal.open_append ~fsync_every:t.fsync_every
               (journal_path t.dir gen');
+          t.image_bytes <- Journal.bytes t.journal;
           t.fsyncs_seen <- 0;
           t.gen <- gen';
           Metrics.incr t.m_compactions;
           Metrics.set_gauge t.m_generation (float_of_int gen');
           Metrics.set_gauge t.m_journal_bytes 0.;
+          let n = List.length entries in
           Log.info (fun m ->
-              m "compacted to generation %d: %d record(s) in the snapshot" gen'
-                n);
+              m "compacted to generation %d: %d record(s) in the image" gen' n);
           n
         end)
   in

@@ -1,26 +1,30 @@
 (** The durability facade the engine wires in: one directory holding
-    one {e generation} — a {!Snapshot} image plus the {!Journal} of
-    appends since it — and the bookkeeping to roll generations forward.
+    one {e generation} — a single {!Journal} file — and the bookkeeping
+    to roll generations forward.
 
     Directory layout (generation [g]):
     {v
-    DIR/CURRENT            "g\n" — the live generation, updated by rename
-    DIR/snapshot-<g>.ssg   full cache image at the last compaction
-    DIR/journal-<g>.log    appends since that snapshot
+    DIR/journal-<g>.log    the image written when g was opened (empty
+                           for g = 0), then every append since
     v}
 
-    {b Boot.}  [open_] reads [CURRENT] (falling back to a directory
-    scan when it is missing or garbled), replays snapshot then journal
-    — tolerating a torn tail in each: the longest valid prefix is
-    recovered, a warning logged, and the journal's tail truncated — and
-    opens the journal for appending.  The recovered records are handed
-    out once via {!replay}, which the engine uses to pre-warm its LRU.
+    {b Boot.}  [open_] picks the highest-numbered [journal-<g>.log]
+    (0 when there is none), deletes every other [journal-*] file —
+    only a crash in the middle of a compaction leaves one: the
+    generation it replaced, or a temp image that was never renamed —
+    and recovers the file with {!Journal.recover}: the longest valid
+    prefix is kept and a torn tail truncated.  The recovered records
+    are handed out once via {!replay}, which the engine uses to
+    pre-warm its LRU.  Other files in [DIR] are neither read nor
+    touched.
 
     {b Compaction.}  [compact] writes the caller's current entries as
-    generation [g+1]'s snapshot (atomically), starts a fresh empty
-    journal, publishes [CURRENT = g+1] by rename, then deletes
-    generation [g]'s files.  A crash between any two steps leaves at
-    least one complete generation recoverable.
+    the first records of [journal-<g+1>.log] with
+    {!Journal.write_image} (temp file, fsync, rename: the rename
+    publishes the generation), closes generation [g], deletes its file,
+    and appends continue in the new one.  A crash at any point leaves
+    the highest-numbered journal on disk complete: [g]'s before the
+    rename, [g+1]'s after it.
 
     {b Observability.}  Every store owns an {!Ssg_obs.Metrics} registry
     ([ssg_store_*]: replayed records, appended records, journal bytes,
@@ -48,9 +52,9 @@ val sync_of_string : string -> (sync_policy, string) result
 val sync_to_string : sync_policy -> string
 
 (** [open_ ~dir ()] — creates [dir] (and parents) if missing, recovers
-    the current generation, opens the journal.  [sync] defaults to
-    [Group 8]; [compact_bytes] (default 4 MiB) is the journal size at
-    which {!should_compact} turns true.
+    the live generation, opens its journal for appending.  [sync]
+    defaults to [Group 8]; [compact_bytes] (default 4 MiB) is the
+    {!journal_bytes} at which {!should_compact} turns true.
     @raise Invalid_argument on [Group n] with [n < 1] or
     [compact_bytes < 1].
     @raise Unix.Unix_error if the directory is unusable. *)
@@ -59,14 +63,16 @@ val open_ : ?sync:sync_policy -> ?compact_bytes:int -> dir:string -> unit -> t
 val dir : t -> string
 val generation : t -> int
 
-(** Records recovered at [open_] (snapshot + journal). *)
+(** Records recovered at [open_] (image and appends alike). *)
 val replayed_records : t -> int
 
-(** Torn tails found at [open_] (0, 1 or 2 — snapshot and journal each
-    count at most once). *)
+(** Torn tails found at [open_]: 0 or 1. *)
 val torn_recoveries : t -> int
 
-(** Current journal size in bytes. *)
+(** Bytes appended to the generation after its image.  Nothing on disk
+    marks where an image ends, so after [open_] the whole recovered
+    file counts: a restart can bring a compaction forward, never defer
+    one.  0 right after {!compact}. *)
 val journal_bytes : t -> int
 
 (** True once a torn write wedged the journal (appends are dropped and
@@ -75,7 +81,7 @@ val journal_bytes : t -> int
 val wedged : t -> bool
 
 (** [replay t f] delivers the records recovered at [open_], file order
-    (snapshot first, then journal — later records overwrite earlier
+    (the image first, then the appends — later records overwrite earlier
     ones on replay into a cache), then drops the in-memory copy.
     Returns the count.  Second call: 0. *)
 val replay : t -> (key:string -> value:string -> unit) -> int
@@ -86,14 +92,14 @@ val replay : t -> (key:string -> value:string -> unit) -> int
     {!Journal.append}). *)
 val append : ?torn:bool -> t -> key:string -> value:string -> bool
 
-(** True when the journal has outgrown [compact_bytes] (and the store
-    is not wedged). *)
+(** True when {!journal_bytes} has outgrown [compact_bytes] (and the
+    store is not wedged). *)
 val should_compact : t -> bool
 
 (** [compact t ~entries] rolls the generation forward with [entries] as
-    the new snapshot (callers pass the live cache, LRU-first so replay
-    reconstructs recency).  Returns the snapshot size in records; 0 on
-    a wedged store (nothing is changed). *)
+    the new generation's image (callers pass the live cache, LRU-first
+    so replay reconstructs recency).  Returns the image size in
+    records; 0 on a wedged store (nothing is changed). *)
 val compact : t -> entries:(string * string) list -> int
 
 (** The store's metric registry ([ssg_store_*]), for splicing into a

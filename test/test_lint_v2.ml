@@ -689,6 +689,82 @@ let prop_sarif_wellformed_and_complete =
                  (out.Lint.active @ out.Lint.suppressed)
         | None -> false)
 
+(* ------- the gate equals its reference (test/ref_lint_gate.ml) ------- *)
+
+let gate_codes = [| "SSG000"; "SSG001"; "SSG201" |]
+
+(* A [# ssg-lint: disable=] directive over a non-empty subset of the
+   codes that can refuse a job, on a comment line of its own (file
+   scope) or trailing a random line (that line only). *)
+let with_directive rng text =
+  let codes =
+    List.filter (fun _ -> Rng.bool rng) (Array.to_list gate_codes)
+    |> function [] -> [ gate_codes.(Rng.int rng 3) ] | cs -> cs
+  in
+  let directive = "# ssg-lint: disable=" ^ String.concat "," codes in
+  if Rng.bool rng then directive ^ "\n" ^ text
+  else
+    let lines = String.split_on_char '\n' text in
+    let at = Rng.int rng (max 1 (List.length lines - 1)) in
+    List.mapi (fun i l -> if i = at then l ^ "  " ^ directive else l) lines
+    |> String.concat "\n"
+
+let mutate_byte rng text =
+  let b = Bytes.of_string text in
+  let pos = Rng.int rng (Bytes.length b) in
+  let replacement =
+    if Rng.bool rng then "0123456789> \n#:".[Rng.int rng 15]
+    else Char.chr (Rng.int rng 256)
+  in
+  Bytes.set b pos replacement;
+  Bytes.to_string b
+
+let gate_agrees ~k text = Lint.gate ~k text = Ref_lint_gate.gate ~k text
+
+let prop_gate_matches_reference =
+  QCheck2.Test.make ~count:200
+    ~name:"gate equals the reference gate"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.of_int seed in
+      let n = 2 + Rng.int rng 9 in
+      let adv =
+        Build.arbitrary rng ~n ~density:(Rng.float rng)
+          ~prefix_len:(Rng.int rng 4) ()
+      in
+      let text = Run_format.to_string adv in
+      let min_k = Adversary.min_k adv in
+      let texts =
+        [ text; with_directive rng text; mutate_byte rng text;
+          mutate_byte rng (with_directive rng text) ]
+      in
+      List.for_all
+        (fun k -> List.for_all (gate_agrees ~k) texts)
+        (List.filter (fun k -> k >= 1) [ min_k - 1; min_k; min_k + 1 ]))
+
+let test_gate_matches_reference_on_examples () =
+  let dir =
+    if Sys.file_exists "../examples/figure1.run" then "../examples"
+    else "examples"
+  in
+  let texts =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".run")
+    |> List.sort compare
+    |> List.map (fun f ->
+           In_channel.with_open_bin (Filename.concat dir f)
+             In_channel.input_all)
+  in
+  let refused = ref 0 and admitted = ref 0 in
+  List.iter
+    (fun text ->
+      for k = 1 to 8 do
+        check (Printf.sprintf "k = %d" k) true (gate_agrees ~k text);
+        if Lint.gate ~k text = None then incr admitted else incr refused
+      done)
+    texts;
+  check "both verdicts exercised" true (!refused > 0 && !admitted > 0)
+
 let tests =
   [
     Alcotest.test_case "semantic chain facts" `Quick test_semantic_chain_facts;
@@ -719,6 +795,8 @@ let tests =
     Alcotest.test_case "pool map: exception" `Quick
       test_pool_map_propagates_exception;
     Alcotest.test_case "mixed batch via submit/await" `Quick test_mixed_batch;
+    Alcotest.test_case "gate equals the reference on examples" `Quick
+      test_gate_matches_reference_on_examples;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
@@ -728,4 +806,5 @@ let tests =
         prop_ssg202_r_st_matches_slow;
         prop_fix_sound_and_idempotent;
         prop_sarif_wellformed_and_complete;
+        prop_gate_matches_reference;
       ]

@@ -1,10 +1,13 @@
 (* Tests for the durable result store: CRC-32 vectors, record framing
    (round-trip + one-byte-mutation qcheck fuzz), journal group commit
-   and torn-tail recovery, snapshot atomicity, generation compaction,
-   the outcome string codec, engine warm boot, and an end-to-end
-   crash-recovery run: a server with an injected torn write is killed
-   and restarted, and the longest valid journal prefix must come back
-   as cache hits. *)
+   and torn-tail recovery, the atomic compaction image, generation
+   compaction, every crash state of a generation file (each byte cut
+   of an image plus appends, each cut of a temp image beside a live
+   generation, a renamed image beside the generation it replaces) and
+   the older CURRENT + snapshot layout, the outcome string codec,
+   engine warm boot, and an end-to-end crash-recovery run: a server
+   with an injected torn write is killed and restarted, and the longest
+   valid journal prefix must come back as cache hits. *)
 
 open Ssg_util
 open Ssg_adversary
@@ -160,25 +163,32 @@ let test_journal_torn_write_wedges_and_recovers () =
   check_int "same records" 2 r2.Record.records;
   Sys.remove path
 
-(* --- Snapshot --- *)
+(* --- Compaction image --- *)
 
-let test_snapshot_roundtrip () =
-  let path = fresh_path "snapshot.ssg" in
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+let test_image_roundtrip () =
+  let path = fresh_path "image.log" in
   let entries = List.init 10 (fun i -> (Printf.sprintf "k%d" i, String.make i 'v')) in
-  check_int "write count" 10 (Snapshot.write path entries);
+  Journal.write_image path entries;
   check "no temp file left behind" false (Sys.file_exists (path ^ ".tmp"));
   let seen = ref [] in
-  let r = Snapshot.read path ~f:(fun ~key ~value -> seen := (key, value) :: !seen) in
+  let r = Journal.recover path ~f:(fun ~key ~value -> seen := (key, value) :: !seen) in
   check_int "read count" 10 r.Record.records;
   check "list order preserved" true (List.rev !seen = entries);
   (* Rewrite replaces wholesale. *)
-  ignore (Snapshot.write path [ ("only", "one") ]);
+  Journal.write_image path [ ("only", "one") ];
   let again = ref [] in
-  ignore (Snapshot.read path ~f:(fun ~key ~value -> again := (key, value) :: !again));
+  ignore (Journal.recover path ~f:(fun ~key ~value -> again := (key, value) :: !again));
   check "atomic replace" true (!again = [ ("only", "one") ]);
+  check "no temp file left after the replace" false
+    (Sys.file_exists (path ^ ".tmp"));
   Sys.remove path;
-  let missing = Snapshot.read path ~f:(fun ~key:_ ~value:_ -> ()) in
-  check_int "missing file is an empty snapshot" 0 missing.Record.records;
+  let missing = Journal.recover path ~f:(fun ~key:_ ~value:_ -> ()) in
+  check_int "missing file is an empty image" 0 missing.Record.records;
   check "missing file is not torn" false missing.Record.torn
 
 (* --- Store --- *)
@@ -237,6 +247,8 @@ let test_store_torn_tail_recovery () =
   check_int "no new tear" 0 (Store.torn_recoveries s3);
   Store.close s3
 
+let dir_names dir = Sys.readdir dir |> Array.to_list |> List.sort compare
+
 let test_store_compaction_rolls_generation () =
   let dir = fresh_dir () in
   let s = Store.open_ ~sync:Store.Never ~compact_bytes:64 ~dir () in
@@ -249,29 +261,154 @@ let test_store_compaction_rolls_generation () =
   fill 0;
   check "journal outgrew the threshold" true (Store.journal_bytes s > 64);
   let entries = [ ("hot", "1"); ("warm", "2") ] in
-  check_int "compaction returns the snapshot size" 2 (Store.compact s ~entries);
+  check_int "compaction returns the image size" 2 (Store.compact s ~entries);
   check_int "generation rolled" 1 (Store.generation s);
   check_int "journal reset" 0 (Store.journal_bytes s);
-  check "old generation files deleted" false
-    (Sys.file_exists (Filename.concat dir "journal-000000.log")
-    || Sys.file_exists (Filename.concat dir "snapshot-000000.ssg"));
-  check "new snapshot exists" true
-    (Sys.file_exists (Filename.concat dir "snapshot-000001.ssg"));
+  check "one file per generation" true
+    (dir_names dir = [ "journal-000001.log" ]);
   ignore (Store.append s ~key:"fresh" ~value:"3");
+  check_int "only the appends count"
+    (String.length (Record.frame ~key:"fresh" ~value:"3"))
+    (Store.journal_bytes s);
   Store.close s;
   let s2 = Store.open_ ~dir () in
-  check_int "boot from CURRENT" 1 (Store.generation s2);
+  check_int "boot from the highest journal" 1 (Store.generation s2);
+  check_int "after a restart the whole file counts"
+    (Unix.stat (Filename.concat dir "journal-000001.log")).Unix.st_size
+    (Store.journal_bytes s2);
   let seen = ref [] in
   ignore (Store.replay s2 (fun ~key ~value -> seen := (key, value) :: !seen));
-  check "snapshot then journal, file order" true
+  check "image then appends, file order" true
     (List.rev !seen = [ ("hot", "1"); ("warm", "2"); ("fresh", "3") ]);
-  Store.close s2;
-  (* Losing CURRENT falls back to the directory scan. *)
-  Sys.remove (Filename.concat dir "CURRENT");
-  let s3 = Store.open_ ~dir () in
-  check_int "generation rediscovered without CURRENT" 1 (Store.generation s3);
-  check_int "records survive" 3 (Store.replayed_records s3);
-  Store.close s3
+  Store.close s2
+
+(* --- Crash states of the one-file layout ---
+
+   Every state a crash can leave is enumerated on real files: a
+   generation file cut at any byte (a torn append, or an image torn by
+   a filesystem without atomic rename), a compaction that died before
+   its rename (a temp image cut at any byte beside the live
+   generation), and one that died after it (the renamed image beside
+   the generation it replaces). *)
+
+let clear_dir dir =
+  List.iter (fun name -> Sys.remove (Filename.concat dir name)) (dir_names dir)
+
+let boot dir =
+  let s = Store.open_ ~sync:Store.Never ~dir () in
+  let seen = ref [] in
+  ignore (Store.replay s (fun ~key ~value -> seen := (key, value) :: !seen));
+  (s, List.rev !seen)
+
+let image_entries = [ ("i0", "a"); ("i1", "bb") ]
+let append_entries = [ ("a0", "ccc"); ("a1", "d") ]
+let frames entries =
+  List.map (fun (key, value) -> Record.frame ~key ~value) entries
+
+let append_all s entries =
+  List.iter (fun (key, value) -> ignore (Store.append s ~key ~value)) entries
+
+let test_crash_byte_cuts () =
+  let dir = fresh_dir () in
+  let s = Store.open_ ~sync:Store.Never ~dir () in
+  ignore (Store.compact s ~entries:image_entries);
+  append_all s append_entries;
+  Store.close s;
+  let name = "journal-000001.log" in
+  let file = read_file (Filename.concat dir name) in
+  let records = image_entries @ append_entries in
+  check "the file is the image then the appends" true
+    (file = String.concat "" (frames records));
+  (* Where each record's frame ends, in file order. *)
+  let _, ends =
+    List.fold_left_map
+      (fun pos frame -> let e = pos + String.length frame in (e, e))
+      0 (frames records)
+  in
+  for cut = 0 to String.length file do
+    clear_dir dir;
+    write_file (Filename.concat dir name) (String.sub file 0 cut);
+    let whole = List.length (List.filter (fun e -> e <= cut) ends) in
+    let expected = List.filteri (fun i _ -> i < whole) records in
+    let what = Printf.sprintf "cut at byte %d: " cut in
+    let s, seen = boot dir in
+    check_int (what ^ "generation") 1 (Store.generation s);
+    check (what ^ "the records whose frames end at or before the cut") true
+      (seen = expected);
+    check_int (what ^ "one torn tail exactly when the cut is inside a frame")
+      (if cut = 0 || List.mem cut ends then 0 else 1)
+      (Store.torn_recoveries s);
+    check (what ^ "appends after recovery") true
+      (Store.append s ~key:"next" ~value:"e");
+    Store.close s;
+    let s, seen = boot dir in
+    check (what ^ "the append follows the recovered prefix") true
+      (seen = expected @ [ ("next", "e") ]);
+    check_int (what ^ "no tear after the repair") 0 (Store.torn_recoveries s);
+    Store.close s
+  done;
+  clear_dir dir;
+  Sys.rmdir dir
+
+let test_crash_compaction_states () =
+  let dir = fresh_dir () in
+  let s = Store.open_ ~sync:Store.Never ~dir () in
+  append_all s append_entries;
+  Store.close s;
+  let live = read_file (Filename.concat dir "journal-000000.log") in
+  let image_path = fresh_path "image.log" in
+  Journal.write_image image_path image_entries;
+  let image = read_file image_path in
+  Sys.remove image_path;
+  let set_up name contents =
+    clear_dir dir;
+    write_file (Filename.concat dir "journal-000000.log") live;
+    write_file (Filename.concat dir name) contents
+  in
+  (* Died before the rename: generation 0 stays live, whole. *)
+  for cut = 0 to String.length image do
+    set_up "journal-000001.log.tmp" (String.sub image 0 cut);
+    let what = Printf.sprintf "temp image cut at byte %d: " cut in
+    let s, seen = boot dir in
+    check_int (what ^ "the complete generation") 0 (Store.generation s);
+    check (what ^ "all of its records") true (seen = append_entries);
+    check_int (what ^ "no tear") 0 (Store.torn_recoveries s);
+    Store.close s;
+    check (what ^ "no temp file left") true
+      (dir_names dir = [ "journal-000000.log" ])
+  done;
+  (* Died after the rename: the image is the live generation. *)
+  set_up "journal-000001.log" image;
+  let s, seen = boot dir in
+  check_int "renamed image: the next generation" 1 (Store.generation s);
+  check "renamed image: only the image" true (seen = image_entries);
+  Store.close s;
+  check "renamed image: the replaced generation is removed" true
+    (dir_names dir = [ "journal-000001.log" ]);
+  clear_dir dir;
+  Sys.rmdir dir
+
+(* A directory in the older layout (a CURRENT pointer and a snapshot
+   file beside the journal) boots: its journal replays, and the
+   snapshot and CURRENT are not read (the store is a cache; what the
+   snapshot held is recomputed on demand). *)
+let test_old_layout_boots () =
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  write_file (Filename.concat dir "CURRENT") "0\n";
+  write_file
+    (Filename.concat dir "snapshot-000000.ssg")
+    (String.concat "" (frames image_entries));
+  write_file
+    (Filename.concat dir "journal-000000.log")
+    (String.concat "" (frames append_entries));
+  let s, seen = boot dir in
+  check_int "generation 0" 0 (Store.generation s);
+  check "the journal replays" true (seen = append_entries);
+  check_int "no tear" 0 (Store.torn_recoveries s);
+  Store.close s;
+  clear_dir dir;
+  Sys.rmdir dir
 
 (* --- Outcome string codec --- *)
 
@@ -467,10 +604,8 @@ let test_server_crash_recovery () =
    byte-identical. *)
 
 let dir_image dir =
-  Sys.readdir dir |> Array.to_list |> List.sort compare
-  |> List.map (fun name ->
-         let path = Filename.concat dir name in
-         (name, In_channel.with_open_bin path In_channel.input_all))
+  dir_names dir
+  |> List.map (fun name -> (name, read_file (Filename.concat dir name)))
 
 let test_second_server_leaves_store_alone () =
   let dir = fresh_dir () in
@@ -571,13 +706,21 @@ let tests =
       test_journal_roundtrip_and_group_commit;
     Alcotest.test_case "journal torn write wedges + recovers" `Quick
       test_journal_torn_write_wedges_and_recovers;
-    Alcotest.test_case "snapshot atomic round-trip" `Quick test_snapshot_roundtrip;
+    Alcotest.test_case "journal image atomic round-trip" `Quick
+      test_image_roundtrip;
     Alcotest.test_case "sync policy parsing" `Quick test_sync_of_string;
     Alcotest.test_case "store warm boot" `Quick test_store_warm_boot;
     Alcotest.test_case "store torn-tail recovery" `Quick
       test_store_torn_tail_recovery;
     Alcotest.test_case "store compaction rolls the generation" `Quick
       test_store_compaction_rolls_generation;
+    Alcotest.test_case "crash points: every byte cut of a generation" `Quick
+      test_crash_byte_cuts;
+    Alcotest.test_case
+      "crash points: a compaction cut before and after its rename" `Quick
+      test_crash_compaction_states;
+    Alcotest.test_case "old layout: CURRENT and snapshot are not read"
+      `Quick test_old_layout_boots;
     Alcotest.test_case "outcome string codec" `Quick test_outcome_codec;
     Alcotest.test_case "faults: torn-write spec" `Quick
       test_faults_torn_write_spec;
