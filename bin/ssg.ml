@@ -1175,12 +1175,6 @@ let gateway_cmd =
           (Filename.concat (Filename.get_temp_dir_name ()) "ssgd.sock")
       & info [ "backend"; "b" ] ~docv:"ADDR" ~doc)
   in
-  let backend_deadline_arg =
-    let doc =
-      "Reply deadline of each request on the pipelined backend        connection: one left unanswered this long is a 502 on its own,        and a connection quiet this long fails every request in flight        on it with 502s."
-    in
-    Arg.(value & opt float 30. & info [ "backend-deadline" ] ~docv:"SECONDS" ~doc)
-  in
   let max_conn_arg =
     let doc = "Maximum concurrent HTTP connections." in
     Arg.(value & opt int 1024 & info [ "max-connections" ] ~docv:"N" ~doc)
@@ -1201,25 +1195,24 @@ let gateway_cmd =
     in
     Arg.(value & flag & info [ "trace" ] ~doc)
   in
-  let action verbose listen backend backend_deadline max_connections
-      read_timeout drain_timeout trace =
+  let action verbose listen backend max_connections read_timeout
+      drain_timeout trace =
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs.set_level (Some (if verbose then Logs.Debug else Logs.App));
     serving listen (fun () ->
-        Ssg_gateway.Gateway.serve ~backend_deadline_s:backend_deadline
-          ~max_connections ~read_timeout_s:read_timeout
-          ~drain_timeout_s:drain_timeout ~trace ~listen ~backend ())
+        Ssg_gateway.Gateway.serve ~max_connections
+          ~read_timeout_s:read_timeout ~drain_timeout_s:drain_timeout ~trace
+          ~listen ~backend ())
   in
   let doc =
-    "Serve an HTTP/JSON front door over a native ssgd or router backend:      POST /submit (run text body, k/algorithm/rounds/monitor query      parameters), GET /stats, GET /metrics (Prometheus), GET /trace      (the stitched fleet trace), GET /healthz, POST /shutdown.  All backend traffic shares one      pipelined connection."
+    "Serve an HTTP/JSON front door over a native ssgd or router backend:      POST /submit (run text body, k/algorithm/rounds/monitor query      parameters), GET /stats, GET /metrics (Prometheus), GET /trace      (the stitched fleet trace), GET /healthz, POST /shutdown.  All backend traffic shares one      pipelined connection, on which a request left unanswered for 30 s      is a 502."
   in
   Cmd.v
     (Cmd.info "gateway" ~doc)
     Term.(
       ret
         (const action $ verbose_arg $ listen_arg $ backend_arg
-        $ backend_deadline_arg $ max_conn_arg $ read_timeout_arg
-        $ drain_timeout_arg $ trace_arg))
+        $ max_conn_arg $ read_timeout_arg $ drain_timeout_arg $ trace_arg))
 
 let loadgen_cmd =
   let target_arg =
@@ -1430,7 +1423,7 @@ let lint_cmd =
             Out_channel.output_string oc (Ssg_lint.Sarif.export ~fixes triples);
             Out_channel.output_char oc '\n');
         Printf.eprintf "wrote SARIF report to %s\n" path);
-    if json then print_string (Ssg_lint.Report.json triples)
+    if json then print_endline (Ssg_lint.Report.json triples)
     else begin
       List.iter
         (fun (file, text, (o : Ssg_lint.Lint.outcome), _) ->

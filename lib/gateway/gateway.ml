@@ -7,11 +7,16 @@ module Listener = Ssg_net.Listener
 module Metrics = Ssg_obs.Metrics
 module Tracer = Ssg_obs.Tracer
 module Context = Ssg_obs.Context
+module E = Ssg_obs.Export
 open Ssg_engine
+
+(* Reply deadline of each request on the pipelined backend link: one
+   left unanswered this long is a 502 on its own, and a link quiet this
+   long with requests outstanding fails all of them with 502s. *)
+let backend_deadline_s = 30.
 
 type t = {
   backend : string;
-  backend_deadline_s : float;
   block : Mutex.t;
   mutable client : Client.t option;
   metrics : Metrics.t;
@@ -36,44 +41,34 @@ let backend_client t =
       | stale ->
           Option.iter Client.close stale;
           let c =
-            Client.connect ~retries:1 ~deadline_s:t.backend_deadline_s
+            Client.connect ~retries:1 ~deadline_s:backend_deadline_s
               ~socket:t.backend ()
           in
           t.client <- Some c;
           c)
 
-(* ---------------- JSON rendering ---------------- *)
+(* ---------------- JSON bodies ---------------- *)
 
 let json_of_outcome (o : Job.outcome) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"algorithm\":\"%s\",\"n\":%d,\"min_k\":%d,\"rounds_run\":%d,"
-       (Http.json_escape o.algorithm) o.n o.min_k o.rounds_run);
-  Buffer.add_string buf "\"decisions\":[";
-  Array.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      match d with
-      | None -> Buffer.add_string buf "null"
-      | Some (round, value) ->
-          Buffer.add_string buf (Printf.sprintf "[%d,%d]" round value))
-    o.decisions;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],\"distinct_decisions\":%d,\"messages_sent\":%d,\
-        \"messages_delivered\":%d,\"bits_sent\":%d,"
-       o.distinct_decisions o.messages_sent o.messages_delivered o.bits_sent);
-  Buffer.add_string buf "\"violations\":[";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\"" (Http.json_escape v)))
-    o.violations;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let decision = function
+    | None -> E.Null
+    | Some (round, value) -> E.Arr [ E.Int round; E.Int value ]
+  in
+  E.Obj
+    [
+      ("algorithm", E.Str o.algorithm);
+      ("n", E.Int o.n);
+      ("min_k", E.Int o.min_k);
+      ("rounds_run", E.Int o.rounds_run);
+      ("decisions", E.Arr (Array.to_list (Array.map decision o.decisions)));
+      ("distinct_decisions", E.Int o.distinct_decisions);
+      ("messages_sent", E.Int o.messages_sent);
+      ("messages_delivered", E.Int o.messages_delivered);
+      ("bits_sent", E.Int o.bits_sent);
+      ("violations", E.Arr (List.map (fun v -> E.Str v) o.violations));
+    ]
 
-let json_error msg = Printf.sprintf "{\"error\":\"%s\"}" (Http.json_escape msg)
+let json_error msg = E.json_to_string (E.Obj [ ("error", E.Str msg) ])
 
 (* ---------------- route handlers ---------------- *)
 
@@ -141,18 +136,21 @@ let handle_submit ?ctx t req =
           | exception Failure msg -> (502, "application/json", json_error msg)
           | exception Unix.Unix_error (e, _, _) ->
               (502, "application/json", json_error (Unix.error_message e))
-          | Ok { Job.result = Ok outcome; cached; latency_ms } ->
-              ( 200,
+          | Ok { Job.result; cached; latency_ms } ->
+              let status, last =
+                match result with
+                | Ok outcome -> (200, ("outcome", json_of_outcome outcome))
+                | Error msg -> (422, ("error", E.Str msg))
+              in
+              ( status,
                 "application/json",
-                Printf.sprintf
-                  "{\"cached\":%b,\"latency_ms\":%.3f,\"outcome\":%s}" cached
-                  latency_ms (json_of_outcome outcome) )
-          | Ok { Job.result = Error msg; cached; latency_ms } ->
-              ( 422,
-                "application/json",
-                Printf.sprintf
-                  "{\"cached\":%b,\"latency_ms\":%.3f,\"error\":\"%s\"}"
-                  cached latency_ms (Http.json_escape msg) )
+                E.json_to_string
+                  (E.Obj
+                     [
+                       ("cached", E.Bool cached);
+                       ("latency_ms", E.Float latency_ms);
+                       last;
+                     ]) )
           | Error msg ->
               (* A protocol-level Error reply: deterministic rejections
                  (the lint front door) are the request's fault; anything
@@ -296,13 +294,10 @@ let handle_connection t listener fd =
   in
   loop ()
 
-let serve ?(backend_deadline_s = 30.) ?(max_connections = 1024)
-    ?(read_timeout_s = 30.) ?(drain_timeout_s = 5.) ?(trace = false) ~listen
-    ~backend () =
+let serve ?(max_connections = 1024) ?(read_timeout_s = 30.)
+    ?(drain_timeout_s = 5.) ?(trace = false) ~listen ~backend () =
   if max_connections < 1 then
     invalid_arg "Gateway.serve: max_connections must be >= 1";
-  if backend_deadline_s <= 0. then
-    invalid_arg "Gateway.serve: backend_deadline_s must be > 0";
   let addr = Transport.of_string_exn listen in
   ignore (Transport.of_string_exn backend);
   if trace then begin
@@ -314,7 +309,6 @@ let serve ?(backend_deadline_s = 30.) ?(max_connections = 1024)
   let t =
     {
       backend;
-      backend_deadline_s;
       block = Mutex.create ();
       client = None;
       metrics;

@@ -47,12 +47,11 @@
 
 (** [serve ~listen ~backend ()] binds the HTTP socket at [listen] (a
     {!Ssg_net.Transport} address string) fronting the native-protocol
-    service at [backend], and {b blocks} until [POST /shutdown].
+    service at [backend], and {b blocks} until [POST /shutdown].  A
+    request its backend leaves unanswered for 30 s is a 502 on its
+    own; a backend link quiet that long fails every request in flight
+    on it with 502s.
 
-    - [backend_deadline_s] (default 30): per-request deadline on the
-      pipelined backend connection — a request unanswered that long is
-      a 502 on its own, and total silence for that long fails every
-      request in flight with 502s.
     - [max_connections] (default 1024), [read_timeout_s] (default 30),
       [drain_timeout_s] (default 5): front-socket guards, as in
       {!Ssg_engine.Server.serve}.
@@ -63,7 +62,6 @@
     @raise Invalid_argument on malformed addresses or non-positive
     limits, [Unix.Unix_error] when [listen] cannot be bound. *)
 val serve :
-  ?backend_deadline_s:float ->
   ?max_connections:int ->
   ?read_timeout_s:float ->
   ?drain_timeout_s:float ->

@@ -1,6 +1,7 @@
 module Transport = Ssg_net.Transport
 module Frame = Ssg_net.Frame
 module Context = Ssg_obs.Context
+module E = Ssg_obs.Export
 open Ssg_engine
 
 type mix = { cached : int; uncached : int; lint_error : int }
@@ -485,38 +486,29 @@ let run ?threads ?(pipeline = 1) ?(rate = 0.) ?(mix = default_mix)
 
 (* ---------------- rendering ---------------- *)
 
-let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.3f" f
-
 let to_json r =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"connections\":%d,\"sent\":%d,\"completed\":%d,\"rejected\":%d,\
-        \"errors\":%d,\"duration_s\":%.3f,\"throughput_rps\":%.1f,"
-       r.connections r.sent r.completed r.rejected r.errors r.duration_s
-       r.throughput_rps);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\"mean_ms\":%s,\"p50_ms\":%s,\"p95_ms\":%s,\"p99_ms\":%s,\
-        \"max_ms\":%s,"
-       (json_float r.mean_ms) (json_float r.p50_ms) (json_float r.p95_ms)
-       (json_float r.p99_ms) (json_float r.max_ms));
-  Buffer.add_string buf "\"slo_violations\":[";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\"" (Ssg_net.Http.json_escape v)))
-    r.slo_violations;
-  Buffer.add_string buf "],\"slow_traces\":[";
-  List.iteri
-    (fun i (ms, trace) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"latency_ms\":%.3f,\"trace_id\":\"%s\"}" ms
-           (Ssg_net.Http.json_escape trace)))
-    r.slow_traces;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let slow (ms, trace) =
+    E.Obj [ ("latency_ms", E.Float ms); ("trace_id", E.Str trace) ]
+  in
+  E.json_to_string
+    (E.Obj
+       [
+         ("connections", E.Int r.connections);
+         ("sent", E.Int r.sent);
+         ("completed", E.Int r.completed);
+         ("rejected", E.Int r.rejected);
+         ("errors", E.Int r.errors);
+         ("duration_s", E.Float r.duration_s);
+         ("throughput_rps", E.Float r.throughput_rps);
+         ("mean_ms", E.Float r.mean_ms);
+         ("p50_ms", E.Float r.p50_ms);
+         ("p95_ms", E.Float r.p95_ms);
+         ("p99_ms", E.Float r.p99_ms);
+         ("max_ms", E.Float r.max_ms);
+         ( "slo_violations",
+           E.Arr (List.map (fun v -> E.Str v) r.slo_violations) );
+         ("slow_traces", E.Arr (List.map slow r.slow_traces));
+       ])
 
 let pp fmt r =
   Format.fprintf fmt

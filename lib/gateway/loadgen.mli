@@ -86,7 +86,8 @@ val run :
   report
 
 (** [to_json r] — the report as a compact JSON object (what the bench
-    baseline and CI artifacts store). *)
+    baseline and CI artifacts store); a percentile with no samples
+    behind it ([nan]) is [null]. *)
 val to_json : report -> string
 
 (** [pp] — a human-readable multi-line rendering. *)

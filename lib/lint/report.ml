@@ -1,3 +1,5 @@
+module E = Ssg_obs.Export
+
 (* How many span lines a human excerpt shows before eliding the rest. *)
 let excerpt_max = 4
 
@@ -33,70 +35,43 @@ let human ?file ?src diags =
     (List.sort Diagnostic.compare diags);
   Buffer.contents buf
 
-(* Hand-rolled JSON: the diagnostics are flat records, not worth a
-   dependency. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_diagnostic ~suppressed (d : Diagnostic.t) =
-  let fields = Buffer.create 64 in
-  let add fmt = Printf.ksprintf (Buffer.add_string fields) fmt in
-  add "{ \"code\": \"%s\", \"severity\": \"%s\"" (escape d.code)
-    (Diagnostic.severity_label d.severity);
-  (match d.span with
-  | Some s -> add ", \"line\": %d, \"end_line\": %d" s.line s.end_line
-  | None -> ());
-  add ", \"message\": \"%s\"" (escape d.message);
-  (match d.hint with
-  | Some h -> add ", \"hint\": \"%s\"" (escape h)
-  | None -> ());
-  if suppressed then add ", \"suppressed\": true";
-  add " }";
-  Buffer.contents fields
+  let span =
+    match d.span with
+    | Some s -> [ ("line", E.Int s.line); ("end_line", E.Int s.end_line) ]
+    | None -> []
+  in
+  let hint = match d.hint with Some h -> [ ("hint", E.Str h) ] | None -> [] in
+  E.Obj
+    ([
+       ("code", E.Str d.code);
+       ("severity", E.Str (Diagnostic.severity_label d.severity));
+     ]
+    @ span
+    @ [ ("message", E.Str d.message) ]
+    @ hint
+    @ if suppressed then [ ("suppressed", E.Bool true) ] else [])
 
 let json results =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i (file, active, suppressed) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      let active = List.sort Diagnostic.compare active in
-      let suppressed = List.sort Diagnostic.compare suppressed in
-      let count sev =
-        List.length
-          (List.filter (fun (d : Diagnostic.t) -> d.severity = sev) active)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  { \"file\": \"%s\",\n    \"errors\": %d, \"warnings\": %d, \
-            \"infos\": %d, \"suppressed\": %d,\n    \"diagnostics\": ["
-           (escape file) (count Diagnostic.Error) (count Diagnostic.Warning)
-           (count Diagnostic.Info)
-           (List.length suppressed));
-      let entries =
-        List.map (json_diagnostic ~suppressed:false) active
-        @ List.map (json_diagnostic ~suppressed:true) suppressed
-      in
-      List.iteri
-        (fun j entry ->
-          if j > 0 then Buffer.add_string buf ",";
-          Buffer.add_string buf "\n      ";
-          Buffer.add_string buf entry)
-        entries;
-      if entries <> [] then Buffer.add_string buf "\n    ";
-      Buffer.add_string buf "] }")
-    results;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+  let file (name, active, suppressed) =
+    let active = List.sort Diagnostic.compare active in
+    let suppressed = List.sort Diagnostic.compare suppressed in
+    let count sev =
+      E.Int
+        (List.length
+           (List.filter (fun (d : Diagnostic.t) -> d.severity = sev) active))
+    in
+    E.Obj
+      [
+        ("file", E.Str name);
+        ("errors", count Diagnostic.Error);
+        ("warnings", count Diagnostic.Warning);
+        ("infos", count Diagnostic.Info);
+        ("suppressed", E.Int (List.length suppressed));
+        ( "diagnostics",
+          E.Arr
+            (List.map (json_diagnostic ~suppressed:false) active
+            @ List.map (json_diagnostic ~suppressed:true) suppressed) );
+      ]
+  in
+  E.json_to_string (E.Arr (List.map file results))

@@ -4,7 +4,9 @@
     [file:line: severity CODE: message] lines, plus the offending source
     line when the text is available) and a JSON one for tooling and CI.
 
-    {b JSON schema} (one object per linted file):
+    {b JSON schema} (one object per linted file, keys in this order;
+    rendered compactly on one line by {!Ssg_obs.Export.json_to_string},
+    spread out here for reading):
 
     {v
     [
@@ -24,8 +26,9 @@
 
     The per-file counts cover active diagnostics; suppressed ones follow
     them in the array, marked [suppressed: true] and counted in the
-    [suppressed] field.  [line]/[end_line] are omitted for span-less
-    diagnostics, [hint] when there is none. *)
+    [suppressed] field.  Each group is in source order
+    ({!Diagnostic.compare}).  [line]/[end_line] are omitted for
+    span-less diagnostics, [hint] when there is none. *)
 
 (** [human ?file ?src diags] renders diagnostics in source order.  With
     [src] (the run-description text), each anchored diagnostic is
@@ -34,6 +37,6 @@
 val human : ?file:string -> ?src:string -> Diagnostic.t list -> string
 
 (** [json results] renders a JSON array with one object per
-    [(file, active, suppressed)] triple. *)
+    [(file, active, suppressed)] triple, with no trailing newline. *)
 val json :
   (string * Diagnostic.t list * Diagnostic.t list) list -> string

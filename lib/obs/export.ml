@@ -270,59 +270,3 @@ let json_of_string s =
   | exception Malformed -> None
 
 let json_wellformed s = Option.is_some (json_of_string s)
-
-(* ---------------- Chrome trace-event format ---------------- *)
-
-let arg_json = function
-  | Tracer.Int i -> Int i
-  | Tracer.Float f -> Float f
-  | Tracer.Str s -> Str s
-
-let event_json pid (e : Tracer.event) =
-  let base =
-    [
-      ("name", Str e.Tracer.name);
-      ("cat", Str "ssg");
-      ( "ph",
-        Str
-          (match e.Tracer.kind with
-          | Tracer.Begin -> "B"
-          | Tracer.End -> "E"
-          | Tracer.Instant -> "i") );
-      ("ts", Float e.Tracer.ts_us);
-      ("pid", Int pid);
-      ("tid", Int e.Tracer.domain);
-    ]
-  in
-  let scope =
-    (* Instant events need a scope; "t" = thread-scoped, the narrow tick
-       mark Perfetto draws on the emitting track. *)
-    match e.Tracer.kind with Tracer.Instant -> [ ("s", Str "t") ] | _ -> []
-  in
-  let args =
-    match e.Tracer.args with
-    | [] -> []
-    | kvs -> [ ("args", Obj (List.map (fun (k, v) -> (k, arg_json v)) kvs)) ]
-  in
-  Obj (base @ scope @ args)
-
-let metadata_json ~pid ?tid ~meta args =
-  Obj
-    ([ ("name", Str meta); ("ph", Str "M"); ("pid", Int pid) ]
-    @ (match tid with Some t -> [ ("tid", Int t) ] | None -> [])
-    @ [ ("args", Obj args) ])
-
-(* Metadata events naming the process and its threads (domains) — what
-   makes the export Perfetto-readable as labelled tracks rather than
-   bare pid/tid numbers.  The process's ring drop count rides along. *)
-let metadata_jsons ~pid ~process ~dropped events =
-  let tids =
-    List.sort_uniq compare (List.map (fun e -> e.Tracer.domain) events)
-  in
-  metadata_json ~pid ~meta:"process_name"
-    [ ("name", Str process); ("dropped_events", Int dropped) ]
-  :: List.map
-       (fun tid ->
-         metadata_json ~pid ~tid ~meta:"thread_name"
-           [ ("name", Str (Printf.sprintf "domain %d" tid)) ])
-       tids

@@ -1,17 +1,12 @@
-(** Trace exporters: a minimal JSON layer and the Chrome trace-event
-    format.
+(** The JSON codec: a value type, one compact writer and one parser.
 
-    The Chrome pieces ({!event_json}, {!metadata_jsons}) are what
-    {!Ssg_obs.Stitch.chrome_of_reports} assembles into a trace-event
-    JSON array — the format [chrome://tracing] and Perfetto
-    ([ui.perfetto.dev]) load directly.  Mapping: each tracer domain
-    becomes a [tid], span begins/ends become ["B"]/["E"] phase events,
-    instants become thread-scoped ["i"] events; timestamps are the
-    tracer's microseconds.
-
-    The JSON layer is deliberately tiny (build + escape + one parser) —
-    enough for the exporters and for tests and CI to validate emitted
-    documents without a JSON dependency. *)
+    The service's and the CLI's JSON documents are built as {!json}
+    values and rendered by {!json_to_string}: the gateway's bodies,
+    [/stats] ([Ssg_engine.Telemetry]), [ssg sweep], [ssg loadgen
+    --json], [ssg lint --json], SARIF and the Chrome trace documents
+    ({!Ssg_obs.Stitch}).  Deliberately tiny — enough for the writers
+    and for tests and CI to decode emitted documents without a JSON
+    dependency. *)
 
 type json =
   | Null
@@ -40,17 +35,3 @@ val json_wellformed : string -> bool
     tests and tools {e navigate} emitted documents (the SARIF exporter's
     round-trip tests) instead of merely validating them. *)
 val json_of_string : string -> json option
-
-(** [event_json pid e] — one tracer event as a Chrome trace-event
-    object (phases ["B"]/["E"]/["i"], [tid] = tracer domain).  Exposed
-    for {!Ssg_obs.Stitch}, which assembles multi-process documents
-    event by event. *)
-val event_json : int -> Tracer.event -> json
-
-(** [metadata_jsons ~pid ~process ~dropped events] — a [process_name]
-    event (args [name] = [process] and [dropped_events] = [dropped], the
-    events the process's rings lost) plus one [thread_name] event per
-    distinct domain appearing in [events], labelling the tracks
-    Perfetto will draw for them. *)
-val metadata_jsons :
-  pid:int -> process:string -> dropped:int -> Tracer.event list -> json list

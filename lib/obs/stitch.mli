@@ -1,5 +1,12 @@
-(** Fleet trace stitching: one Chrome trace document from per-process
-    tracer reports.
+(** Chrome trace documents: one trace-event JSON array from
+    per-process tracer reports, and the auditor that checks one.
+
+    The document is the format [chrome://tracing] and Perfetto
+    ([ui.perfetto.dev]) load directly: each tracer domain becomes a
+    [tid], span begins/ends become ["B"]/["E"] phase events, instants
+    become thread-scoped ["i"] events, and [ph:"M"] metadata names
+    every process and thread track.  It is built as an
+    {!Export.json} value, as every JSON document is.
 
     {b Clock alignment.}  Event timestamps are µs since each process's
     own tracer epoch ({!Tracer.epoch_s}); the pull reply carries that

@@ -31,7 +31,7 @@ let describe adv name inputs outcome violations =
     outcome;
     skeleton;
     analysis = Analysis.analyze skeleton;
-    min_k = Adversary.min_k adv;
+    min_k = Ssg_predicates.Predicate.(min_k (of_skeleton skeleton));
     violations;
   }
 

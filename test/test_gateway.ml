@@ -355,6 +355,112 @@ let http_body text =
   let off = find 0 in
   String.sub text off (String.length text - off)
 
+(* The submit bodies as values.  A 200 decodes to [Job.execute] of the
+   canonical job, field by field, keys in order (perfbench's
+   correctness check decodes it so); [cached] flips on a repeat; a
+   lint rejection's [error] is the engine's message verbatim, newlines
+   and all, and a 400's keeps the quotes around the token it names. *)
+let test_gateway_bodies_decode () =
+  let module E = Ssg_obs.Export in
+  let backend, wt = start_worker () in
+  let listen = fresh_tcp () in
+  let gt =
+    Thread.create
+      (fun () -> Gateway.serve ~drain_timeout_s:2. ~listen ~backend ())
+      ()
+  in
+  let submit path =
+    let status, text = post listen path two_islands in
+    match E.json_of_string (http_body text) with
+    | Some (E.Obj fields) -> (status, fields)
+    | _ -> Alcotest.failf "%s: the body is not a JSON object" path
+  in
+  let int = function E.Int i -> i | _ -> Alcotest.fail "expected an integer" in
+  let str = function E.Str s -> s | _ -> Alcotest.fail "expected a string" in
+  let list = function E.Arr l -> l | _ -> Alcotest.fail "expected an array" in
+  let outcome fields : Job.outcome =
+    match List.assoc_opt "outcome" fields with
+    | Some
+        (E.Obj
+          [
+            ("algorithm", algorithm);
+            ("n", n);
+            ("min_k", min_k);
+            ("rounds_run", rounds_run);
+            ("decisions", decisions);
+            ("distinct_decisions", distinct_decisions);
+            ("messages_sent", messages_sent);
+            ("messages_delivered", messages_delivered);
+            ("bits_sent", bits_sent);
+            ("violations", violations);
+          ]) ->
+        let decision = function
+          | E.Null -> None
+          | E.Arr [ r; v ] -> Some (int r, int v)
+          | _ -> Alcotest.fail "a decision is null or [round, value]"
+        in
+        {
+          algorithm = str algorithm;
+          n = int n;
+          min_k = int min_k;
+          rounds_run = int rounds_run;
+          decisions = Array.of_list (List.map decision (list decisions));
+          distinct_decisions = int distinct_decisions;
+          messages_sent = int messages_sent;
+          messages_delivered = int messages_delivered;
+          bits_sent = int bits_sent;
+          violations = List.map str (list violations);
+        }
+    | _ -> Alcotest.fail "outcome: wrong keys or key order"
+  in
+  let expected =
+    Protocol.outcome_to_string (Job.execute (Job.of_run_text ~k:2 two_islands))
+  in
+  let status, first = submit "/submit?k=2" in
+  check_int "computed 200" 200 status;
+  check "keys in order" true
+    (List.map fst first = [ "cached"; "latency_ms"; "outcome" ]);
+  check "computed, not cached" true
+    (List.assoc "cached" first = E.Bool false);
+  Alcotest.(check string)
+    "outcome decodes to Job.execute" expected
+    (Protocol.outcome_to_string (outcome first));
+  let status, again = submit "/submit?k=2" in
+  check_int "repeat 200" 200 status;
+  check "repeat served from cache" true
+    (List.assoc "cached" again = E.Bool true);
+  Alcotest.(check string)
+    "cached outcome decodes to Job.execute" expected
+    (Protocol.outcome_to_string (outcome again));
+  let status, rejected = submit "/submit?k=1" in
+  check_int "lint rejection 422" 422 status;
+  let diags =
+    let job = Job.of_run_text ~k:1 two_islands in
+    match Ssg_lint.Lint.gate ~k:1 job.Job.run with
+    | Some d -> d
+    | None -> Alcotest.fail "the gate admits the k=1 run"
+  in
+  check "diagnostics span lines" true (String.contains diags '\n');
+  let error fields = List.map (fun (k, v) -> (k, str v)) fields in
+  Alcotest.(check (list (pair string string)))
+    "error is the engine's lint message"
+    [ ("error", "job rejected by lint:\n" ^ diags) ]
+    (error rejected);
+  let status, refused = submit "/submit?k=2&algorithm=quantum" in
+  check_int "unknown algorithm 400" 400 status;
+  Alcotest.(check (list (pair string string)))
+    "error quotes the algorithm"
+    [
+      ( "error",
+        "unknown algorithm \"quantum\" (expected kset | floodmin | \
+         flood-consensus | naive-min)" );
+    ]
+    (error refused);
+  let status, _ = post listen "/shutdown" "" in
+  check_int "gateway shutdown" 200 status;
+  Thread.join gt;
+  stop_worker backend wt
+
 (* [GET /trace] relays the fleet pull through the gateway's backend:
    one stitched document, the gateway's own track ahead of every
    process behind it. *)
@@ -415,6 +521,54 @@ let test_gateway_trace_relays_fleet_pull () =
   check_int "gateway shutdown" 200 status;
   Thread.join gt;
   stop_worker backend wt
+
+(* A run with no latency samples: every latency field is NaN and
+   renders as null, never as a number. *)
+let test_loadgen_json_without_samples () =
+  let module E = Ssg_obs.Export in
+  let report =
+    {
+      Loadgen.connections = 2;
+      sent = 3;
+      completed = 0;
+      rejected = 0;
+      errors = 3;
+      duration_s = 0.25;
+      throughput_rps = 0.;
+      mean_ms = Float.nan;
+      p50_ms = Float.nan;
+      p95_ms = Float.nan;
+      p99_ms = Float.nan;
+      max_ms = Float.nan;
+      slo_violations =
+        [
+          "p99<5ms: no latency samples";
+          "3 client-visible error(s) during the run";
+        ];
+      slow_traces = [];
+    }
+  in
+  match E.json_of_string (Loadgen.to_json report) with
+  | Some (E.Obj fields) ->
+      check "keys in order" true
+        (List.map fst fields
+        = [
+            "connections"; "sent"; "completed"; "rejected"; "errors";
+            "duration_s"; "throughput_rps"; "mean_ms"; "p50_ms"; "p95_ms";
+            "p99_ms"; "max_ms"; "slo_violations"; "slow_traces";
+          ]);
+      List.iter
+        (fun k -> check (k ^ " is null") true (List.assoc k fields = E.Null))
+        [ "mean_ms"; "p50_ms"; "p95_ms"; "p99_ms"; "max_ms" ];
+      check "counts" true
+        (List.map (fun k -> List.assoc k fields) [ "sent"; "errors" ]
+        = [ E.Int 3; E.Int 3 ]);
+      check "duration" true (List.assoc "duration_s" fields = E.Float 0.25);
+      check "violations" true
+        (List.assoc "slo_violations" fields
+        = E.Arr (List.map (fun v -> E.Str v) report.Loadgen.slo_violations));
+      check "no slow traces" true (List.assoc "slow_traces" fields = E.Arr [])
+  | _ -> Alcotest.fail "the report is not a JSON object"
 
 (* ---------------- loadgen: smoke ---------------- *)
 
@@ -704,12 +858,16 @@ let tests =
       test_gateway_backend_down_is_502;
     Alcotest.test_case "gateway: trace propagation end to end" `Quick
       test_gateway_trace_propagation;
+    Alcotest.test_case "gateway: bodies decode to the job's values" `Quick
+      test_gateway_bodies_decode;
     Alcotest.test_case "gateway: trace relays the fleet pull" `Quick
       test_gateway_trace_relays_fleet_pull;
     Alcotest.test_case "exposition: lint, README tables" `Quick
       test_exposition_lint;
     Alcotest.test_case "loadgen: slow-request trace sampling" `Quick
       test_loadgen_trace_top;
+    Alcotest.test_case "loadgen: json without latency samples" `Quick
+      test_loadgen_json_without_samples;
     Alcotest.test_case "loadgen: closed-loop smoke" `Quick
       test_loadgen_closed_loop_smoke;
     Alcotest.test_case "loadgen: open-loop smoke" `Quick

@@ -170,22 +170,96 @@ let test_human_report () =
   let out = Report.human (Lint.check ~k:1 (Build.synchronous ~n:3)) in
   check "in-memory render works" true (contains out "SSG002")
 
+(* [Report.json]'s output decoded back: per file object its name, the
+   four counts and every diagnostic with its [suppressed] mark.  The
+   keys must come in the documented order, and the optional fields
+   ([line]/[end_line], [hint], [suppressed]) must be absent, not
+   null, when they do not apply. *)
+let decode_report out =
+  let module E = Ssg_obs.Export in
+  let str = function E.Str s -> s | _ -> Alcotest.fail "expected a string" in
+  let int = function E.Int i -> i | _ -> Alcotest.fail "expected an integer" in
+  let diagnostic = function
+    | E.Obj kvs ->
+        let opt k = List.assoc_opt k kvs in
+        let get k =
+          match opt k with
+          | Some v -> v
+          | None -> Alcotest.failf "diagnostic without %S" k
+        in
+        let severity =
+          List.find
+            (fun sev -> Diagnostic.severity_label sev = str (get "severity"))
+            [ Diagnostic.Error; Warning; Info ]
+        in
+        let span =
+          Option.map
+            (fun l ->
+              { Diagnostic.line = int l; end_line = int (get "end_line") })
+            (opt "line")
+        in
+        let suppressed =
+          match opt "suppressed" with
+          | None -> false
+          | Some (E.Bool true) -> true
+          | Some _ -> Alcotest.fail "suppressed is written only as true"
+        in
+        ( {
+            Diagnostic.code = str (get "code");
+            severity;
+            span;
+            message = str (get "message");
+            hint = Option.map str (opt "hint");
+          },
+          suppressed )
+    | _ -> Alcotest.fail "diagnostic is not an object"
+  in
+  let file = function
+    | E.Obj
+        [
+          ("file", name);
+          ("errors", e);
+          ("warnings", w);
+          ("infos", i);
+          ("suppressed", s);
+          ("diagnostics", E.Arr ds);
+        ] ->
+        (str name, [ int e; int w; int i; int s ], List.map diagnostic ds)
+    | _ -> Alcotest.fail "file object: wrong keys or key order"
+  in
+  match E.json_of_string out with
+  | Some (E.Arr files) -> List.map file files
+  | _ -> Alcotest.fail "the report is not a JSON array"
+
 let test_json_report () =
-  let diags = Lint.check_text ~k:1 two_islands in
-  let out = Report.json [ ("islands.run", diags, []) ] in
-  check "file field" true (contains out "\"file\": \"islands.run\"");
-  (* Two errors: SSG001's verdict and SSG201's certificate trail. *)
-  check "error count" true (contains out "\"errors\": 2");
-  check "code field" true (contains out "\"code\": \"SSG001\"");
-  check "severity field" true (contains out "\"severity\": \"error\"");
-  check "line field" true (contains out "\"line\": 3");
-  (* Escaping: messages quote tokens like "0>2". *)
-  let out = Report.json [ ("noisy.run", Lint.check_text ~k:2 noisy, []) ] in
-  check "quotes escaped" true (contains out "\\\"0>2\\\"");
-  check "balanced array" true
-    (String.length out > 2
-    && String.get out 0 = '['
-    && String.get (String.trim out) (String.length (String.trim out) - 1) = ']')
+  let diags = List.sort Diagnostic.compare (Lint.check_text ~k:1 two_islands) in
+  let s = Lint.summarize diags in
+  (match decode_report (Report.json [ ("islands.run", diags, []) ]) with
+  | [ (file, counts, decoded) ] ->
+      check "file field" true (file = "islands.run");
+      (* Two errors: SSG001's verdict and SSG201's certificate trail. *)
+      check "counts" true (counts = [ 2; s.Lint.warnings; s.Lint.infos; 0 ]);
+      check "SSG001 is an error on line 3" true
+        (List.exists
+           (fun ((d : Diagnostic.t), _) ->
+             d.code = "SSG001"
+             && d.severity = Diagnostic.Error
+             && d.span = Some (Diagnostic.line 3))
+           decoded);
+      check "diagnostics decode to the input, in source order" true
+        (decoded = List.map (fun d -> (d, false)) diags)
+  | _ -> Alcotest.fail "expected one file object");
+  (* Escaping: messages quote tokens like "0>2", which decode intact. *)
+  let diags = List.sort Diagnostic.compare (Lint.check_text ~k:2 noisy) in
+  match decode_report (Report.json [ ("noisy.run", diags, []) ]) with
+  | [ (_, _, decoded) ] ->
+      check "quoted token survives" true
+        (List.exists
+           (fun ((d : Diagnostic.t), _) -> contains d.message "\"0>2\"")
+           decoded);
+      check "noisy diagnostics decode to the input" true
+        (decoded = List.map (fun d -> (d, false)) diags)
+  | _ -> Alcotest.fail "expected one file object"
 
 let test_summary_and_strictness () =
   let diags = Lint.check_text ~k:2 noisy in

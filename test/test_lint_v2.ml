@@ -305,10 +305,28 @@ let test_suppress_counts_in_summary () =
   in
   check_int "suppressed counted" 2 s.Lint.suppressed;
   check_int "errors zeroed" 0 s.Lint.errors;
-  (* The JSON reporter marks them. *)
+  (* The JSON reporter counts them and marks each one. *)
+  let module E = Ssg_obs.Export in
   let json = Report.json [ ("t.run", out.Lint.active, out.Lint.suppressed) ] in
-  check "json marks suppression" true (contains json "\"suppressed\": true");
-  check "json counts suppression" true (contains json "\"suppressed\": 2")
+  match E.json_of_string json with
+  | Some (E.Arr [ E.Obj file ]) ->
+      check "json counts suppression" true
+        (List.assoc_opt "suppressed" file = Some (E.Int 2));
+      let marked =
+        match List.assoc_opt "diagnostics" file with
+        | Some (E.Arr ds) ->
+            List.filter_map
+              (function
+                | E.Obj d
+                  when List.assoc_opt "suppressed" d = Some (E.Bool true) ->
+                    List.assoc_opt "code" d
+                | _ -> None)
+              ds
+        | _ -> Alcotest.fail "no diagnostics array"
+      in
+      check "json marks suppression" true
+        (List.sort compare marked = [ E.Str "SSG001"; E.Str "SSG201" ])
+  | _ -> Alcotest.fail "the report is not one file object"
 
 let test_suppress_parse_shapes () =
   let text =
