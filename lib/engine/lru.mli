@@ -5,9 +5,10 @@
     least-recently-used entry.  A hit in [find] bumps recency.  Hits and
     misses are counted by the engine's {!Telemetry}, not here.
 
-    Not internally synchronized — the engine serializes all access under
-    its own lock (cache lookup and pending-table dedup must be updated
-    atomically together anyway).  A [capacity] of [0] is a
+    Not internally synchronized — each user serializes access under its
+    own lock: the engine (cache lookup and pending-table dedup must be
+    updated atomically together anyway) and the gateway's validation
+    memo.  A [capacity] of [0] is a
     valid always-miss cache (caching disabled). *)
 
 type 'a t

@@ -15,15 +15,24 @@ open Ssg_engine
    long with requests outstanding fails all of them with 502s. *)
 let backend_deadline_s = 30.
 
+(* Bounds of the validation memo: at most this many entries, and a
+   body longer than this is normalized on every request, never
+   stored. *)
+let memo_capacity = 1024
+let memo_max_body = 4096
+
 type t = {
   backend : string;
   block : Mutex.t;
   mutable client : Client.t option;
+  memo : Job.t Lru.t;  (* key as sent -> canonical job, under [mlock] *)
+  mlock : Mutex.t;
   metrics : Metrics.t;
   requests : Metrics.counter;
   submits : Metrics.counter;
   client_errors : Metrics.counter;  (* 4xx *)
   backend_errors : Metrics.counter;  (* 502 *)
+  validation_hits : Metrics.counter;  (* submits served by the memo *)
   hop_router : Metrics.histogram;  (* gateway -> backend round trip *)
 }
 
@@ -110,6 +119,28 @@ let parse_submit_params req =
     ->
       Error e
 
+(* The canonical job for a request: the memo's when the same request
+   was validated before, else [Job.of_run_text]'s, stored once it
+   normalized.  The key as sent holds every parameter and the body byte
+   for byte.  A [k] or [rounds] that [Job.as_sent] refuses skips the
+   memo, so a body that does not parse still reports its parse error
+   first. *)
+let validate t ~algorithm ~k ?rounds ~monitor body =
+  let normalize () = Job.of_run_text ~algorithm ~k ?rounds ~monitor body in
+  match Job.as_sent ~algorithm ~k ?rounds ~monitor body with
+  | exception Invalid_argument _ -> normalize ()
+  | _ when String.length body > memo_max_body -> normalize ()
+  | sent -> (
+      let key = Job.key sent in
+      match Mutex.protect t.mlock (fun () -> Lru.find t.memo key) with
+      | Some job ->
+          Metrics.incr t.validation_hits;
+          job
+      | None ->
+          let job = normalize () in
+          Mutex.protect t.mlock (fun () -> Lru.add t.memo key job);
+          job)
+
 (* Await the backend reply, recording the full gateway->router round
    trip (send to correlated reply) in the hop histogram.  The hop is
    observed on every outcome — a 502's latency is exactly the number a
@@ -126,7 +157,7 @@ let handle_submit ?ctx t req =
   match parse_submit_params req with
   | Error msg -> (400, "application/json", json_error msg)
   | Ok (k, rounds, monitor, algorithm) -> (
-      match Job.of_run_text ~algorithm ~k ?rounds ~monitor req.Http.body with
+      match validate t ~algorithm ~k ?rounds ~monitor req.Http.body with
       | exception (Failure msg | Invalid_argument msg) ->
           (400, "application/json", json_error msg)
       | job -> (
@@ -311,6 +342,8 @@ let serve ?(max_connections = 1024) ?(read_timeout_s = 30.)
       backend;
       block = Mutex.create ();
       client = None;
+      memo = Lru.create ~capacity:memo_capacity;
+      mlock = Mutex.create ();
       metrics;
       requests = counter "ssg_gateway_requests_total" "HTTP requests received";
       submits = counter "ssg_gateway_submits_total" "POST /submit requests";
@@ -319,6 +352,9 @@ let serve ?(max_connections = 1024) ?(read_timeout_s = 30.)
       backend_errors =
         counter "ssg_gateway_backend_errors_total"
           "Responses with a 502 status (backend unreachable or failed)";
+      validation_hits =
+        counter "ssg_gateway_validation_hits_total"
+          "POST /submit requests validated from the memo, with no parse";
       hop_router =
         Metrics.histogram metrics
           ~help:

@@ -15,7 +15,13 @@
       [200] with the completion (outcome, cached flag, latency),
       [400] on malformed parameters or run text, [422] when the job
       was rejected (lint) or failed executing, [502] when the backend
-      could not be reached.
+      could not be reached.  A [422]'s line numbers and excerpts refer
+      to the canonical text the gateway forwards, not to the body as
+      sent: that text adds a [# loaded] line after the header, drops
+      comments and blank lines, and sorts edges.  So POSTing
+      [ssg-run v1\nn 6\nstable: 0>1 1>2 2>0 3>4 4>5 5>3\n] with
+      [k=1] answers [line 4: error SSG001], where [ssg lint -k 1] on
+      the same file says line 3.
     - [GET /stats] — the backend's merged telemetry snapshot as JSON.
     - [GET /metrics] — Prometheus text: the gateway's own series
       ([ssg_gateway_*], including the [ssg_hop_gateway_router_ms]
@@ -27,6 +33,30 @@
       when the backend pull fails.
     - [GET /healthz] — liveness (does not touch the backend).
     - [POST /shutdown] — stops the {e gateway} (never the backend).
+
+    {b Validation memo.}  Validating a request
+    ({!Ssg_engine.Job.of_run_text}: parse the body, write the canonical
+    job) is a pure function of the request, so the gateway does it once
+    per distinct request.  A
+    bounded {!Ssg_engine.Lru} maps each request's key as sent
+    ({!Ssg_engine.Job.key} of {!Ssg_engine.Job.as_sent} of the body
+    and the query parameters) to the canonical job its first
+    validation built.  A repeated request is forwarded with that job
+    and parses nothing; [ssg_gateway_validation_hits_total] counts
+    these.  The key writes every parameter and then the body byte for
+    byte, so equal keys are the same request, and the same text under
+    another [k], [algorithm], [rounds] or [monitor] is another entry.
+    Only a job that normalized is stored: a [400] is worked out again
+    on every request, and a request whose [k] or [rounds]
+    [Job.as_sent] refuses skips the memo, so a body that does not
+    parse still answers its parse error.  The forwarded job, every
+    status and every body are what they would be without the memo.
+    The bounds are constants: 1,024 entries, and bodies of at most
+    4 KiB (a longer body is normalized on every request and never
+    stored).  An entry holds its key (the body and a few dozen bytes of
+    parameters) and the canonical text (at most the body, the
+    [# loaded] line and a byte per line), so the memo stays under
+    9 MiB.
 
     {b Tracing.}  With [trace], every request but [GET /trace] runs
     under a [gateway.request] span (a trace pull's own span would be

@@ -461,6 +461,104 @@ let test_gateway_bodies_decode () =
   Thread.join gt;
   stop_worker backend wt
 
+(* The gateway validates each distinct request once.  A repeat is
+   forwarded from the memo and counted; the parameters are part of the
+   key; another spelling of a memoized run is validated afresh; and
+   neither a 400 nor a body over the memo's limit is ever stored. *)
+let test_gateway_validation_memo () =
+  let module E = Ssg_obs.Export in
+  let backend, wt = start_worker () in
+  let listen = fresh_tcp () in
+  let gt =
+    Thread.create
+      (fun () -> Gateway.serve ~drain_timeout_s:2. ~listen ~backend ())
+      ()
+  in
+  let hits () =
+    let status, text = get listen "/metrics" in
+    check_int "metrics" 200 status;
+    let name = "ssg_gateway_validation_hits_total " in
+    let skip = String.length name in
+    match
+      List.find_opt
+        (String.starts_with ~prefix:name)
+        (String.split_on_char '\n' (http_body text))
+    with
+    | Some line ->
+        int_of_string (String.sub line skip (String.length line - skip))
+    | None -> Alcotest.fail "no ssg_gateway_validation_hits_total sample"
+  in
+  let submit path body =
+    let status, text = post listen path body in
+    (status, http_body text)
+  in
+  let s1, _ = submit "/submit?k=2" two_islands in
+  let s2, b2 = submit "/submit?k=2" two_islands in
+  let s3, b3 = submit "/submit?k=2" two_islands in
+  List.iter (check_int "k=2 answers 200" 200) [ s1; s2; s3 ];
+  check_int "two repeats, two memo hits" 2 (hits ());
+  check "a repeat is the worker's cache hit" true
+    (contains b2 "\"cached\":true");
+  Alcotest.(check string) "both repeats answer the same bytes" b2 b3;
+  let status, _ = submit "/submit?k=1" two_islands in
+  check_int "the same text with k=1 is a lint rejection" 422 status;
+  check_int "k=1 is another request" 2 (hits ());
+  let status, body = submit "/submit?k=2" two_islands in
+  check_int "k=2 answers 200 again" 200 status;
+  Alcotest.(check string) "k=2 again, the same bytes" b2 body;
+  check_int "k=2 again is a memo hit" 3 (hits ());
+  let respelled =
+    "ssg-run v1\n# the two islands\nn 6\n\nstable: 5>3 4>5 3>4 2>0 1>2 0>1\n"
+  in
+  let status, body = submit "/submit?k=2" respelled in
+  check_int "a respelling answers 200" 200 status;
+  check "a respelling is the worker's cache hit" true
+    (contains body "\"cached\":true");
+  check_int "a respelling is not a memo hit" 3 (hits ());
+  let refused what path normalize body =
+    let msg =
+      match normalize body with
+      | _ -> Alcotest.failf "%s: the request normalizes" what
+      | exception (Failure msg | Invalid_argument msg) -> msg
+    in
+    let expected = E.json_to_string (E.Obj [ ("error", E.Str msg) ]) in
+    for _ = 1 to 3 do
+      let status, got = submit path body in
+      check_int (what ^ ": 400") 400 status;
+      Alcotest.(check string)
+        (what ^ ": the normalizer's message")
+        expected got
+    done;
+    check_int (what ^ ": never a memo hit") 3 (hits ());
+    msg
+  in
+  ignore
+    (refused "not a run" "/submit?k=2" (Job.of_run_text ~k:2)
+       "this is not a run");
+  let msg =
+    refused "unparseable with k=0" "/submit?k=0" (Job.of_run_text ~k:0)
+      "ssg-run v1\nn 3\nstable: 0>1 1>9\n"
+  in
+  check "the parse error comes before k's" true
+    (String.starts_with ~prefix:"line 3" msg);
+  ignore
+    (refused "rounds=-1" "/submit?k=2&rounds=-1"
+       (Job.of_run_text ~k:2 ~rounds:(-1))
+       two_islands);
+  ignore
+    (refused "over the parser's budget" "/submit?k=2" (Job.of_run_text ~k:2)
+       "ssg-run v1\nn 200000\nstable:\n");
+  let padded = two_islands ^ "# " ^ String.make 4096 'x' ^ "\n" in
+  for _ = 1 to 3 do
+    let status, _ = submit "/submit?k=2" padded in
+    check_int "a body over the memo's limit answers 200" 200 status
+  done;
+  check_int "a body over the memo's limit is never a memo hit" 3 (hits ());
+  let status, _ = post listen "/shutdown" "" in
+  check_int "gateway shutdown" 200 status;
+  Thread.join gt;
+  stop_worker backend wt
+
 (* [GET /trace] relays the fleet pull through the gateway's backend:
    one stitched document, the gateway's own track ahead of every
    process behind it. *)
@@ -860,6 +958,8 @@ let tests =
       test_gateway_trace_propagation;
     Alcotest.test_case "gateway: bodies decode to the job's values" `Quick
       test_gateway_bodies_decode;
+    Alcotest.test_case "gateway: a repeated request is validated once" `Quick
+      test_gateway_validation_memo;
     Alcotest.test_case "gateway: trace relays the fleet pull" `Quick
       test_gateway_trace_relays_fleet_pull;
     Alcotest.test_case "exposition: lint, README tables" `Quick
