@@ -129,8 +129,14 @@ let record_slow tally top ms trace_hex =
 type conn = {
   mutable fd : Unix.file_descr option;
   mutable next_id : int;
-  (* Open-loop only: when this connection's next request is due. *)
-  mutable next_sched : float;
+  pending : (int, kind * float * string option) Hashtbl.t;
+      (* id -> kind, latency origin, sampled trace id *)
+  mutable heard : float;
+      (* the last reply, or the send that found nothing pending: where
+         the deadline's silence starts *)
+  mutable due : float;
+      (* open loop: the next scheduled send; closed loop: when a dead
+         connection is re-dialed *)
 }
 
 let dial addr deadline_s =
@@ -153,7 +159,11 @@ let dial_retry addr deadline_s =
   in
   go 0
 
-let drop conn =
+(* A connection that fails — deadline, hangup, garbage — loses every
+   request still pending on it. *)
+let drop tally conn =
+  tally.errors <- tally.errors + Hashtbl.length conn.pending;
+  Hashtbl.reset conn.pending;
   (match conn.fd with
   | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
   | None -> ());
@@ -173,13 +183,6 @@ let classify tally kind reply_payload =
       tally.rejected <- tally.rejected + 1
   | _ -> tally.errors <- tally.errors + 1
 
-(* ---------------- drivers ---------------- *)
-
-(* Closed-loop round over one connection: send [pipeline] id-framed
-   requests back to back, then read the replies (any order — the ids
-   correlate them).  All of a driver's connections send before any of
-   them reads, so the whole slice has work in flight at once. *)
-
 (* When sampling is on ([trace_top > 0]) each request originates a root
    trace context, carried in the context envelope inside the id
    envelope — the loadgen is the edge of those traces, exactly like a
@@ -192,119 +195,50 @@ let encode_request kind trace_top =
   end
   else (None, encode_job kind)
 
-let send_batch conn tally next_kind pipeline trace_top =
-  let fd = Option.get conn.fd in
-  let outstanding = Hashtbl.create pipeline in
-  let payloads =
-    List.init pipeline (fun _ ->
-        let kind = next_kind () in
-        let id = conn.next_id in
-        conn.next_id <- id + 1;
-        let trace_hex, payload = encode_request kind trace_top in
-        Hashtbl.replace outstanding id (kind, trace_hex);
-        Frame.with_id ~id payload)
-  in
-  List.iter (Frame.write_fd fd) payloads;
-  let t0 = Unix.gettimeofday () in
-  tally.sent <- tally.sent + pipeline;
-  (conn, t0, outstanding)
+(* Send the next job of the mix on [conn], its latency timed from
+   [origin]. *)
+let send tally next_kind trace_top conn origin =
+  let kind = next_kind () in
+  let id = conn.next_id in
+  conn.next_id <- id + 1;
+  let trace_hex, payload = encode_request kind trace_top in
+  if Hashtbl.length conn.pending = 0 then conn.heard <- Unix.gettimeofday ();
+  Hashtbl.replace conn.pending id (kind, origin, trace_hex);
+  tally.sent <- tally.sent + 1;
+  Frame.write_fd (Option.get conn.fd) (Frame.with_id ~id payload)
 
-(* A connection that fails — deadline, hangup, garbage — loses every
-   request still unanswered on it. *)
-let lose tally (conn, _, outstanding) =
-  tally.errors <- tally.errors + Hashtbl.length outstanding;
-  drop conn
-
-(* Read one reply of a round sent at [t0]; true while the connection
-   still owes replies. *)
-let read_reply tally trace_top ((conn, t0, outstanding) as round) =
+(* Read one reply off [conn] and time it as it arrives. *)
+let receive tally trace_top conn =
   match Frame.classify (Frame.read_fd (Option.get conn.fd)) with
-  | Frame.Plain _ | (exception _) ->
-      lose tally round;
-      false
-  | Frame.Id (id, inner) ->
-      (match Hashtbl.find_opt outstanding id with
-      | None -> ()  (* stale reply from a previous batch: ignore *)
-      | Some (kind, trace_hex) ->
-          Hashtbl.remove outstanding id;
-          let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  | Frame.Plain _ -> failwith "loadgen: reply outside the id envelope"
+  | Frame.Id (id, inner) -> (
+      let now = Unix.gettimeofday () in
+      conn.heard <- now;
+      match Hashtbl.find_opt conn.pending id with
+      | None -> ()  (* an id nothing waits for: ignore *)
+      | Some (kind, origin, trace_hex) ->
+          Hashtbl.remove conn.pending id;
+          let ms = (now -. origin) *. 1000. in
           record_latency tally ms;
-          (match trace_hex with
-          | Some hex -> record_slow tally trace_top ms hex
-          | None -> ());
-          classify tally kind inner);
-      Hashtbl.length outstanding > 0
+          Option.iter (record_slow tally trace_top ms) trace_hex;
+          classify tally kind inner)
 
-(* Phase 2 of a round: every reply, timed as it arrives.  Draining the
-   connections one after another would time a reply only once those
-   read before it had drained, charging it for their slowest reply.
-   Silence on every connection for [deadline_s] fails them all.
-   [Unix.select] cannot watch a descriptor past FD_SETSIZE; then the
-   connections drain one after another. *)
-let rec drain tally trace_top deadline_s = function
-  | [] -> ()
-  | pending -> (
-      let fd (conn, _, _) = Option.get conn.fd in
-      match Unix.select (List.map fd pending) [] [] deadline_s with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-          drain tally trace_top deadline_s pending
-      | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
-          List.iter
-            (fun round -> while read_reply tally trace_top round do () done)
-            pending
-      | [], _, _ -> List.iter (lose tally) pending
-      | ready, _, _ ->
-          drain tally trace_top deadline_s
-            (List.filter
-               (fun round ->
-                 (not (List.mem (fd round) ready))
-                 || read_reply tally trace_top round)
-               pending))
+(* ---------------- the driver ---------------- *)
 
-let closed_loop addr deadline_s pipeline next_kind trace_top t_end tally conns
-    =
-  (* Connect the whole slice up front. *)
-  Array.iter
-    (fun conn ->
-      match dial_retry addr deadline_s with
-      | Some fd -> conn.fd <- Some fd
-      | None -> tally.errors <- tally.errors + 1)
-    conns;
-  while Unix.gettimeofday () < t_end do
-    (* Phase 1: every live connection gets a batch in flight. *)
-    let rounds =
-      Array.to_list conns
-      |> List.filter_map (fun conn ->
-             match conn.fd with
-             | None -> None
-             | Some _ -> (
-                 match send_batch conn tally next_kind pipeline trace_top with
-                 | round -> Some round
-                 | exception _ ->
-                     tally.errors <- tally.errors + pipeline;
-                     drop conn;
-                     None))
-    in
-    drain tally trace_top deadline_s rounds;
-    (* Re-dial what died so the load level recovers. *)
-    if Unix.gettimeofday () < t_end then
-      Array.iter
-        (fun conn ->
-          if conn.fd = None then
-            match dial addr deadline_s with
-            | fd -> conn.fd <- Some fd
-            | exception (Unix.Unix_error _ | Failure _) -> ())
-        conns
-  done
+(* A dead connection of the closed loop is re-dialed after this pause,
+   so a target that refuses costs a few dials a second, not a spin. *)
+let redial_pause_s = 0.1
 
-(* Open-loop: each connection fires at fixed schedule times (the
-   aggregate rate split evenly), one request in flight each, and the
-   latency clock starts at the {e scheduled} time — a service that
-   falls behind pays for its queue. *)
-let open_loop addr deadline_s rate next_kind trace_top t_start t_end tally
-    conns =
-  let n = Array.length conns in
-  let interval = float_of_int n /. rate in
+(* One driver thread over its slice [conns], the first of which is the
+   run's connection [first].  Each connection is served on its own:
+   the closed loop ([rate = 0.]) keeps [pipeline] requests in flight on
+   every live connection, sending the next as each reply arrives; in
+   the open loop connection g sends at g/[rate] and then every
+   [connections]/[rate] seconds, whatever it still has pending, a dead
+   connection re-dialing at its slot.  [Unix.select] waits for the
+   first reply, deadline or due send of any of them. *)
+let drive addr deadline_s pipeline rate connections first next_kind trace_top
+    t_start t_end tally conns =
   Array.iter
     (fun conn ->
       match dial_retry addr deadline_s with
@@ -315,56 +249,81 @@ let open_loop addr deadline_s rate next_kind trace_top t_start t_end tally
      charging the dial phase to the service would inflate every
      first-request latency by setup time the service never saw. *)
   let base = Float.max t_start (Unix.gettimeofday ()) in
+  let closed = rate = 0. in
+  let interval = float_of_int connections /. rate in
   Array.iteri
-    (fun i conn -> conn.next_sched <- base +. (float_of_int i /. rate))
+    (fun i conn ->
+      conn.due <-
+        (if closed then base else base +. (float_of_int (first + i) /. rate)))
     conns;
-  let live = ref true in
-  while !live && Unix.gettimeofday () < t_end do
-    live := false;
-    Array.iter
-      (fun conn ->
-        match conn.fd with
-        | None -> ()
-        | Some fd ->
-            if conn.next_sched < t_end then begin
-              live := true;
-              let now = Unix.gettimeofday () in
-              if now < conn.next_sched then
-                Thread.delay (conn.next_sched -. now);
-              let sched = conn.next_sched in
-              conn.next_sched <- conn.next_sched +. interval;
-              let kind = next_kind () in
-              let id = conn.next_id in
-              conn.next_id <- id + 1;
-              match
-                let trace_hex, payload = encode_request kind trace_top in
-                Frame.write_fd fd (Frame.with_id ~id payload);
-                tally.sent <- tally.sent + 1;
-                let rec read_mine () =
-                  match Frame.classify (Frame.read_fd fd) with
-                  | Frame.Plain _ ->
-                      failwith "loadgen: reply outside the id envelope"
-                  | Frame.Id (rid, inner) when rid = id -> inner
-                  | Frame.Id _ -> read_mine ()
-                in
-                let inner = read_mine () in
-                let ms = (Unix.gettimeofday () -. sched) *. 1000. in
-                record_latency tally ms;
-                (match trace_hex with
-                | Some hex -> record_slow tally trace_top ms hex
-                | None -> ());
-                classify tally kind inner
-              with
-              | () -> ()
-              | exception _ ->
-                  tally.errors <- tally.errors + 1;
-                  drop conn;
-                  (match dial addr deadline_s with
-                  | fd -> conn.fd <- Some fd
-                  | exception (Unix.Unix_error _ | Failure _) -> ())
-            end)
-      conns
-  done
+  let retry_later conn now = if closed then conn.due <- now +. redial_pause_s in
+  let fail conn now =
+    drop tally conn;
+    retry_later conn now
+  in
+  let send conn origin =
+    try send tally next_kind trace_top conn origin
+    with _ -> fail conn (Unix.gettimeofday ())
+  in
+  let receive conn =
+    try receive tally trace_top conn
+    with _ -> fail conn (Unix.gettimeofday ())
+  in
+  (* Everything [conn] is owed at [now] short of a reply: its deadline,
+     a re-dial, its sends. *)
+  let serve conn now =
+    if Hashtbl.length conn.pending > 0 && now -. conn.heard >= deadline_s
+    then fail conn now;
+    if conn.due <= now && conn.due < t_end then begin
+      let slot = conn.due in
+      if not closed then conn.due <- slot +. interval;
+      (if conn.fd = None then
+         match dial addr deadline_s with
+         | fd -> conn.fd <- Some fd
+         | exception (Unix.Unix_error _ | Failure _) -> retry_later conn now);
+      if (not closed) && conn.fd <> None then send conn slot
+    end;
+    if closed && now < t_end then
+      while conn.fd <> None && Hashtbl.length conn.pending < pipeline do
+        send conn (Unix.gettimeofday ())
+      done
+  in
+  let wake conn =
+    Float.min
+      (if Hashtbl.length conn.pending > 0 then conn.heard +. deadline_s
+       else infinity)
+      (if conn.due < t_end && ((not closed) || conn.fd = None) then conn.due
+       else infinity)
+  in
+  let reply conn =
+    receive conn;
+    serve conn (Unix.gettimeofday ())
+  in
+  let rec loop () =
+    let now = Unix.gettimeofday () in
+    Array.iter (fun conn -> serve conn now) conns;
+    let next =
+      Array.fold_left (fun t conn -> Float.min t (wake conn)) infinity conns
+    in
+    if next < infinity then begin
+      let live = List.filter (fun c -> c.fd <> None) (Array.to_list conns) in
+      let fd conn = Option.get conn.fd in
+      let timeout = Float.max 0. (next -. Unix.gettimeofday ()) in
+      (match Unix.select (List.map fd live) [] [] timeout with
+      | ready, _, _ ->
+          List.iter (fun c -> if List.mem (fd c) ready then reply c) live
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error (Unix.EINVAL, _, _) -> (
+          (* [Unix.select] cannot watch a descriptor past FD_SETSIZE:
+             then each waiting connection is read in turn, each read
+             bounded by [SO_RCVTIMEO]. *)
+          match List.filter (fun c -> Hashtbl.length c.pending > 0) live with
+          | [] -> Thread.delay timeout
+          | waiting -> List.iter reply waiting));
+      loop ()
+    end
+  in
+  loop ()
 
 (* ---------------- the run ---------------- *)
 
@@ -389,35 +348,42 @@ let run ?threads ?(pipeline = 1) ?(rate = 0.) ?(mix = default_mix)
     | None -> min connections 8
   in
   let addr = Transport.of_string_exn target in
+  (* A target that hangs up mid-write must cost the requests on that
+     connection and a re-dial, not the process. *)
+  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+   with Invalid_argument _ | Sys_error _ -> ());
   let next_kind = kind_of_mix mix in
   let tallies = Array.init threads (fun _ -> new_tally ()) in
   let t_start = Unix.gettimeofday () in
   let t_end = t_start +. duration_s in
-  let slice i =
-    (* Spread connections across threads, first slices one larger. *)
-    let base = connections / threads and extra = connections mod threads in
-    let count = base + if i < extra then 1 else 0 in
-    Array.init count (fun _ -> { fd = None; next_id = 0; next_sched = 0. })
-  in
   let drivers =
     Array.init threads (fun i ->
-        let conns = slice i in
+        (* Spread connections across threads, first slices one larger. *)
+        let base = connections / threads and extra = connections mod threads in
+        let conns =
+          Array.init
+            (base + if i < extra then 1 else 0)
+            (fun _ ->
+              {
+                fd = None;
+                next_id = 0;
+                pending = Hashtbl.create pipeline;
+                heard = 0.;
+                due = 0.;
+              })
+        in
         let tally = tallies.(i) in
         Thread.create
           (fun () ->
             (try
-               if rate > 0. then
-                 open_loop addr deadline_s
-                   (rate /. float_of_int threads)
-                   next_kind trace_top t_start t_end tally conns
-               else
-                 closed_loop addr deadline_s pipeline next_kind trace_top
-                   t_end tally conns
+               drive addr deadline_s pipeline rate connections
+                 ((i * base) + min i extra)
+                 next_kind trace_top t_start t_end tally conns
              with e ->
                Logs.err (fun m ->
                    m "loadgen driver died: %s" (Printexc.to_string e));
                tally.errors <- tally.errors + 1);
-            Array.iter drop conns)
+            Array.iter (drop tally) conns)
           ())
   in
   Array.iter Thread.join drivers;

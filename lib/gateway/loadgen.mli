@@ -6,15 +6,37 @@
     router address, measures per-request latency, and grades the run
     against SLO specs like [p99<250ms].
 
-    Two arrival models:
-    - {e closed-loop} (default): each connection keeps exactly
-      [pipeline] requests in flight — send a batch, read the replies,
-      repeat.  Throughput is whatever the service sustains.
-    - {e open-loop} ([rate] > 0): requests are {e scheduled} at a fixed
-      aggregate rate, split evenly across connections, and latency is
-      measured from the {e scheduled} send time — queueing delay from a
-      service that cannot keep up counts against it (no coordinated
-      omission).
+    Every connection is served on its own: it keeps its own table of
+    pending requests, and no connection waits on another's reply.  Two
+    arrival models, both per connection:
+    - {e closed-loop} (default): each connection keeps [pipeline]
+      requests in flight, sending the next as each reply arrives, and
+      times each request from its send.  Throughput is whatever the
+      service sustains.
+    - {e open-loop} ([rate] > 0): the schedule interleaves the
+      connections — connection [g] of [connections] sends first at
+      [g / rate] and then every [connections / rate] seconds, whatever
+      it still has pending, so the aggregate is [rate] requests a
+      second however the connections are spread over threads.  Latency
+      is measured from the {e scheduled} send time — queueing delay
+      from a service that cannot keep up counts against it (no
+      coordinated omission).  The schedule starts once a thread's
+      connections are dialed; a dead connection re-dials at its next
+      slot.
+
+    Replies are timed as they arrive: a driver thread waits in
+    [Unix.select] for the first reply, deadline or due send of any of
+    its connections.  [Unix.select] cannot watch a descriptor past
+    FD_SETSIZE (1024); a thread holding one reads its waiting
+    connections in turn instead, so there a slow reply holds up the
+    thread's other connections.
+
+    Deadline: a connection with requests pending that has heard
+    nothing for [deadline_s] — counted from its last reply or its
+    oldest pending send — loses those requests as errors and is
+    re-dialed (in the closed loop after a 0.1 s pause).  The run stops
+    sending at [duration_s] and then waits for every pending reply,
+    under the same deadline.
 
     The job mix is [cached:uncached:lint-error] weights.  Cached jobs
     repeat one key (the server's LRU hit path), uncached jobs get a
@@ -62,8 +84,9 @@ type report = {
     - [rate] (default 0. = closed-loop): open-loop aggregate
       requests/second across all connections.
     - [mix] (default [{cached = 8; uncached = 1; lint_error = 1}]).
-    - [deadline_s] (default 30): per-connection reply deadline; a miss
-      is an error and the connection is re-dialed.
+    - [deadline_s] (default 30): how long a connection with requests
+      pending may go without a reply; then they are errors and the
+      connection is re-dialed.
     - [slos] (default none): gates evaluated into [slo_violations].
     - [trace_top] (default 0 = off): originate a root trace context on
       {e every} request (carried in the frame context envelope, so a

@@ -1,7 +1,8 @@
 (* Gateway suite: the HTTP/JSON front door end to end against a real
    worker (submit / stats / metrics / error statuses / shutdown), and
-   the load generator's pure parts (SLO specs) plus a
-   short closed-loop smoke run with SLO grading. *)
+   the load generator: its pure parts (SLO specs), short closed- and
+   open-loop runs with SLO grading, and runs showing that no
+   connection waits on another's reply. *)
 
 open Ssg_net
 open Ssg_engine
@@ -748,6 +749,135 @@ let test_loadgen_trace_top () =
     (contains (Loadgen.to_json report) "\"slow_traces\"");
   stop_worker socket wt
 
+(* ---------------- loadgen: per-connection service ---------------- *)
+
+(* Every job takes 100 ms on a worker that runs two at once, 20 jobs a
+   second.  Fifteen requests a second over ten connections is a
+   schedule it keeps up with, so each request waits for its own job
+   alone, whether one driver thread serves the ten connections or ten
+   threads do. *)
+let test_loadgen_open_loop_waits_on_no_reply () =
+  let socket = fresh_tcp () in
+  let wt =
+    Thread.create
+      (fun () ->
+        Server.serve ~workers:2 ~queue_capacity:64 ~cache_capacity:0
+          ~faults:(Faults.create ~slow_every:1 ~slow_s:0.1 ())
+          ~drain_timeout_s:5. ~socket ())
+      ()
+  in
+  Client.close (Service.connect socket);
+  List.iter
+    (fun threads ->
+      let r =
+        Loadgen.run ~threads ~rate:15. ~connections:10
+          ~mix:{ Loadgen.cached = 0; uncached = 1; lint_error = 0 }
+          ~duration_s:2. ~target:socket ()
+      in
+      let what = Printf.sprintf "%d thread(s)" threads in
+      check_int (what ^ ": zero errors") 0 r.Loadgen.errors;
+      check
+        (Printf.sprintf "%s: %d of 30 scheduled sends" what r.Loadgen.sent)
+        true (r.Loadgen.sent >= 28);
+      check
+        (Printf.sprintf "%s: p99 %.1f ms" what r.Loadgen.p99_ms)
+        true (r.Loadgen.p99_ms < 200.))
+    [ 1; 10 ];
+  stop_worker socket wt
+
+(* A native backend that answers every request with a completed job,
+   holding each reply on the first connection it accepts for
+   [delay_s]; it accepts [connections] connections and serves each
+   until EOF.  The returned thread ends when they all have. *)
+let fake_backend ~delay_s ~connections =
+  let reply =
+    let job = Job.of_run_text ~k:2 two_islands in
+    Protocol.reply_to_bytes
+      (Protocol.Completed
+         { Job.result = Ok (Job.execute job); cached = true; latency_ms = 0. })
+  in
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 8;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> Alcotest.fail "no port"
+  in
+  let answer delay fd =
+    let rec loop () =
+      match Frame.classify (Frame.read_fd fd) with
+      | Frame.Id (id, _) ->
+          Thread.delay delay;
+          Frame.write_fd fd (Frame.with_id ~id reply);
+          loop ()
+      | Frame.Plain _
+      | (exception (End_of_file | Failure _ | Unix.Unix_error _)) ->
+          ()
+    in
+    loop ();
+    Unix.close fd
+  in
+  let rec accept_all i =
+    if i = connections then []
+    else
+      let fd, _ = Unix.accept lfd in
+      let t = Thread.create (answer (if i = 0 then delay_s else 0.)) fd in
+      t :: accept_all (i + 1)
+  in
+  let server =
+    Thread.create
+      (fun () ->
+        let answering = accept_all 0 in
+        Unix.close lfd;
+        List.iter Thread.join answering)
+      ()
+  in
+  (Printf.sprintf "tcp:127.0.0.1:%d" port, server)
+
+(* One connection's replies each take 300 ms; the other connection of
+   the same driver thread keeps going meanwhile. *)
+let test_loadgen_slow_connection_stalls_no_other () =
+  let target, server = fake_backend ~delay_s:0.3 ~connections:2 in
+  let r =
+    Loadgen.run ~threads:1 ~connections:2
+      ~mix:{ Loadgen.cached = 1; uncached = 0; lint_error = 0 }
+      ~duration_s:1. ~target ()
+  in
+  Thread.join server;
+  check_int "zero errors" 0 r.Loadgen.errors;
+  check
+    (Printf.sprintf "%d completed in 1 s" r.Loadgen.completed)
+    true (r.Loadgen.completed > 50)
+
+(* With 1,100 descriptors open first, every connection's descriptor is
+   past FD_SETSIZE, where [Unix.select] refuses to watch it: both loops
+   still answer every request they send. *)
+let test_loadgen_past_fd_setsize () =
+  let fillers =
+    List.init 1100 (fun _ -> Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0)
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Unix.close fillers)
+    (fun () ->
+      let socket, wt = start_worker () in
+      let closed =
+        Loadgen.run ~threads:2 ~pipeline:2 ~connections:4 ~duration_s:0.5
+          ~target:socket ()
+      in
+      let open_ =
+        Loadgen.run ~threads:2 ~rate:100. ~connections:4 ~duration_s:0.5
+          ~target:socket ()
+      in
+      stop_worker socket wt;
+      List.iter
+        (fun (what, r) ->
+          check_int (what ^ ": zero errors") 0 r.Loadgen.errors;
+          check (what ^ ": traffic flowed") true (r.Loadgen.sent > 0);
+          check_int (what ^ ": every send answered") r.Loadgen.sent
+            r.Loadgen.completed)
+        [ ("closed loop", closed); ("open loop", open_) ])
+
 let test_loadgen_rejects_nonsense () =
   (match Loadgen.run ~connections:0 ~duration_s:1. ~target:"unix:/none" () with
   | _ -> Alcotest.fail "connections=0 must be rejected"
@@ -974,4 +1104,10 @@ let tests =
       test_loadgen_open_loop_smoke;
     Alcotest.test_case "loadgen: parameter validation" `Quick
       test_loadgen_rejects_nonsense;
+    Alcotest.test_case "loadgen: a slow reply holds back no other send" `Quick
+      test_loadgen_open_loop_waits_on_no_reply;
+    Alcotest.test_case "loadgen: a slow connection stalls no other" `Quick
+      test_loadgen_slow_connection_stalls_no_other;
+    Alcotest.test_case "loadgen: descriptors past FD_SETSIZE" `Quick
+      test_loadgen_past_fd_setsize;
   ]
