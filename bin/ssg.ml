@@ -680,12 +680,10 @@ let route_cmd =
     Arg.(value & opt int 3 & info [ "down-after" ] ~docv:"N" ~doc)
   in
   let probe_interval_arg =
-    let doc = "Seconds between health-probe sweeps over the backends." in
+    let doc =
+      "Seconds between health probes: a stats request on each backend's        link, failed if unanswered after 1 s."
+    in
     Arg.(value & opt float 1. & info [ "probe-interval" ] ~docv:"SECONDS" ~doc)
-  in
-  let probe_timeout_arg =
-    let doc = "Reply deadline of one health probe." in
-    Arg.(value & opt float 1. & info [ "probe-timeout" ] ~docv:"SECONDS" ~doc)
   in
   let request_timeout_arg =
     let doc =
@@ -720,16 +718,15 @@ let route_cmd =
     Arg.(value & flag & info [ "trace" ] ~doc)
   in
   let action verbose socket backends vnodes down_after probe_interval
-      probe_timeout request_timeout max_connections max_inflight read_timeout
-      drain_timeout trace =
+      request_timeout max_connections max_inflight read_timeout drain_timeout
+      trace =
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs.set_level (Some (if verbose then Logs.Debug else Logs.App));
     serving socket (fun () ->
         Ssg_cluster.Router.serve ~vnodes ~down_after
-          ~probe_interval_s:probe_interval ~probe_timeout_s:probe_timeout
-          ~request_timeout_s:request_timeout ~max_connections ~max_inflight
-          ~read_timeout_s:read_timeout ~drain_timeout_s:drain_timeout ~trace
-          ~backends ~socket ())
+          ~probe_interval_s:probe_interval ~request_timeout_s:request_timeout
+          ~max_connections ~max_inflight ~read_timeout_s:read_timeout
+          ~drain_timeout_s:drain_timeout ~trace ~backends ~socket ())
   in
   let doc =
     "Front N independent ssgd workers with one routing socket: clients      speak the ordinary ssgd protocol to it, jobs are sharded over the      workers by consistent hashing of their cache keys, a health-probed      registry takes dead workers out of the ring, and failed forwards      retry on the successor shard.  Stats and metrics are merged across      the fleet."
@@ -739,9 +736,9 @@ let route_cmd =
     Term.(
       ret
         (const action $ verbose_arg $ socket_arg $ backend_arg $ vnodes_arg
-        $ down_after_arg $ probe_interval_arg $ probe_timeout_arg
-        $ request_timeout_arg $ max_conn_arg $ max_inflight_arg
-        $ read_timeout_arg $ drain_timeout_arg $ trace_arg))
+        $ down_after_arg $ probe_interval_arg $ request_timeout_arg
+        $ max_conn_arg $ max_inflight_arg $ read_timeout_arg $ drain_timeout_arg
+        $ trace_arg))
 
 let submit_cmd =
   let monitor_arg =

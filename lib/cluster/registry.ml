@@ -9,7 +9,6 @@ type t = {
   vnodes : int;
   down_after : int;
   probe_interval_s : float;
-  probe_timeout_s : float;
   on_transition : string -> bool -> unit;
   mutable addrs : string array;  (* sorted, distinct *)
   mutable states : health array;  (* parallel to [addrs] *)
@@ -20,23 +19,19 @@ type t = {
 }
 
 let create ?(vnodes = Ring.default_vnodes) ?(down_after = 3)
-    ?(probe_interval_s = 1.0) ?(probe_timeout_s = 1.0)
-    ?(on_transition = fun _ _ -> ()) backends =
+    ?(probe_interval_s = 1.0) ?(on_transition = fun _ _ -> ()) backends =
   (* An empty backend list is legal since elastic membership: the
      router starts with nobody and waits for [Join] announcements. *)
   if down_after < 1 then
     invalid_arg "Registry.create: down_after must be >= 1";
   if probe_interval_s <= 0. then
     invalid_arg "Registry.create: probe_interval_s must be > 0";
-  if probe_timeout_s <= 0. then
-    invalid_arg "Registry.create: probe_timeout_s must be > 0";
   let addrs = Array.of_list (List.sort_uniq String.compare backends) in
   {
     mutex = Mutex.create ();
     vnodes;
     down_after;
     probe_interval_s;
-    probe_timeout_s;
     on_transition;
     addrs;
     states = Array.make (Array.length addrs) Up;
@@ -193,53 +188,48 @@ let remove_member t addr =
   if changed then Log.info (fun m -> m "member %s left" addr);
   changed
 
-let probe t addr =
-  let ok =
-    match
-      Ssg_engine.Client.connect ~retries:0 ~deadline_s:t.probe_timeout_s
-        ~socket:addr ()
-    with
-    | exception (Unix.Unix_error _ | Failure _ | Invalid_argument _) -> false
-    | c ->
-        Fun.protect
-          ~finally:(fun () -> Ssg_engine.Client.close c)
-          (fun () ->
-            match Ssg_engine.Client.stats c with
-            | _ -> true
-            | exception _ -> false)
-  in
-  record t addr ok;
-  ok
+(* A probe unanswered this long after it was sent fails. *)
+let probe_deadline_s = 1.0
 
-let start t =
+(* The prober's loop.  It never waits on an answer: each probe records
+   exactly once — its answer, or a failure once past the deadline,
+   whichever settles it first — and one still out when the prober
+   stops records nothing. *)
+let run_prober t probe =
+  (* The probes of the last deadline: (settled, member, send time). *)
+  let out = ref [] in
+  let settle (settled, addr, _) ok =
+    if Atomic.compare_and_set settled false true then record t addr ok
+  in
+  while not (Atomic.get t.stop_flag) do
+    (* Snapshot the members: Join/Leave may replace the arrays. *)
+    let addrs = locked t (fun () -> Array.copy t.addrs) in
+    Array.iter
+      (fun addr ->
+        let p = (Atomic.make false, addr, Unix.gettimeofday ()) in
+        out := p :: !out;
+        probe addr (settle p))
+      addrs;
+    (* Sleep in short slices so [stop] is prompt; each slice fails the
+       probes past their deadline. *)
+    let slept = ref 0. in
+    while (not (Atomic.get t.stop_flag)) && !slept < t.probe_interval_s do
+      let d = Float.min 0.02 (t.probe_interval_s -. !slept) in
+      Thread.delay d;
+      slept := !slept +. d;
+      let cutoff = Unix.gettimeofday () -. probe_deadline_s in
+      let late, young = List.partition (fun (_, _, at) -> at <= cutoff) !out in
+      List.iter (fun p -> settle p false) late;
+      out := young
+    done
+  done;
+  List.iter (fun (settled, _, _) -> Atomic.set settled true) !out
+
+let start t ~probe =
   locked t (fun () ->
       if t.prober = None then begin
         Atomic.set t.stop_flag false;
-        t.prober <-
-          Some
-            (Thread.create
-               (fun () ->
-                 while not (Atomic.get t.stop_flag) do
-                   (* Snapshot the member list: Join/Leave may replace
-                      the arrays mid-round. *)
-                   let addrs = locked t (fun () -> Array.copy t.addrs) in
-                   Array.iter
-                     (fun addr ->
-                       if not (Atomic.get t.stop_flag) then
-                         ignore (probe t addr))
-                     addrs;
-                   (* Sleep in short slices so [stop] is prompt. *)
-                   let slept = ref 0. in
-                   while
-                     (not (Atomic.get t.stop_flag))
-                     && !slept < t.probe_interval_s
-                   do
-                     let d = Float.min 0.02 (t.probe_interval_s -. !slept) in
-                     Thread.delay d;
-                     slept := !slept +. d
-                   done
-                 done)
-               ())
+        t.prober <- Some (Thread.create (run_prober t) probe)
       end)
 
 let stop t =

@@ -6,9 +6,9 @@
 
     Health moves on two inputs sharing one accounting:
     - {e active probes} — {!start} spawns a prober thread that, every
-      [probe_interval_s], connects to each backend and exchanges a
-      [Stats] request over the ordinary {!Ssg_engine.Protocol} (bounded
-      by [probe_timeout_s]);
+      [probe_interval_s], calls the router's probe for each member and
+      never waits: a probe unanswered 1 s after it was sent fails, and
+      a later answer to it is dropped;
     - {e passive reports} — the router calls {!mark_failure} /
       {!mark_success} with what it observed while forwarding, so a dead
       backend stops receiving traffic after [down_after] consecutive
@@ -34,12 +34,11 @@ type t
     whenever a backend crosses the up/down edge — the router hangs its
     mark-down/re-admission counters and log lines on it.
     @raise Invalid_argument on [vnodes < 1], [down_after < 1], or
-    non-positive intervals. *)
+    [probe_interval_s <= 0]. *)
 val create :
   ?vnodes:int ->
   ?down_after:int ->
   ?probe_interval_s:float ->
-  ?probe_timeout_s:float ->
   ?on_transition:(string -> bool -> unit) ->
   string list ->
   t
@@ -83,13 +82,11 @@ val add_member : t -> string -> bool
     member was already down (the up-set did not change). *)
 val remove_member : t -> string -> bool
 
-(** [probe t addr] — one synchronous health probe: connect (no
-    retries), exchange [Stats], feed the verdict into
-    {!mark_success} / {!mark_failure}.  Returns the verdict. *)
-val probe : t -> string -> bool
-
-(** [start t] spawns the periodic prober (idempotent); [stop t] stops
-    and joins it (idempotent). *)
-val start : t -> unit
+(** [start t ~probe] spawns the periodic prober (idempotent).
+    [probe addr answer] sends without waiting and calls [answer
+    healthy] at most once, on any thread (also from within [probe]);
+    it must not raise.  [stop t] stops and joins the prober
+    (idempotent); an answer still due then records nothing. *)
+val start : t -> probe:(string -> (bool -> unit) -> unit) -> unit
 
 val stop : t -> unit

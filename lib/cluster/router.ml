@@ -97,6 +97,21 @@ let forward_cb ?ctx t addr request k =
 
 let forward t addr request = Ivar.wait (forward_cb t addr request)
 
+(* Send [request] to every backend in [addrs], then read the answers in
+   order: a fan-out waits once for its slowest backend, not per backend. *)
+let fan t addrs request =
+  let cells = List.map (fun addr -> (addr, Ivar.create ())) addrs in
+  List.iter
+    (fun (addr, cell) -> forward_cb t addr request (Ivar.fill cell))
+    cells;
+  List.map (fun (addr, cell) -> (addr, Ivar.read cell)) cells
+
+(* The prober's probe: a [Stats] on the link; only a snapshot is healthy. *)
+let probe t addr answer =
+  forward_cb t addr Protocol.Stats (function
+    | Ok (Protocol.Stats_snapshot _) -> answer true
+    | _ -> answer false)
+
 let record_routed t addr =
   Registry.mark_success t.registry addr;
   Metrics.incr t.routed;
@@ -167,9 +182,9 @@ let route_job ?ctx t job reply =
    healed backend that the prober has not revisited yet still reports,
    and the success re-admits it). *)
 let fan_stats t =
-  backends t
-  |> List.filter_map (fun addr ->
-         match forward t addr Protocol.Stats with
+  fan t (backends t) Protocol.Stats
+  |> List.filter_map (fun (addr, answer) ->
+         match answer with
          | Ok (Protocol.Stats_snapshot s) ->
              Registry.mark_success t.registry addr;
              Some (addr, s)
@@ -187,11 +202,10 @@ let merged_stats t =
    the router's own report. *)
 let fleet_reports t =
   let backend_reports =
-    backends t
-    |> List.concat_map (fun addr ->
-           match forward t addr Protocol.Trace_pull with
-           | Ok (Protocol.Trace_reports reports) -> reports
-           | _ -> [])
+    fan t (backends t) Protocol.Trace_pull
+    |> List.concat_map (function
+         | _, Ok (Protocol.Trace_reports reports) -> reports
+         | _ -> [])
   in
   Tracer.report_here ~role:"router" () :: backend_reports
 
@@ -222,8 +236,8 @@ let metrics_text t =
   Metrics.to_prometheus t.metrics
   ^ Metrics.to_prometheus (Telemetry.cluster_registry (List.map snd reports))
 
-let create ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
-    ?(request_timeout_s = 30.) backends =
+let create ?vnodes ?down_after ?probe_interval_s ?(request_timeout_s = 30.)
+    backends =
   if request_timeout_s <= 0. then
     invalid_arg "Router: request_timeout_s must be > 0";
   (* Canonicalize addresses before registering: [/tmp/w.sock] and
@@ -263,8 +277,8 @@ let create ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
     Metrics.incr (if up then readmissions else markdowns)
   in
   let registry =
-    Registry.create ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
-      ~on_transition backends
+    Registry.create ?vnodes ?down_after ?probe_interval_s ~on_transition
+      backends
   in
   {
     registry;
@@ -356,13 +370,15 @@ let push_entries t entries =
         (chunks handoff_batch (List.rev entries)))
     by_owner 0
 
-let export_from t donor =
-  match forward t donor (Protocol.Export handoff_export_limit) with
-  | Ok (Protocol.Entries entries) -> entries
-  | Ok _ -> []
-  | Error _ ->
-      Registry.mark_failure t.registry donor;
-      []
+let export_from t donors =
+  fan t donors (Protocol.Export handoff_export_limit)
+  |> List.concat_map (fun (donor, answer) ->
+         match answer with
+         | Ok (Protocol.Entries entries) -> entries
+         | Ok _ -> []
+         | Error _ ->
+             Registry.mark_failure t.registry donor;
+             [])
 
 (* A new member owns ring ranges that existing members served until
    now: ask each donor for its hottest entries and stream the ones the
@@ -374,14 +390,11 @@ let handoff_to t joiner =
     List.filter (fun a -> not (String.equal a joiner)) (Registry.up t.registry)
   in
   let moved =
-    List.concat_map
-      (fun donor ->
-        export_from t donor
-        |> List.filter (fun (key, _) ->
-               match Ring.owner ring key with
-               | Some owner -> String.equal owner joiner
-               | None -> false))
-      donors
+    export_from t donors
+    |> List.filter (fun (key, _) ->
+           match Ring.owner ring key with
+           | Some owner -> String.equal owner joiner
+           | None -> false)
   in
   let landed = push_entries t moved in
   if landed > 0 then begin
@@ -398,7 +411,7 @@ let admit t addr =
    reachable, drops it from the ring, then pushes what it held to the
    ranges' new owners. *)
 let retire t addr =
-  let rescued = export_from t addr in
+  let rescued = export_from t [ addr ] in
   if Registry.remove_member t.registry addr then begin
     Metrics.incr t.leaves;
     let landed = push_entries t rescued in
@@ -411,11 +424,11 @@ let retire t addr =
 
 let fan_compact t =
   List.fold_left
-    (fun total addr ->
-      match forward t addr Protocol.Compact with
+    (fun total (_, answer) ->
+      match answer with
       | Ok (Protocol.Compacted n) -> total + n
       | _ -> total)
-    0 (Registry.up t.registry)
+    0 (fan t (Registry.up t.registry) Protocol.Compact)
 
 (* ---------------- the front-end socket server ---------------- *)
 
@@ -467,10 +480,9 @@ let handle t listener ?ctx request =
       Listener.stop listener;
       Now Protocol.Shutting_down
 
-let serve ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
-    ?request_timeout_s ?(max_connections = 256) ?(max_inflight = 32)
-    ?(read_timeout_s = 30.) ?(drain_timeout_s = 5.) ?(trace = false)
-    ~backends ~socket () =
+let serve ?vnodes ?down_after ?probe_interval_s ?request_timeout_s
+    ?(max_connections = 256) ?(max_inflight = 32) ?(read_timeout_s = 30.)
+    ?(drain_timeout_s = 5.) ?(trace = false) ~backends ~socket () =
   if max_connections < 1 then
     invalid_arg "Router.serve: max_connections must be >= 1";
   if max_inflight < 1 then
@@ -486,13 +498,12 @@ let serve ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
     Tracer.set_enabled true
   end;
   let t =
-    create ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
-      ?request_timeout_s backends
+    create ?vnodes ?down_after ?probe_interval_s ?request_timeout_s backends
   in
   let listener = Listener.bind addr in
   let addr = Listener.addr listener in
   t.self_addr <- Some (Transport.to_string addr);
-  Registry.start t.registry;
+  Registry.start t.registry ~probe:(probe t);
   let members = Registry.backends t.registry in
   Log.app (fun m ->
       m "ssg router listening on %s, fronting %d backend(s)%s"

@@ -13,12 +13,14 @@
     [Submit]s, each routed on its own.
 
     Backend links: the router holds one pipelined {!Ssg_engine.Client}
-    connection per backend, dialed on first use, and every forward —
-    jobs, fan-outs, handoff — goes over it.  A job is sent on the front
-    connection's reader and completed from the backend link's reader
-    callback ({!Ssg_engine.Client.request}), so a forwarded job costs
-    no thread and no connection.  A link that fails is closed and
-    redialed on its next use, never reused.
+    connection per backend, dialed on first use, and every exchange —
+    jobs, health probes, fan-outs, handoff — goes over it.  A job is
+    sent on the front connection's reader and completed from the
+    backend link's reader callback ({!Ssg_engine.Client.request}), so a
+    forwarded job costs no thread and no connection.  A link that fails
+    is closed and redialed on its next use, never reused.  The
+    {!Registry} prober's probe is a [Stats] on the link, healthy only
+    if a snapshot comes back within 1 s.
 
     Failover: when the owner cannot serve — connect refused (a worker
     at its connection limit included), its link failed, the job
@@ -35,8 +37,10 @@
     and would fail identically on every shard, and the link it came
     over keeps serving.
 
-    Fan-out ops: [Stats] queries every reachable backend and replies
-    with the {!Ssg_engine.Telemetry.merge} of their snapshots;
+    Fan-out ops go to every backend at once, so a fan-out waits once
+    for its slowest backend, not once per backend.  [Stats] queries
+    every reachable backend and replies with the
+    {!Ssg_engine.Telemetry.merge} of their snapshots;
     [Metrics] replies with the router's registry: routed / failed-over
     / markdown counters and per-shard series labeled by canonical
     backend address
@@ -85,8 +89,8 @@
     to [max_inflight] concurrent per connection) exactly like
     {!Ssg_engine.Server.serve}.
 
-    - [vnodes], [down_after], [probe_interval_s], [probe_timeout_s]
-      are handed to {!Registry.create};
+    - [vnodes], [down_after], [probe_interval_s] are handed to
+      {!Registry.create};
     - [request_timeout_s] (default 30) bounds each forwarded request:
       a job left unanswered that long fails over on its own, and the
       jobs in flight beside it on the link stay there; the link itself
@@ -104,7 +108,6 @@ val serve :
   ?vnodes:int ->
   ?down_after:int ->
   ?probe_interval_s:float ->
-  ?probe_timeout_s:float ->
   ?request_timeout_s:float ->
   ?max_connections:int ->
   ?max_inflight:int ->

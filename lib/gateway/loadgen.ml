@@ -137,27 +137,19 @@ type conn = {
   mutable due : float;
       (* open loop: the next scheduled send; closed loop: when a dead
          connection is re-dialed *)
+  mutable dialed : bool;  (* connected at least once during the run *)
 }
 
-let dial addr deadline_s =
-  let fd = Transport.connect addr in
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO deadline_s
-   with Unix.Unix_error _ -> ());
-  fd
-
-(* Initial connect with patience: thousands of simultaneous dials can
-   outrun the server's accept loop, and a SYN dropped off a full
-   backlog deserves a retry, not an error. *)
-let dial_retry addr deadline_s =
-  let rec go attempt =
-    match dial addr deadline_s with
-    | fd -> Some fd
-    | exception (Unix.Unix_error _ | Failure _) when attempt < 20 ->
-        Thread.delay (0.02 *. float_of_int (1 + (attempt mod 5)));
-        go (attempt + 1)
-    | exception (Unix.Unix_error _ | Failure _) -> None
-  in
-  go 0
+(* One attempt: false when [conn] stays down. *)
+let dial addr deadline_s conn =
+  match Transport.connect addr with
+  | fd ->
+      (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO deadline_s
+       with Unix.Unix_error _ -> ());
+      conn.fd <- Some fd;
+      conn.dialed <- true;
+      true
+  | exception (Unix.Unix_error _ | Failure _) -> false
 
 (* A connection that fails — deadline, hangup, garbage — loses every
    request still pending on it. *)
@@ -236,25 +228,23 @@ let redial_pause_s = 0.1
    the open loop connection g sends at g/[rate] and then every
    [connections]/[rate] seconds, whatever it still has pending, a dead
    connection re-dialing at its slot.  [Unix.select] waits for the
-   first reply, deadline or due send of any of them. *)
+   first reply, deadline or due send of any of them.  A connection that
+   never connects during the run counts one error. *)
 let drive addr deadline_s pipeline rate connections first next_kind trace_top
     t_start t_end tally conns =
-  Array.iter
-    (fun conn ->
-      match dial_retry addr deadline_s with
-      | Some fd -> conn.fd <- Some fd
-      | None -> tally.errors <- tally.errors + 1)
-    conns;
-  (* The schedule starts once this slice is actually connected —
-     charging the dial phase to the service would inflate every
-     first-request latency by setup time the service never saw. *)
+  (* A connection whose first dial fails is re-dialed like a dead one. *)
+  Array.iter (fun conn -> ignore (dial addr deadline_s conn)) conns;
+  (* The schedule starts once this slice has dialed — charging the dial
+     phase to the service would inflate every first-request latency by
+     setup time the service never saw. *)
   let base = Float.max t_start (Unix.gettimeofday ()) in
   let closed = rate = 0. in
   let interval = float_of_int connections /. rate in
   Array.iteri
     (fun i conn ->
       conn.due <-
-        (if closed then base else base +. (float_of_int (first + i) /. rate)))
+        (if closed then base +. redial_pause_s
+         else base +. (float_of_int (first + i) /. rate)))
     conns;
   let retry_later conn now = if closed then conn.due <- now +. redial_pause_s in
   let fail conn now =
@@ -277,10 +267,8 @@ let drive addr deadline_s pipeline rate connections first next_kind trace_top
     if conn.due <= now && conn.due < t_end then begin
       let slot = conn.due in
       if not closed then conn.due <- slot +. interval;
-      (if conn.fd = None then
-         match dial addr deadline_s with
-         | fd -> conn.fd <- Some fd
-         | exception (Unix.Unix_error _ | Failure _) -> retry_later conn now);
+      if conn.fd = None && not (dial addr deadline_s conn) then
+        retry_later conn now;
       if (not closed) && conn.fd <> None then send conn slot
     end;
     if closed && now < t_end then
@@ -323,7 +311,10 @@ let drive addr deadline_s pipeline rate connections first next_kind trace_top
       loop ()
     end
   in
-  loop ()
+  loop ();
+  Array.iter
+    (fun conn -> if not conn.dialed then tally.errors <- tally.errors + 1)
+    conns
 
 (* ---------------- the run ---------------- *)
 
@@ -370,6 +361,7 @@ let run ?threads ?(pipeline = 1) ?(rate = 0.) ?(mix = default_mix)
                 pending = Hashtbl.create pipeline;
                 heard = 0.;
                 due = 0.;
+                dialed = false;
               })
         in
         let tally = tallies.(i) in

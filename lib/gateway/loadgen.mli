@@ -38,6 +38,10 @@
     sending at [duration_s] and then waits for every pending reply,
     under the same deadline.
 
+    Each connection gets one dial before the schedule starts; one that
+    fails is re-dialed like a dead one, and one that never connects
+    during the run counts one error.
+
     The job mix is [cached:uncached:lint-error] weights.  Cached jobs
     repeat one key (the server's LRU hit path), uncached jobs get a
     fresh key each (full simulation), lint-error jobs are {e expected}

@@ -1,8 +1,8 @@
 (* Cluster suite: the consistent-hash ring (unit + property tests for
    the balance and monotonicity claims), the health registry's
-   mark-down/re-admission state machine against live and dead servers,
-   multi-address client failover, the blackhole fault plan, and the
-   router end to end — including the acceptance chaos run: 3 workers,
+   mark-down/re-admission state machine and its prober (driven by fake
+   probes), multi-address client failover, the blackhole fault plan,
+   and the router end to end — including the acceptance chaos run: 3 workers,
    one killed and healed mid-burst, 200 jobs, zero client-visible
    errors, failovers observed. *)
 
@@ -50,14 +50,14 @@ let stop_worker socket thread =
   Thread.join thread
 
 let start_router ?vnodes ?(down_after = 2) ?(probe_interval_s = 0.05)
-    ?(probe_timeout_s = 2.) ?(request_timeout_s = 5.) ~backends () =
+    ?(request_timeout_s = 5.) ~backends () =
   let socket = fresh_socket () in
   if Sys.file_exists socket then Sys.remove socket;
   let thread =
     Thread.create
       (fun () ->
-        Router.serve ?vnodes ~down_after ~probe_interval_s ~probe_timeout_s
-          ~request_timeout_s ~drain_timeout_s:5. ~backends ~socket ())
+        Router.serve ?vnodes ~down_after ~probe_interval_s ~request_timeout_s
+          ~drain_timeout_s:5. ~backends ~socket ())
       ()
   in
   let c = Service.connect socket in
@@ -244,41 +244,25 @@ let test_registry_candidates_when_all_down () =
     (List.sort compare (Registry.candidates r "some-key")
     = [ "/a.sock"; "/b.sock" ])
 
-let test_registry_probe_live_and_dead () =
-  let socket, thread = start_worker () in
-  let dead = fresh_socket () in
-  let r = Registry.create ~down_after:1 ~probe_timeout_s:2. [ socket; dead ] in
-  check "probing a live backend succeeds" true (Registry.probe r socket);
-  check "probing a dead backend fails" false (Registry.probe r dead);
-  check "live stays up" true (Registry.is_up r socket);
-  check "dead marked down" false (Registry.is_up r dead);
-  stop_worker socket thread
+(* A probe that answers every call at once with [ok]. *)
+let answering ok _addr answer = answer ok
 
 let test_registry_prober_thread () =
-  let socket, thread = start_worker () in
-  let r =
-    Registry.create ~down_after:1 ~probe_interval_s:0.05 ~probe_timeout_s:2.
-      [ socket ]
-  in
+  let r = Registry.create ~down_after:1 ~probe_interval_s:0.05 [ "/a.sock" ] in
   (* Poison the state, then let the background prober heal it. *)
-  Registry.mark_failure r socket;
-  check "marked down" false (Registry.is_up r socket);
-  Registry.start r;
+  Registry.mark_failure r "/a.sock";
+  check "marked down" false (Registry.is_up r "/a.sock");
+  Registry.start r ~probe:(answering true);
   Service.eventually ~deadline_s:5. ~what:"the prober re-admitted the backend"
-    (fun () -> Registry.is_up r socket);
-  Registry.stop r;
-  stop_worker socket thread
+    (fun () -> Registry.is_up r "/a.sock");
+  Registry.stop r
 
 (* Regression: [stop] must return promptly even when called in the
    middle of a long probe sleep — the prober sleeps in short slices and
    re-checks the stop flag, so shutdown never waits out the interval. *)
 let test_registry_prober_stop_is_prompt () =
-  let socket, thread = start_worker () in
-  let r =
-    Registry.create ~down_after:1 ~probe_interval_s:30. ~probe_timeout_s:2.
-      [ socket ]
-  in
-  Registry.start r;
+  let r = Registry.create ~down_after:1 ~probe_interval_s:30. [ "/a.sock" ] in
+  Registry.start r ~probe:(answering true);
   (* Let the prober finish its first round and settle into the sleep. *)
   Thread.delay 0.2;
   let t0 = Unix.gettimeofday () in
@@ -287,9 +271,73 @@ let test_registry_prober_stop_is_prompt () =
   check "stop returned well within the probe interval" true (elapsed < 2.);
   (* Idempotent, and restartable after a stop. *)
   Registry.stop r;
-  Registry.start r;
+  Registry.start r ~probe:(answering true);
+  Registry.stop r
+
+(* The prober never waits on an answer: a probe still unanswered 1 s
+   after it was sent fails, an answer that arrives later is dropped,
+   and the next probe that answers re-admits the member. *)
+let test_registry_probe_deadline () =
+  let lock = Mutex.create () in
+  let held = ref [] and sent = ref [] and answer_now = ref false in
+  let probe _addr answer =
+    let now =
+      Mutex.protect lock (fun () ->
+          sent := Unix.gettimeofday () :: !sent;
+          if not !answer_now then held := answer :: !held;
+          !answer_now)
+    in
+    if now then answer true
+  in
+  let transitions = ref [] in
+  let r =
+    Registry.create ~down_after:1 ~probe_interval_s:2.
+      ~on_transition:(fun _ up ->
+        Mutex.protect lock (fun () ->
+            transitions := (up, Unix.gettimeofday ()) :: !transitions))
+      [ "/a.sock" ]
+  in
+  Registry.start r ~probe;
+  Service.eventually ~what:"the unanswered probe failed" (fun () ->
+      not (Registry.is_up r "/a.sock"));
+  (match Mutex.protect lock (fun () -> (!sent, !transitions, !held)) with
+  | [ sent_at ], [ (false, down_at) ], [ late ] ->
+      let after = down_at -. sent_at in
+      check
+        (Printf.sprintf "marked down %.2f s after the probe was sent" after)
+        true (after >= 0.9 && after < 1.5);
+      late true;
+      check "a late answer leaves the member down" false
+        (Registry.is_up r "/a.sock");
+      check_int "and fires no transition" 1
+        (Mutex.protect lock (fun () -> List.length !transitions))
+  | _ -> Alcotest.fail "expected one probe, held, and one mark-down");
+  Mutex.protect lock (fun () -> answer_now := true);
+  Service.eventually ~what:"the next probe re-admitted the member" (fun () ->
+      Registry.is_up r "/a.sock");
+  check "re-admission fired" true
+    (match Mutex.protect lock (fun () -> !transitions) with
+    | (true, _) :: _ -> true
+    | _ -> false);
   Registry.stop r;
-  stop_worker socket thread
+  (* [stop] stays prompt with a probe outstanding, and an answer after
+     it records nothing. *)
+  Mutex.protect lock (fun () ->
+      answer_now := false;
+      held := []);
+  Registry.mark_success r "/a.sock";
+  let before = Mutex.protect lock (fun () -> List.length !transitions) in
+  Registry.start r ~probe;
+  Service.eventually ~what:"a probe outstanding" (fun () ->
+      Mutex.protect lock (fun () -> !held <> []));
+  let t0 = Unix.gettimeofday () in
+  Registry.stop r;
+  check "stop is prompt with a probe outstanding" true
+    (Unix.gettimeofday () -. t0 < 0.5);
+  List.iter (fun late -> late false) (Mutex.protect lock (fun () -> !held));
+  check "an answer after stop records nothing" true
+    (Registry.is_up r "/a.sock"
+    && Mutex.protect lock (fun () -> List.length !transitions) = before)
 
 let test_registry_elastic_membership () =
   let r = Registry.create ~down_after:1 [ "/a.sock"; "/b.sock" ] in
@@ -711,27 +759,132 @@ let worker_submitted socket =
     (fun () -> (Client.stats c).Telemetry.jobs_submitted)
 
 let test_router_one_link_per_backend () =
-  (* The router forwards every job over one pipelined link per backend:
-     20 jobs cost the prober's first probe plus one dial, not a dial
-     each. *)
+  (* The router reaches its backend over one pipelined link only: the
+     prober's stats every 50 ms and 20 jobs cost one dial, not a dial
+     each.  The jobs wait for the first probe's answer, so that probe
+     and the first job do not race to dial. *)
   let w, wt = start_worker () in
   let p = start_proxy w in
   let router, rt =
-    start_router ~probe_interval_s:60. ~backends:[ p.p_socket ] ()
+    start_router ~probe_interval_s:0.05 ~backends:[ p.p_socket ] ()
   in
+  Service.eventually ~what:"the first probe answered" (fun () ->
+      Atomic.get p.p_replied >= 1);
   let c = Client.connect ~socket:router ~deadline_s:10. () in
   for i = 1 to 20 do
     let completion = Client.submit c (sample_job ~seed:(300 + i) ()) in
     check "routed job ok" true (Result.is_ok completion.Job.result)
   done;
   Client.close c;
-  let accepts = Atomic.get p.p_accepts in
-  check
-    (Printf.sprintf "%d backend connections for 20 jobs, at most 2" accepts)
-    true (accepts <= 2);
+  check_int "one backend connection for the probes and 20 jobs" 1
+    (Atomic.get p.p_accepts);
   stop_router router rt;
   stop_proxy p;
   stop_worker w wt
+
+(* Over one live backend and a socket nobody serves, the probes alone
+   take the dead one out within a few probe intervals (three failures
+   at [down_after = 3]; the one scrape below adds one more) and keep
+   the live one in. *)
+let test_router_probes_mark_dead_backend () =
+  let w, wt = start_worker () in
+  let dead = fresh_socket () in
+  let router, rt =
+    start_router ~down_after:3 ~probe_interval_s:0.05 ~backends:[ w; dead ] ()
+  in
+  Thread.delay 0.5;
+  let c = Service.connect router in
+  let text = Client.metrics_text c in
+  Client.close c;
+  let up addr =
+    prom_counter text
+      (Printf.sprintf "ssg_router_shard_up{backend=\"%s\"}" (canonical addr))
+  in
+  check "the dead backend is down" true (up dead = Some 0);
+  check "the live backend is up" true (up w = Some 1);
+  check "one mark-down, the dead one's" true
+    (prom_counter text "ssg_router_markdowns_total" = Some 1);
+  stop_router router rt;
+  stop_worker w wt
+
+(* A worker whose one connection slot holds the router's link: the
+   probes ride that link, so the worker is never marked down while it
+   serves.  Checked on the mark-down counter, since a scrape's own
+   stats fan-out would re-admit a worker the probes had ejected. *)
+let test_router_capped_worker_stays_up () =
+  let w = fresh_socket () in
+  if Sys.file_exists w then Sys.remove w;
+  let wt =
+    Thread.create
+      (fun () ->
+        Server.serve ~workers:1 ~max_connections:1 ~drain_timeout_s:5.
+          ~socket:w ())
+      ()
+  in
+  (* Bound is enough: the router's link is the worker's first and only
+     connection. *)
+  Service.eventually ~what:"the worker bound" (fun () -> Sys.file_exists w);
+  let router, rt =
+    start_router ~down_after:1 ~probe_interval_s:0.05 ~backends:[ w ] ()
+  in
+  let c = Client.connect ~socket:router ~deadline_s:10. () in
+  let completion = Client.submit c (sample_job ~seed:900 ()) in
+  check "the job served" true (Result.is_ok completion.Job.result);
+  Thread.delay 1.;
+  let text = Client.metrics_text c in
+  Client.close c;
+  check "no mark-down" true
+    (prom_counter text "ssg_router_markdowns_total" = Some 0);
+  stop_router router rt;
+  (* The worker frees its slot once it sees the link close. *)
+  Service.eventually ~what:"the worker took the shutdown" (fun () ->
+      match Client.connect ~retries:0 ~deadline_s:5. ~socket:w () with
+      | exception Unix.Unix_error _ -> false
+      | c ->
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              match Client.shutdown c with () -> true | exception _ -> false));
+  Thread.join wt
+
+(* Two mute backends: a stats fan-out sends to both at once, so it
+   costs one request deadline, not one per backend.  The first fan-out
+   shares the links the prober dialed and waits for the links' receive
+   timer; the second dials fresh links and is timed. *)
+let test_router_fan_out_waits_once () =
+  let mute () = start_worker ~faults:(Faults.create ~blackhole_every:1 ()) () in
+  let w1, t1 = mute () and w2, t2 = mute () in
+  let router, rt =
+    start_router ~probe_interval_s:60. ~down_after:1000 ~request_timeout_s:1.
+      ~backends:[ w1; w2 ] ()
+  in
+  let c = Client.connect ~socket:router ~deadline_s:10. () in
+  let timed_stats () =
+    let t0 = Unix.gettimeofday () in
+    (match Client.stats c with
+    | _ -> Alcotest.fail "mute backends cannot report"
+    | exception Failure msg ->
+        check "no backend reachable" true
+          (contains msg "no backend reachable"));
+    Unix.gettimeofday () -. t0
+  in
+  ignore (timed_stats ());
+  let elapsed = timed_stats () in
+  check
+    (Printf.sprintf "stats over two mute backends took %.2f s, under 1.6 s"
+       elapsed)
+    true (elapsed < 1.6);
+  Client.close c;
+  stop_router router rt;
+  (* Their shutdown acks are swallowed too. *)
+  List.iter
+    (fun (w, t) ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX w);
+      Raw_wire.send fd Protocol.Shutdown;
+      Unix.close fd;
+      Thread.join t)
+    [ (w1, t1); (w2, t2) ]
 
 let test_router_dropped_link_fails_over () =
   (* The owner's link drops with jobs in flight on it: each of them is
@@ -888,12 +1041,13 @@ let test_router_unparseable_run_keeps_link () =
     | Ok c -> check label true (Result.is_ok c.Job.result)
     | Error e -> Alcotest.fail (label ^ ": " ^ e)
   in
-  served "the first job dials the link"
+  (* The prober's first probe dials the link; everything after rides it. *)
+  Service.eventually ~what:"the first probe answered" (fun () ->
+      Atomic.get p.p_replied >= 1);
+  served "the first job rides the link"
     (Client.submit_async pc (sample_job ~seed:500 ()));
-  (* The prober's first probe dials the proxy too. *)
-  Service.eventually ~what:"the probe and the link dialed" (fun () ->
-      Atomic.get p.p_accepts >= 2);
   let dialed = Atomic.get p.p_accepts in
+  check_int "one backend connection" 1 dialed;
   let in_flight =
     List.init 3 (fun i -> Client.submit_async pc (sample_job ~seed:(501 + i) ()))
   in
@@ -1050,12 +1204,12 @@ let tests =
       test_registry_state_machine;
     Alcotest.test_case "registry: all-down fallback" `Quick
       test_registry_candidates_when_all_down;
-    Alcotest.test_case "registry: probe live/dead" `Quick
-      test_registry_probe_live_and_dead;
     Alcotest.test_case "registry: prober re-admits" `Quick
       test_registry_prober_thread;
     Alcotest.test_case "registry: prober stop is prompt" `Quick
       test_registry_prober_stop_is_prompt;
+    Alcotest.test_case "registry: a probe fails after 1 s, late answers drop"
+      `Quick test_registry_probe_deadline;
     Alcotest.test_case "registry: elastic membership" `Quick
       test_registry_elastic_membership;
     Alcotest.test_case "telemetry: merge" `Quick test_telemetry_merge;
@@ -1077,6 +1231,12 @@ let tests =
       test_router_exhaustion_is_an_error_reply;
     Alcotest.test_case "router: one link per backend" `Quick
       test_router_one_link_per_backend;
+    Alcotest.test_case "router: probes mark a dead backend down" `Quick
+      test_router_probes_mark_dead_backend;
+    Alcotest.test_case "router: a capped worker stays up" `Quick
+      test_router_capped_worker_stays_up;
+    Alcotest.test_case "router: a fan-out waits once" `Quick
+      test_router_fan_out_waits_once;
     Alcotest.test_case "router: unparseable run text keeps the link" `Quick
       test_router_unparseable_run_keeps_link;
     Alcotest.test_case "router: dropped link fails over and redials" `Quick

@@ -254,8 +254,8 @@ let test_gateway_trace_propagation () =
     Thread.create
       (fun () ->
         Ssg_cluster.Router.serve ~down_after:2 ~probe_interval_s:0.5
-          ~probe_timeout_s:2. ~request_timeout_s:10. ~drain_timeout_s:5.
-          ~backends:[ backend ] ~socket:router ())
+          ~request_timeout_s:10. ~drain_timeout_s:5. ~backends:[ backend ]
+          ~socket:router ())
       ()
   in
   (let c = Service.connect router in
@@ -886,6 +886,23 @@ let test_loadgen_rejects_nonsense () =
   | _ -> Alcotest.fail "duration=0 must be rejected"
   | exception Invalid_argument _ -> ()
 
+(* A target nobody serves: each connection dials once before the run
+   and then re-dials like a dead one, so the run ends on time and
+   counts one error per connection that never connected. *)
+let test_loadgen_dead_target () =
+  let target =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ssg-gateway-%d-nobody.sock" (Unix.getpid ()))
+  in
+  if Sys.file_exists target then Sys.remove target;
+  let t0 = Unix.gettimeofday () in
+  let r = Loadgen.run ~connections:16 ~threads:2 ~duration_s:1. ~target () in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check (Printf.sprintf "returned in %.2f s, under 3 s" elapsed) true
+    (elapsed < 3.);
+  check_int "nothing sent" 0 r.Loadgen.sent;
+  check_int "one error per connection" 16 r.Loadgen.errors
+
 (* ---------------- suite ---------------- *)
 
 (* ---------------- exposition lint ---------------- *)
@@ -1104,6 +1121,8 @@ let tests =
       test_loadgen_open_loop_smoke;
     Alcotest.test_case "loadgen: parameter validation" `Quick
       test_loadgen_rejects_nonsense;
+    Alcotest.test_case "loadgen: a dead target ends on time" `Quick
+      test_loadgen_dead_target;
     Alcotest.test_case "loadgen: a slow reply holds back no other send" `Quick
       test_loadgen_open_loop_waits_on_no_reply;
     Alcotest.test_case "loadgen: a slow connection stalls no other" `Quick

@@ -859,8 +859,8 @@ let test_router_over_tcp () =
     Thread.create
       (fun () ->
         Ssg_cluster.Router.serve ~down_after:2 ~probe_interval_s:0.5
-          ~probe_timeout_s:2. ~request_timeout_s:10. ~drain_timeout_s:5.
-          ~backends:[ w1; w2 ] ~socket:router ())
+          ~request_timeout_s:10. ~drain_timeout_s:5. ~backends:[ w1; w2 ]
+          ~socket:router ())
       ()
   in
   let c = Service.connect router in
