@@ -34,7 +34,6 @@ let create ?(enable_purge = true) ?(enable_prune = true) ~n ~self () =
 
 let n t = t.order
 let self t = t.owner
-let rounds_done t = t.round
 
 let message t =
   match t.sent with

@@ -32,9 +32,6 @@ val create :
 val n : t -> int
 val self : t -> int
 
-(** [rounds_done t] — how many rounds have been absorbed. *)
-val rounds_done : t -> int
-
 (** [message t] is the graph to broadcast this round: an immutable
     {!Lgraph.frozen} snapshot of [G_p] that holds its nodes and its
     labelled edges, as Section V's message does (n⌈n/63⌉ + |E| words).

@@ -60,89 +60,41 @@ let of_spec s =
     let parse_item acc item =
       match acc with
       | Error _ as e -> e
-      | Ok (crash, slow, slow_s, corrupt, truncate, blackhole, torn) -> (
+      | Ok t -> (
           let bad () = Error (Printf.sprintf "bad fault item %S" item) in
           match String.split_on_char ':' (String.trim item) with
           | [ kind; arg ] -> (
               let period p =
                 match int_of_string_opt (String.trim p) with
-                | Some n when n >= 1 -> Some n
+                | Some n when n >= 1 -> Some (rule n)
                 | _ -> None
               in
+              let set f = function Some r -> Ok (f r) | None -> bad () in
               match String.lowercase_ascii (String.trim kind) with
-              | "crash" -> (
-                  match period arg with
-                  | Some n ->
-                      Ok (Some n, slow, slow_s, corrupt, truncate, blackhole, torn)
-                  | None -> bad ())
+              | "crash" -> set (fun r -> { t with crash = Some r }) (period arg)
               | "slow" -> (
                   match String.split_on_char '@' arg with
-                  | [ p ] -> (
-                      match period p with
-                      | Some n ->
-                          Ok
-                            ( crash,
-                              Some n,
-                              slow_s,
-                              corrupt,
-                              truncate,
-                              blackhole,
-                              torn )
-                      | None -> bad ())
+                  | [ p ] -> set (fun r -> { t with slow = Some r }) (period p)
                   | [ p; ms ] -> (
                       match (period p, float_of_string_opt (String.trim ms)) with
-                      | Some n, Some ms when ms >= 0. ->
-                          Ok
-                            ( crash,
-                              Some n,
-                              ms /. 1000.,
-                              corrupt,
-                              truncate,
-                              blackhole,
-                              torn )
+                      | Some r, Some ms when ms >= 0. ->
+                          Ok { t with slow = Some r; slow_s = ms /. 1000. }
                       | _ -> bad ())
                   | _ -> bad ())
-              | "corrupt" -> (
-                  match period arg with
-                  | Some n ->
-                      Ok (crash, slow, slow_s, Some n, truncate, blackhole, torn)
-                  | None -> bad ())
-              | "truncate" -> (
-                  match period arg with
-                  | Some n ->
-                      Ok (crash, slow, slow_s, corrupt, Some n, blackhole, torn)
-                  | None -> bad ())
-              | "blackhole" | "partition" -> (
-                  match period arg with
-                  | Some n ->
-                      Ok (crash, slow, slow_s, corrupt, truncate, Some n, torn)
-                  | None -> bad ())
-              | "torn-write" -> (
-                  match period arg with
-                  | Some n ->
-                      Ok
-                        (crash, slow, slow_s, corrupt, truncate, blackhole, Some n)
-                  | None -> bad ())
+              | "corrupt" ->
+                  set (fun r -> { t with corrupt = Some r }) (period arg)
+              | "truncate" ->
+                  set (fun r -> { t with truncate = Some r }) (period arg)
+              | "blackhole" | "partition" ->
+                  set (fun r -> { t with blackhole = Some r }) (period arg)
+              | "torn-write" ->
+                  set (fun r -> { t with torn_write = Some r }) (period arg)
               | _ -> bad ())
           | _ -> bad ())
     in
-    match
-      List.fold_left parse_item
-        (Ok (None, None, 0.05, None, None, None, None))
-        (String.split_on_char ',' s)
-    with
-    | Error _ as e -> e
-    | Ok
-        ( crash_every,
-          slow_every,
-          slow_s,
-          corrupt_every,
-          truncate_every,
-          blackhole_every,
-          torn_write_every ) ->
-        Ok
-          (create ?crash_every ?slow_every ~slow_s ?corrupt_every
-             ?truncate_every ?blackhole_every ?torn_write_every ())
+    List.fold_left parse_item
+      (Ok { off with slow_s = 0.05 })
+      (String.split_on_char ',' s)
 
 let spec t =
   if is_off t then "off"

@@ -1,5 +1,3 @@
-open Ssg_util
-
 type request =
   | Submit of Job.t
   | Stats
@@ -211,26 +209,40 @@ let get_completion r : Job.completion =
   let latency_ms = get_float r in
   { Job.result; cached; latency_ms }
 
-let put_summary buf (s : Stats.summary) =
-  put_int buf s.Stats.count;
-  put_float buf s.Stats.mean;
-  put_float buf s.Stats.stddev;
-  put_float buf s.Stats.min;
-  put_float buf s.Stats.max;
-  put_float buf s.Stats.p50;
-  put_float buf s.Stats.p95;
-  put_float buf s.Stats.p99
+(* A histogram travels as its cumulative buckets, (bound, count) pairs
+   ending at the +Inf bound, then its sum and count.  The decoder
+   checks the shape [Ssg_obs.Metrics.quantile] and [Telemetry.merge]
+   rely on. *)
+let put_hist buf (h : Ssg_obs.Metrics.hist_snapshot) =
+  put_array buf
+    (fun b (bound, cumulative) ->
+      put_float b bound;
+      put_int b cumulative)
+    h.buckets;
+  put_float buf h.sum;
+  put_int buf h.count
 
-let get_summary r : Stats.summary =
+let get_hist r : Ssg_obs.Metrics.hist_snapshot =
+  let buckets =
+    get_array r (fun r ->
+        let bound = get_float r in
+        let cumulative = get_int r in
+        (bound, cumulative))
+  in
+  let sum = get_float r in
   let count = get_int r in
-  let mean = get_float r in
-  let stddev = get_float r in
-  let min = get_float r in
-  let max = get_float r in
-  let p50 = get_float r in
-  let p95 = get_float r in
-  let p99 = get_float r in
-  { Stats.count; mean; stddev; min; max; p50; p95; p99 }
+  let n = Array.length buckets in
+  if
+    n < 2
+    || snd buckets.(0) < 0
+    || buckets.(n - 1) <> (infinity, count)
+    || not
+         (Array.for_all2
+            (fun (b0, c0) (b1, c1) -> b0 < b1 && c0 <= c1)
+            (Array.sub buckets 0 (n - 1))
+            (Array.sub buckets 1 (n - 1)))
+  then failwith "Protocol: malformed histogram";
+  { buckets; sum; count }
 
 let put_snapshot buf (s : Telemetry.snapshot) =
   put_float buf s.Telemetry.uptime_s;
@@ -252,8 +264,8 @@ let put_snapshot buf (s : Telemetry.snapshot) =
   put_int buf s.Telemetry.timed_out_connections;
   put_int buf s.Telemetry.connections_rejected;
   put_int buf s.Telemetry.faults_injected;
-  put_option buf put_summary s.Telemetry.queue_wait_ms;
-  put_option buf put_summary s.Telemetry.exec_ms
+  put_hist buf s.Telemetry.queue_wait_ms;
+  put_hist buf s.Telemetry.exec_ms
 
 let get_snapshot r : Telemetry.snapshot =
   let uptime_s = get_float r in
@@ -275,8 +287,8 @@ let get_snapshot r : Telemetry.snapshot =
   let timed_out_connections = get_int r in
   let connections_rejected = get_int r in
   let faults_injected = get_int r in
-  let queue_wait_ms = get_option r get_summary in
-  let exec_ms = get_option r get_summary in
+  let queue_wait_ms = get_hist r in
+  let exec_ms = get_hist r in
   {
     Telemetry.uptime_s;
     workers;

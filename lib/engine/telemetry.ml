@@ -1,4 +1,3 @@
-open Ssg_util
 module Metrics = Ssg_obs.Metrics
 
 type snapshot = {
@@ -21,8 +20,8 @@ type snapshot = {
   timed_out_connections : int;
   connections_rejected : int;
   faults_injected : int;
-  queue_wait_ms : Stats.summary option;
-  exec_ms : Stats.summary option;
+  queue_wait_ms : Metrics.hist_snapshot;
+  exec_ms : Metrics.hist_snapshot;
 }
 
 (* ---------------- snapshot fields ---------------- *)
@@ -31,7 +30,7 @@ type field =
   | F_count of string * int
   | F_gauge_i of string * int
   | F_gauge_f of string * float
-  | F_summary of string * Stats.summary option
+  | F_histogram of string * Metrics.hist_snapshot
 
 type read =
   | Count of (snapshot -> int)
@@ -113,18 +112,18 @@ let fields s =
       | Gauge_f read -> F_gauge_f (name, read s))
     scalars
   @ [
-      F_summary ("queue_wait_ms", s.queue_wait_ms);
-      F_summary ("exec_ms", s.exec_ms);
+      F_histogram ("queue_wait_ms", s.queue_wait_ms);
+      F_histogram ("exec_ms", s.exec_ms);
     ]
 
 (* ---------------- recording ---------------- *)
 
 type t = {
-  mutex : Mutex.t;  (* guards the rings; counters are registry atomics *)
+  mutex : Mutex.t;
+      (* guards the stamp ring; counters and histograms are registry
+         atomics *)
   started : float;  (* Unix.gettimeofday at creation *)
-  queue_ring : float array;  (* most recent queue waits *)
-  exec_ring : float array;  (* their executions, same ring geometry *)
-  stamps : float array;  (* completion times, same ring geometry *)
+  stamps : float array;  (* the most recent completion times *)
   mutable ring_len : int;
   mutable ring_pos : int;
   registry : Metrics.t;
@@ -144,11 +143,18 @@ type t = {
   exec_hist : Metrics.histogram;
 }
 
-(* The rings hold the most recent [ring_size] executions;
+(* The stamp ring holds the most recent [ring_size] completion times;
    [throughput_jps] is the completion rate over the trailing
    [rate_window_s]. *)
 let ring_size = 4096
 let rate_window_s = 10.
+
+(* The phase histograms' upper bounds, in milliseconds: 0.01 · 2^(i/2)
+   for i = 0..46, i.e. 0.01 ms to about 84 s.  Two bounds per doubling
+   keep each percentile read off them within a factor √2 of the sample
+   it estimates. *)
+let phase_buckets =
+  Array.init 47 (fun i -> 0.01 *. (2. ** (float_of_int i /. 2.)))
 
 let create () =
   let registry = Metrics.create () in
@@ -166,7 +172,9 @@ let create () =
           gauges := (Metrics.gauge registry ~help series, read) :: !gauges)
     scalars;
   let counter = Hashtbl.find counters in
-  let histogram name help = Metrics.histogram registry ~help name in
+  let histogram name help =
+    Metrics.histogram registry ~help ~buckets:phase_buckets name
+  in
   let queue_hist =
     histogram "ssgd_job_queue_wait_ms"
       "Milliseconds a job waited in the queue before a worker picked it up"
@@ -181,8 +189,6 @@ let create () =
   {
     mutex = Mutex.create ();
     started = Unix.gettimeofday ();
-    queue_ring = Array.make ring_size 0.;
-    exec_ring = Array.make ring_size 0.;
     stamps = Array.make ring_size 0.;
     ring_len = 0;
     ring_pos = 0;
@@ -211,8 +217,6 @@ let push_latency t ~queue_ms ~exec_ms =
   Metrics.observe t.queue_hist queue_ms;
   Metrics.observe t.exec_hist exec_ms;
   locked t (fun () ->
-      t.queue_ring.(t.ring_pos) <- queue_ms;
-      t.exec_ring.(t.ring_pos) <- exec_ms;
       t.stamps.(t.ring_pos) <- Unix.gettimeofday ();
       t.ring_pos <- (t.ring_pos + 1) mod Array.length t.stamps;
       t.ring_len <- min (t.ring_len + 1) (Array.length t.stamps))
@@ -260,79 +264,53 @@ let recent_rate t now =
   end
 
 let snapshot t ~workers ~queue_depth ~queue_capacity ~cache_entries =
-  locked t (fun () ->
-      let now = Unix.gettimeofday () in
-      let uptime_s = now -. t.started in
-      let summarize_ring ring =
-        if t.ring_len = 0 then None
-        else Some (Stats.summarize (Array.sub ring 0 t.ring_len))
-      in
-      let completed = Metrics.counter_value t.completed in
-      let failed = Metrics.counter_value t.failed in
-      let done_jobs = completed + failed in
-      {
-        uptime_s;
-        workers;
-        queue_depth;
-        queue_capacity;
-        jobs_submitted = Metrics.counter_value t.submitted;
-        jobs_completed = completed;
-        jobs_failed = failed;
-        jobs_rejected_lint = Metrics.counter_value t.rejected_lint;
-        cache_hits = Metrics.counter_value t.hits;
-        cache_misses = Metrics.counter_value t.misses;
-        dedup_joins = Metrics.counter_value t.dedups;
-        cache_entries;
-        throughput_jps = recent_rate t now;
-        lifetime_jps =
-          (if uptime_s > 0. then float_of_int done_jobs /. uptime_s else 0.);
-        recent_window_s = rate_window_s;
-        rejected_frames = Metrics.counter_value t.rejected_frames;
-        timed_out_connections = Metrics.counter_value t.timed_out;
-        connections_rejected = Metrics.counter_value t.conn_rejected;
-        faults_injected = Metrics.counter_value t.injected;
-        queue_wait_ms = summarize_ring t.queue_ring;
-        exec_ms = summarize_ring t.exec_ring;
-      })
+  let now = Unix.gettimeofday () in
+  let uptime_s = now -. t.started in
+  let completed = Metrics.counter_value t.completed in
+  let failed = Metrics.counter_value t.failed in
+  let done_jobs = completed + failed in
+  {
+    uptime_s;
+    workers;
+    queue_depth;
+    queue_capacity;
+    jobs_submitted = Metrics.counter_value t.submitted;
+    jobs_completed = completed;
+    jobs_failed = failed;
+    jobs_rejected_lint = Metrics.counter_value t.rejected_lint;
+    cache_hits = Metrics.counter_value t.hits;
+    cache_misses = Metrics.counter_value t.misses;
+    dedup_joins = Metrics.counter_value t.dedups;
+    cache_entries;
+    throughput_jps = locked t (fun () -> recent_rate t now);
+    lifetime_jps =
+      (if uptime_s > 0. then float_of_int done_jobs /. uptime_s else 0.);
+    recent_window_s = rate_window_s;
+    rejected_frames = Metrics.counter_value t.rejected_frames;
+    timed_out_connections = Metrics.counter_value t.timed_out;
+    connections_rejected = Metrics.counter_value t.conn_rejected;
+    faults_injected = Metrics.counter_value t.injected;
+    queue_wait_ms = Metrics.hist_snapshot t.queue_hist;
+    exec_ms = Metrics.hist_snapshot t.exec_hist;
+  }
 
 let set_gauges t s =
   List.iter (fun (g, read) -> Metrics.set_gauge g (value s read)) t.gauges
 
 (* ---------------- cluster-wide merge ---------------- *)
 
-(* Exact for everything additive; documented approximation for the
-   latency summaries, whose percentiles cannot be recovered from
-   per-shard percentiles: the merged summary pools mean and variance
-   exactly (via E[x] and E[x^2]) and count-weights the percentiles,
-   which is the standard scrape-side compromise. *)
-let merge_summary (a : Stats.summary) (b : Stats.summary) : Stats.summary =
-  let ca = float_of_int a.Stats.count and cb = float_of_int b.Stats.count in
-  let w x y = ((ca *. x) +. (cb *. y)) /. (ca +. cb) in
-  let mean = w a.Stats.mean b.Stats.mean in
-  let second_moment (s : Stats.summary) =
-    (s.Stats.stddev *. s.Stats.stddev) +. (s.Stats.mean *. s.Stats.mean)
-  in
+(* Bucket by bucket: every peer is built from this tree, so the bounds
+   agree, and the sum is the histogram one process holding every
+   observation would have. *)
+let merge_hist (a : Metrics.hist_snapshot) (b : Metrics.hist_snapshot) =
+  if not (Array.for_all2 (fun (x, _) (y, _) -> x = y) a.buckets b.buckets)
+  then invalid_arg "Telemetry.merge: histogram bounds differ";
   {
-    Stats.count = a.Stats.count + b.Stats.count;
-    mean;
-    stddev =
-      sqrt
-        (Float.max 0.
-           (w (second_moment a) (second_moment b) -. (mean *. mean)));
-    min = Float.min a.Stats.min b.Stats.min;
-    max = Float.max a.Stats.max b.Stats.max;
-    p50 = w a.Stats.p50 b.Stats.p50;
-    p95 = w a.Stats.p95 b.Stats.p95;
-    p99 = w a.Stats.p99 b.Stats.p99;
+    Metrics.buckets =
+      Array.map2 (fun (bound, x) (_, y) -> (bound, x + y)) a.buckets b.buckets;
+    sum = a.sum +. b.sum;
+    count = a.count + b.count;
   }
-
-let merge_summary_opt a b =
-  match (a, b) with
-  | None, s | s, None -> s
-  | Some a, Some b ->
-      if a.Stats.count = 0 then Some b
-      else if b.Stats.count = 0 then Some a
-      else Some (merge_summary a b)
 
 let merge = function
   | [] -> invalid_arg "Telemetry.merge: empty snapshot list"
@@ -360,8 +338,8 @@ let merge = function
           connections_rejected =
             a.connections_rejected + b.connections_rejected;
           faults_injected = a.faults_injected + b.faults_injected;
-          queue_wait_ms = merge_summary_opt a.queue_wait_ms b.queue_wait_ms;
-          exec_ms = merge_summary_opt a.exec_ms b.exec_ms;
+          queue_wait_ms = merge_hist a.queue_wait_ms b.queue_wait_ms;
+          exec_ms = merge_hist a.exec_ms b.exec_ms;
         }
       in
       List.fold_left merge2 first rest
@@ -389,20 +367,18 @@ let cluster_registry snapshots =
 
 let json_of_snapshot s =
   let open Ssg_obs.Export in
-  let summary_json = function
-    | None -> Null
-    | Some (l : Stats.summary) ->
-        Obj
-          [
-            ("count", Int l.Stats.count);
-            ("mean", Float l.Stats.mean);
-            ("stddev", Float l.Stats.stddev);
-            ("min", Float l.Stats.min);
-            ("max", Float l.Stats.max);
-            ("p50", Float l.Stats.p50);
-            ("p95", Float l.Stats.p95);
-            ("p99", Float l.Stats.p99);
-          ]
+  let phase_json (h : Metrics.hist_snapshot) =
+    if h.count = 0 then Null
+    else
+      let q p = Float (Metrics.quantile h p) in
+      Obj
+        [
+          ("count", Int h.count);
+          ("mean", Float (h.sum /. float_of_int h.count));
+          ("p50", q 0.5);
+          ("p95", q 0.95);
+          ("p99", q 0.99);
+        ]
   in
   json_to_string
     (Obj
@@ -410,7 +386,7 @@ let json_of_snapshot s =
           (function
             | F_count (name, v) | F_gauge_i (name, v) -> (name, Int v)
             | F_gauge_f (name, v) -> (name, Float v)
-            | F_summary (name, v) -> (name, summary_json v))
+            | F_histogram (name, h) -> (name, phase_json h))
           (fields s)))
 
 let pp_snapshot fmt s =
@@ -437,11 +413,15 @@ let pp_snapshot fmt s =
      limit, %d injected@."
     s.rejected_frames s.timed_out_connections s.connections_rejected
     s.faults_injected;
-  match (s.queue_wait_ms, s.exec_ms) with
-  | Some q, Some e ->
-      Format.fprintf fmt
-        "queue wait  : p50 %.2f ms, p95 %.2f ms, p99 %.2f ms (over last %d)@."
-        q.Stats.p50 q.Stats.p95 q.Stats.p99 q.Stats.count;
-      Format.fprintf fmt "execution   : p50 %.2f ms, p95 %.2f ms, p99 %.2f ms@."
-        e.Stats.p50 e.Stats.p95 e.Stats.p99
-  | _ -> Format.fprintf fmt "latency     : (no completed jobs yet)@."
+  let phase label (h : Metrics.hist_snapshot) since =
+    Format.fprintf fmt "%s: p50 %.2f ms, p95 %.2f ms, p99 %.2f ms%s@." label
+      (Metrics.quantile h 0.5) (Metrics.quantile h 0.95)
+      (Metrics.quantile h 0.99) since
+  in
+  if s.exec_ms.count = 0 then
+    Format.fprintf fmt "latency     : (no completed jobs yet)@."
+  else begin
+    phase "queue wait  " s.queue_wait_ms
+      (Printf.sprintf " (%d since boot)" s.queue_wait_ms.count);
+    phase "execution   " s.exec_ms ""
+  end

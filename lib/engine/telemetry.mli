@@ -1,30 +1,33 @@
-(** Server metrics: counters, latency percentiles, throughput, fault
+(** Server metrics: counters, latency histograms, throughput, fault
     accounting.
 
     One [t] per engine.  Workers and connection handlers record events
-    concurrently; every count is a counter on the engine's
-    {!Ssg_obs.Metrics} registry (one atomic each), the latency rings
-    are internally synchronized, and [snapshot] freezes everything into
-    the plain record the [stats] wire reply carries.
+    concurrently; every count is a counter and every latency a histogram
+    on the engine's {!Ssg_obs.Metrics} registry (atomics), the ring of
+    completion times is internally synchronized, and [snapshot] freezes
+    everything into the plain record the [stats] wire reply carries.
 
     An executed job's latency is kept as its two phases, in
     milliseconds: queue wait (submit until a worker picks the job up)
-    and execution (worker pickup until the result is ready) — see
-    [queue_wait_ms] and [exec_ms] below.  Each lives in a fixed-size
-    ring of the most recent 4096 samples; percentiles come from
-    {!Ssg_util.Stats.summarize} over that window.  Completion {e times}
-    are kept in one more ring of the same size, so throughput can be
-    reported over the last 10 s of wall-clock time — a long-idle daemon
-    reports the current burst's rate, not its lifetime average diluted
-    by the idle time (the lifetime average is still carried
+    and execution (worker pickup until the result is ready).  Each
+    observation is recorded once, in the phase's histogram
+    ([ssgd_job_queue_wait_ms], [ssgd_job_exec_ms]: the worker's hops in
+    the fleet's per-hop latency decomposition), whose bounds are
+    0.01 · 2^(i/2) ms for i = 0..46 (0.01 ms to about 84 s).  The
+    snapshot carries both histograms ([queue_wait_ms], [exec_ms]), and
+    every percentile the [stats] renderings print is read off them with
+    {!Ssg_obs.Metrics.quantile}: an estimate over every execution since
+    boot, inside the bucket that holds the true percentile.  Completion
+    {e times} are kept in a ring of the most recent 4096, so throughput
+    can be reported over the last 10 s of wall-clock time — a long-idle
+    daemon reports the current burst's rate, not its lifetime average
+    diluted by the idle time (the lifetime average is still carried
     separately).
 
     The {!registry} holds every scalar {!fields} entry as
     [ssgd_<field>] (a count as a counter, a gauge as {!set_gauges}
-    last set it), each phase as a bucketed histogram
-    ([ssgd_job_queue_wait_ms], [ssgd_job_exec_ms]: the worker's hops in
-    the fleet's per-hop latency decomposition) in place of its
-    percentiles, and the tracer's [ssg_trace_dropped_total]. *)
+    last set it), the two phase histograms, and the tracer's
+    [ssg_trace_dropped_total]. *)
 
 type snapshot = {
   uptime_s : float;
@@ -60,12 +63,11 @@ type snapshot = {
           limit *)
   faults_injected : int;
       (** faults the active {!Faults} plan injected (chaos mode) *)
-  queue_wait_ms : Ssg_util.Stats.summary option;
-      (** submit until a worker picked the job up; [None] until the
-          first completion *)
-  exec_ms : Ssg_util.Stats.summary option;
-      (** worker pickup until the result was ready; [None] until the
-          first completion *)
+  queue_wait_ms : Ssg_obs.Metrics.hist_snapshot;
+      (** submit until a worker picked the job up, every executed job
+          since boot; count 0 until the first completion *)
+  exec_ms : Ssg_obs.Metrics.hist_snapshot;
+      (** worker pickup until the result was ready, likewise *)
 }
 
 type t
@@ -123,12 +125,12 @@ val set_gauges : t -> snapshot -> unit
 (** [merge snapshots] — one cluster-wide snapshot from per-backend
     ones (what the router's [stats] fan-out replies with).  Counters,
     gauges and throughputs add; [uptime_s] and [recent_window_s] take
-    the max.  The latency summaries merge exactly in count, mean,
-    stddev (pooled via second moments), min and max; their percentiles
-    are {e count-weighted averages} of the per-shard percentiles — an
-    approximation, since true cluster percentiles are not recoverable
-    from per-shard summaries.
-    @raise Invalid_argument on the empty list. *)
+    the max.  The latency histograms add bucket by bucket, so the
+    merged snapshot's percentiles are those of every backend's
+    observations pooled, to within one bucket — not an average of the
+    backends' percentiles.
+    @raise Invalid_argument on the empty list, or when two snapshots'
+    histogram bounds differ (every peer is built from this tree). *)
 val merge : snapshot list -> snapshot
 
 (** [cluster_registry snapshots] — a fresh registry holding a gauge
@@ -147,14 +149,14 @@ type field =
   | F_count of string * int  (** monotone counter *)
   | F_gauge_i of string * int
   | F_gauge_f of string * float
-  | F_summary of string * Ssg_util.Stats.summary option
+  | F_histogram of string * Ssg_obs.Metrics.hist_snapshot
 
 (** Every snapshot field, in declaration order. *)
 val fields : snapshot -> field list
 
-(** Compact JSON object over {!fields}; summaries become objects with
-    [count]/[mean]/[stddev]/[min]/[max]/[p50]/[p95]/[p99], absent
-    summaries become [null]. *)
+(** Compact JSON object over {!fields}; a histogram becomes an object
+    with [count]/[mean]/[p50]/[p95]/[p99] ({!Ssg_obs.Metrics.quantile}),
+    or [null] while its count is 0. *)
 val json_of_snapshot : snapshot -> string
 
 (** Human-readable multi-line rendering (the [ssg stats] output). *)

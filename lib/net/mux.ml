@@ -89,6 +89,23 @@ let overdue t now =
       in
       match expired [] with [] -> Some [] | ks -> Some (List.rev ks)
 
+(* Under [lock], right after [overdue]: how long the reader may wait for
+   the next frame.  Half a deadline, or less when the oldest outstanding
+   request (the head of [sent] once [overdue] has run) falls due sooner,
+   so that request is found overdue on time even when a reply to
+   another one has just come in.  Never 0, which would disarm the
+   timer. *)
+let tick t now =
+  match t.deadline_s with
+  | None -> None
+  | Some d ->
+      let due =
+        match Queue.peek_opt t.sent with
+        | None -> infinity
+        | Some (_, at) -> at +. d -. now
+      in
+      Some (Float.max 0.001 (Float.min (d /. 2.) due))
+
 let deadline_exceeded t =
   Printf.sprintf "Mux: request deadline (%g s) exceeded"
     (Option.value t.deadline_s ~default:0.)
@@ -104,14 +121,24 @@ let settle t = function
 
 let reader_loop t =
   let peek = Bytes.create 1 in
-  let rec loop () =
+  (* The receive timer as last armed ([create] arms half a deadline);
+     re-armed only when [tick] moves it. *)
+  let armed = ref (Option.map (fun d -> d /. 2.) t.deadline_s) in
+  let rec loop timer =
+    (match timer with
+    | Some s when timer <> !armed -> (
+        armed := timer;
+        try Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO s
+        with Unix.Unix_error _ -> ())
+    | _ -> ());
     (* Wait for the next frame without consuming it: the receive timer
        may fire here, and only here, without splitting a frame. *)
     match Unix.recv t.fd peek 0 1 [ Unix.MSG_PEEK ] with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop timer
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        if settle t (locked t (fun () -> overdue t (Unix.gettimeofday ())))
-        then loop ()
+        let now = Unix.gettimeofday () in
+        let late, timer = locked t (fun () -> (overdue t now, tick t now)) in
+        if settle t late then loop timer
     | exception Unix.Unix_error (e, _, _) ->
         fail_all t ("Mux: " ^ Unix.error_message e)
     | 0 -> fail_all t "Mux: connection closed by peer"
@@ -133,12 +160,12 @@ let reader_loop t =
                 fail_all t (t.plain payload)
             | Frame.Id (id, inner) ->
                 let now = Unix.gettimeofday () in
-                let k, late =
+                let k, late, timer =
                   locked t (fun () ->
                       t.last_read <- now;
                       let k = Hashtbl.find_opt t.table id in
                       if k <> None then Hashtbl.remove t.table id;
-                      (k, overdue t now))
+                      (k, overdue t now, tick t now))
                 in
                 (* An unknown id is dropped: the request was failed by a
                    closing link or retired past its deadline. *)
@@ -146,9 +173,9 @@ let reader_loop t =
                 (* A busy link never goes silent, so the receive timer
                    alone would never see a request that is never
                    answered. *)
-                if settle t late then loop ()))
+                if settle t late then loop timer))
   in
-  loop ();
+  loop !armed;
   (* The link is dead: let the peer see it at once rather than write
      into a socket nobody reads. *)
   (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
@@ -159,8 +186,7 @@ let create ?deadline_s ~plain fd =
   | Some d when d <= 0. -> invalid_arg "Mux.create: deadline_s must be > 0"
   | Some d -> (
       (* The receive timer is the reader's tick for checking the
-         deadline on a silent link: a request is found overdue at most
-         half a deadline late. *)
+         deadline on a silent link ([tick] in [reader_loop]). *)
       try Unix.setsockopt_float fd Unix.SO_RCVTIMEO (d /. 2.)
       with Unix.Unix_error _ -> ())
   | None -> ());

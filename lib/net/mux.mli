@@ -19,7 +19,12 @@
     fails only when it has gone quiet — requests outstanding, and
     nothing sent or read for a whole deadline — so a mute peer never
     hangs a caller, while one request it swallows costs that request
-    alone.  A request is found overdue at most half a deadline late.
+    alone.  Before each wait the reader arms its receive timer to the
+    sooner of half a deadline and the oldest outstanding request's
+    deadline (at least 1 ms), so a request is found overdue about a
+    millisecond late, whatever replies to other requests arrive
+    meanwhile; a link whose requests are answered within half a
+    deadline never re-arms it.
 
     Failure semantics: when the connection dies — peer closed, frame
     error, an id-less frame, silence past the deadline, or {!close} —

@@ -108,6 +108,28 @@ let hist_snapshot h =
   in
   { buckets; sum = Atomic.get h.h_sum; count = !cumulative }
 
+(* Prometheus's [histogram_quantile].  [lower *. (1 - f) +. upper *. f]
+   rather than [lower +. (upper -. lower) *. f], so that a rank at the
+   top of its bucket answers the bound exactly. *)
+let quantile s q =
+  if s.count = 0 then Float.nan
+  else
+    let rank = q *. float_of_int s.count in
+    let last = Array.length s.buckets - 1 in
+    let rec find b =
+      if b = last || float_of_int (snd s.buckets.(b)) >= rank then b
+      else find (b + 1)
+    in
+    let b = find 0 in
+    if b = last then fst s.buckets.(last - 1)
+    else
+      let lower, below = if b = 0 then (0., 0) else s.buckets.(b - 1) in
+      let upper, cumulative = s.buckets.(b) in
+      let f =
+        (rank -. float_of_int below) /. float_of_int (cumulative - below)
+      in
+      (lower *. (1. -. f)) +. (upper *. f)
+
 let histogram t ~help ?(buckets = default_buckets) name =
   if Array.length buckets = 0 then
     invalid_arg "Metrics.histogram: empty bucket list";

@@ -75,6 +75,16 @@ type hist_snapshot = {
 
 val hist_snapshot : histogram -> hist_snapshot
 
+(** [quantile s q] — the [q]-quantile ([0 < q <= 1]) of a snapshot of a
+    {!histogram}, estimated as Prometheus's [histogram_quantile] does:
+    the rank [q · count] falls in the first bucket whose cumulative
+    count reaches it, and the answer is linear in the rank between that
+    bucket's lower bound (0 for the first bucket) and its upper bound.
+    A rank in the [+Inf] bucket answers the largest finite bound.  So
+    the answer lies in the bucket that holds the [⌈q · count⌉]-th
+    smallest observation.  [nan] when [count = 0]. *)
+val quantile : hist_snapshot -> float -> float
+
 (** [to_prometheus t] renders the registry in text exposition format,
     in registration order. *)
 val to_prometheus : t -> string

@@ -119,17 +119,3 @@ let check_with_one_round_prefixes ~n =
   let prefixes = List.map (fun g -> [ g ]) (all_stable_graphs ~n) in
   check ~n ~prefixes
 
-let pp_verdict fmt v =
-  Format.fprintf fmt
-    "@[<v>%d runs:@,\
-    \  Theorem 1 (roots <= min_k) failures : %d@,\
-    \  paper rule (r>=n) agreement failures: %d@,\
-    \  strict guard (r>n) agreement fails  : %d@,\
-    \  validity failures                   : %d@,\
-    \  termination failures                : %d@,\
-    \  repaired rule agreement failures    : %d@,\
-    \  repaired rule termination failures  : %d@]"
-    v.runs v.theorem1_failures v.agreement_failures
-    v.strict_agreement_failures v.validity_failures
-    v.termination_failures v.repaired_agreement_failures
-    v.repaired_termination_failures

@@ -53,5 +53,3 @@ val check_prefix_free : n:int -> verdict
     (4096 runs); this sweep contains the smallest Theorem 16
     counterexamples. *)
 val check_with_one_round_prefixes : n:int -> verdict
-
-val pp_verdict : Format.formatter -> verdict -> unit

@@ -24,7 +24,6 @@ let skeleton t = t.skeleton
 let partition t = t.partition
 let components t = t.components
 let component_of t p = t.components.(t.partition.comp.(p))
-let contraction t = t.contraction
 let roots t = List.map (fun c -> t.components.(c)) t.root_ids
 let root_count t = List.length t.root_ids
 let is_root t p = List.mem t.partition.comp.(p) t.root_ids

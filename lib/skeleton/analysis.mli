@@ -26,9 +26,6 @@ val components : t -> Bitset.t array
 (** [component_of t p] is the node set [C_p] of [p]'s SCC. *)
 val component_of : t -> int -> Bitset.t
 
-(** [contraction t] is the condensation DAG over component ids. *)
-val contraction : t -> Digraph.t
-
 (** [roots t] — the root components, as node sets. *)
 val roots : t -> Bitset.t list
 

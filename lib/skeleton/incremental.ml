@@ -12,7 +12,6 @@ open Ssg_graph
 type t = {
   skel : Skeleton.t;
   mutable revision : int;
-  mutable last_delta : int;
   mutable stable_rounds : int; (* consecutive zero-delta rounds, ending now *)
   mutable analysis : (int * Analysis.t) option;
   mutable pts : (int * Bitset.t array) option;
@@ -23,7 +22,6 @@ let start ~n =
   {
     skel = Skeleton.start ~n;
     revision = 0;
-    last_delta = 0;
     stable_rounds = 0;
     analysis = None;
     pts = None;
@@ -32,7 +30,6 @@ let start ~n =
 
 let absorb t g =
   let removed = Skeleton.absorb_delta t.skel g in
-  t.last_delta <- removed;
   if removed > 0 then begin
     t.revision <- t.revision + 1;
     t.stable_rounds <- 0
@@ -42,7 +39,6 @@ let absorb t g =
 
 let rounds t = Skeleton.rounds_absorbed t.skel
 let revision t = t.revision
-let last_delta t = t.last_delta
 let stable_rounds t = t.stable_rounds
 let view t = Skeleton.view t.skel
 

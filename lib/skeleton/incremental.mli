@@ -38,9 +38,6 @@ val rounds : t -> int
     Cached derivations are valid exactly while this is unchanged. *)
 val revision : t -> int
 
-(** [last_delta t] — edges removed by the most recent {!absorb}. *)
-val last_delta : t -> int
-
 (** [stable_rounds t] — consecutive zero-delta rounds ending now; within
     a trace this reaches [rounds t - r_ST + 1] after stabilization. *)
 val stable_rounds : t -> int

@@ -49,11 +49,6 @@ let pick g arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int g (Array.length arr))
 
-let pick_list g xs =
-  match xs with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | _ -> List.nth xs (int g (List.length xs))
-
 let shuffle g arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int g (i + 1) in

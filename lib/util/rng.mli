@@ -44,9 +44,6 @@ val chance : t -> float -> bool
     @raise Invalid_argument on an empty array. *)
 val pick : t -> 'a array -> 'a
 
-(** [pick_list g xs] is a uniformly chosen element of [xs]. *)
-val pick_list : t -> 'a list -> 'a
-
 (** [shuffle g arr] permutes [arr] in place (Fisher–Yates). *)
 val shuffle : t -> 'a array -> unit
 

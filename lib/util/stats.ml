@@ -1,14 +1,3 @@
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-}
-
 let require_nonempty name xs =
   if Array.length xs = 0 then invalid_arg (name ^ ": empty sample")
 
@@ -50,26 +39,6 @@ let percentile xs q =
   percentile_sorted sorted q
 
 let median xs = percentile xs 50.0
-
-let summarize xs =
-  require_nonempty "Stats.summarize" xs;
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  {
-    count = Array.length xs;
-    mean = mean xs;
-    stddev = stddev xs;
-    min = sorted.(0);
-    max = sorted.(Array.length sorted - 1);
-    p50 = percentile_sorted sorted 50.0;
-    p95 = percentile_sorted sorted 95.0;
-    p99 = percentile_sorted sorted 99.0;
-  }
-
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p95=%.2f p99=%.2f max=%.2f"
-    s.count s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max
 
 let linear_fit xs ys =
   let n = Array.length xs in

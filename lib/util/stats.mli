@@ -3,18 +3,6 @@
     All functions operate on [float array]s and never mutate their input.
     Empty inputs raise [Invalid_argument] unless documented otherwise. *)
 
-(** Five-number-style summary of a sample. *)
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;  (** population standard deviation *)
-  min : float;
-  max : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-}
-
 val mean : float array -> float
 val stddev : float array -> float
 val minimum : float array -> float
@@ -29,12 +17,6 @@ val percentile : float array -> float -> float
 val percentile_sorted : float array -> float -> float
 
 val median : float array -> float
-
-(** [summarize xs] computes the full summary in one pass over a sorted
-    copy. *)
-val summarize : float array -> summary
-
-val pp_summary : Format.formatter -> summary -> unit
 
 (** [linear_fit xs ys] is [(slope, intercept)] of the least-squares line
     through the points.  Used e.g. for log-log complexity slopes.

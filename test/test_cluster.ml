@@ -10,6 +10,7 @@ open Ssg_adversary
 open Ssg_util
 open Ssg_engine
 open Ssg_cluster
+module Metrics = Ssg_obs.Metrics
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -390,19 +391,50 @@ let test_telemetry_merge () =
   check_int "workers sum" (2 * s.Telemetry.workers) m.Telemetry.workers;
   check "uptime is the max, not the sum" true
     (m.Telemetry.uptime_s = s.Telemetry.uptime_s);
-  (match (s.Telemetry.queue_wait_ms, m.Telemetry.queue_wait_ms) with
-  | Some single, Some merged ->
-      check_int "queue-wait samples pool" (2 * single.Stats.count)
-        merged.Stats.count;
-      check "pooled mean is preserved" true
-        (Float.abs (merged.Stats.mean -. single.Stats.mean) < 1e-9);
-      check "min/max exact" true
-        (merged.Stats.min = single.Stats.min
-        && merged.Stats.max = single.Stats.max)
-  | _ -> Alcotest.fail "expected queue-wait summaries");
-  match Telemetry.merge [] with
+  let doubles phase (single : Metrics.hist_snapshot)
+      (merged : Metrics.hist_snapshot) =
+    check (phase ^ " buckets add") true
+      (merged.buckets = Array.map (fun (b, c) -> (b, 2 * c)) single.buckets);
+    check_int (phase ^ " counts add") (2 * single.count) merged.count;
+    check (phase ^ " sums add") true (merged.sum = 2. *. single.sum)
+  in
+  doubles "queue wait" s.Telemetry.queue_wait_ms m.Telemetry.queue_wait_ms;
+  doubles "exec" s.Telemetry.exec_ms m.Telemetry.exec_ms;
+  check_int "three executions" 3 s.Telemetry.exec_ms.count;
+  (match Telemetry.merge [] with
   | _ -> Alcotest.fail "merging nothing must be rejected"
+  | exception Invalid_argument _ -> ());
+  let stretched (h : Metrics.hist_snapshot) =
+    { h with buckets = Array.map (fun (b, c) -> (2. *. b, c)) h.buckets }
+  in
+  let other = { s with Telemetry.exec_ms = stretched s.Telemetry.exec_ms } in
+  match Telemetry.merge [ s; other ] with
+  | _ -> Alcotest.fail "histograms with other bounds must be rejected"
   | exception Invalid_argument _ -> ()
+
+(* Shard A executes 100 jobs at 0.150-0.249 ms, shard B 10 at
+   50.0-50.9 ms.  Pooled, p50 is the 55th smallest execution (0.204 ms,
+   in the bucket (0.16, 0.226]) and p99 the 109th (50.8 ms, in
+   (40.96, 57.9]); averaging the shards' percentiles by count would
+   read about 4.8 ms for both. *)
+let test_telemetry_merge_pools () =
+  let shard samples =
+    let t = Telemetry.create () in
+    List.iter
+      (fun exec_ms -> Telemetry.record_completed t ~queue_ms:0. ~exec_ms)
+      samples;
+    Telemetry.snapshot t ~workers:1 ~queue_depth:0 ~queue_capacity:8
+      ~cache_entries:0
+  in
+  let a = shard (List.init 100 (fun i -> 0.150 +. (0.001 *. float_of_int i))) in
+  let b = shard (List.init 10 (fun i -> 50.0 +. (0.1 *. float_of_int i))) in
+  let m = (Telemetry.merge [ a; b ]).Telemetry.exec_ms in
+  check_int "every execution pooled" 110 m.Metrics.count;
+  let p50 = Metrics.quantile m 0.5 and p99 = Metrics.quantile m 0.99 in
+  check (Printf.sprintf "p50 %.3f ms in (0.16, 0.227]" p50) true
+    (p50 > 0.16 && p50 <= 0.227);
+  check (Printf.sprintf "p99 %.3f ms in (40.9, 58.0]" p99) true
+    (p99 > 40.9 && p99 <= 58.0)
 
 (* ---------------- client: multi-address failover ---------------- *)
 
@@ -1213,6 +1245,8 @@ let tests =
     Alcotest.test_case "registry: elastic membership" `Quick
       test_registry_elastic_membership;
     Alcotest.test_case "telemetry: merge" `Quick test_telemetry_merge;
+    Alcotest.test_case "telemetry: the fleet merge pools" `Quick
+      test_telemetry_merge_pools;
     Alcotest.test_case "client: connect_any failover" `Quick
       test_connect_any_failover;
     Alcotest.test_case "faults: blackhole spec" `Quick

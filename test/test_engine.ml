@@ -310,22 +310,21 @@ let gen_completion rng : Job.completion =
     latency_ms = Rng.float rng *. 1000.;
   }
 
-let gen_snapshot rng : Telemetry.snapshot =
-  let gen_summary () =
-    if Rng.int rng 3 = 0 then None
-    else
-      Some
-        {
-          Stats.count = 1 + Rng.int rng 1000;
-          mean = Rng.float rng *. 10.;
-          stddev = Rng.float rng;
-          min = Rng.float rng;
-          max = 10. +. Rng.float rng;
-          p50 = Rng.float rng *. 5.;
-          p95 = Rng.float rng *. 9.;
-          p99 = Rng.float rng *. 10.;
-        }
+(* A histogram of the shape the decoder accepts: increasing bounds
+   ending at +Inf, cumulative counts that never fall, the last equal to
+   the count; empty a third of the time. *)
+let gen_hist rng : Ssg_obs.Metrics.hist_snapshot =
+  let n = 1 + Rng.int rng 8 and empty = Rng.int rng 3 = 0 in
+  let bound = ref 0. and cumulative = ref 0 in
+  let buckets =
+    Array.init (n + 1) (fun i ->
+        bound := if i = n then infinity else !bound +. 0.01 +. Rng.float rng;
+        if not empty then cumulative := !cumulative + Rng.int rng 100;
+        (!bound, !cumulative))
   in
+  { buckets; sum = Rng.float rng *. 1e4; count = !cumulative }
+
+let gen_snapshot rng : Telemetry.snapshot =
   {
     Telemetry.uptime_s = Rng.float rng *. 3600.;
     workers = 1 + Rng.int rng 16;
@@ -346,8 +345,8 @@ let gen_snapshot rng : Telemetry.snapshot =
     timed_out_connections = Rng.int rng 100;
     connections_rejected = Rng.int rng 100;
     faults_injected = Rng.int rng 100;
-    queue_wait_ms = gen_summary ();
-    exec_ms = gen_summary ();
+    queue_wait_ms = gen_hist rng;
+    exec_ms = gen_hist rng;
   }
 
 let gen_trace_event rng : Ssg_obs.Tracer.event =

@@ -474,6 +474,47 @@ let test_no_fd_leak_under_barrage () =
     true
     (after <= before)
 
+(* ---------------- fault plans: the CLI syntax ---------------- *)
+
+let test_of_spec_table () =
+  List.iter
+    (fun (plan, canonical) ->
+      match Faults.of_spec plan with
+      | Error e -> Alcotest.failf "%S refused: %s" plan e
+      | Ok f -> (
+          Alcotest.(check string) (Printf.sprintf "spec of %S" plan) canonical
+            (Faults.spec f);
+          match Faults.of_spec (Faults.spec f) with
+          | Ok g ->
+              Alcotest.(check string)
+                (Printf.sprintf "%S round-trips" canonical)
+                canonical (Faults.spec g)
+          | Error e -> Alcotest.failf "%S refused: %s" canonical e))
+    [
+      ("off", "off");
+      ("", "off");
+      ("crash:3", "crash:3");
+      ("slow:2", "slow:2@50");
+      ("slow:2@20", "slow:2@20");
+      ("corrupt:4", "corrupt:4");
+      ("truncate:5", "truncate:5");
+      ("blackhole:6", "blackhole:6");
+      ("partition:7", "blackhole:7");
+      ("torn-write:8", "torn-write:8");
+      ( "torn-write:3, crash:10,slow:5@20,truncate:13",
+        "crash:10,slow:5@20,truncate:13,torn-write:3" );
+    ];
+  List.iter
+    (fun plan ->
+      match Faults.of_spec plan with
+      | Ok f -> Alcotest.failf "%S accepted as %S" plan (Faults.spec f)
+      | Error e ->
+          Alcotest.(check string)
+            (Printf.sprintf "%S refused" plan)
+            (Printf.sprintf "bad fault item %S" plan)
+            e)
+    [ "crash:0"; "slow:2@-1"; "bogus:1"; "crash"; "crash:x" ]
+
 let tests =
   [
     Alcotest.test_case "k=0 submit: Error reply + closed connection (regression)"
@@ -500,4 +541,5 @@ let tests =
       test_shutdown_closes_idle_connections;
     Alcotest.test_case "no fd leak under hostile barrage" `Quick
       test_no_fd_leak_under_barrage;
+    Alcotest.test_case "fault plans: of_spec table" `Quick test_of_spec_table;
   ]

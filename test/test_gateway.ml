@@ -1070,7 +1070,7 @@ let test_exposition_lint () =
       | Telemetry.F_gauge_f (name, _) ->
           check ("--prom carries --json's " ^ name) true
             (List.mem_assoc ("ssgd_" ^ name) typed)
-      | Telemetry.F_summary _ -> ())
+      | Telemetry.F_histogram _ -> ())
     (Telemetry.fields (Client.stats c));
   Client.close c;
   ignore

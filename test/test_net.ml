@@ -394,6 +394,45 @@ let test_mux_deadline_on_a_busy_link () =
   Mux.close m;
   Thread.join peer
 
+let test_mux_reply_does_not_delay_a_swallowed_request () =
+  (* A reply that reaches an otherwise idle link just before a swallowed
+     request falls due must not push that request's failure back by up
+     to half a deadline. *)
+  let deadline_s = 1. in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let peer =
+    Thread.create
+      (fun () ->
+        let read () = Frame.classify (Frame.read_fd b) in
+        (match (read (), read ()) with
+        | Frame.Id _, Frame.Id (id, inner) ->
+            Thread.delay 0.45;
+            Frame.write_fd b (Frame.with_id ~id inner)
+        | _ -> ());
+        (try ignore (Frame.read_fd b)
+         with End_of_file | Failure _ | Unix.Unix_error _ -> ());
+        Unix.close b)
+      ()
+  in
+  let m = mux ~deadline_s a in
+  let swallowed = Ivar.create () in
+  let t0 = Unix.gettimeofday () in
+  Mux.send_cb m (Bytes.of_string "mute") (fun outcome ->
+      Ivar.fill swallowed (outcome, Unix.gettimeofday () -. t0));
+  check "the neighbour is answered" true
+    (Ivar.read (send m (Bytes.of_string "echo")) = Ok (Bytes.of_string "echo"));
+  (match Ivar.read swallowed with
+  | Error msg, elapsed ->
+      check ("the failure names the deadline: " ^ msg) true
+        (contains msg "deadline");
+      check (Printf.sprintf "not before the deadline (%.3f s)" elapsed) true
+        (elapsed >= deadline_s);
+      check (Printf.sprintf "within 1.15 s (%.3f s)" elapsed) true
+        (elapsed < 1.15)
+  | Ok _, _ -> Alcotest.fail "a swallowed request was answered");
+  Mux.close m;
+  Thread.join peer
+
 let test_mux_callback_form () =
   (* Each callback fires exactly once, with the reply or the link's
      failure; closing the link from a callback, on the reader's own
@@ -972,6 +1011,8 @@ let tests =
       test_mux_plain_reply_is_fatal;
     Alcotest.test_case "mux: deadline on a busy link" `Quick
       test_mux_deadline_on_a_busy_link;
+    Alcotest.test_case "mux: a reply delays no swallowed request" `Quick
+      test_mux_reply_does_not_delay_a_swallowed_request;
     Alcotest.test_case "mux: callback form" `Quick test_mux_callback_form;
     QCheck_alcotest.to_alcotest prop_mux_correlation;
     Alcotest.test_case "http: request parsing" `Quick test_http_request_parsing;

@@ -201,6 +201,44 @@ let test_histogram_buckets () =
   check "sum line" true (is_infix ~affix:"lat_ms_sum 5060.5" text);
   check "count line" true (is_infix ~affix:"lat_ms_count 5" text)
 
+(* A percentile read off a phase histogram lies in the bucket that
+   holds the ⌈q·count⌉-th smallest sample.  Samples are drawn
+   log-uniformly from [0.01, 80000] ms, so every bucket gets some and
+   none reaches +Inf. *)
+let prop_phase_quantiles_in_their_bucket =
+  QCheck2.Test.make ~count:200
+    ~name:"metrics: phase percentiles lie in their sample's bucket"
+    QCheck2.Gen.(
+      list_size (int_range 1 300)
+        (map (fun u -> 0.01 *. Float.pow 8e6 u) (float_range 0. 1.)))
+    (fun samples ->
+      let t = Ssg_engine.Telemetry.create () in
+      List.iter
+        (fun x ->
+          Ssg_engine.Telemetry.record_completed t ~queue_ms:x ~exec_ms:x)
+        samples;
+      let h =
+        (Ssg_engine.Telemetry.snapshot t ~workers:1 ~queue_depth:0
+           ~queue_capacity:1 ~cache_entries:0)
+          .Ssg_engine.Telemetry.exec_ms
+      in
+      let sorted = Array.of_list samples in
+      Array.sort Float.compare sorted;
+      let count = Array.length sorted in
+      List.for_all
+        (fun q ->
+          let x =
+            sorted.(int_of_float (Float.ceil (q *. float_of_int count)) - 1)
+          in
+          let rec bucket b =
+            if x <= fst h.Metrics.buckets.(b) then b else bucket (b + 1)
+          in
+          let b = bucket 0 in
+          let lower = if b = 0 then 0. else fst h.Metrics.buckets.(b - 1) in
+          let e = Metrics.quantile h q in
+          lower < e && e <= fst h.Metrics.buckets.(b))
+        [ 0.5; 0.95; 0.99 ])
+
 let test_registry_rejects_bad_names () =
   let t = Metrics.create () in
   ignore (Metrics.counter t ~help:"ok" "ok_name");
@@ -223,7 +261,7 @@ let field_name = function
   | Ssg_engine.Telemetry.F_count (n, _)
   | Ssg_engine.Telemetry.F_gauge_i (n, _)
   | Ssg_engine.Telemetry.F_gauge_f (n, _)
-  | Ssg_engine.Telemetry.F_summary (n, _) ->
+  | Ssg_engine.Telemetry.F_histogram (n, _) ->
       n
 
 let sample_adv ?(seed = 11) () =
@@ -253,7 +291,7 @@ let test_snapshot_serializers_cover_every_field () =
   let prom = Ssg_engine.Engine.prometheus engine in
   List.iter
     (function
-      | Ssg_engine.Telemetry.F_summary (name, _) ->
+      | Ssg_engine.Telemetry.F_histogram (name, _) ->
           check
             (Printf.sprintf "no Prometheus summary for %S" name)
             false
@@ -275,11 +313,10 @@ let test_snapshot_serializers_cover_every_field () =
   check "no legacy end-to-end latency series" false
     (is_infix ~affix:"ssgd_latency_ms" prom
     || is_infix ~affix:"ssgd_job_latency_ms" prom);
-  check "both phases summarize the one completion" true
-    (match (s.Ssg_engine.Telemetry.queue_wait_ms,
-            s.Ssg_engine.Telemetry.exec_ms) with
-    | Some q, Some e -> q.Stats.count = 1 && e.Stats.count = 1
-    | _ -> false);
+  check_int "the queue-wait histogram holds the one completion" 1
+    s.Ssg_engine.Telemetry.queue_wait_ms.Metrics.count;
+  check_int "the exec histogram holds the one completion" 1
+    s.Ssg_engine.Telemetry.exec_ms.Metrics.count;
   Ssg_engine.Engine.shutdown engine
 
 (* --- Chrome export + JSON checker --- *)
@@ -676,6 +713,7 @@ let tests =
     Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
     Alcotest.test_case "histogram buckets cumulative" `Quick
       test_histogram_buckets;
+    QCheck_alcotest.to_alcotest prop_phase_quantiles_in_their_bucket;
     Alcotest.test_case "registry rejects bad names" `Quick
       test_registry_rejects_bad_names;
     Alcotest.test_case "snapshot serializers cover every field" `Quick

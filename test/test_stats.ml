@@ -36,15 +36,6 @@ let test_percentile_unsorted_input_untouched () =
   ignore (Stats.percentile xs 50.0);
   Alcotest.(check (array (float 0.0))) "input preserved" [| 3.0; 1.0; 2.0 |] xs
 
-let test_summarize () =
-  let s = Stats.summarize (Array.init 101 (fun i -> float_of_int i)) in
-  Alcotest.(check int) "count" 101 s.Stats.count;
-  checkf "mean" 50.0 s.Stats.mean;
-  checkf "p50" 50.0 s.Stats.p50;
-  checkf "p95" 95.0 s.Stats.p95;
-  checkf "min" 0.0 s.Stats.min;
-  checkf "max" 100.0 s.Stats.max
-
 let test_linear_fit () =
   let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
   let ys = Array.map (fun x -> (3.0 *. x) +. 1.0) xs in
@@ -100,7 +91,6 @@ let tests =
       test_percentile_unsorted_input_untouched;
     Alcotest.test_case "percentile of a sorted sample" `Quick
       test_percentile_sorted;
-    Alcotest.test_case "summarize" `Quick test_summarize;
     Alcotest.test_case "linear fit" `Quick test_linear_fit;
     Alcotest.test_case "linear fit (negative slope)" `Quick test_linear_fit_noisy;
     Alcotest.test_case "linear fit errors" `Quick test_linear_fit_errors;
